@@ -20,12 +20,12 @@ from repro.analysis.rules import (
     register,
 )
 
-#: Modules allowed to read the wall clock: the throughput sidecar that
-#: *deliberately* measures real elapsed time (its numbers live in the
-#: gitignored ``batch_throughput_wallclock.txt``, never in artifacts).
-WALLCLOCK_SIDECARS = (
-    "repro/experiments/batch_bench.py",
-)
+#: Modules under ``src/repro`` allowed to read the wall clock.  Empty: the
+#: wall-clock benchmark lives outside the package (``perf/``), so today no
+#: engine module may.  Kept as the one place to admit a module that
+#: *deliberately* measures real elapsed time (the per-operator profiler's
+#: wall-ns column is the expected first entry) instead of inline allows.
+WALLCLOCK_SIDECARS: tuple[str, ...] = ()
 
 #: Wall-clock and entropy sources banned outside the sidecar modules.
 _BANNED_CALLS = {
@@ -94,8 +94,9 @@ class WallClockRule(Rule):
         "(random.random(), random.Random() without a seed, numpy.random.*) "
         "smuggle host state into results.  Use the simulated clock, a "
         "seeded random.Random(seed), or move genuine wall-clock "
-        "measurement into the allowlisted sidecar modules "
-        f"({', '.join(WALLCLOCK_SIDECARS)})."
+        "measurement out of the package (perf/) or into a module "
+        "allowlisted in WALLCLOCK_SIDECARS "
+        f"({', '.join(WALLCLOCK_SIDECARS) or 'currently none'})."
     )
 
     def check(self, unit: ModuleUnit,
@@ -486,18 +487,19 @@ class IntegerCounterRule(Rule):
 
 @register
 class OperatorProtocolRule(Rule):
-    """RPL106: every concrete Operator implements rows() or batches()."""
+    """RPL106: operators implement batches() and never override rows()."""
 
     code = "RPL106"
     name = "operator-batch-protocol"
     rationale = (
-        "The Operator base class provides two-way shims between rows() "
-        "and batches(); a concrete operator overriding neither only "
-        "fails at runtime, deep inside a plan.  Every non-abstract "
-        "Operator subclass must implement rows() or batches() somewhere "
-        "in its project-visible ancestry — an operator that genuinely "
-        "cannot execute defines one of them and raises "
-        "NotImplementedError explicitly."
+        "There is one execution protocol: Operator.batches() is the "
+        "abstract method every physical operator implements, and "
+        "Operator.rows() is a final base-class view that flattens it.  A "
+        "second rows() body is a second engine whose charges can drift "
+        "from the first.  Every non-abstract Operator subclass must "
+        "define batches() somewhere in its project-visible ancestry "
+        "(the ABC machinery only says so at construction time, deep "
+        "inside a plan), and no Operator subclass may define rows()."
     )
 
     def check(self, unit: ModuleUnit,
@@ -508,15 +510,23 @@ class OperatorProtocolRule(Rule):
             info = index.classes.get(node.name)
             if info is None or info.module != unit.path:
                 continue
-            if node.name == "Operator" or info.is_abstract:
+            if node.name == "Operator":
                 continue
             if not index.derives_from(node.name, "Operator"):
                 continue
-            methods = index.inherited_methods(node.name, stop="Operator")
-            if "rows" not in methods and "batches" not in methods:
+            if "rows" in info.methods:
                 yield self.diag(
                     unit, node,
-                    f"Operator subclass {node.name} implements neither "
-                    "rows() nor batches(); implement the batch protocol "
-                    "or explicitly raise NotImplementedError",
+                    f"Operator subclass {node.name} overrides rows(); "
+                    "rows() is the base class's view over batches() — "
+                    "put the logic in batches()",
+                )
+            if info.is_abstract:
+                continue
+            methods = index.inherited_methods(node.name, stop="Operator")
+            if "batches" not in methods:
+                yield self.diag(
+                    unit, node,
+                    f"Operator subclass {node.name} does not implement "
+                    "batches(), the one execution protocol",
                 )

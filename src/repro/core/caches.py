@@ -23,13 +23,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as _np
+
 from repro.errors import ExecutionError
 from repro.storage.types import Row, TID
-
-try:  # pragma: no cover - exercised implicitly when numpy is present
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 class _Bitmap:
@@ -43,14 +40,12 @@ class _Bitmap:
         self._count = 0
 
     def array_view(self):
-        """Live ``uint8`` view of the byte array, or None without numpy.
+        """Live ``uint8`` view of the byte array.
 
         The backing ``bytearray`` is allocated once and never resized, so
         the view stays valid and reflects every :meth:`set` as it happens.
         Callers must treat it as read-only.
         """
-        if _np is None:
-            return None
         return _np.frombuffer(self._bits, dtype=_np.uint8)
 
     def get(self, i: int) -> bool:
@@ -87,7 +82,7 @@ class PageIdCache:
         return self._bitmap.get(page_id)
 
     def seen_view(self):
-        """Live read-only ``uint8`` view of the bitmap bytes (or None).
+        """Live read-only ``uint8`` view of the bitmap bytes.
 
         Bit ``page_id`` of the view (little-endian within each byte, as
         :meth:`is_seen` reads it) tracks the page's seen state, updating

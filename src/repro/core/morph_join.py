@@ -82,52 +82,6 @@ class MorphingIndexJoin(Operator):
     def name(self) -> str:
         return f"MorphingIndexJoin({self.inner_table.name})"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        heap = self.inner_table.heap
-        stats = MorphJoinStats()
-        self.last_stats = stats
-        matches = self.residual.bind(self.schema)
-        key_pos = self.inner_key_pos
-
-        tuple_cache: dict[object, list[Row]] = {}
-        page_cache = PageIdCache(heap.num_pages)
-        #: Keys for which every pointing page has been processed — their
-        #: cache entry is complete and the index never needs consulting.
-        complete_keys: set[object] = set()
-
-        def absorb_page(page) -> None:
-            """Cache every tuple of a fetched inner page (the morph)."""
-            page_cache.mark(page.page_id)
-            stats.pages_fetched += 1
-            ctx.charge_inspect(len(page))
-            for row in page:
-                ctx.charge_cache_insert()
-                tuple_cache.setdefault(row[key_pos], []).append(row)
-
-        for orow in self.outer.rows(ctx):
-            stats.outer_rows += 1
-            key = orow[self.outer_pos]
-            ctx.charge_cache_probe()
-            if key in complete_keys:
-                stats.cache_hits += 1
-                inner_rows = tuple_cache.get(key, ())
-            else:
-                # Index consulted only for not-yet-complete keys.
-                stats.index_probes += 1
-                tids = list(self.index.lookup(ctx, key))
-                for tid in tids:
-                    if not page_cache.is_seen(tid.page_id):
-                        absorb_page(ctx.get_page(heap, tid.page_id))
-                complete_keys.add(key)
-                inner_rows = tuple_cache.get(key, ())
-            for irow in inner_rows:
-                joined = orow + irow
-                ctx.charge_inspect()
-                if matches(joined):
-                    stats.emitted += 1
-                    ctx.charge_emit()
-                    yield joined
-
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Probe the morphing cache one outer batch at a time."""
         heap = self.inner_table.heap

@@ -21,22 +21,23 @@ index, a key range and a residual predicate.  With ``ordered=True`` it
 emits in strict index-key order (usable under ORDER BY / merge joins),
 otherwise tuples stream out as pages are processed.
 
-Both execution protocols are implemented natively.  :meth:`SmoothScan.rows`
-is the paper's tuple-at-a-time pipeline; :meth:`SmoothScan.batches` is the
-batch-vectorized engine — index entries arrive one leaf at a time
+Execution is batch-vectorized: index entries arrive one leaf at a time
 (:meth:`~repro.index.btree.BTreeIndex.scan_batches`), morphing-region runs
 are probed whole and their output accumulated into batches flushed at the
 batch-size threshold, and page probing compiles the key range and residual
-predicate into selection lists instead of calling a closure per tuple.
-Run as a single operator, the two paths produce identical rows in
-identical order and charge identical simulated costs; only real (Python)
-execution time differs.
+predicate into masks and selection lists instead of calling a closure per
+tuple.  Mode 0 and the Result Cache hand-off stay per probe, as in the
+paper.  Every charge is the paper's per-page / per-tuple charge;
+``tests/golden_row_path.json`` pins them to the tuple-at-a-time pipeline
+this engine grew out of.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as _np
 
 from repro.context import ExecutionContext
 from repro.core.caches import PageIdCache, ResultCache, TupleIdCache
@@ -59,11 +60,6 @@ from repro.index.btree import TID_SHIFT
 from repro.storage.table import Table
 from repro.storage.types import Row, TID
 
-try:  # pragma: no cover - exercised implicitly when numpy is present
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 _SLOT_MASK = (1 << TID_SHIFT) - 1
 
 _DEFAULT_RESULT_CACHE_PARTITIONS = 16
@@ -71,7 +67,7 @@ _DEFAULT_RESULT_CACHE_PARTITIONS = 16
 
 @dataclass
 class _RunState:
-    """Per-execution state shared by the row and batch paths."""
+    """Per-execution state: caches, stats and policy of one run."""
 
     stats: SmoothScanStats
     page_cache: PageIdCache
@@ -137,7 +133,7 @@ class SmoothScan(Operator):
             f"{'ordered' if self.ordered else 'unordered'})"
         )
 
-    # -- shared setup ------------------------------------------------------
+    # -- per-run setup ----------------------------------------------------
 
     def _prepare(self, ctx: ExecutionContext) -> _RunState:
         """Build the caches, stats and policy state for one execution."""
@@ -191,179 +187,6 @@ class SmoothScan(Operator):
             col_pos=col_pos,
             names=self.schema.column_names,
         )
-
-    # -- tuple-at-a-time execution ----------------------------------------
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        heap = self.table.heap
-        state = self._prepare(ctx)
-        stats = state.stats
-        page_cache = state.page_cache
-        tuple_cache = state.tuple_cache
-        result_cache = state.result_cache
-        policy = state.policy
-        max_region = state.max_region
-        col_pos = state.col_pos
-
-        residual_fn = self.residual.bind(self.schema)
-        in_range = self.key_range.contains
-        tracer = ctx.runtime.tracer
-
-        region = policy.initial_region()
-        mode0_active = not self.trigger.eager
-        flattened = False
-        pages_res_global = 0
-        pages_seen_smooth = 0
-
-        rng = self.key_range
-        for key, tid in self.index.scan(
-            ctx, lo=rng.lo, hi=rng.hi,
-            lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
-        ):
-            stats.probes += 1
-
-            # ---- Mode 0: traditional index scan until the trigger fires.
-            if mode0_active:
-                page = ctx.get_page(heap, tid.page_id)
-                stats.mode0_page_fetches += 1
-                ctx.charge_inspect()
-                row = page.get(tid.slot)
-                if residual_fn(row):
-                    stats.mode0_tuples += 1
-                    stats.produced += 1
-                    assert tuple_cache is not None
-                    tuple_cache.add(tid)
-                    ctx.charge_cache_insert()
-                    ctx.charge_emit()
-                    yield row
-                if self.trigger.should_morph(stats.produced):
-                    mode0_active = False
-                    stats.morphed_at = stats.produced
-                    tracer.emit(
-                        "morph.trigger",
-                        query_id=tracer.current_query_id,
-                        value=float(stats.produced),
-                        probes=stats.probes, trigger=self.trigger.name,
-                    )
-                    override = self.trigger.post_morph_policy()
-                    if override is not None:
-                        policy = override
-                continue
-
-            # ---- Smooth modes: Result Cache first (ordered only) ...
-            if result_cache is not None:
-                result_cache.advance(key)
-                ctx.charge_cache_probe()
-                cached = result_cache.take(key, tid, disk=ctx.disk)
-                if cached is not None:
-                    stats.produced += 1
-                    ctx.charge_emit()
-                    yield cached
-                    continue
-
-            # ---- ... then the Page ID cache check.
-            ctx.charge_cache_probe()
-            if page_cache.is_seen(tid.page_id):
-                continue
-
-            # ---- Fetch and process the morphing region.
-            start = tid.page_id
-            end = min(heap.num_pages, start + region)
-            region_pages = 0
-            run_start: int | None = None
-            for pid in range(start, end):
-                if page_cache.is_seen(pid):
-                    if run_start is not None:
-                        yield from self._process_run(
-                            ctx, heap, run_start, pid - run_start,
-                            page_cache, tuple_cache, result_cache,
-                            col_pos, in_range, residual_fn, tid, stats,
-                        )
-                        region_pages += pid - run_start
-                        run_start = None
-                    continue
-                if run_start is None:
-                    run_start = pid
-            if run_start is not None:
-                yield from self._process_run(
-                    ctx, heap, run_start, end - run_start,
-                    page_cache, tuple_cache, result_cache,
-                    col_pos, in_range, residual_fn, tid, stats,
-                )
-                region_pages += end - run_start
-
-            region_pages_res = stats.pages_with_results - pages_res_global
-            pages_res_global = stats.pages_with_results
-            pages_seen_smooth += region_pages
-
-            # ---- Policy update (Eqs. (1) and (2)).
-            if region_pages > 0 and pages_seen_smooth > 0:
-                local_sel = region_pages_res / region_pages
-                global_sel = pages_res_global / pages_seen_smooth
-                region = min(
-                    max_region,
-                    max(1, policy.next_region(region, local_sel, global_sel)),
-                )
-                stats.region_trace.append((stats.probes, region))
-                if region > stats.max_region_used:
-                    stats.max_region_used = region
-                if region > 1 and not flattened:
-                    # Mode 1 → Mode 2: the region first grew past one
-                    # page, with the selectivities that drove it.
-                    flattened = True
-                    tracer.emit(
-                        "morph.flatten",
-                        query_id=tracer.current_query_id,
-                        value=float(region),
-                        local_selectivity=local_sel,
-                        global_selectivity=global_sel,
-                    )
-        tracer.emit(
-            "morph.finish", query_id=tracer.current_query_id,
-            value=float(stats.pages_fetched),
-            pages_fetched=stats.pages_fetched, produced=stats.produced,
-            probes=stats.probes, max_region=stats.max_region_used,
-            morphed_at=stats.morphed_at,
-        )
-
-    def _process_run(self, ctx: ExecutionContext, heap, run_start: int,
-                     run_len: int, page_cache: PageIdCache,
-                     tuple_cache: TupleIdCache | None,
-                     result_cache: ResultCache | None, col_pos: int,
-                     in_range, residual_fn, probe_tid: TID,
-                     stats: SmoothScanStats) -> Iterator[Row]:
-        """Fetch one contiguous run of unseen pages and probe them fully."""
-        for page in ctx.get_run(heap, run_start, run_len):
-            page_cache.mark(page.page_id)
-            ctx.charge_cache_insert()
-            stats.pages_fetched += 1
-            ctx.charge_inspect(len(page))
-            page_has_result = False
-            for slot, row in page.rows_with_slots():
-                key = row[col_pos]
-                if not in_range(key) or not residual_fn(row):
-                    continue
-                page_has_result = True
-                t = TID(page.page_id, slot)
-                if tuple_cache is not None:
-                    # Fig. 7b's post-morph overhead: a produced-tuple check
-                    # for every qualifying tuple found by Smooth Scan.
-                    ctx.charge_cache_probe()
-                    if tuple_cache.contains(t):
-                        continue
-                if result_cache is None:
-                    stats.produced += 1
-                    ctx.charge_emit()
-                    yield row
-                elif t == probe_tid:
-                    stats.produced += 1
-                    ctx.charge_emit()
-                    yield row
-                else:
-                    ctx.charge_cache_insert()
-                    result_cache.insert(key, t, row, disk=ctx.disk)
-            if page_has_result:
-                stats.pages_with_results += 1
 
     # -- batch-vectorized execution ----------------------------------------
 
@@ -514,17 +337,13 @@ class SmoothScan(Operator):
         # whole leaf of packed codes against a live view of the cache
         # bitmap and jump straight to the next unseen page, recomputing
         # the seen mask only after each region fetch flips bits.
-        seen_bits = page_cache.seen_view() if columnar else None
-        if seen_bits is not None:
-            code_batches = self.index.scan_code_batches(
+        if columnar:
+            seen_bits = page_cache.seen_view()
+            for codes in self.index.scan_code_batches(
                 ctx, lo=rng.lo, hi=rng.hi,
                 lo_inclusive=rng.lo_inclusive,
                 hi_inclusive=rng.hi_inclusive,
-            )
-        else:
-            code_batches = None
-        if code_batches is not None:
-            for codes in code_batches:
+            ):
                 n = len(codes)
                 pages = codes >> TID_SHIFT
                 page_checks = 0
@@ -654,8 +473,7 @@ class SmoothScan(Operator):
         is narrowed by mask instead — ``out`` then accumulates chunk
         parts, not rows — and multi-page runs evaluate ``fast_mask``
         once over the heap's cached run chunk, recovering the per-page
-        statistics with one segmented reduction.  Charges exactly what
-        the row path's ``_process_run`` charges.
+        statistics with one segmented reduction.
         """
         stats = state.stats
         page_cache = state.page_cache
@@ -667,7 +485,7 @@ class SmoothScan(Operator):
         if fast_filter is not None:
             mark = page_cache.mark
             names = state.names
-            if fast_mask is not None and _np is not None and run_len > 1:
+            if run_len > 1:
                 lens = []
                 for page in ctx.get_run(heap, run_start, run_len):
                     mark(page.page_id)

@@ -63,53 +63,8 @@ class SwitchScan(Operator):
             f"threshold={self.threshold})"
         )
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        heap = self.table.heap
-        self.switched = False
-        residual_fn = self.residual.bind(self.schema)
-        in_range = self.key_range.contains
-        col_pos = self.schema.index_of(self.column)
-        produced_tids = TupleIdCache(heap.num_pages, heap.tuples_per_page)
-        produced = 0
-
-        # Phase 1: classical index scan, monitoring actual cardinality.
-        rng = self.key_range
-        for _key, tid in self.index.scan(
-            ctx, lo=rng.lo, hi=rng.hi,
-            lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
-        ):
-            page = ctx.get_page(heap, tid.page_id)
-            ctx.charge_inspect()
-            row = page.get(tid.slot)
-            if residual_fn(row):
-                produced += 1
-                produced_tids.add(tid)
-                ctx.charge_cache_insert()
-                ctx.charge_emit()
-                yield row
-            if produced > self.threshold:
-                self.switched = True
-                break
-        if not self.switched:
-            return
-
-        # Phase 2: restart as a full scan, skipping already-produced TIDs.
-        extent = ctx.config.extent_pages
-        for start in range(0, heap.num_pages, extent):
-            n = min(extent, heap.num_pages - start)
-            for page in ctx.get_run(heap, start, n):
-                ctx.charge_inspect(len(page))
-                for slot, row in page.rows_with_slots():
-                    if not in_range(row[col_pos]) or not residual_fn(row):
-                        continue
-                    ctx.charge_cache_probe()
-                    if produced_tids.contains(TID(page.page_id, slot)):
-                        continue
-                    ctx.charge_emit()
-                    yield row
-
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        """Batch path: per-probe phase 1, vectorized full-scan phase 2."""
+        """Per-probe phase 1, vectorized full-scan phase 2."""
         heap = self.table.heap
         self.switched = False
         residual_fn = self.residual.bind(self.schema)
@@ -124,9 +79,9 @@ class SwitchScan(Operator):
         produced = 0
 
         # Phase 1: classical index scan, monitoring actual cardinality.
-        # Random per-TID heap fetches dominate here, so the tuple-at-a-time
-        # index scan is kept — it also charges identically to rows() when
-        # the switch fires mid-leaf.
+        # Random per-TID heap fetches dominate here, so the scan stays
+        # per entry — which also stops charging at the exact entry where
+        # the switch fires, mid-leaf.
         pending: list[Row] = []
         rng = self.key_range
         for _key, tid in self.index.scan(

@@ -22,15 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
+import numpy as _np
+
 from repro.context import ExecutionContext
 from repro.errors import PlanningError
-from repro.exec.iterator import Batch, Chunk, DEFAULT_BATCH_SIZE, Operator
+from repro.exec.iterator import Batch, Chunk, Operator, chunked
 from repro.storage.types import Column, ColumnType, Row, Schema
-
-try:  # pragma: no cover - exercised implicitly when numpy is present
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 _SUPPORTED = ("sum", "count", "avg", "min", "max")
 
@@ -343,8 +340,6 @@ class HashAggregate(Operator):
     def _build_vector_plan(self, schema: Schema) -> list[tuple] | None:
         """Per-spec ``_SpecArrays`` constructor args, or None if any spec
         cannot be aggregated columnarly with exact row-path semantics."""
-        if _np is None:
-            return None
         plan: list[tuple] = []
         for spec in self.aggs:
             if spec.value is not None:
@@ -372,20 +367,6 @@ class HashAggregate(Operator):
         keys = ", ".join(self.group_by) or "<scalar>"
         funcs = ", ".join(f"{s.func}({s.column or '*'})" for s in self.aggs)
         return f"HashAggregate([{keys}] {funcs})"
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        groups: dict[tuple, list[_Accumulator]] = {}
-        gpos = self._group_positions
-        for row in self.child.rows(ctx):
-            ctx.charge_hash()
-            key = tuple(row[p] for p in gpos)
-            accs = groups.get(key)
-            if accs is None:
-                accs = [_Accumulator(s.func) for s in self.aggs]
-                groups[key] = accs
-            for acc, getter in zip(accs, self._getters, strict=False):
-                acc.add(getter(row) if getter is not None else 1)
-        yield from self._results(ctx, groups)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         groups: dict[tuple, list[_Accumulator]] = {}
@@ -417,9 +398,7 @@ class HashAggregate(Operator):
             out = list(self._vector_results(ctx, vstate))
         else:
             out = list(self._results(ctx, groups))
-        names = self.schema.column_names
-        for start in range(0, len(out), DEFAULT_BATCH_SIZE):
-            yield Chunk.from_rows(names, out[start:start + DEFAULT_BATCH_SIZE])
+        yield from chunked(self.schema.column_names, out)
 
     def _vector_results(self, ctx: ExecutionContext,
                         vstate: _VectorState) -> Iterator[Row]:

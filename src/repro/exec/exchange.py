@@ -42,9 +42,8 @@ from typing import Iterator, Sequence
 
 from repro.context import ExecutionContext
 from repro.errors import ExecutionError
-from repro.exec.iterator import Batch, Chunk, Operator
+from repro.exec.iterator import Batch, Operator
 from repro.runtime import CostLedger
-from repro.storage.types import Row
 
 
 def _check_children(children: Sequence[Operator], who: str) -> None:
@@ -63,7 +62,7 @@ class ShardedScan(Operator):
     """One shard's scan, labeled with its shard identity.
 
     A thin wrapper around whichever access path the planner chose for
-    this shard — it delegates both protocols unchanged — existing so
+    this shard — it delegates ``batches()`` unchanged — existing so
     ``explain()`` output and telemetry name the shard, and so the
     Exchange can attribute the slice to the right ledger without
     inspecting the child.
@@ -81,9 +80,6 @@ class ShardedScan(Operator):
 
     def children(self) -> tuple[Operator, ...]:
         return (self.child,)
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        return self.child.rows(ctx)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         return self.child.batches(ctx)
@@ -108,10 +104,6 @@ class UnionAll(Operator):
 
     def children(self) -> tuple[Operator, ...]:
         return self._children
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        for child in self._children:
-            yield from child.rows(ctx)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         for child in self._children:
@@ -152,12 +144,6 @@ class Exchange(Operator):
         if isinstance(child, ShardedScan):
             return child.shard_name
         return f"shard{index}"
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        """Row protocol: the same interleaving, flattened per batch."""
-        for batch in self.batches(ctx):
-            yield from (batch.to_rows() if isinstance(batch, Chunk)
-                        else batch)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         runtime = ctx.runtime

@@ -1,70 +1,62 @@
-"""Volcano-style physical operators with columnar batch execution.
+"""Volcano-style physical operators, one columnar execution protocol.
 
 Every operator exposes its output :class:`~repro.storage.types.Schema` and
-two execution entry points:
+implements exactly one execution method, :meth:`Operator.batches`: yield
+*batches* — :class:`~repro.storage.chunk.Chunk` objects (named,
+array-backed columns plus an optional selection vector) — charging
+simulated costs through the :class:`~repro.context.ExecutionContext` as it
+goes.  Predicates are compiled to boolean masks over whole columns
+(:meth:`~repro.exec.expressions.Predicate.bind_mask`), filters narrow
+chunks by selection vector instead of copying rows, and per-tuple Python
+overhead is amortized over whole heap pages or morphing-region runs.
+Generators keep the pipelined execution model whose preservation is one of
+Smooth Scan's selling points over the blocking Sort Scan: a parent pulls
+one batch at a time and may stop early.
 
-* :meth:`Operator.rows` — the classic tuple-at-a-time generator: yield one
-  row, charging simulated costs through the
-  :class:`~repro.context.ExecutionContext` as it goes.  Generators give
-  exactly the pipelined execution model whose preservation is one of
-  Smooth Scan's selling points over the blocking Sort Scan.
-* :meth:`Operator.batches` — columnar execution: yield *batches*, which
-  are :class:`~repro.storage.chunk.Chunk` objects (named, array-backed
-  columns plus an optional selection vector).  Operators on the hot path
-  implement this natively — predicates are compiled to boolean masks over
-  whole columns (:meth:`~repro.exec.expressions.Predicate.bind_mask`),
-  filters narrow chunks by selection vector instead of copying rows,
-  simulated costs are charged in bulk, and per-tuple Python overhead
-  (generator resumption, closure calls, scalar boxing) is amortized over
-  whole heap pages or morphing-region runs.
-
-The two protocols are interchangeable: the base class provides a
-row-compat shim both ways, so an operator may implement either one (or
-both) and its parents may consume whichever they prefer.  A concrete
-operator must override at least one of the two — calling an operator that
-overrides neither raises ``NotImplementedError``.
+:meth:`Operator.rows` is not a second protocol but a final view over the
+first — it flattens ``batches()`` into row tuples for callers that want
+them, and no operator overrides it.  Operators whose algorithm is
+inherently per-tuple (one random heap fetch per index entry, a merge of two
+sorted streams) run that loop inside ``batches()`` and cut its output with
+:func:`chunked`.
 
 Batch contract:
 
-* a batch is a non-empty :class:`Chunk` (or, for legacy row-native
-  producers, a non-empty ``list`` of rows — both support ``len()``,
-  iteration yielding row tuples, indexing, and slicing); producers never
-  yield empty batches, and the base-class shims enforce this — an empty
-  producer yields *zero* batches, never an empty one;
-* concatenating an operator's batches — i.e. chaining their row views —
-  yields exactly its ``rows()`` stream, in the same order;
-  ``Chunk.to_rows()`` round-trips exactly, including NULLs and CHAR
-  values, and always yields built-in Python scalars;
+* a batch is a non-empty :class:`Chunk` (or, for row-native producers, a
+  non-empty ``list`` of rows — both support ``len()``, iteration yielding
+  row tuples, indexing, and slicing); producers never yield empty batches
+  — an empty producer yields *zero* batches, never an empty one — and the
+  ``rows()`` view asserts it;
+* iterating a batch yields built-in Python scalars; ``Chunk.to_rows()``
+  round-trips exactly, including NULLs and CHAR values;
 * batch sizes are bounded but not fixed — natural producer units (a heap
   page, an extent run, a morphing region) are preferred over re-chunking,
-  and the default shim chunks at :data:`DEFAULT_BATCH_SIZE`;
-* every operator charges the same per-tuple simulated costs on both
-  protocols, and a single operator run in isolation charges *identical*
-  totals; the columnar representation is invisible to the cost model by
-  construction, because charges key off page/run/tuple counts which the
-  chunk carries.  In multi-operator plans, however, batching reorders
-  page accesses between subtrees — children are drained in large chunks
-  instead of row-by-row interleaving — and the simulated disk (head
-  position) and buffer pool (LRU locality) legitimately reward that,
-  exactly as real hardware rewards vectorized execution.  Cold-run
-  figures are measured on the batch path (see
-  :func:`~repro.exec.stats.measure`).
+  and per-tuple producers flush every :data:`DEFAULT_BATCH_SIZE` rows;
+* charges key off page, run and tuple counts, which a chunk carries, so
+  the columnar representation is invisible to the cost model: every
+  operator charges what the paper's tuple-at-a-time pipeline charges
+  (``tests/golden_row_path.json`` freezes that pipeline's numbers).
+  Batching does reorder page accesses *between* subtrees — children are
+  drained in large chunks instead of row-by-row interleaving — and the
+  simulated disk (head position) and buffer pool (LRU locality)
+  legitimately reward that, exactly as real hardware rewards vectorized
+  execution.
 """
 
 from __future__ import annotations
 
-from abc import ABC
+from abc import ABC, abstractmethod
 from itertools import islice
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union, final
 
 from repro.context import ExecutionContext
 from repro.storage.chunk import Chunk
 from repro.storage.types import Row, Schema
 
-#: A batch: a columnar chunk, or (legacy row-native producers) a row list.
+#: A batch: a columnar chunk, or (row-native producers) a row list.
 Batch = Union[Chunk, list]
 
-#: Rows per batch produced by the default ``rows() -> batches()`` shim.
+#: Rows per batch flushed by per-tuple producers (see :func:`chunked`).
 DEFAULT_BATCH_SIZE = 1024
 
 __all__ = [
@@ -72,6 +64,7 @@ __all__ = [
     "Chunk",
     "DEFAULT_BATCH_SIZE",
     "Operator",
+    "chunked",
     "explain",
 ]
 
@@ -82,17 +75,13 @@ class Operator(ABC):
     #: Output schema; set by each concrete operator's ``__init__``.
     schema: Schema
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        """Yield output rows, charging simulated costs on ``ctx``.
+    @abstractmethod
+    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+        """Yield output batches (non-empty), charging costs on ``ctx``."""
 
-        The default implementation flattens :meth:`batches`; operators
-        without a native batch implementation override this instead.
-        """
-        if type(self).batches is Operator.batches:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither rows() nor "
-                "batches()"
-            )
+    @final
+    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
+        """Row view over :meth:`batches`; operators never override it."""
         for batch in self.batches(ctx):
             if not len(batch):
                 raise AssertionError(
@@ -100,27 +89,6 @@ class Operator(ABC):
                     "batch, violating the batch contract"
                 )
             yield from batch
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        """Yield output batches (non-empty chunks), charging costs.
-
-        The default implementation chunks :meth:`rows` into
-        :data:`DEFAULT_BATCH_SIZE`-row :class:`Chunk` batches (an empty
-        producer yields zero batches); batch-native operators override
-        this with columnar execution.
-        """
-        if type(self).rows is Operator.rows:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither rows() nor "
-                "batches()"
-            )
-        names = self.schema.column_names
-        it = self.rows(ctx)
-        while True:
-            rows = list(islice(it, DEFAULT_BATCH_SIZE))
-            if not rows:
-                return
-            yield Chunk.from_rows(names, rows)
 
     def children(self) -> tuple["Operator", ...]:
         """Child operators, for plan display; leaves return ()."""
@@ -136,6 +104,20 @@ class Operator(ABC):
         for batch in self.batches(ctx):
             out.extend(batch.to_rows() if isinstance(batch, Chunk) else batch)
         return out
+
+
+def chunked(names: Sequence[str], rows: Iterable[Row]) -> Iterator[Chunk]:
+    """Cut a per-tuple row stream into :data:`DEFAULT_BATCH_SIZE` chunks.
+
+    Pulls exactly one batch's worth of rows before each yield, so a parent
+    that stops early (``Limit``) has paid for whole flushes and no more.
+    """
+    it = iter(rows)
+    while True:
+        block = list(islice(it, DEFAULT_BATCH_SIZE))
+        if not block:
+            return
+        yield Chunk.from_rows(names, block)
 
 
 def explain(op: Operator, depth: int = 0) -> str:

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 from repro.context import ExecutionContext
 from repro.errors import PlanningError
 from repro.exec.expressions import Predicate, TruePredicate
-from repro.exec.iterator import Batch, Chunk, Operator
+from repro.exec.iterator import Batch, Chunk, Operator, chunked
 from repro.storage.table import Table
 from repro.storage.types import Row, Schema
 
@@ -67,34 +67,6 @@ class HashJoin(Operator):
 
     def name(self) -> str:
         return f"HashJoin({self.join_type})"
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        table = self._build(ctx)
-        lpos = self.left_positions
-        pad = (None,) * len(self.right.schema)
-        for row in self.left.rows(ctx):
-            ctx.charge_hash()
-            matches = table.get(tuple(row[p] for p in lpos))
-            if self.join_type == "inner":
-                for match in matches or ():
-                    ctx.charge_emit()
-                    yield row + match
-            elif self.join_type == "left":
-                if matches:
-                    for match in matches:
-                        ctx.charge_emit()
-                        yield row + match
-                else:
-                    ctx.charge_emit()
-                    yield row + pad
-            elif self.join_type == "semi":
-                if matches:
-                    ctx.charge_emit()
-                    yield row
-            else:  # anti
-                if not matches:
-                    ctx.charge_emit()
-                    yield row
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Probe the hash table one left batch at a time.
@@ -200,7 +172,11 @@ class MergeJoin(Operator):
     def name(self) -> str:
         return "MergeJoin"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+        """Merge the children's row views, cut into chunks."""
+        return chunked(self.schema.column_names, self._merge(ctx))
+
+    def _merge(self, ctx: ExecutionContext) -> Iterator[Row]:
         lpos, rpos = self.left_pos, self.right_pos
         left_iter = self.left.rows(ctx)
         right_iter = self.right.rows(ctx)
@@ -242,17 +218,6 @@ class NestedLoopJoin(Operator):
 
     def name(self) -> str:
         return "NestedLoopJoin"
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        inner = list(self.right.rows(ctx))
-        matches = self.predicate.bind(self.schema)
-        for lrow in self.left.rows(ctx):
-            for rrow in inner:
-                ctx.charge_inspect()
-                joined = lrow + rrow
-                if matches(joined):
-                    ctx.charge_emit()
-                    yield joined
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Join one left batch against the materialized inner per step.
@@ -308,31 +273,6 @@ class IndexNestedLoopJoin(Operator):
 
     def name(self) -> str:
         return f"IndexNestedLoopJoin({self.inner_table.name}, {self.inner_access})"
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        matches = self.residual.bind(self.schema)
-        heap = self.inner_table.heap
-        opos = self.outer_pos
-        inner_key_pos = self.inner_table.schema.index_of(self.inner_column)
-        smooth = self.inner_access == "smooth"
-        for orow in self.outer.rows(ctx):
-            key = orow[opos]
-            tids = list(self.index.lookup(ctx, key))
-            if not tids:
-                continue
-            if smooth and len(tids) > 1:
-                yield from self._probe_smooth(
-                    ctx, heap, orow, key, tids, inner_key_pos, matches
-                )
-            else:
-                for tid in tids:
-                    page = ctx.get_page(heap, tid.page_id)
-                    ctx.charge_inspect()
-                    irow = page.get(tid.slot)
-                    joined = orow + irow
-                    if matches(joined):
-                        ctx.charge_emit()
-                        yield joined
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Probe the inner index one outer batch at a time."""

@@ -1,9 +1,8 @@
 """Small plumbing operators: Filter, Project, MapProject, Limit, Materialize.
 
-Each implements both execution protocols: the classic ``rows()`` pipeline
-and a columnar ``batches()`` path that consumes child chunks whole —
-filters narrow by selection vector, projections share column payloads,
-and row-function maps take an optional vectorized column implementation.
+Each consumes child chunks whole — filters narrow by selection vector,
+projections share column payloads, and row-function maps take an optional
+vectorized column implementation.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from repro.context import ExecutionContext
 from repro.errors import PlanningError
 from repro.exec.expressions import Predicate, require_columns
-from repro.exec.iterator import Batch, Chunk, DEFAULT_BATCH_SIZE, Operator
+from repro.exec.iterator import Batch, Chunk, Operator, chunked
 from repro.storage.types import Column, Row, Schema
 
 
@@ -31,13 +30,6 @@ class Filter(Operator):
 
     def name(self) -> str:
         return f"Filter({self.predicate!r})"
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        matches = self.predicate.bind(self.schema)
-        for row in self.child.rows(ctx):
-            ctx.charge_inspect()
-            if matches(row):
-                yield row
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         filter_chunk = self.predicate.bind_chunk(self.schema)
@@ -72,11 +64,6 @@ class Project(Operator):
     def name(self) -> str:
         return f"Project({', '.join(self.columns)})"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        positions = self._positions
-        for row in self.child.rows(ctx):
-            yield tuple(row[p] for p in positions)
-
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         positions = self._positions
         names = self.schema.column_names
@@ -107,13 +94,6 @@ class MapProject(Operator):
 
     def children(self) -> tuple[Operator, ...]:
         return (self.child,)
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        fn = self.fn
-        for row in self.child.rows(ctx):
-            out = fn(row)
-            self.schema.validate_row(out)
-            yield out
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         fn = self.fn
@@ -152,9 +132,6 @@ class Rename(Operator):
     def name(self) -> str:
         return f"Rename({self.mapping})"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        return self.child.rows(ctx)
-
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         return self.child.batches(ctx)
 
@@ -174,16 +151,6 @@ class Limit(Operator):
 
     def name(self) -> str:
         return f"Limit({self.n})"
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        if self.n == 0:
-            return
-        emitted = 0
-        for row in self.child.rows(ctx):
-            yield row
-            emitted += 1
-            if emitted >= self.n:
-                return
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         remaining = self.n
@@ -221,12 +188,6 @@ class RowCounter(Operator):
     def name(self) -> str:
         return self.child.name()
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        self.rows_seen = 0
-        for row in self.child.rows(ctx):
-            self.rows_seen += 1
-            yield row
-
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         self.rows_seen = 0
         for batch in self.child.batches(ctx):
@@ -250,20 +211,11 @@ class Materialize(Operator):
     def children(self) -> tuple[Operator, ...]:
         return (self.child,)
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        if self._cache is None:
-            self._cache = [
-                row for batch in self.child.batches(ctx) for row in batch
-            ]
-        else:
-            ctx.charge_emit(len(self._cache))
-        yield from self._cache
-
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         if self._cache is None:
-            # Materialize fully before yielding (like rows() does) so a
-            # partially drained first run — e.g. under a Limit — still
-            # leaves a complete cache for re-execution.
+            # Materialize fully before yielding so a partially drained
+            # first run — e.g. under a Limit — still leaves a complete
+            # cache for re-execution.
             self._cache = [
                 row for batch in self.child.batches(ctx) for row in batch
             ]
@@ -272,12 +224,9 @@ class Materialize(Operator):
         if self._chunks is None:
             # Transpose once per materialization; replays share the
             # columnar payloads.
-            names = self.schema.column_names
-            cache = self._cache
-            self._chunks = [
-                Chunk.from_rows(names, cache[start:start + DEFAULT_BATCH_SIZE])
-                for start in range(0, len(cache), DEFAULT_BATCH_SIZE)
-            ]
+            self._chunks = list(
+                chunked(self.schema.column_names, self._cache)
+            )
         yield from self._chunks
 
     def invalidate(self) -> None:

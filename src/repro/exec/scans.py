@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as _np
+
 from repro.context import ExecutionContext
 from repro.exec.expressions import (
     KeyRange,
@@ -23,21 +25,10 @@ from repro.exec.expressions import (
     TruePredicate,
     require_columns,
 )
-from repro.exec.iterator import Batch, Chunk, Operator
+from repro.exec.iterator import Batch, Chunk, Operator, chunked
 from repro.index.btree import TID_SHIFT
 from repro.storage.table import Table
-from repro.storage.types import Row, TID
-
-try:  # pragma: no cover - exercised implicitly when numpy is present
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-
-def _sort_array(codes):
-    """Ascending sort (numpy present by construction at the call site)."""
-    return _np.sort(codes)
-
+from repro.storage.types import Row
 
 #: Below this many candidate slots per page (on average, per run), the
 #: bitmap heap scan gathers rows directly instead of slicing columns.
@@ -56,27 +47,13 @@ class FullTableScan(Operator):
     def name(self) -> str:
         return f"FullTableScan({self.table.name})"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        heap = self.table.heap
-        matches = self.predicate.bind(self.schema)
-        extent = ctx.config.extent_pages
-        for start in range(0, heap.num_pages, extent):
-            n = min(extent, heap.num_pages - start)
-            for page in ctx.get_run(heap, start, n):
-                ctx.charge_inspect(len(page))
-                for row in page:
-                    if matches(row):
-                        ctx.charge_emit()
-                        yield row
-
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Columnar scan: one chunk per extent run of heap pages.
 
         The extent's page payloads are concatenated into a single chunk
         and filtered with one mask evaluation, so predicate work runs on
-        extent-sized arrays instead of page-sized ones.  Charges are
-        identical to :meth:`rows` — inspect per page, emit per
-        qualifying batch.
+        extent-sized arrays instead of page-sized ones.  Charges:
+        inspect per page, emit per qualifying batch.
         """
         heap = self.table.heap
         names = self.schema.column_names
@@ -115,7 +92,16 @@ class IndexScan(Operator):
     def name(self) -> str:
         return f"IndexScan({self.table.name}.{self.column})"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+        """One random heap fetch per index entry, cut into chunks.
+
+        Inherently tuple-at-a-time, and charged that way: per-entry
+        ``index.scan``, per-TID ``get_page`` / inspect / emit (a bulk
+        ``charge_*(n)`` would be a different float sum).
+        """
+        return chunked(self.schema.column_names, self._fetch_by_tid(ctx))
+
+    def _fetch_by_tid(self, ctx: ExecutionContext) -> Iterator[Row]:
         heap = self.table.heap
         matches = self.residual.bind(self.schema)
         rng = self.key_range
@@ -155,62 +141,25 @@ class SortScan(Operator):
     def name(self) -> str:
         return f"SortScan({self.table.name}.{self.column})"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        heap = self.table.heap
-        matches = self.residual.bind(self.schema)
-        rng = self.key_range
-
-        # Phase 1: collect qualifying TIDs from the index, then pre-sort
-        # them by heap placement (page, slot).
-        tids: list[TID] = [
-            tid for _key, tid in self.index.scan(
-                ctx, lo=rng.lo, hi=rng.hi,
-                lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
-            )
-        ]
-        if not tids:
-            return
-        tids.sort()
-        ctx.charge_compare(_nlogn(len(tids)))
-
-        # Phase 2: walk pages in ascending order, fetching each once.
-        # Contiguous page spans are fetched as runs (read-ahead batching).
-        pages: dict[int, list[int]] = {}
-        for tid in tids:
-            pages.setdefault(tid.page_id, []).append(tid.slot)
-        page_ids = sorted(pages)
-        for run_start, run_len in _contiguous_runs(page_ids):
-            fetched = ctx.get_run(heap, run_start, run_len)
-            for page in fetched:
-                for slot in pages[page.page_id]:
-                    ctx.charge_inspect()
-                    row = page.get(slot)
-                    if matches(row):
-                        ctx.charge_emit()
-                        yield row
-
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Columnar bitmap heap scan: one chunk per near-sequential run.
 
         Phase 1 pulls the range as *packed TID codes* (one int64 per
         entry) so collecting, sorting and page-grouping the bitmap are
         all array operations; the code order equals TID tuple order, so
-        emission order — and every charge — matches :meth:`rows`.
+        emission is in physical (page, slot) order.
         """
         codes = self.index.scan_codes(
             ctx, lo=self.key_range.lo, hi=self.key_range.hi,
             lo_inclusive=self.key_range.lo_inclusive,
             hi_inclusive=self.key_range.hi_inclusive,
         )
-        if codes is None:  # no numpy: charge-identical list-based fallback
-            yield from self._batches_from_tids(ctx)
-            return
         if not len(codes):
             return
         heap = self.table.heap
         names = self.schema.column_names
         filter_chunk = self.residual.bind_chunk(self.schema)
-        codes = _sort_array(codes)
+        codes = _np.sort(codes)
         ctx.charge_compare(_nlogn(len(codes)))
 
         # Phase 2: group the sorted codes by page with one diff pass.
@@ -251,46 +200,6 @@ class SortScan(Operator):
                 chunk = page.chunk(names)
                 if hi - lo != len(chunk):
                     chunk = chunk.take(slots_arr[lo:hi])  # sel vector
-                kept = filter_chunk(chunk)
-                if kept is not None:
-                    parts.append(kept)
-            if parts:
-                batch = Chunk.concat(parts)
-                ctx.charge_emit(len(batch))
-                yield batch
-
-    def _batches_from_tids(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        """Batch path without numpy: per-leaf TID lists, Python sort."""
-        heap = self.table.heap
-        names = self.schema.column_names
-        filter_chunk = self.residual.bind_chunk(self.schema)
-        rng = self.key_range
-
-        # Phase 1: collect qualifying TIDs leaf-batch-wise, sort by page.
-        tids: list[TID] = []
-        for _keys, tid_chunk in self.index.scan_batches(
-            ctx, lo=rng.lo, hi=rng.hi,
-            lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
-        ):
-            tids += tid_chunk
-        if not tids:
-            return
-        tids.sort()
-        ctx.charge_compare(_nlogn(len(tids)))
-
-        # Phase 2: per fetched page, filter the slotted candidates in bulk.
-        pages: dict[int, list[int]] = {}
-        for tid in tids:
-            pages.setdefault(tid.page_id, []).append(tid.slot)
-        page_ids = sorted(pages)
-        for run_start, run_len in _contiguous_runs(page_ids):
-            parts: list[Chunk] = []
-            for page in ctx.get_run(heap, run_start, run_len):
-                slots = pages[page.page_id]
-                ctx.charge_inspect(len(slots))
-                chunk = page.chunk(names)
-                if len(slots) != len(chunk):
-                    chunk = chunk.take(slots)  # gather-free: sel vector
                 kept = filter_chunk(chunk)
                 if kept is not None:
                     parts.append(kept)

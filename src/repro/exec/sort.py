@@ -12,15 +12,12 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
+import numpy as _np
+
 from repro.context import ExecutionContext
 from repro.errors import PlanningError
 from repro.exec.iterator import Batch, Chunk, DEFAULT_BATCH_SIZE, Operator
 from repro.storage.types import Row
-
-try:  # pragma: no cover - exercised implicitly when numpy is present
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 class Sort(Operator):
@@ -47,9 +44,6 @@ class Sort(Operator):
             f"{c}{'' if asc else ' DESC'}" for c, asc in self.keys
         )
         return f"Sort({order})"
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        yield from self._sorted(ctx, list(self.child.rows(ctx)))
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         batches = list(self.child.batches(ctx))
@@ -79,8 +73,6 @@ class Sort(Operator):
         last-key-first produce exactly the permutation of the equivalent
         chain of stable ``list.sort`` calls.
         """
-        if _np is None:
-            return None
         positions = []
         for column, ascending in self.keys:
             if not ascending:

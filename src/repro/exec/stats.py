@@ -80,13 +80,11 @@ def measure(db: Database, plan: Operator, cold: bool = True,
     first.  With ``keep_rows=False`` output rows are counted but discarded,
     for large sweeps where materialization would dominate Python time.
 
-    Execution drains the plan's batch protocol — operators with a native
-    ``batches()`` run vectorized, the rest through the row-compat shim.
-    Per-tuple simulated charges are identical either way; in plans with
-    several I/O-bearing operators, batch draining also clusters each
-    subtree's page accesses, which the simulated disk head and buffer
-    LRU reward with better locality (as real hardware would) — measured
-    baselines therefore reflect batch-execution I/O patterns.
+    Execution drains the plan's ``batches()``.  In plans with several
+    I/O-bearing operators, batch draining clusters each subtree's page
+    accesses, which the simulated disk head and buffer LRU reward with
+    better locality (as real hardware would) — measured baselines
+    reflect batch-execution I/O patterns.
     """
     # One bookkeeping implementation: a StreamingRun drained in place.
     # Ledger attribution lives only there, so one-shot and streaming

@@ -20,14 +20,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator
 
+import numpy as _np
+
 from repro.errors import BTreeError
 from repro.index import layout
 from repro.storage.types import TID
-
-try:  # pragma: no cover - exercised implicitly when numpy is present
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Bits reserved for the slot in a packed TID code (page << SHIFT | slot).
 #: Heap pages hold far fewer than 2**20 tuples, so the packing is exact
@@ -221,7 +218,7 @@ class BTreeIndex:
                    hi: object | None = None,
                    lo_inclusive: bool = True,
                    hi_inclusive: bool = False):
-        """Packed TID codes over a key range, or None without numpy.
+        """Packed TID codes over a key range.
 
         Charge-identical to :meth:`scan_batches` — the same descent,
         leaf-read and per-entry CPU costs — but the result is one int64
@@ -229,8 +226,6 @@ class BTreeIndex:
         consumers (SortScan's bitmap phase) can sort and group without
         touching a Python object per entry.
         """
-        if _np is None:
-            return None
         start, end = self.range_positions(lo, hi, lo_inclusive, hi_inclusive)
         if start >= end:
             if self._keys:
@@ -252,19 +247,13 @@ class BTreeIndex:
                           hi: object | None = None,
                           lo_inclusive: bool = True,
                           hi_inclusive: bool = False):
-        """Iterator of per-leaf packed TID code slices, or None sans numpy.
+        """Yield per-leaf packed TID code slices over a key range.
 
         The code counterpart of :meth:`scan_batches` for consumers that
         never look at keys (Smooth Scan's eager unordered path): identical
         descent, leaf-read and per-entry charges, paid lazily as the
         consumer advances leaf by leaf.
         """
-        if _np is None:
-            return None
-        return self._iter_code_batches(ctx, lo, hi, lo_inclusive,
-                                       hi_inclusive)
-
-    def _iter_code_batches(self, ctx, lo, hi, lo_inclusive, hi_inclusive):
         start, end = self.range_positions(lo, hi, lo_inclusive, hi_inclusive)
         if start >= end:
             if self._keys:

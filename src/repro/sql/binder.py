@@ -28,6 +28,8 @@ import operator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
+import numpy as _np
+
 from repro.errors import SqlError, StorageError
 from repro.exec.aggregates import AggSpec, aggregate_output_columns
 from repro.exec.expressions import (
@@ -70,11 +72,6 @@ _FLIPPED = {
 }
 _ARITH = {"+": operator.add, "-": operator.sub,
           "*": operator.mul, "/": operator.truediv}
-
-try:  # pragma: no cover - exercised implicitly when numpy is present
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: int64 -> float64 conversion is exact below this, so numpy's
 #: convert-then-divide matches Python's correctly-rounded int division.
@@ -977,8 +974,6 @@ class Binder:
         vector *instead of* checking the row result: it is an exact
         accelerator or absent, nothing in between.
         """
-        if _np is None:
-            return None
         schema = _joined_schema(scope)
         if isinstance(expr, ast.Literal):
             value = expr.value

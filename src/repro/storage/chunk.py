@@ -2,12 +2,13 @@
 
 A :class:`Chunk` is a batch of rows stored column-wise: each column is
 either a NumPy array (INT/BIGINT/DATE columns become ``int64``, FLOAT
-columns ``float64``) or a plain Python list (the *object* fallback used
-for CHAR columns, NULL-bearing columns, computed values, and anything
-whose values do not round-trip through a fixed-width array — e.g.
-integers outside the ``int64`` range).  An optional *selection vector*
-names the positions that are logically present, so a filter can narrow a
-chunk without copying column data.
+columns ``float64``) or a plain Python list — an *object column*.  Which
+one is decided by the data, not the platform: CHAR columns, NULL-bearing
+columns, computed values, and anything whose values do not round-trip
+through a fixed-width array (e.g. integers outside the ``int64`` range)
+are object columns, and every mask helper below accepts both kinds.  An
+optional *selection vector* names the positions that are logically
+present, so a filter can narrow a chunk without copying column data.
 
 Chunks are row-compatible by construction: they implement the read-only
 sequence protocol over rows (``len``, iteration, indexing, slicing), and
@@ -17,29 +18,24 @@ rows, including ``None`` values and CHAR strings of any width.  Row
 materialization converts array scalars back to built-in Python values
 (``tolist``), so consumers never observe NumPy scalar types.
 
-NumPy is optional: without it every column is an object column and the
-vectorized mask helpers degrade to list comprehensions.  Simulated costs
-never flow through this module — a chunk is pure representation, which
-is what keeps the columnar engine cost-bitwise-identical to the row
-engine.
+NumPy is a declared dependency.  Simulated costs never flow through this
+module — a chunk is pure representation, which is what keeps columnar
+execution invisible to the cost model.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
+import numpy as _np
+
 from repro.storage.types import Row, Schema
 
-try:  # pragma: no cover - exercised implicitly by every chunk test
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less fallback environment
-    _np = None
-
-#: A column payload: an array (numeric) or a plain list (object fallback).
-ColumnData = Union["_np.ndarray", list]
+#: A column payload: an array (numeric) or a plain list (object column).
+ColumnData = Union[_np.ndarray, list]
 
 #: A boolean mask over a chunk's rows: ndarray of bool, or list of bool.
-Mask = Union["_np.ndarray", list]
+Mask = Union[_np.ndarray, list]
 
 
 def _typed_column(values: Sequence) -> ColumnData:
@@ -50,7 +46,7 @@ def _typed_column(values: Sequence) -> ColumnData:
     — strings, ``None``, mixed types, big ints — stays an object list.
     """
     values = list(values)
-    if _np is None or not values:
+    if not values:
         return values
     first = values[0]
     if type(first) is int:
@@ -67,7 +63,7 @@ def _typed_column(values: Sequence) -> ColumnData:
 
 def _is_array(col) -> bool:
     """True when ``col`` is a NumPy array column."""
-    return _np is not None and isinstance(col, _np.ndarray)
+    return isinstance(col, _np.ndarray)
 
 
 class Chunk:
@@ -148,16 +144,14 @@ class Chunk:
             sel = self.sel
             if sel is None:
                 start, stop, step = item.indices(self._length)
-                if step == 1 and _np is not None:
+                if step == 1:
                     return Chunk(
                         self.names,
-                        [col[start:stop] if _is_array(col)
-                         else col[start:stop] for col in self.columns],
+                        [col[start:stop] for col in self.columns],
                     )
                 indices = list(range(start, stop, step))
                 return self.take(indices)
-            sliced = sel[item] if _is_array(sel) else sel[item]
-            return Chunk(self.names, self.columns, sel=sliced)
+            return Chunk(self.names, self.columns, sel=sel[item])
         return self.to_rows()[item]
 
     def to_rows(self) -> list[Row]:
@@ -275,9 +269,7 @@ def mask_or(a: Mask | None, b: Mask | None) -> Mask | None:
 def mask_not(m: Mask | None, n: int) -> Mask:
     """Negation of a mask over ``n`` rows (``None`` means all-true)."""
     if m is None:
-        if _np is not None:
-            return _np.zeros(n, dtype=bool)
-        return [False] * n
+        return _np.zeros(n, dtype=bool)
     if _is_array(m):
         return ~m
     return [not x for x in m]
@@ -317,13 +309,11 @@ def mask_nonzero(m: Mask) -> "Sequence[int]":
 
 def mask_from_bools(values: Iterable[bool], n: int) -> Mask:
     """Materialize an iterable of booleans as a mask of length ``n``."""
-    if _np is not None:
-        return _np.fromiter(values, dtype=bool, count=n)
-    return list(values)
+    return _np.fromiter(values, dtype=bool, count=n)
 
 
 def object_mask(col: Sequence, test: Callable[[object], bool]) -> Mask:
-    """Row-wise mask over an object column (the non-array fallback)."""
+    """Row-wise mask over an object column."""
     return mask_from_bools((test(v) for v in col), len(col))
 
 

@@ -1,12 +1,16 @@
-"""RPL106 golden-bad fixture: an Operator without the batch protocol."""
+"""RPL106 golden-bad fixture: operators outside the one protocol."""
+
+import abc
 
 
-class Operator:
-    def rows(self, ctx):
-        raise NotImplementedError
-
+class Operator(abc.ABC):
+    @abc.abstractmethod
     def batches(self, ctx):
-        raise NotImplementedError
+        ...
+
+    def rows(self, ctx):
+        for batch in self.batches(ctx):
+            yield from batch
 
 
 class Silent(Operator):
@@ -15,3 +19,16 @@ class Silent(Operator):
 
 class SilentChild(Silent):
     pass
+
+
+class RowEngine(Operator):
+    def batches(self, ctx):
+        yield []
+
+    def rows(self, ctx):  # a second engine beside batches()
+        yield ()
+
+
+class RowsOnly(Operator):
+    def rows(self, ctx):
+        yield ()

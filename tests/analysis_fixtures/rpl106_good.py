@@ -3,12 +3,14 @@
 import abc
 
 
-class Operator:
-    def rows(self, ctx):
-        raise NotImplementedError
-
+class Operator(abc.ABC):
+    @abc.abstractmethod
     def batches(self, ctx):
-        raise NotImplementedError
+        ...
+
+    def rows(self, ctx):
+        for batch in self.batches(ctx):
+            yield from batch
 
 
 class Scan(Operator):

@@ -123,10 +123,17 @@ def test_rpl105_quiet_on_integer_arithmetic():
 
 def test_rpl106_flags_protocol_less_operators_transitively():
     result = lint("rpl106_bad.py", select={"RPL106"})
-    assert codes(result) == ["RPL106"] * 2
-    names = " ".join(d.message for d in result.diagnostics)
-    assert "Silent" in names
-    assert "SilentChild" in names
+    messages = [d.message for d in result.diagnostics]
+    assert codes(result) == ["RPL106"] * len(messages)
+    missing = [m for m in messages if "does not implement batches()" in m]
+    overrides = [m for m in messages if "overrides rows()" in m]
+    assert len(missing) + len(overrides) == len(messages)
+    # No batches() anywhere in the ancestry — inherited silence included,
+    # and a rows() body is no substitute.
+    assert [m.split()[2] for m in missing] == \
+        ["Silent", "SilentChild", "RowsOnly"]
+    # A rows() override is flagged even beside a batches() body.
+    assert [m.split()[2] for m in overrides] == ["RowEngine", "RowsOnly"]
 
 
 def test_rpl106_accepts_inherited_protocol_and_abstract_bases():
