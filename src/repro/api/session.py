@@ -27,8 +27,14 @@ The pieces behind the surface:
 * Cursors stream: ``fetchone``/``fetchmany`` pull operator batches
   incrementally through :class:`~repro.exec.stats.StreamingRun`;
   ``arraysize`` sets how many rows a default ``fetchmany()`` returns.
-  :meth:`Cursor.result` reports the simulated cost so far, including
-  partially-fetched runs.
+  The buffer is **batch-granular**: the cursor holds the row list of
+  the one batch it pulled last plus a head offset, and every fetch is a
+  slice of it (topped up from the next batches) — no per-row queue.
+  **The caller owns every list a fetch returns**: it is always a fresh
+  list, never the buffered one (which may be a chunk's cached rows or a
+  producing operator's own list), so mutating a result cannot reach
+  back into the engine.  :meth:`Cursor.result` reports the simulated
+  cost so far, including partially-fetched runs.
 * Cursors are **concurrent**: any number may stream on one database at
   once, interleaving fetches however the application (or the
   deterministic :class:`~repro.exec.scheduler.CooperativeScheduler`)
@@ -51,7 +57,6 @@ plan-tree lines (plus a plan-cache status line), like real engines do.
 from __future__ import annotations
 
 import weakref
-from collections import deque
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.api.result import QueryResult
@@ -327,6 +332,12 @@ class Cursor:
     the engine's batch protocol as needed.  ``description`` is available
     right after ``execute``; ``rowcount`` stays ``-1`` until the result
     is fully drained (streaming cursors cannot know it earlier).
+
+    Between fetches the cursor buffers exactly one batch: ``_rows`` is
+    the row list of the last batch pulled (read-only here — it can be
+    the producer's own list) and ``_head`` the offset of the first row
+    not yet handed out.  Fetches slice it, so what they return is always
+    a new list the caller may keep and mutate.
     """
 
     def __init__(self, connection: Connection):
@@ -339,8 +350,8 @@ class Cursor:
         self._closed = False
         self._run: StreamingRun | None = None
         self._planned: PlannedQuery | None = None
-        self._buffer: deque[Row] = deque()
-        self._static: deque[Row] | None = None  # EXPLAIN result rows
+        self._rows: list[Row] = []    # last pulled batch (or EXPLAIN lines)
+        self._head = 0                # first row of it not yet fetched
         self._last_cache_outcome: str | None = None
 
     # -- execution -----------------------------------------------------------
@@ -386,7 +397,9 @@ class Cursor:
         The statement is compiled once (pass text or a prepared
         statement — both work); ``rowcount`` accumulates the rows every
         execution produced.  Fetching afterwards is not supported, per
-        PEP-249's "result sets are undefined after executemany".
+        PEP-249's "result sets are undefined after executemany" — so the
+        batches are drained straight off the run, counted and dropped
+        while still columnar: no row tuple is ever built.
         """
         self._check_open()
         statement = operation if isinstance(operation, PreparedStatement) \
@@ -394,10 +407,12 @@ class Cursor:
         total = 0
         for params in seq_of_params:
             self.execute(statement, params)
-            while self._next_into_buffer():
+            run = self._run
+            if run is None:         # EXPLAIN: runs nothing
+                continue
+            while run.next_batch() is not None:
                 pass
-            total += self._run.rows_produced if self._run else 0
-            self._buffer.clear()
+            total += run.rows_produced
         self._reset_result(rowcount=total)
         return self
 
@@ -413,7 +428,9 @@ class Cursor:
 
         Batches are pulled from the operator tree only as needed — a
         ``LIMIT``-less scan fetched 10 rows at a time never materializes
-        the full result set in the cursor.
+        the full result set in the cursor.  The returned list is the
+        caller's: a slice of the buffered batch, extended by slices of
+        the following ones when the batch runs out first.
         """
         self._check_fetchable()
         if size is None:
@@ -422,20 +439,25 @@ class Cursor:
             raise InterfaceError(
                 f"fetchmany size must be positive, got {size}"
             )
-        while len(self._buffer) < size and self._next_into_buffer():
-            pass
-        out = [self._buffer.popleft()
-               for _ in range(min(size, len(self._buffer)))]
+        head = self._head
+        out = self._rows[head:head + size]
+        self._head = head + len(out)
+        while len(out) < size and self._pull():
+            part = self._rows[:size - len(out)]
+            self._head = len(part)
+            out += part
         self._maybe_finish()
         return out
 
     def fetchall(self) -> list[Row]:
-        """Every remaining row (drains the plan to completion)."""
+        """Every remaining row (drains the plan to completion).
+
+        Like :meth:`fetchmany`, returns a list the caller owns."""
         self._check_fetchable()
-        while self._next_into_buffer():
-            pass
-        out = list(self._buffer)
-        self._buffer.clear()
+        out = self._rows[self._head:]
+        while self._pull():
+            out += self._rows
+        self._rows, self._head = [], 0
         self._maybe_finish()
         return out
 
@@ -496,8 +518,7 @@ class Cursor:
         """Abandon any in-flight run and refuse further use."""
         if self._run is not None:
             self._run.close()
-        self._buffer.clear()
-        self._static = None
+        self._rows, self._head = [], 0
         self._closed = True
 
     def __enter__(self) -> "Cursor":
@@ -513,8 +534,7 @@ class Cursor:
             self._run.close()
         self._run = None
         self._planned = None
-        self._buffer.clear()
-        self._static = None
+        self._rows, self._head = [], 0
         self.description = None
         self.rowcount = rowcount
 
@@ -529,7 +549,8 @@ class Cursor:
             f"misses={stats['misses']} "
             f"invalidations={stats['invalidations']})"
         )
-        self._static = deque((line,) for line in lines)
+        # Known in full at execute time: buffered as the one batch.
+        self._rows, self._head = [(line,) for line in lines], 0
         self.description = [
             ("plan", ColumnType.CHAR, None, None, None, None, None)
         ]
@@ -546,23 +567,22 @@ class Cursor:
                 "no statement has been executed on this cursor"
             )
 
-    def _next_into_buffer(self) -> bool:
-        """Pull one operator batch into the buffer; False when done."""
-        if self._static is not None:
-            if self._static:
-                self._buffer.extend(self._static)
-                self._static = deque()
-                return True
-            return False
+    def _pull(self) -> bool:
+        """Buffer the next operator batch's rows; False when done.
+
+        Replaces the buffered batch, so callers take what is left of the
+        old one first.
+        """
         if self._run is None:
             return False
         batch = self._run.next_batch()
         if batch is None:
             return False
         # Rowify here, at the API boundary — batches arrive columnar.
-        self._buffer.extend(
-            batch.to_rows() if isinstance(batch, Chunk) else batch
-        )
+        # Either list may be shared with its producer (``Chunk._rows``,
+        # a Materialize replay): slice it, never hand it out.
+        self._rows = batch.to_rows() if isinstance(batch, Chunk) else batch
+        self._head = 0
         return True
 
     def _maybe_finish(self) -> None:
@@ -570,5 +590,5 @@ class Cursor:
 
         (EXPLAIN rowcount is known — and set — at execute time.)"""
         if self._run is not None and self._run.exhausted \
-                and not self._buffer:
+                and self._head == len(self._rows):
             self.rowcount = self._run.rows_produced

@@ -241,12 +241,16 @@ class SmoothScan(Operator):
 
         # In the columnar config ``pending`` accumulates chunk parts (one
         # per qualifying page run), concatenated at flush; otherwise it
-        # accumulates rows as before.
+        # accumulates rows as before.  Every row that enters ``pending``
+        # is counted in ``stats.produced`` as it does, so the rows
+        # pending across the parts are ``produced`` minus its value at
+        # the last flush — no re-summing after every region.
         columnar = fast_filter is not None
         pending: list = []
+        flushed = 0
 
         def pending_size(parts: list) -> int:
-            return sum(len(c) for c in parts) if columnar else len(parts)
+            return stats.produced - flushed if columnar else len(parts)
 
         def as_batch(parts: list) -> Batch:
             return Chunk.concat(parts) if columnar else parts
@@ -268,7 +272,7 @@ class SmoothScan(Operator):
             the selectivity accounting) in place.
             """
             nonlocal pending, region, pages_res_global, pages_seen_smooth
-            nonlocal flattened
+            nonlocal flattened, flushed
             start = tid.page_id
             end = min(num_pages, start + region)
             region_pages = 0
@@ -285,6 +289,7 @@ class SmoothScan(Operator):
                             stats.probes = probes
                             yield as_batch(pending)
                             pending = []
+                            flushed = stats.produced
                         region_pages += pid - run_start
                         run_start = None
                     continue
@@ -301,6 +306,7 @@ class SmoothScan(Operator):
                 stats.probes = probes
                 yield as_batch(pending)
                 pending = []
+                flushed = stats.produced
 
             region_pages_res = stats.pages_with_results - pages_res_global
             pages_res_global = stats.pages_with_results

@@ -29,6 +29,12 @@ Batch contract:
   ``rows()`` view asserts it;
 * iterating a batch yields built-in Python scalars; ``Chunk.to_rows()``
   round-trips exactly, including NULLs and CHAR values;
+* a batch stays its producer's: ``Chunk.to_rows()`` returns the chunk's
+  cached list, ``Chunk.from_rows`` shares the list it was given, heap run
+  chunks are cached across executions and a row-list batch can be the
+  operator's own state — so consumers only read batches.  The one consumer
+  that hands rows to user code, the cursor, buffers a batch's row list
+  and serves fetches as slices of it: what the caller gets is a new list;
 * batch sizes are bounded but not fixed — natural producer units (a heap
   page, an extent run, a morphing region) are preferred over re-chunking,
   and per-tuple producers flush every :data:`DEFAULT_BATCH_SIZE` rows;

@@ -147,7 +147,9 @@ class SortScan(Operator):
         Phase 1 pulls the range as *packed TID codes* (one int64 per
         entry) so collecting, sorting and page-grouping the bitmap are
         all array operations; the code order equals TID tuple order, so
-        emission is in physical (page, slot) order.
+        emission is in physical (page, slot) order.  Phase 2 fetches and
+        charges page by page but selects a dense run's rows extent by
+        extent, out of the heap's cached run chunks.
         """
         codes = self.index.scan_codes(
             ctx, lo=self.key_range.lo, hi=self.key_range.hi,
@@ -173,6 +175,7 @@ class SortScan(Operator):
                          zip(starts.tolist(), ends.tolist(), strict=False),
                          strict=False))
         matches = self.residual.bind(self.schema)
+        extent = ctx.config.extent_pages
         for run_start, run_len in _contiguous_runs(page_ids):
             # Candidates per run: spans are contiguous in code space.
             total = spans[run_start + run_len - 1][1] - spans[run_start][0]
@@ -193,13 +196,27 @@ class SortScan(Operator):
                     ctx.charge_emit(len(out))
                     yield out
                 continue
-            parts: list[Chunk] = []
             for page in ctx.get_run(heap, run_start, run_len):
                 lo, hi = spans[page.page_id]
                 ctx.charge_inspect(hi - lo)
-                chunk = page.chunk(names)
+            # Payload comes per *extent*, not per page: the extent-aligned
+            # run chunks are the ones FullTableScan caches on the heap, so
+            # a run costs one selection vector per 16 pages and adds no
+            # cache key.  Only the last heap page can be short, hence a
+            # candidate's position in its extent's chunk is fixed.
+            parts: list[Chunk] = []
+            run_end = run_start + run_len
+            for ext in range(run_start - run_start % extent, run_end,
+                             extent):
+                lo = spans[max(ext, run_start)][0]
+                hi = spans[min(ext + extent, run_end) - 1][1]
+                chunk = heap.run_chunk(
+                    ext, min(extent, heap.num_pages - ext), names)
                 if hi - lo != len(chunk):
-                    chunk = chunk.take(slots_arr[lo:hi])  # sel vector
+                    chunk = chunk.take(
+                        (pages_arr[lo:hi] - ext) * heap.tuples_per_page
+                        + slots_arr[lo:hi]
+                    )
                 kept = filter_chunk(chunk)
                 if kept is not None:
                     parts.append(kept)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -41,3 +42,43 @@ def small_table(db):
     table = db.load_table("t", schema, rows)
     db.create_index("t", "c2")
     return db, table
+
+
+def _observe_plan(db, plan):
+    """Cold-run ``plan`` batch by batch; what it produced and charged.
+
+    Returns the rows and a JSON-sized record of the run: row count and
+    SHA-256 of ``repr(rows)``, the batch lengths, and length + SHA-256
+    of the exact argument sequences of ``SimClock.charge_cpu`` /
+    ``charge_io`` — the form the frozen-at-the-parent goldens of the
+    scan regression tests are kept in.
+    """
+    from repro.exec.stats import StreamingRun
+
+    def digest(values):
+        return [len(values),
+                hashlib.sha256(repr(values).encode()).hexdigest()[:16]]
+
+    cpu, io = [], []
+    # Hooked on the runtime's clock instance, outside whatever is there
+    # already (the ledger sanitizer hooks the same two attributes).
+    clock = db.runtime.clock
+    charge_cpu, charge_io = clock.charge_cpu, clock.charge_io
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clock, "charge_cpu",
+                      lambda ms: (cpu.append(ms), charge_cpu(ms))[1])
+        patch.setattr(clock, "charge_io",
+                      lambda ms: (io.append(ms), charge_io(ms))[1])
+        run = StreamingRun(db, plan, cold=True)
+        rows, lengths = [], []
+        while (batch := run.next_batch()) is not None:
+            lengths.append(len(batch))
+            rows.extend(batch)
+    return rows, {"rows": digest(rows), "batches": lengths,
+                  "cpu": digest(cpu), "io": digest(io)}
+
+
+@pytest.fixture()
+def observe_plan():
+    """:func:`_observe_plan`, for tests that hold a plan to a golden."""
+    return _observe_plan

@@ -9,6 +9,7 @@ stream without materializing, and EXPLAIN is a structured result set.
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.database import Database
 from repro.errors import InterfaceError
@@ -413,3 +414,338 @@ def test_connection_close_is_idempotent_with_cursors():
     session.close()
     session.close()  # second close is a no-op, not an error
     assert cur.stream.closed
+
+
+# -- the batch-granular buffer: fetch boundaries, ownership, drains -----------
+#
+# The cursor holds one pulled batch plus a head offset and serves every
+# fetch by slicing.  The statements below put each kind of batch behind
+# it; the heap's last page is short (24,050 = 200 x 120 + 50).
+
+BOUNDARY_STATEMENTS = {
+    # 13 extent-sized Chunk batches, ~560 rows each
+    "chunks": "SELECT /*+ force_path(full) */ c1, c2 FROM micro "
+              "WHERE c2 < 30000",
+    # one 7,285-row Chunk (SortScan's dense branch: one batch per run)
+    "one-chunk": "SELECT /*+ force_path(sort) */ c1, c2 FROM micro "
+                 "WHERE c2 < 30000",
+    # Sort's output: Chunk batches of exactly DEFAULT_BATCH_SIZE rows
+    "chunks-1024": "SELECT c1, c2 FROM micro WHERE c2 < 30000 ORDER BY c2",
+    # SortScan's sparse runs: ~46 row-list batches of 1-4 rows
+    "row-lists": "SELECT /*+ force_path(sort) */ c1, c2 FROM micro "
+                 "WHERE c2 < 300",
+    # Sort over row-list input: one 74-row list, the operator's own
+    "sorted-list": "SELECT /*+ force_path(sort) */ c1, c2 FROM micro "
+                   "WHERE c2 < 300 ORDER BY c2",
+    # IndexNestedLoopJoin: one short row list
+    "join": "SELECT c1, d2 FROM dim JOIN micro ON d1 = c1 WHERE d1 < 30",
+    "explain": "EXPLAIN SELECT c1, c2 FROM micro WHERE c2 < 300",
+    "empty": "SELECT c1, c2 FROM micro WHERE c2 < 0",
+}
+FETCH_SIZES = (1, 7, 1023, 1024, 1025, 10**6)
+
+
+@pytest.fixture(scope="module")
+def boundary_db():
+    from repro.storage.types import Schema
+
+    db = Database()
+    build_micro_table(db, num_tuples=24_050, seed=11)
+    db.load_table("dim", Schema.of_ints(["d1", "d2"]),
+                  [(i, i % 7) for i in range(0, 24_050, 5)])
+    db.create_index("dim", "d1")
+    db.analyze()
+    return db
+
+
+def _final_ledger(cur):
+    return cur.stream.ledger.to_dict() if cur.stream else None
+
+
+@pytest.fixture(scope="module")
+def boundary_expected(boundary_db):
+    """Per statement: the rows and final ledger of one ``fetchall()``."""
+    conn = boundary_db.connect()
+    expected = {}
+    for label, sql in BOUNDARY_STATEMENTS.items():
+        cur = conn.execute(sql)
+        expected[label] = (cur.fetchall(), _final_ledger(cur))
+    return expected
+
+
+def _assert_same_rows(label, got, rows):
+    if label == "explain":
+        # The last line reports the plan cache's running counters.
+        assert got[-1][0].startswith("plan cache: ")
+        got, rows = got[:-1], rows[:-1]
+    assert got == rows
+
+
+def test_boundary_statements_put_both_batch_kinds_behind_the_cursor(
+        boundary_db, boundary_expected):
+    from repro.exec.iterator import Chunk
+
+    conn = boundary_db.connect()
+
+    def batches(label):
+        run = conn.execute(BOUNDARY_STATEMENTS[label]).stream
+        out = []
+        while (batch := run.next_batch()) is not None:
+            out.append(batch)
+        return out
+
+    assert len(batches("chunks")) > 10
+    assert all(isinstance(b, Chunk) for b in batches("chunks"))
+    assert [len(b) for b in batches("one-chunk")] == [7285]
+    assert [len(b) for b in batches("chunks-1024")][:-1] == [1024] * 7
+    assert len(batches("row-lists")) > 10
+    for label in ("row-lists", "sorted-list", "join"):
+        assert all(isinstance(b, list) for b in batches(label))
+    assert boundary_expected["empty"][0] == []
+    assert len(boundary_expected["explain"][0]) >= 3
+
+
+@pytest.mark.parametrize("size", FETCH_SIZES)
+@pytest.mark.parametrize("label", sorted(BOUNDARY_STATEMENTS))
+def test_fetchmany_boundaries(boundary_db, boundary_expected, label, size):
+    rows, ledger = boundary_expected[label]
+    cur = boundary_db.connect().execute(BOUNDARY_STATEMENTS[label])
+    got = []
+    while True:
+        part = cur.fetchmany(size)
+        if not part:
+            break
+        # Full-sized until the result runs out, never over-sized.
+        assert len(part) == min(size, len(rows) - len(got))
+        got += part
+        if label != "explain" and len(got) < len(rows):
+            assert cur.rowcount == -1   # not published before the drain
+    _assert_same_rows(label, got, rows)
+    assert cur.rowcount == len(rows)
+    assert cur.fetchmany(size) == [] and cur.fetchone() is None
+    assert _final_ledger(cur) == ledger
+
+
+@pytest.mark.parametrize("label", sorted(BOUNDARY_STATEMENTS))
+def test_interleaved_fetch_calls_deliver_every_row_once(
+        boundary_db, boundary_expected, label):
+    rows, ledger = boundary_expected[label]
+    cur = boundary_db.connect().execute(BOUNDARY_STATEMENTS[label])
+    cur.arraysize = 5
+    got = []
+    first = cur.fetchone()
+    got += [first] if first is not None else []
+    got += cur.fetchmany(7)
+    got += cur.fetchmany()              # arraysize
+    try:
+        got.append(next(cur))
+    except StopIteration:
+        pass
+    got += cur.fetchmany(1030)          # crosses at least one batch edge
+    got += list(cur)                    # iteration: repeated fetchmany()
+    assert cur.fetchall() == []
+    _assert_same_rows(label, got, rows)
+    assert cur.rowcount == len(rows)
+    assert _final_ledger(cur) == ledger
+
+
+def test_fetchall_after_partial_fetch_returns_the_tail(
+        boundary_db, boundary_expected):
+    rows, _ = boundary_expected["chunks"]
+    cur = boundary_db.connect().execute(BOUNDARY_STATEMENTS["chunks"])
+    head = cur.fetchmany(100)           # leaves most of batch 1 buffered
+    assert cur.rowcount == -1
+    tail = cur.fetchall()
+    assert head + tail == rows
+    assert cur.rowcount == len(rows)
+
+
+def test_close_mid_batch_drops_the_buffer_and_finalizes_partial(
+        boundary_db):
+    cur = boundary_db.connect().execute(BOUNDARY_STATEMENTS["chunks"])
+    assert len(cur.fetchmany(10)) == 10
+    cur.close()
+    assert cur.stream.closed and not cur.stream.exhausted
+    assert cur.rowcount == -1
+    assert cur.result().run.extras["partial"] is True
+    with pytest.raises(InterfaceError, match="cursor is closed"):
+        cur.fetchmany(10)
+
+
+def test_reexecute_mid_batch_starts_clean(boundary_db, boundary_expected):
+    conn = boundary_db.connect()
+    cur = conn.execute(BOUNDARY_STATEMENTS["chunks"])
+    cur.fetchmany(10)                   # ~550 rows still buffered
+    abandoned = cur.stream
+    cur.execute(BOUNDARY_STATEMENTS["row-lists"])
+    assert abandoned.closed
+    assert cur.rowcount == -1
+    rows, ledger = boundary_expected["row-lists"]
+    assert cur.fetchall() == rows       # nothing left over from before
+    assert _final_ledger(cur) == ledger
+    # ... and an EXPLAIN's static rows do not survive a re-execute either.
+    cur.execute(BOUNDARY_STATEMENTS["explain"])
+    cur.fetchone()
+    cur.execute(BOUNDARY_STATEMENTS["empty"])
+    assert cur.fetchall() == [] and cur.rowcount == 0
+
+
+def test_fetch_size_must_be_positive(boundary_db):
+    cur = boundary_db.connect().execute(BOUNDARY_STATEMENTS["chunks"])
+    for bad in (0, -1):
+        with pytest.raises(InterfaceError, match="positive"):
+            cur.fetchmany(bad)
+    cur.close()
+
+
+# -- the caller owns every fetched list ---------------------------------------
+
+@pytest.mark.parametrize("label", ["chunks", "one-chunk", "chunks-1024",
+                                   "row-lists", "sorted-list", "join"])
+def test_fetched_lists_never_alias_engine_state(
+        boundary_db, boundary_expected, label, monkeypatch):
+    """Scribble over everything a cursor hands out; nothing may notice.
+
+    The buffered batch can be ``Chunk._rows`` of a heap-cached run chunk
+    (a 100% full scan returns the cached chunk itself) or a producing
+    operator's own list, so an aliased result would corrupt the *next*
+    fetch or the next execution.
+    """
+    from repro.api import session
+    from repro.exec.iterator import Chunk
+
+    rows, _ = boundary_expected[label]
+    sql = BOUNDARY_STATEMENTS[label]
+    conn = boundary_db.connect()
+    produced = []       # every row list the engine put behind the cursor
+
+    class RecordedRun(session.StreamingRun):
+        def next_batch(self):
+            batch = super().next_batch()
+            if batch is not None:
+                produced.append(batch.to_rows() if isinstance(batch, Chunk)
+                                else batch)
+            return batch
+
+    monkeypatch.setattr(session, "StreamingRun", RecordedRun)
+    conn.execute(sql).fetchall()
+    sizes = [len(batch) for batch in produced]
+
+    # Fetch sizes that coincide with the batch sizes: a whole-batch
+    # fetch is where handing out the buffer itself would be tempting.
+    del produced[:]
+    cur = conn.execute(sql)
+    seen = []
+    for size in sizes:
+        part = cur.fetchmany(size)
+        assert not any(part is batch for batch in produced)
+        seen += part
+        part.reverse()
+        part.append(("scribble",))
+        part.clear()
+    assert seen == rows and cur.fetchmany(1) == []
+    # Same through fetchall(), from a mid-batch position.
+    del produced[:]
+    cur = conn.execute(sql)
+    head = cur.fetchmany(3)
+    head[:] = [None] * len(head)
+    rest = cur.fetchall()
+    assert not any(rest is batch for batch in produced)
+    assert rest == rows[3:]
+    rest.clear()
+    assert conn.execute(sql).fetchall() == rows
+
+
+def test_full_scan_of_everything_survives_mutated_results(boundary_db):
+    # 100% selectivity: FullTableScan yields the heap's cached run chunks
+    # themselves, so their cached row lists sit right behind the cursor.
+    conn = boundary_db.connect()
+    sql = "SELECT /*+ force_path(full) */ * FROM micro"
+    first = conn.execute(sql).fetchall()
+    expected = list(first)
+    first.clear()
+    cur = conn.execute(sql)
+    while part := cur.fetchmany(1920):  # exactly one extent of 16 pages
+        part.clear()
+    assert conn.execute(sql).fetchall() == expected
+
+
+# -- executemany drains without building rows ---------------------------------
+
+def test_executemany_builds_no_row_tuples(boundary_db, monkeypatch):
+    from repro.exec.iterator import Chunk
+
+    conn = boundary_db.connect()
+    sql = "SELECT /*+ force_path(full) */ c1, c2 FROM micro WHERE c2 < ?"
+    params = [(100,), (20_000,), (70_000,)]
+    singles = [conn.run(sql, p, keep_rows=False) for p in params]
+
+    calls = []
+    original = Chunk.to_rows
+    monkeypatch.setattr(
+        Chunk, "to_rows",
+        lambda self: calls.append(len(self)) or original(self))
+    cur = conn.cursor()
+    cur.executemany(sql, params)
+    assert calls == []
+    assert cur.rowcount == sum(r.row_count for r in singles)
+    # Fetching afterwards is undefined per PEP-249: here, an error.
+    with pytest.raises(InterfaceError, match="no statement"):
+        cur.fetchall()
+
+
+def test_executemany_ledgers_match_single_executions(boundary_db,
+                                                     monkeypatch):
+    from repro.api import session
+
+    conn = boundary_db.connect()
+    sql = "SELECT /*+ force_path(smooth) */ c1, c2 FROM micro WHERE c2 < ?"
+    params = [(300,), (30_000,)]
+    singles = []
+    for p in params:
+        cur = conn.execute(sql, p)
+        cur.fetchall()
+        singles.append(cur.stream.ledger.to_dict())
+
+    runs = []
+
+    class RecordedRun(session.StreamingRun):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runs.append(self)
+
+    monkeypatch.setattr(session, "StreamingRun", RecordedRun)
+    conn.cursor().executemany(sql, params)
+    assert all(run.exhausted for run in runs)
+    assert [run.ledger.to_dict() for run in runs] == singles
+
+
+def test_executemany_over_explain_counts_nothing(boundary_db):
+    cur = boundary_db.connect().cursor()
+    cur.executemany("EXPLAIN SELECT c1 FROM micro WHERE c2 < ?",
+                    [(10,), (20,)])
+    assert cur.rowcount == 0
+
+
+# -- property: any fetch-size sequence equals fetchall() ----------------------
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(label=st.sampled_from(sorted(BOUNDARY_STATEMENTS)),
+       sizes=st.lists(st.one_of(st.integers(1, 40),
+                                st.integers(500, 1100),
+                                st.sampled_from(FETCH_SIZES)),
+                      max_size=25))
+def test_any_fetch_sequence_concatenates_to_fetchall(
+        boundary_db, boundary_expected, label, sizes):
+    rows, ledger = boundary_expected[label]
+    cur = boundary_db.connect().execute(BOUNDARY_STATEMENTS[label])
+    got = []
+    for size in sizes:
+        part = cur.fetchmany(size)
+        assert len(part) == min(size, len(rows) - len(got))
+        got += part
+    got += cur.fetchall()
+    _assert_same_rows(label, got, rows)
+    assert cur.rowcount == len(rows)
+    assert _final_ledger(cur) == ledger

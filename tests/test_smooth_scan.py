@@ -232,3 +232,98 @@ def test_all_duplicate_keys(db):
         rows = measure(db, scan).rows
         assert len(rows) == 2_000
         assert len(set(rows)) == 2_000
+
+
+# -- the O(1) flush check: flush boundaries and charges must not move ---------
+#
+# Recorded at the commit before the pending-row counter (when the columnar
+# branch re-summed ``len()`` of every pending part after every region) with
+# conftest's ``observe_plan``; eager trigger, unordered — the columnar
+# config the counter lives in.  120K micro rows: 0.1% leaves everything to
+# the final flush, 1% crosses the 1,024-row threshold once, 5% and 20%
+# repeatedly, and the residual halves what each region contributes.
+
+def _flush_plan(table, selectivity, residual=None):
+    from repro.workloads.micro import selectivity_range
+    return SmoothScan(table, "c2", selectivity_range(selectivity),
+                      residual=residual)
+
+
+FLUSH_CASES = {
+    "smooth/0.1pct": lambda t: _flush_plan(t, 0.001),
+    "smooth/1pct": lambda t: _flush_plan(t, 0.01),
+    "smooth/5pct": lambda t: _flush_plan(t, 0.05),
+    "smooth/20pct": lambda t: _flush_plan(t, 0.20),
+    "smooth/5pct-residual": lambda t: _flush_plan(
+        t, 0.05, Between("c3", 0, 50_000)),
+}
+
+FLUSH_GOLDEN = {
+    "smooth/0.1pct": {
+        "batches": [91],
+        "cpu": [366, "f9b8e30a05de4d8c"],
+        "io": [174, "cf395babb49b5393"],
+        "rows": [91, "a8be9d7a8a8bce5b"],
+    },
+    "smooth/1pct": {
+        "batches": [1036, 121],
+        "cpu": [2053, "98eb30a04ce3359c"],
+        "io": [104, "f0fb7a1fd46d28ab"],
+        "rows": [1157, "0827603142e156dd"],
+    },
+    "smooth/20pct": {
+        "batches": [1384, 1526, 1118, 4169, 1563, 1550, 9722, 1834, 779],
+        "cpu": [2049, "955fdec14c4ef7f7"],
+        "io": [57, "ace392053330636d"],
+        "rows": [23645, "270c6658d5e6b3fd"],
+    },
+    "smooth/5pct": {
+        "batches": [2067, 3251, 632],
+        "cpu": [2029, "45d2b0fe72218cbd"],
+        "io": [47, "b4791c5cfbce4bc9"],
+        "rows": [5950, "6664980fec8ccd6b"],
+    },
+    "smooth/5pct-residual": {
+        "batches": [1111, 1057, 750],
+        "cpu": [2054, "fb37694ee3674c67"],
+        "io": [97, "047b1bbd41761c2b"],
+        "rows": [2918, "6bfd04ddeea3c6a0"],
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def flush_setup():
+    from repro.database import Database
+    from repro.workloads.micro import build_micro_table
+
+    db = Database()
+    return db, build_micro_table(db, num_tuples=120_000, seed=7)
+
+
+@pytest.mark.parametrize("case", sorted(FLUSH_CASES))
+def test_smooth_flush_boundaries_and_charges_unchanged(
+        flush_setup, observe_plan, case):
+    db, table = flush_setup
+    plan = FLUSH_CASES[case](table)
+    rows, observed = observe_plan(db, plan)
+    assert observed == FLUSH_GOLDEN[case]
+    wanted = FullTableScan(table, Between("c2", plan.key_range.lo,
+                                          plan.key_range.hi))
+    assert sorted(rows) == sorted(
+        r for r in measure(db, wanted).rows
+        if plan.residual.bind(plan.schema)(r))
+
+
+def test_smooth_flushes_only_at_the_batch_size_threshold(
+        flush_setup, observe_plan):
+    from repro.exec.iterator import DEFAULT_BATCH_SIZE
+
+    db, table = flush_setup
+    _, observed = observe_plan(db, _flush_plan(table, 0.20))
+    lengths = observed["batches"]
+    assert len(lengths) > 3
+    # Every flush but the final one was due; none was overdue by more
+    # than one morphing region's worth of rows.
+    assert all(n >= DEFAULT_BATCH_SIZE for n in lengths[:-1])
+    assert sum(lengths) == observed["rows"][0]
