@@ -381,11 +381,11 @@ class WindowPairingRule(Rule):
 #: The engine's charge surface: anything that advances the simulated
 #: clock or moves simulated pages.  Observation code may never call it.
 _CHARGE_APIS = frozenset({
-    "charge_io", "charge_cpu",
+    "charge_io", "charge_cpu", "charge_cpu_seq",
     "charge_inspect", "charge_emit", "charge_compare", "charge_hash",
     "charge_cache_probe", "charge_cache_insert", "charge_index_entry",
     "read_page", "read_run", "spill", "overflow_read", "overflow_write",
-    "get_page", "get_run",
+    "get_page", "get_run", "touch_pages",
 })
 
 

@@ -72,8 +72,8 @@ class LedgerSanitizer:
     builds) before any query is exempt — exactly the phase split the
     engine's own conservation tests assume.  After arming:
 
-    * a ``charge_io``/``charge_cpu`` while no window is open is a
-      violation (millisecond charges bypass every ledger);
+    * a ``charge_io``/``charge_cpu``/``charge_cpu_seq`` while no window
+      is open is a violation (millisecond charges bypass every ledger);
     * integer disk/buffer counters that moved *between* windows (diffed
       at the next ``begin_attribution``, at ``cold_start`` and at
       :meth:`check`) are a violation (counter deltas bypass the diff
@@ -101,11 +101,10 @@ class LedgerSanitizer:
         runtime = self.runtime
         clock = runtime.clock
         orig_io, orig_cpu = clock.charge_io, clock.charge_cpu
+        orig_cpu_seq = clock.charge_cpu_seq
         orig_begin = runtime.begin_attribution
         orig_end = runtime.end_attribution
         orig_cold = runtime.cold_start
-        self._originals = (clock, orig_io, orig_cpu,
-                           orig_begin, orig_end, orig_cold)
 
         def charge_io(ms: float) -> None:
             self._guard_charge("charge_io", ms)
@@ -114,6 +113,10 @@ class LedgerSanitizer:
         def charge_cpu(ms: float) -> None:
             self._guard_charge("charge_cpu", ms)
             orig_cpu(ms)
+
+        def charge_cpu_seq(costs) -> None:
+            self._guard_charge("charge_cpu_seq", float(sum(costs)))
+            orig_cpu_seq(costs)
 
         def begin_attribution(ledger) -> None:
             if self.armed:
@@ -137,6 +140,7 @@ class LedgerSanitizer:
 
         clock.charge_io = charge_io
         clock.charge_cpu = charge_cpu
+        clock.charge_cpu_seq = charge_cpu_seq
         runtime.begin_attribution = begin_attribution
         runtime.end_attribution = end_attribution
         runtime.cold_start = cold_start
@@ -147,10 +151,11 @@ class LedgerSanitizer:
         """Remove the hooks, leaving the runtime as found."""
         if not self._installed:
             return
-        clock, orig_io, orig_cpu, _, _, _ = self._originals
+        clock = self.runtime.clock
         # The originals are bound methods; deleting the instance
         # attributes restores class-level dispatch.
         for obj, name in ((clock, "charge_io"), (clock, "charge_cpu"),
+                          (clock, "charge_cpu_seq"),
                           (self.runtime, "begin_attribution"),
                           (self.runtime, "end_attribution"),
                           (self.runtime, "cold_start")):

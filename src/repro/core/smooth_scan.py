@@ -24,12 +24,14 @@ otherwise tuples stream out as pages are processed.
 Execution is batch-vectorized: index entries arrive one leaf at a time
 (:meth:`~repro.index.btree.BTreeIndex.scan_batches`), morphing-region runs
 are probed whole and their output accumulated into batches flushed at the
-batch-size threshold, and page probing compiles the key range and residual
-predicate into masks and selection lists instead of calling a closure per
-tuple.  Mode 0 and the Result Cache hand-off stay per probe, as in the
-paper.  Every charge is the paper's per-page / per-tuple charge;
-``tests/golden_row_path.json`` pins them to the tuple-at-a-time pipeline
-this engine grew out of.
+batch-size threshold — as positions in the heap's columnar image when no
+auxiliary cache needs the rows (eager and unordered), so no payload moves
+before a consumer reads it — and page probing compiles the key range and
+residual predicate into masks and selection lists instead of calling a
+closure per tuple.  Mode 0 and the Result Cache hand-off stay per probe
+and emit row lists, as in the paper.  Every charge is the paper's
+per-page / per-tuple charge; ``tests/golden_row_path.json`` pins them to
+the tuple-at-a-time pipeline this engine grew out of.
 """
 
 from __future__ import annotations
@@ -49,18 +51,15 @@ from repro.exec.expressions import (
     KeyRange,
     Predicate,
     TruePredicate,
-    range_chunk_filter,
     range_mask,
     range_selector,
     require_columns,
 )
 from repro.storage.chunk import mask_and
-from repro.exec.iterator import Batch, Chunk, DEFAULT_BATCH_SIZE, Operator
-from repro.index.btree import TID_SHIFT
+from repro.exec.iterator import Batch, DEFAULT_BATCH_SIZE, Operator
+from repro.index.btree import TID_SHIFT, TID_SLOT_MASK
 from repro.storage.table import Table
-from repro.storage.types import Row, TID
-
-_SLOT_MASK = (1 << TID_SHIFT) - 1
+from repro.storage.types import TID
 
 _DEFAULT_RESULT_CACHE_PARTITIONS = 16
 
@@ -76,7 +75,6 @@ class _RunState:
     policy: MorphPolicy
     max_region: int
     col_pos: int
-    names: tuple[str, ...]
 
 
 class SmoothScan(Operator):
@@ -185,7 +183,6 @@ class SmoothScan(Operator):
             policy=self.policy,
             max_region=max_region,
             col_pos=col_pos,
-            names=self.schema.column_names,
         )
 
     # -- batch-vectorized execution ----------------------------------------
@@ -209,25 +206,16 @@ class SmoothScan(Operator):
         )
         # With no auxiliary cache consuming TIDs (eager + unordered, the
         # common case) page probing needs no slot positions — run fully
-        # columnar: one key-range mask plus one residual mask per page
-        # chunk, narrowing by selection vector without touching a row.
-        fast_filter = None
+        # columnar: one key-range mask plus one residual mask per run of
+        # pages, kept as positions in the heap image without touching a
+        # row.
         fast_mask = None
         if state.tuple_cache is None and state.result_cache is None:
-            qualify_chunk = range_chunk_filter(self.key_range, col_pos)
-            qualify_mask = range_mask(self.key_range, col_pos)
-            if isinstance(self.residual, TruePredicate):
-                fast_filter = qualify_chunk
-                fast_mask = qualify_mask
-            else:
-                residual_chunk = self.residual.bind_chunk(self.schema)
+            fast_mask = range_mask(self.key_range, col_pos)
+            if not isinstance(self.residual, TruePredicate):
                 residual_mask = self.residual.bind_mask(self.schema)
 
-                def fast_filter(chunk, _q=qualify_chunk, _r=residual_chunk):
-                    kept = _q(chunk)
-                    return None if kept is None else _r(kept)
-
-                def fast_mask(chunk, _q=qualify_mask, _r=residual_mask):
+                def fast_mask(chunk, _q=fast_mask, _r=residual_mask):
                     return mask_and(_q(chunk), _r(chunk))
 
         tracer = ctx.runtime.tracer
@@ -239,13 +227,14 @@ class SmoothScan(Operator):
         num_pages = heap.num_pages
         is_seen = page_cache.is_seen
 
-        # In the columnar config ``pending`` accumulates chunk parts (one
-        # per qualifying page run), concatenated at flush; otherwise it
+        # In the columnar config ``pending`` accumulates selection vectors
+        # over the heap image (one per qualifying page run; a ``range``
+        # when the whole run qualified), joined at flush; otherwise it
         # accumulates rows as before.  Every row that enters ``pending``
         # is counted in ``stats.produced`` as it does, so the rows
         # pending across the parts are ``produced`` minus its value at
         # the last flush — no re-summing after every region.
-        columnar = fast_filter is not None
+        columnar = fast_mask is not None
         pending: list = []
         flushed = 0
 
@@ -253,7 +242,14 @@ class SmoothScan(Operator):
             return stats.produced - flushed if columnar else len(parts)
 
         def as_batch(parts: list) -> Batch:
-            return Chunk.concat(parts) if columnar else parts
+            if not columnar:
+                return parts
+            if len(parts) == 1:  # a lone whole run stays a slice
+                return heap.image().take(parts[0])
+            return heap.image().take(_np.concatenate([
+                _np.arange(p.start, p.stop) if type(p) is range else p
+                for p in parts
+            ]))
 
         # Hot-loop bookkeeping kept in locals: the probe ordinal and the
         # per-batch count of Page-ID-cache probes (charged in bulk per
@@ -283,7 +279,7 @@ class SmoothScan(Operator):
                         pending = self._emit_run(
                             ctx, heap, run_start, pid - run_start,
                             state, qualify, residual_sel,
-                            fast_filter, fast_mask, tid, pending,
+                            fast_mask, tid, pending,
                         )
                         if pending_size(pending) >= DEFAULT_BATCH_SIZE:
                             stats.probes = probes
@@ -299,7 +295,7 @@ class SmoothScan(Operator):
                 pending = self._emit_run(
                     ctx, heap, run_start, end - run_start,
                     state, qualify, residual_sel,
-                    fast_filter, fast_mask, tid, pending,
+                    fast_mask, tid, pending,
                 )
                 region_pages += end - run_start
             if pending_size(pending) >= DEFAULT_BATCH_SIZE:
@@ -345,12 +341,13 @@ class SmoothScan(Operator):
         # the seen mask only after each region fetch flips bits.
         if columnar:
             seen_bits = page_cache.seen_view()
-            for codes in self.index.scan_code_batches(
+            for codes in self.index.scan_leaf_codes(
                 ctx, lo=rng.lo, hi=rng.hi,
                 lo_inclusive=rng.lo_inclusive,
                 hi_inclusive=rng.hi_inclusive,
             ):
                 n = len(codes)
+                ctx.charge_index_entry(n)
                 pages = codes >> TID_SHIFT
                 page_checks = 0
                 j = 0
@@ -367,7 +364,7 @@ class SmoothScan(Operator):
                     page_checks += k - j + 1
                     code = int(codes[k])
                     yield from probe_region(
-                        TID(code >> TID_SHIFT, code & _SLOT_MASK)
+                        TID(code >> TID_SHIFT, code & TID_SLOT_MASK)
                     )
                     j = k + 1
                 if page_checks:
@@ -467,19 +464,17 @@ class SmoothScan(Operator):
 
     def _emit_run(self, ctx: ExecutionContext, heap, run_start: int,
                   run_len: int, state: _RunState, qualify, residual_sel,
-                  fast_filter, fast_mask, probe_tid: TID,
-                  out: list[Row]) -> list[Row]:
+                  fast_mask, probe_tid: TID, out: list) -> list:
         """Vectorized run probe: append the run's output to ``out``.
 
         Fetches one contiguous run of unseen pages, filters each whole
         page through the compiled key-range/residual selectors, and
         appends produced rows (parking the rest in the Result Cache when
-        an order must be preserved).  With ``fast_filter`` set (no
-        auxiliary cache consumes TIDs) the page's cached columnar chunk
-        is narrowed by mask instead — ``out`` then accumulates chunk
-        parts, not rows — and multi-page runs evaluate ``fast_mask``
-        once over the heap's cached run chunk, recovering the per-page
-        statistics with one segmented reduction.
+        an order must be preserved).  With ``fast_mask`` set (no
+        auxiliary cache consumes TIDs) the run is instead masked once as
+        a slice of the heap image — ``out`` then accumulates the
+        qualifying *positions* (``page * tuples_per_page + slot``), not
+        rows — and the per-page statistics come out of the positions.
         """
         stats = state.stats
         page_cache = state.page_cache
@@ -488,62 +483,30 @@ class SmoothScan(Operator):
         col_pos = state.col_pos
         probe_page, probe_slot = probe_tid
 
-        if fast_filter is not None:
+        if fast_mask is not None:
             mark = page_cache.mark
-            names = state.names
-            if run_len > 1:
-                lens = []
-                for page in ctx.get_run(heap, run_start, run_len):
-                    mark(page.page_id)
-                    ctx.charge_cache_insert()
-                    stats.pages_fetched += 1
-                    ctx.charge_inspect(len(page))
-                    lens.append(len(page))
-                merged = heap.run_chunk(run_start, run_len, names)
-                mask = fast_mask(merged)
-                if mask is None:
-                    # Every row in the run qualifies.
-                    stats.pages_with_results += run_len
-                    stats.produced += len(merged)
-                    ctx.charge_emit(len(merged))
-                    out.append(merged)
-                    return out
-                if isinstance(mask, _np.ndarray):
-                    offsets = [0]
-                    for n in lens[:-1]:
-                        offsets.append(offsets[-1] + n)
-                    counts = _np.add.reduceat(
-                        mask.astype(_np.int64), offsets
-                    )
-                    total = int(counts.sum())
-                    if total:
-                        stats.pages_with_results += int((counts > 0).sum())
-                        stats.produced += total
-                        ctx.charge_emit(total)
-                        out.append(merged.filter(mask))
-                    return out
-                # Object-column mask (list): per-page fallback below,
-                # minus the charges already paid for the fetched run.
-                for page in heap.iter_run(run_start, run_len):
-                    matched = fast_filter(page.chunk(names))
-                    if matched is not None:
-                        stats.pages_with_results += 1
-                        stats.produced += len(matched)
-                        ctx.charge_emit(len(matched))
-                        out.append(matched)
-                return out
             for page in ctx.get_run(heap, run_start, run_len):
                 mark(page.page_id)
                 ctx.charge_cache_insert()
                 stats.pages_fetched += 1
-                chunk = page.chunk(names)
-                ctx.charge_inspect(len(chunk))
-                matched = fast_filter(chunk)
-                if matched is not None:
-                    stats.pages_with_results += 1
-                    stats.produced += len(matched)
-                    ctx.charge_emit(len(matched))
-                    out.append(matched)
+                ctx.charge_inspect(len(page))
+            run = heap.run_chunk(run_start, run_len)
+            sel = run.sel  # the run's positions in the image: a range
+            pages_hit = run_len
+            mask = fast_mask(run)
+            if mask is not None:
+                hits = _np.flatnonzero(mask)
+                if not hits.size:
+                    return out
+                if hits.size < len(run):
+                    if run_len > 1:
+                        pages_hit = 1 + _np.count_nonzero(
+                            _np.diff(hits // heap.tuples_per_page))
+                    sel = hits + sel.start
+            stats.pages_with_results += pages_hit
+            stats.produced += len(sel)
+            ctx.charge_emit(len(sel))
+            out.append(sel)
             return out
 
         for page in ctx.get_run(heap, run_start, run_len):

@@ -69,7 +69,6 @@ class SwitchScan(Operator):
         self.switched = False
         residual_fn = self.residual.bind(self.schema)
         col_pos = self.schema.index_of(self.column)
-        names = self.schema.column_names
         qualify_mask = range_mask(self.key_range, col_pos)
         residual_mask = (
             None if isinstance(self.residual, TruePredicate)
@@ -119,7 +118,7 @@ class SwitchScan(Operator):
             parts: list[Chunk] = []
             for page in ctx.get_run(heap, start, n):
                 pid = page.page_id
-                chunk = page.chunk(names)
+                chunk = heap.run_chunk(pid, 1)
                 ctx.charge_inspect(len(chunk))
                 mask = qualify_mask(chunk)
                 if residual_mask is not None:

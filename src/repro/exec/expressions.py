@@ -812,23 +812,6 @@ def range_mask(rng: KeyRange, col_pos: int) -> MaskPredicate:
     return mask_of
 
 
-def range_chunk_filter(rng: KeyRange, col_pos: int) -> ChunkFilter:
-    """Compile ``rng`` into a ``chunk -> chunk | None`` columnar filter.
-
-    Narrows by selection vector; all-pass returns the input chunk itself
-    and ``None`` signals that no row fell inside the range.
-    """
-    mask_of = range_mask(rng, col_pos)
-
-    def filter_chunk(chunk: Chunk) -> Chunk | None:
-        mask = mask_of(chunk)
-        if mask is None:
-            return chunk
-        return chunk.filter(mask)
-
-    return filter_chunk
-
-
 def _range_of_comparison(cmp: Comparison) -> KeyRange | None:
     """The key range implied by one comparison, if any."""
     if cmp.op is CompareOp.EQ:

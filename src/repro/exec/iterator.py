@@ -16,9 +16,8 @@ one batch at a time and may stop early.
 :meth:`Operator.rows` is not a second protocol but a final view over the
 first — it flattens ``batches()`` into row tuples for callers that want
 them, and no operator overrides it.  Operators whose algorithm is
-inherently per-tuple (one random heap fetch per index entry, a merge of two
-sorted streams) run that loop inside ``batches()`` and cut its output with
-:func:`chunked`.
+inherently per-tuple (a merge of two sorted streams) run that loop inside
+``batches()`` and cut its output with :func:`chunked`.
 
 Batch contract:
 
@@ -30,11 +29,15 @@ Batch contract:
 * iterating a batch yields built-in Python scalars; ``Chunk.to_rows()``
   round-trips exactly, including NULLs and CHAR values;
 * a batch stays its producer's: ``Chunk.to_rows()`` returns the chunk's
-  cached list, ``Chunk.from_rows`` shares the list it was given, heap run
-  chunks are cached across executions and a row-list batch can be the
-  operator's own state — so consumers only read batches.  The one consumer
-  that hands rows to user code, the cursor, buffers a batch's row list
-  and serves fetches as slices of it: what the caller gets is a new list;
+  cached list, ``Chunk.from_rows`` shares the list it was given, a scan's
+  chunk is a slice of, or a selection vector over, the heap's one
+  columnar image (:meth:`~repro.storage.heap.HeapFile.image` — its
+  ``columns`` *are* the table's, whatever its length) and a row-list batch
+  can be the operator's own state — so consumers only read batches, and
+  read columns through ``data_column`` / ``array`` / ``column_values``,
+  which apply the selection.  The one consumer that hands rows to user
+  code, the cursor, buffers a batch's row list and serves fetches as
+  slices of it: what the caller gets is a new list;
 * batch sizes are bounded but not fixed — natural producer units (a heap
   page, an extent run, a morphing region) are preferred over re-chunking,
   and per-tuple producers flush every :data:`DEFAULT_BATCH_SIZE` rows;

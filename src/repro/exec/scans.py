@@ -25,8 +25,8 @@ from repro.exec.expressions import (
     TruePredicate,
     require_columns,
 )
-from repro.exec.iterator import Batch, Chunk, Operator, chunked
-from repro.index.btree import TID_SHIFT
+from repro.exec.iterator import Batch, DEFAULT_BATCH_SIZE, Operator
+from repro.index.btree import TID_SHIFT, TID_SLOT_MASK
 from repro.storage.table import Table
 from repro.storage.types import Row
 
@@ -50,20 +50,19 @@ class FullTableScan(Operator):
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Columnar scan: one chunk per extent run of heap pages.
 
-        The extent's page payloads are concatenated into a single chunk
-        and filtered with one mask evaluation, so predicate work runs on
-        extent-sized arrays instead of page-sized ones.  Charges:
-        inspect per page, emit per qualifying batch.
+        The extent is one slice of the heap image, filtered with one mask
+        evaluation, so predicate work runs on extent-sized arrays instead
+        of page-sized ones.  Charges: inspect per page, emit per
+        qualifying batch.
         """
         heap = self.table.heap
-        names = self.schema.column_names
         filter_chunk = self.predicate.bind_chunk(self.schema)
         extent = ctx.config.extent_pages
         for start in range(0, heap.num_pages, extent):
             n = min(extent, heap.num_pages - start)
             for page in ctx.get_run(heap, start, n):
                 ctx.charge_inspect(len(page))
-            kept = filter_chunk(heap.run_chunk(start, n, names))
+            kept = filter_chunk(heap.run_chunk(start, n))
             if kept is not None:
                 ctx.charge_emit(len(kept))
                 yield kept
@@ -93,28 +92,57 @@ class IndexScan(Operator):
         return f"IndexScan({self.table.name}.{self.column})"
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        """One random heap fetch per index entry, cut into chunks.
+        """One random heap page request per index entry, in key order.
 
-        Inherently tuple-at-a-time, and charged that way: per-entry
-        ``index.scan``, per-TID ``get_page`` / inspect / emit (a bulk
-        ``charge_*(n)`` would be a different float sum).
+        Charged tuple at a time — per entry ``index_entry``, the page
+        request (a buffer-hit charge, or the disk's read), ``inspect``,
+        and ``emit`` per survivor; a bulk ``charge_*(n)`` would be a
+        different float sum — but computed a block of packed TID codes at
+        a time: the pool sees the block's page ids in order
+        (:meth:`~repro.storage.buffer.BufferPool.touch_pages`), the
+        residual is one mask over the block's positions in the heap
+        image, and the CPU charges go to the clock as one sequence.  A
+        block ends at its leaf's end or where a full batch would, so
+        nothing is read or charged past the entry that fills a batch.
         """
-        return chunked(self.schema.column_names, self._fetch_by_tid(ctx))
-
-    def _fetch_by_tid(self, ctx: ExecutionContext) -> Iterator[Row]:
         heap = self.table.heap
-        matches = self.residual.bind(self.schema)
+        image = heap.image()
+        per_page = heap.tuples_per_page
+        residual = (None if isinstance(self.residual, TruePredicate)
+                    else self.residual.bind_mask(self.schema))
+        cpu = ctx.config.cpu
+        # One row per entry, in charge order; hit and emit are conditional.
+        costs = _np.array([cpu.index_entry, ctx.buffer.hit_cpu_ms,
+                           cpu.tuple_inspect, cpu.tuple_emit])
         rng = self.key_range
-        for _key, tid in self.index.scan(
+        pending: list = []
+        room = DEFAULT_BATCH_SIZE
+        for codes in self.index.scan_leaf_codes(
             ctx, lo=rng.lo, hi=rng.hi,
             lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
         ):
-            page = ctx.get_page(heap, tid.page_id)
-            ctx.charge_inspect()
-            row = page.get(tid.slot)
-            if matches(row):
-                ctx.charge_emit()
-                yield row
+            while len(codes):
+                block, codes = codes[:room], codes[room:]
+                pages = block >> TID_SHIFT
+                found = image.take(pages * per_page + (block & TID_SLOT_MASK))
+                charged = _np.ones((len(block), 4), dtype=bool)
+                charged[:, 1] = ctx.buffer.touch_pages(heap, pages.tolist())
+                mask = None if residual is None else residual(found)
+                if mask is not None:
+                    charged[:, 3] = mask
+                    found = found.filter(mask)
+                ctx.clock.charge_cpu_seq(
+                    _np.broadcast_to(costs, charged.shape)[charged])
+                if found is None:
+                    continue
+                pending.append(found.sel)
+                room -= len(found)
+                if not room:
+                    yield image.take(_np.concatenate(pending))
+                    pending = []
+                    room = DEFAULT_BATCH_SIZE
+        if pending:
+            yield image.take(_np.concatenate(pending))
 
 
 class SortScan(Operator):
@@ -148,8 +176,8 @@ class SortScan(Operator):
         entry) so collecting, sorting and page-grouping the bitmap are
         all array operations; the code order equals TID tuple order, so
         emission is in physical (page, slot) order.  Phase 2 fetches and
-        charges page by page but selects a dense run's rows extent by
-        extent, out of the heap's cached run chunks.
+        charges page by page but emits a dense run as one selection
+        vector over the heap image.
         """
         codes = self.index.scan_codes(
             ctx, lo=self.key_range.lo, hi=self.key_range.hi,
@@ -159,14 +187,14 @@ class SortScan(Operator):
         if not len(codes):
             return
         heap = self.table.heap
-        names = self.schema.column_names
         filter_chunk = self.residual.bind_chunk(self.schema)
         codes = _np.sort(codes)
         ctx.charge_compare(_nlogn(len(codes)))
 
         # Phase 2: group the sorted codes by page with one diff pass.
         pages_arr = codes >> TID_SHIFT
-        slots_arr = codes & ((1 << TID_SHIFT) - 1)
+        slots_arr = codes & TID_SLOT_MASK
+        positions = pages_arr * heap.tuples_per_page + slots_arr
         bounds = _np.flatnonzero(pages_arr[1:] != pages_arr[:-1]) + 1
         starts = _np.concatenate(([0], bounds))
         ends = _np.concatenate((bounds, [len(codes)]))
@@ -175,11 +203,11 @@ class SortScan(Operator):
                          zip(starts.tolist(), ends.tolist(), strict=False),
                          strict=False))
         matches = self.residual.bind(self.schema)
-        extent = ctx.config.extent_pages
         for run_start, run_len in _contiguous_runs(page_ids):
             # Candidates per run: spans are contiguous in code space.
-            total = spans[run_start + run_len - 1][1] - spans[run_start][0]
-            if total < run_len * _SPARSE_SLOTS_PER_PAGE:
+            first = spans[run_start][0]
+            end = spans[run_start + run_len - 1][1]
+            if end - first < run_len * _SPARSE_SLOTS_PER_PAGE:
                 # Sparse run (few slots per page): gathering whole-page
                 # columns to select a handful of rows costs more than
                 # fetching the rows directly.  Same charges, row batch.
@@ -199,31 +227,18 @@ class SortScan(Operator):
             for page in ctx.get_run(heap, run_start, run_len):
                 lo, hi = spans[page.page_id]
                 ctx.charge_inspect(hi - lo)
-            # Payload comes per *extent*, not per page: the extent-aligned
-            # run chunks are the ones FullTableScan caches on the heap, so
-            # a run costs one selection vector per 16 pages and adds no
-            # cache key.  Only the last heap page can be short, hence a
-            # candidate's position in its extent's chunk is fixed.
-            parts: list[Chunk] = []
-            run_end = run_start + run_len
-            for ext in range(run_start - run_start % extent, run_end,
-                             extent):
-                lo = spans[max(ext, run_start)][0]
-                hi = spans[min(ext + extent, run_end) - 1][1]
-                chunk = heap.run_chunk(
-                    ext, min(extent, heap.num_pages - ext), names)
-                if hi - lo != len(chunk):
-                    chunk = chunk.take(
-                        (pages_arr[lo:hi] - ext) * heap.tuples_per_page
-                        + slots_arr[lo:hi]
-                    )
-                kept = filter_chunk(chunk)
-                if kept is not None:
-                    parts.append(kept)
-            if parts:
-                batch = Chunk.concat(parts)
-                ctx.charge_emit(len(batch))
-                yield batch
+            # One batch per run (batch boundaries are simulated-clock
+            # state: Exchange interleaves on them): the run's candidates
+            # as positions in the heap image — a plain slice when every
+            # row of the run is one, as TIDs are distinct and sorted.
+            start, stop = int(positions[first]), int(positions[end - 1]) + 1
+            image = heap.image()
+            kept = filter_chunk(
+                image[start:stop] if stop - start == end - first
+                else image.take(positions[first:end]))
+            if kept is not None:
+                ctx.charge_emit(len(kept))
+                yield kept
 
 
 def _contiguous_runs(page_ids: list[int]) -> Iterator[tuple[int, int]]:

@@ -30,6 +30,8 @@ from repro.storage.types import TID
 #: Heap pages hold far fewer than 2**20 tuples, so the packing is exact
 #: and code order equals ``(page_id, slot)`` tuple order.
 TID_SHIFT = 20
+#: The slot bits of a packed TID code.
+TID_SLOT_MASK = (1 << TID_SHIFT) - 1
 
 
 class IndexPage:
@@ -185,6 +187,31 @@ class BTreeIndex:
             ctx.charge_index_entry()
             yield self._keys[pos], self._tids[pos]
 
+    def _leaf_spans(self, ctx, lo: object | None, hi: object | None,
+                    lo_inclusive: bool,
+                    hi_inclusive: bool) -> Iterator[tuple[int, int]]:
+        """Yield a key range's entry positions ``(start, end)`` leaf by leaf.
+
+        The one walk under every batch scan below: charges the descent,
+        and each further leaf's page read only when the consumer asks for
+        that leaf.  Per-entry CPU is the caller's to charge.
+        """
+        start, end = self.range_positions(lo, hi, lo_inclusive, hi_inclusive)
+        if start >= end:
+            if self._keys:
+                # An empty range still pays the descent that discovers it.
+                self._charge_descent(ctx, min(start, len(self._keys) - 1))
+            return
+        self._charge_descent(ctx, start)
+        fanout = self.fanout
+        pos = start
+        while pos < end:
+            leaf_end = min(end, (pos // fanout + 1) * fanout)
+            yield pos, leaf_end
+            pos = leaf_end
+            if pos < end:
+                ctx.buffer.get_page(self, pos // fanout, stream_hint=True)
+
     def scan_batches(self, ctx, lo: object | None = None,
                      hi: object | None = None,
                      lo_inclusive: bool = True,
@@ -197,22 +224,11 @@ class BTreeIndex:
         one leaf page at a time as parallel key/TID slices, so consumers
         pay no per-entry generator resumption.
         """
-        start, end = self.range_positions(lo, hi, lo_inclusive, hi_inclusive)
-        if start >= end:
-            if self._keys:
-                # An empty range still pays the descent that discovers it.
-                self._charge_descent(ctx, min(start, len(self._keys) - 1))
-            return
-        self._charge_descent(ctx, start)
-        keys, tids, fanout = self._keys, self._tids, self.fanout
-        pos = start
-        while pos < end:
-            leaf_end = min(end, (pos // fanout + 1) * fanout)
+        keys, tids = self._keys, self._tids
+        for pos, leaf_end in self._leaf_spans(ctx, lo, hi, lo_inclusive,
+                                              hi_inclusive):
             ctx.charge_index_entry(leaf_end - pos)
             yield keys[pos:leaf_end], tids[pos:leaf_end]
-            pos = leaf_end
-            if pos < end:
-                ctx.buffer.get_page(self, pos // fanout, stream_hint=True)
 
     def scan_codes(self, ctx, lo: object | None = None,
                    hi: object | None = None,
@@ -226,51 +242,28 @@ class BTreeIndex:
         consumers (SortScan's bitmap phase) can sort and group without
         touching a Python object per entry.
         """
-        start, end = self.range_positions(lo, hi, lo_inclusive, hi_inclusive)
-        if start >= end:
-            if self._keys:
-                # An empty range still pays the descent that discovers it.
-                self._charge_descent(ctx, min(start, len(self._keys) - 1))
-            return _np.empty(0, dtype=_np.int64)
-        self._charge_descent(ctx, start)
-        fanout = self.fanout
-        pos = start
-        while pos < end:
-            leaf_end = min(end, (pos // fanout + 1) * fanout)
+        for pos, leaf_end in self._leaf_spans(ctx, lo, hi, lo_inclusive,
+                                              hi_inclusive):
             ctx.charge_index_entry(leaf_end - pos)
-            pos = leaf_end
-            if pos < end:
-                ctx.buffer.get_page(self, pos // fanout, stream_hint=True)
+        start, end = self.range_positions(lo, hi, lo_inclusive, hi_inclusive)
         return self._code_array()[start:end]
 
-    def scan_code_batches(self, ctx, lo: object | None = None,
-                          hi: object | None = None,
-                          lo_inclusive: bool = True,
-                          hi_inclusive: bool = False):
+    def scan_leaf_codes(self, ctx, lo: object | None = None,
+                        hi: object | None = None,
+                        lo_inclusive: bool = True,
+                        hi_inclusive: bool = False):
         """Yield per-leaf packed TID code slices over a key range.
 
-        The code counterpart of :meth:`scan_batches` for consumers that
-        never look at keys (Smooth Scan's eager unordered path): identical
-        descent, leaf-read and per-entry charges, paid lazily as the
-        consumer advances leaf by leaf.
+        For consumers that never look at keys.  Descent and leaf reads
+        are charged here, lazily as the consumer advances leaf by leaf;
+        the per-entry CPU is the consumer's to charge — a leaf at a time
+        (Smooth Scan's eager unordered path), or entry by entry inside a
+        longer per-tuple charge sequence (the index scan).
         """
-        start, end = self.range_positions(lo, hi, lo_inclusive, hi_inclusive)
-        if start >= end:
-            if self._keys:
-                # An empty range still pays the descent that discovers it.
-                self._charge_descent(ctx, min(start, len(self._keys) - 1))
-            return
-        self._charge_descent(ctx, start)
         codes = self._code_array()
-        fanout = self.fanout
-        pos = start
-        while pos < end:
-            leaf_end = min(end, (pos // fanout + 1) * fanout)
-            ctx.charge_index_entry(leaf_end - pos)
+        for pos, leaf_end in self._leaf_spans(ctx, lo, hi, lo_inclusive,
+                                              hi_inclusive):
             yield codes[pos:leaf_end]
-            pos = leaf_end
-            if pos < end:
-                ctx.buffer.get_page(self, pos // fanout, stream_hint=True)
 
     def _code_array(self):
         """The full packed-code array, built lazily and cached."""

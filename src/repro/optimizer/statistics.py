@@ -39,7 +39,8 @@ class Histogram:
         Uniformity is assumed *within* buckets — the textbook (and
         PostgreSQL) interpolation that breaks down under skew.
         """
-        if self.total == 0 or not self.counts:
+        total = self.total
+        if total == 0:
             return 0.0
         lo_v = self.lo if lo is None else max(float(lo), self.lo)
         hi_v = self.hi if hi is None else min(float(hi), self.hi)
@@ -47,17 +48,23 @@ class Histogram:
             return 0.0
         if self.hi == self.lo:
             return 1.0
-        width = (self.hi - self.lo) / len(self.counts)
+        counts = self.counts
+        width = (self.hi - self.lo) / len(counts)
         if width <= 0:
             return 1.0
+        # Only buckets around [lo_v, hi_v] can overlap it (one spare on
+        # each side for rounding); the rest would add nothing, so the
+        # float sum is the one a walk over every bucket gives.
+        first = max(0, int((lo_v - self.lo) / width) - 1)
+        last = min(len(counts), int((hi_v - self.lo) / width) + 2)
         covered = 0.0
-        for i, count in enumerate(self.counts):
+        for i in range(first, last):
             b_lo = self.lo + i * width
             b_hi = b_lo + width
             overlap = min(hi_v, b_hi) - max(lo_v, b_lo)
             if overlap > 0:
-                covered += count * (overlap / width)
-        return min(1.0, covered / self.total)
+                covered += counts[i] * (overlap / width)
+        return min(1.0, covered / total)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Iterable, Protocol
 
 from repro.errors import StorageError
 from repro.storage.disk import SimulatedDisk
@@ -151,6 +151,34 @@ class BufferPool:
         if misses:
             self.stats.misses += misses
         return pages
+
+    def touch_pages(self, file: PagedFile,
+                    page_ids: Iterable[int]) -> list[bool]:
+        """Request ``page_ids`` one at a time, in order; was each a hit?
+
+        The pool and disk transitions of one :meth:`get_page` per id — a
+        miss is a single-page read, admitted (and the LRU victim evicted)
+        before the next id is looked at — for callers that need no page
+        object.  The hit CPU charge is *not* made here: the caller places
+        ``hit_cpu_ms`` per returned hit inside its own per-tuple charge
+        sequence, where :meth:`get_page` would have charged it.
+        """
+        resident = self._pages
+        stats = self.stats
+        file_id = file.file_id
+        hits = []
+        for pid in page_ids:
+            key = (file_id, pid)
+            hit = key in resident
+            if hit:
+                resident.move_to_end(key)
+                stats.hits += 1
+            else:
+                stats.misses += 1
+                self.disk.read_page(file_id, pid)
+                self._admit(key, file.page(pid))
+            hits.append(hit)
+        return hits
 
     def reset(self) -> None:
         """Evict everything and zero stats (start of a cold run)."""

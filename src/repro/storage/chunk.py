@@ -8,7 +8,11 @@ columns, computed values, and anything whose values do not round-trip
 through a fixed-width array (e.g. integers outside the ``int64`` range)
 are object columns, and every mask helper below accepts both kinds.  An
 optional *selection vector* names the positions that are logically
-present, so a filter can narrow a chunk without copying column data.
+present, so a filter can narrow a chunk without copying column data — and
+a scan can hand out a batch as *positions* over the heap's one table-wide
+chunk (:meth:`~repro.storage.heap.HeapFile.image`): the payload of a
+column moves once, at the first consumer that reads it, and the columns
+nobody reads never move.
 
 Chunks are row-compatible by construction: they implement the read-only
 sequence protocol over rows (``len``, iteration, indexing, slicing), and
@@ -66,14 +70,32 @@ def _is_array(col) -> bool:
     return isinstance(col, _np.ndarray)
 
 
+def extend_column(col: ColumnData, values: list) -> ColumnData:
+    """``col`` followed by ``values`` — what typing them together gives.
+
+    The old part is never re-typed from its values: an array stays an
+    array when the new values type to the same dtype, and otherwise both
+    halves fall back to one object list, exactly as
+    :func:`_typed_column` over all the values would decide.
+    """
+    tail = _typed_column(values)
+    if not len(col):
+        return tail
+    if _is_array(col) and _is_array(tail) and col.dtype == tail.dtype:
+        return _np.concatenate((col, tail))
+    return (col.tolist() if _is_array(col) else col) + values
+
+
 class Chunk:
     """A columnar batch: named columns plus an optional selection vector.
 
     ``columns`` holds one entry per schema column over the chunk's
-    *physical* rows; ``sel`` (ascending positions into the physical rows,
-    or ``None`` for "all") defines the logical view every sequence-
-    protocol method exposes.  Construction never copies column data —
-    :meth:`take`, :meth:`project` and slicing share the backing arrays.
+    *physical* rows; ``sel`` (positions into the physical rows in output
+    order — an index array, a list, or a ``range`` for a contiguous
+    slice — or ``None`` for "all") defines the logical view every
+    sequence-protocol method exposes.  Construction never copies column
+    data — :meth:`take`, :meth:`project` and slicing share the backing
+    columns, and a ``range`` selection reads array columns as views.
     """
 
     __slots__ = ("names", "columns", "sel", "_length", "_rows", "_compact")
@@ -141,17 +163,15 @@ class Chunk:
 
     def __getitem__(self, item):
         if isinstance(item, slice):
+            start, stop, step = item.indices(self._length)
+            if step != 1:
+                return self.take(list(range(start, stop, step)))
+            # A contiguous slice is a ``range`` selection (always step
+            # 1): no column is touched until a consumer reads it.
             sel = self.sel
-            if sel is None:
-                start, stop, step = item.indices(self._length)
-                if step == 1:
-                    return Chunk(
-                        self.names,
-                        [col[start:stop] for col in self.columns],
-                    )
-                indices = list(range(start, stop, step))
-                return self.take(indices)
-            return Chunk(self.names, self.columns, sel=sel[item])
+            return Chunk(self.names, self.columns,
+                         sel=range(start, max(start, stop)) if sel is None
+                         else sel[start:stop])
         return self.to_rows()[item]
 
     def to_rows(self) -> list[Row]:
@@ -174,7 +194,9 @@ class Chunk:
             return col
         cached = self._compact.get(i)
         if cached is None:
-            if _is_array(col):
+            if type(sel) is range:
+                cached = col[sel.start:sel.stop]
+            elif _is_array(col):
                 cached = col[sel] if _is_array(sel) else col[
                     _np.asarray(sel, dtype=_np.intp)]
             else:
@@ -199,6 +221,8 @@ class Chunk:
         sel = self.sel
         if sel is None:
             new_sel = indices
+        elif type(sel) is range:
+            new_sel = _np.asarray(indices, dtype=_np.intp) + sel.start
         elif _is_array(sel):
             new_sel = sel[_np.asarray(indices, dtype=_np.intp)] \
                 if not _is_array(indices) else sel[indices]

@@ -5,6 +5,14 @@ of :class:`~repro.storage.page.HeapPage`.  It never charges I/O itself;
 all timed access flows through the :class:`~repro.storage.buffer.BufferPool`
 so that repeated-page effects (the index scan's downfall) are modeled
 faithfully.
+
+Beside the row tuples on its pages, a heap keeps exactly one columnar
+representation: the *image*, a table-wide :class:`~repro.storage.chunk.
+Chunk` in physical order (row ``page * tuples_per_page + slot``), built
+on first columnar access and extended — never rebuilt — after appends.
+Every columnar batch a scan emits is a slice of it or a selection vector
+over it, so there is nothing to cache per page or per extent and nothing
+to invalidate but the row watermark.
 """
 
 from __future__ import annotations
@@ -12,14 +20,9 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import StorageError, UnknownPageError
-from repro.storage.chunk import Chunk
+from repro.storage.chunk import Chunk, extend_column
 from repro.storage.page import HeapPage
 from repro.storage.types import Row, Schema, TID
-
-#: Run-chunk cache bound, in total cached rows, as a multiple of the
-#: heap's row count (distinct scan extents tile the heap once; morphing
-#: regions can overlap — evict wholesale past this).
-_RUN_CHUNK_ROW_FACTOR = 4
 
 
 class HeapFile:
@@ -33,9 +36,9 @@ class HeapFile:
         self.tuples_per_page = tuples_per_page
         self._pages: list[HeapPage] = []
         self._row_count = 0
-        #: Cache of concatenated page chunks keyed by ``(start, n)``.
-        self._run_chunks: dict[tuple[int, int], Chunk] = {}
-        self._run_chunk_rows = 0
+        #: The columnar image of rows ``[0, len(self._image))``.
+        self._image = Chunk(schema.column_names,
+                            [[] for _ in schema.column_names])
 
     @property
     def num_pages(self) -> int:
@@ -57,33 +60,40 @@ class HeapFile:
         page = self._pages[-1]
         slot = page.insert(row)
         self._row_count += 1
-        if self._run_chunks:
-            self._run_chunks.clear()
-            self._run_chunk_rows = 0
         return TID(page.page_id, slot)
 
-    def run_chunk(self, start: int, n: int, names: tuple[str, ...]) -> Chunk:
-        """One chunk spanning pages ``[start, start + n)``, cached.
+    def image(self) -> Chunk:
+        """The whole heap as one columnar chunk, in physical order.
 
-        Scans fetch the same extents on every execution; concatenating the
-        per-page chunks once and reusing the result removes the dominant
-        per-drain cost of columnar full scans.  Callers still charge I/O
-        and CPU through the execution context — this is pure payload
-        access, like :meth:`page`.
+        Built one column at a time (a single transient value list, not a
+        transposed copy of the table) and brought up to date from the row
+        watermark: rows appended since the last call are typed on their
+        own and joined on, so a table that is synced by appends never
+        pays for its old rows again.  Chunks handed out earlier stay
+        valid — rows never move.  Callers only read.
         """
-        key = (start, n)
-        cached = self._run_chunks.get(key)
-        if cached is not None and cached.names == names:
-            return cached
-        if self._run_chunk_rows > _RUN_CHUNK_ROW_FACTOR * self._row_count:
-            self._run_chunks.clear()
-            self._run_chunk_rows = 0
-        merged = Chunk.concat(
-            [self._pages[i].chunk(names) for i in range(start, start + n)]
-        )
-        self._run_chunks[key] = merged
-        self._run_chunk_rows += len(merged)
-        return merged
+        image = self._image
+        if len(image) != self._row_count:
+            first, skip = divmod(len(image), self.tuples_per_page)
+            tail = self._pages[first].all_rows()[skip:]
+            for page in self._pages[first + 1:]:
+                tail.extend(page.all_rows())
+            image = self._image = Chunk(image.names, [
+                extend_column(col, [row[i] for row in tail])
+                for i, col in enumerate(image.columns)
+            ])
+        return image
+
+    def run_chunk(self, start: int, n: int, names: object = None) -> Chunk:
+        """Pages ``[start, start + n)`` as a zero-copy slice of the image.
+
+        Callers still charge I/O and CPU through the execution context —
+        this is pure payload access, like :meth:`page`.  ``names`` is
+        ignored: the frozen ``perf/probes.py`` still passes the schema's
+        column names, which is what the image carries anyway.
+        """
+        per_page = self.tuples_per_page
+        return self.image()[start * per_page:(start + n) * per_page]
 
     def page(self, page_id: int) -> HeapPage:
         """Return page ``page_id`` without charging I/O."""
@@ -100,10 +110,6 @@ class HeapFile:
     def iter_pages(self) -> Iterator[HeapPage]:
         """Yield pages in physical order (full-scan order)."""
         return iter(self._pages)
-
-    def iter_run(self, start: int, n: int) -> Iterator[HeapPage]:
-        """Yield pages ``[start, start + n)`` without charging I/O."""
-        return iter(self._pages[start:start + n])
 
     def iter_rows(self) -> Iterator[tuple[TID, Row]]:
         """Yield ``(TID, row)`` in physical order, charging no I/O."""

@@ -10,14 +10,13 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import PageFullError, StorageError
-from repro.storage.chunk import Chunk
 from repro.storage.types import Row
 
 
 class HeapPage:
     """One fixed-capacity page of rows."""
 
-    __slots__ = ("page_id", "capacity", "_rows", "_chunk")
+    __slots__ = ("page_id", "capacity", "_rows")
 
     def __init__(self, page_id: int, capacity: int):
         if capacity < 1:
@@ -25,7 +24,6 @@ class HeapPage:
         self.page_id = page_id
         self.capacity = capacity
         self._rows: list[Row] = []
-        self._chunk: Chunk | None = None
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -45,7 +43,6 @@ class HeapPage:
                 f"page {self.page_id} is full ({self.capacity} slots)"
             )
         self._rows.append(row)
-        self._chunk = None
         return len(self._rows) - 1
 
     def get(self, slot: int) -> Row:
@@ -68,17 +65,3 @@ class HeapPage:
         per-row iterator; callers must treat the list as read-only.
         """
         return self._rows
-
-    def chunk(self, names: tuple[str, ...]) -> Chunk:
-        """The page payload as a columnar :class:`Chunk`, cached per page.
-
-        The cache is invalidated by :meth:`insert`, so in the steady state
-        (bulk load, then scan-heavy workloads) each page pays the
-        row→column transposition once per lifetime.  Callers must treat
-        the chunk as read-only.
-        """
-        chunk = self._chunk
-        if chunk is None or chunk.names != names:
-            chunk = Chunk.from_rows(names, self._rows)
-            self._chunk = chunk
-        return chunk

@@ -33,12 +33,16 @@ class ColumnType(enum.Enum):
             if length is None or length <= 0:
                 raise StorageError("CHAR columns need a positive length")
             return length
-        return {
-            ColumnType.INT: 4,
-            ColumnType.BIGINT: 8,
-            ColumnType.FLOAT: 8,
-            ColumnType.DATE: 4,
-        }[self]
+        return _FIXED_SIZES[self]
+
+
+#: On-page byte sizes of the fixed-width types.
+_FIXED_SIZES = {
+    ColumnType.INT: 4,
+    ColumnType.BIGINT: 8,
+    ColumnType.FLOAT: 8,
+    ColumnType.DATE: 4,
+}
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,10 @@ class Schema:
         self._columns = tuple(columns)
         self._index = {c.name: i for i, c in enumerate(self._columns)}
         self._names = tuple(c.name for c in self._columns)
+        # Summed on first use, not here: derived schemas may carry CHAR
+        # columns of no declared length (a string literal in a select
+        # list) and are never laid out on a page.
+        self._payload_bytes: int | None = None
 
     @classmethod
     def of_ints(cls, names: Iterable[str]) -> "Schema":
@@ -114,7 +122,11 @@ class Schema:
 
     def payload_bytes(self) -> int:
         """Sum of column byte sizes, excluding the tuple header."""
-        return sum(c.byte_size for c in self._columns)
+        size = self._payload_bytes
+        if size is None:
+            size = self._payload_bytes = sum(
+                c.byte_size for c in self._columns)
+        return size
 
     def tuple_size(self, tuple_header: int) -> int:
         """Full on-page size of one row, including the header overhead."""

@@ -9,3 +9,11 @@ def snapshot(ctx, page_id):
 
 def tax(clock):
     clock.charge_cpu(0.5)
+
+
+def tax_each(clock, costs):
+    clock.charge_cpu_seq(costs)
+
+
+def warm(buffer, heap, page_ids):
+    return buffer.touch_pages(heap, page_ids)

@@ -44,14 +44,17 @@ def small_table(db):
     return db, table
 
 
-def _observe_plan(db, plan):
-    """Cold-run ``plan`` batch by batch; what it produced and charged.
+def _observe_plan(db, plan, cold=True):
+    """Run ``plan`` (cold by default) batch by batch; what it produced
+    and charged.
 
     Returns the rows and a JSON-sized record of the run: row count and
     SHA-256 of ``repr(rows)``, the batch lengths, and length + SHA-256
     of the exact argument sequences of ``SimClock.charge_cpu`` /
     ``charge_io`` — the form the frozen-at-the-parent goldens of the
-    scan regression tests are kept in.
+    scan regression tests are kept in.  A ``charge_cpu_seq`` call is
+    recorded element by element, as the per-element charges it stands
+    for, so goldens frozen before a loop became a sequence still hold.
     """
     from repro.exec.stats import StreamingRun
 
@@ -61,15 +64,18 @@ def _observe_plan(db, plan):
 
     cpu, io = [], []
     # Hooked on the runtime's clock instance, outside whatever is there
-    # already (the ledger sanitizer hooks the same two attributes).
+    # already (the ledger sanitizer hooks the same attributes).
     clock = db.runtime.clock
     charge_cpu, charge_io = clock.charge_cpu, clock.charge_io
+    charge_cpu_seq = clock.charge_cpu_seq
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(clock, "charge_cpu",
                       lambda ms: (cpu.append(ms), charge_cpu(ms))[1])
+        patch.setattr(clock, "charge_cpu_seq", lambda costs: (
+            cpu.extend(costs.tolist()), charge_cpu_seq(costs))[1])
         patch.setattr(clock, "charge_io",
                       lambda ms: (io.append(ms), charge_io(ms))[1])
-        run = StreamingRun(db, plan, cold=True)
+        run = StreamingRun(db, plan, cold=cold)
         rows, lengths = [], []
         while (batch := run.next_batch()) is not None:
             lengths.append(len(batch))

@@ -86,10 +86,11 @@ def test_rpl103_accepts_both_finally_shapes_and_allows():
 
 def test_rpl104_flags_charges_in_telemetry_modules():
     result = lint("telemetry/rpl104_bad.py", select={"RPL104"})
-    assert codes(result) == ["RPL104"] * 3
-    apis = " ".join(d.message for d in result.diagnostics)
-    for api in ("get_page", "charge_inspect", "charge_cpu"):
-        assert api in apis
+    assert codes(result) == ["RPL104"] * 5
+    apis = [d.message.split("()")[0].split()[-1]
+            for d in result.diagnostics]
+    assert apis == ["get_page", "charge_inspect", "charge_cpu",
+                    "charge_cpu_seq", "touch_pages"]
 
 
 def test_rpl104_quiet_on_pure_observation():

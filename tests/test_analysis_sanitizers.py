@@ -64,6 +64,20 @@ def test_planted_unattributed_charge_is_caught():
     sanitizer.uninstall()
 
 
+def test_planted_unattributed_sequence_charge_is_caught():
+    db = make_db()
+    sanitizer = LedgerSanitizer(db.runtime).install()
+    run_query(db)
+    before = db.clock.cpu_ms
+    with pytest.raises(SanitizerError, match="outside any attribution"):
+        db.clock.charge_cpu_seq([0.25, 0.5])  # the planted defect
+    assert "charge_cpu_seq(0.75 ms)" in sanitizer.violations[0].detail
+    assert db.clock.cpu_ms == before  # strict: refused, not charged
+    sanitizer.uninstall()
+    db.clock.charge_cpu_seq([0.25, 0.5])  # unhooked again: must not raise
+    assert db.clock.cpu_ms == before + 0.25 + 0.5
+
+
 def test_planted_counter_drift_is_caught_at_check():
     db = make_db()
     sanitizer = LedgerSanitizer(db.runtime).install()

@@ -46,7 +46,7 @@ from repro.exec.expressions import (
     range_filter,
     range_selector,
 )
-from repro.exec.iterator import DEFAULT_BATCH_SIZE, Operator
+from repro.exec.iterator import DEFAULT_BATCH_SIZE, Operator, chunked
 from repro.exec.joins import HashJoin, MergeJoin, NestedLoopJoin
 from repro.exec.misc import Filter, Limit, Materialize, Project, Rename
 from repro.exec.scans import FullTableScan, IndexScan, SortScan
@@ -462,28 +462,65 @@ def test_index_scan_batches_key_order_and_residual(small_table):
     )
 
 
-def test_index_scan_charges_once_per_tid(small_table):
+class _PerTidIndexScan(IndexScan):
+    """The reference: the paper's per-TID loop, one charge call at a time."""
+
+    def batches(self, ctx):
+        return chunked(self.schema.column_names, self._fetch_by_tid(ctx))
+
+    def _fetch_by_tid(self, ctx):
+        heap = self.table.heap
+        matches = self.residual.bind(self.schema)
+        rng = self.key_range
+        for _key, tid in self.index.scan(
+            ctx, lo=rng.lo, hi=rng.hi,
+            lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
+        ):
+            page = ctx.get_page(heap, tid.page_id)
+            ctx.charge_inspect()
+            row = page.get(tid.slot)
+            if matches(row):
+                ctx.charge_emit()
+                yield row
+
+
+def test_index_scan_charges_once_per_tid(observe_plan):
     """One heap-page request and one unit inspect per index entry, one
     unit emit per survivor: never a bulk ``charge_*(n)``, which would be
-    a different float sum than the paper's per-tuple loop."""
-    db, table = small_table
-    rng, residual = KeyRange(0, 200), InList("c3", (1, 2, 3))
-    entries = [row for _tid, row in table.heap.iter_rows()
-               if rng.contains(row[1])]
-    survivors = [row for row in entries if row[2] in (1, 2, 3)]
-    ctx = db.cold_run()
-    calls = {"get_page": [], "charge_inspect": [], "charge_emit": []}
-    for name, log in calls.items():
-        def spy(*args, _real=getattr(ctx, name), _log=log):
-            _log.append(args)
-            return _real(*args)
-        setattr(ctx, name, spy)
-    plan = IndexScan(table, "c2", rng, residual=residual)
-    rows = [row for batch in plan.batches(ctx) for row in batch]
-    assert sorted(rows) == sorted(survivors)
-    assert len(calls["get_page"]) == len(entries)
-    assert calls["charge_inspect"] == [()] * len(entries)
-    assert calls["charge_emit"] == [()] * len(survivors)
+    a different float sum than the paper's per-tuple loop.  The block
+    walk must be that loop to the bit: same rows and batches, same
+    ``charge_cpu`` / ``charge_io`` argument sequences, same ledger —
+    with and without a residual, roomy pool and thrashing one."""
+    import random
+
+    from repro.config import EngineConfig
+    from repro.database import Database
+    from repro.exec.stats import measure
+
+    for pool_pages in (None, 4):
+        db = Database(config=EngineConfig(buffer_pool_pages=pool_pages)
+                      if pool_pages else None)
+        rng = random.Random(123)
+        table = db.load_table(
+            "t", Schema.of_ints(["c1", "c2", "c3"]),
+            [(i, rng.randrange(0, 1000), rng.randrange(0, 10))
+             for i in range(5_000)])
+        db.create_index("t", "c2")
+        entries = sum(row[1] < 800 for _tid, row in table.heap.iter_rows())
+        for residual in (None, InList("c3", (1, 2, 3))):
+            args = (table, "c2", KeyRange(0, 800), residual)
+            rows, observed = observe_plan(db, IndexScan(*args))
+            wanted_rows, wanted = observe_plan(db, _PerTidIndexScan(*args))
+            assert rows == wanted_rows and len(rows) > DEFAULT_BATCH_SIZE
+            assert observed == wanted
+            # entry + inspect per entry, emit per survivor, hits on top.
+            assert observed["cpu"][0] >= 2 * entries + len(rows)
+            got, want = (measure(db, scan(*args))
+                         for scan in (IndexScan, _PerTidIndexScan))
+            for field in ("io_ms", "cpu_ms", "disk",
+                          "buffer_hits", "buffer_misses"):
+                assert getattr(got, field) == getattr(want, field), field
+            assert got.buffer_hits + got.buffer_misses > entries
 
 
 def test_limit_over_index_scan_charges_frozen_shim_numbers(small_table):

@@ -266,16 +266,50 @@ def test_sort_scan_extent_gather_keeps_rows_batches_and_charges(
     assert rows == wanted
 
 
-def test_sort_scan_dense_gather_reuses_the_full_scan_cache_keys(db):
+def test_scans_leave_one_image_and_no_per_extent_state(db):
+    """Every columnar batch is a selection over the heap's one image —
+    no column is copied into it — and draining the scans again retains
+    nothing: no per-page, per-extent or per-region chunk is kept."""
+    import gc
+    import tracemalloc
+
+    from repro.core.smooth_scan import SmoothScan
+    from repro.storage.chunk import Chunk
+
     table = build_banded_table(db)
     heap = table.heap
-    measure(db, FullTableScan(table))
-    keys = set(heap._run_chunks)
-    assert keys == {(s, min(16, heap.num_pages - s))
-                    for s in range(0, heap.num_pages, 16)}
-    measure(db, SortScan(table, "c2", KeyRange(0, 10)))
-    measure(db, SortScan(table, "c2"))
-    assert set(heap._run_chunks) == keys
+    image = heap.image()
+    plans = [FullTableScan(table, Between("c2", 0, 10)),
+             IndexScan(table, "c2", KeyRange(0, 10)),
+             SortScan(table, "c2", KeyRange(0, 10)), SortScan(table, "c2"),
+             SmoothScan(table, "c2", KeyRange(0, 10)),
+             SmoothScan(table, "c2", residual=Between("c3", 1, 3))]
+
+    def drain():
+        chunks = 0
+        for plan in plans:
+            for batch in plan.batches(db.cold_run()):
+                if isinstance(batch, Chunk):
+                    chunks += 1
+                    assert all(mine is its for mine, its in zip(
+                        batch.columns, image.columns, strict=True))
+        return chunks
+
+    assert drain() > len(plans)
+    assert heap.image() is image
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        drain()
+        drain()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # Less than one int64 column of the table, let alone a copy of it.
+    assert retained < 8 * heap.row_count
+    assert heap.image() is image
 
 
 def test_sort_scan_banded_runs_are_the_intended_shapes(db, observe_plan):
@@ -287,3 +321,213 @@ def test_sort_scan_banded_runs_are_the_intended_shapes(db, observe_plan):
     assert 16 * per_page in lengths          # pages 64-79
     assert 2 * per_page + 37 in lengths      # pages 88-90, short tail
     assert lengths.count(1) >= 3             # stray single-row runs
+
+
+# -- IndexScan walks packed codes in blocks: nothing it charges may move ------
+#
+# ``INDEX_GOLDEN`` was recorded at the commit before the block walk (when
+# IndexScan pulled ``index.scan`` entry by entry, fetched ``page.get`` per
+# TID and cut the survivors with ``chunked``), with conftest's
+# ``observe_plan`` as above plus ``repr`` of the shared clock's totals after
+# the run, which pins the *sums* to the bit where ``scale`` is not 1.
+
+def _index_exchange(db, **kwargs):
+    from repro.exec.exchange import Exchange, ShardedScan
+
+    build_banded_table(db)
+    db.shard_table("banded", 3, "round_robin")
+    return Exchange([
+        ShardedScan(IndexScan(db.table(f"banded#{i}"), "c2", **kwargs),
+                    f"banded#{i}", i)
+        for i in range(3)
+    ], table_name="banded")
+
+
+def _index_limit(db, n, **kwargs):
+    from repro.exec.misc import Limit
+    return Limit(IndexScan(build_banded_table(db), "c2", **kwargs), n)
+
+
+def _tag_is(value):
+    from repro.exec.expressions import CompareOp, Comparison
+    return Comparison("tag", CompareOp.EQ, value)
+
+
+#: case -> (buffer pool pages or None for the default, warm pool?, plan).
+INDEX_CASES = {
+    "index/bands-cold": (None, False, lambda db: IndexScan(
+        build_banded_table(db), "c2", KeyRange(0, 10))),
+    "index/bands-warm": (None, True, lambda db: IndexScan(
+        build_banded_table(db), "c2", KeyRange(0, 10))),
+    "index/bands-tiny-pool": (8, False, lambda db: IndexScan(
+        build_banded_table(db), "c2", KeyRange(0, 10))),
+    "index/bands-tiny-pool-warm": (8, True, lambda db: IndexScan(
+        build_banded_table(db), "c2", KeyRange(0, 10))),
+    "index/residual": (None, False, lambda db: IndexScan(
+        build_banded_table(db), "c2", KeyRange(0, 10),
+        residual=Between("c3", 1, 3))),
+    "index/residual-none-pass": (None, False, lambda db: IndexScan(
+        build_banded_table(db), "c2", KeyRange(0, 10),
+        residual=Between("c3", 7, 9))),
+    "index/residual-char": (8, False, lambda db: IndexScan(
+        build_banded_table(db), "c2", KeyRange(0, 10),
+        residual=_tag_is("t1"))),
+    "index/whole-heap": (None, False, lambda db: IndexScan(
+        build_banded_table(db), "c2")),
+    "index/cold-only-tiny-pool": (8, False, lambda db: IndexScan(
+        build_banded_table(db), "c2", KeyRange(100, 4000))),
+    "index/empty-range": (None, False, lambda db: IndexScan(
+        build_banded_table(db), "c2", KeyRange(50, 60))),
+    "index/limit-first-flush": (None, False, lambda db: _index_limit(
+        db, 5, key_range=KeyRange(0, 10))),
+    "index/limit-mid-block": (8, False, lambda db: _index_limit(
+        db, 1_500, key_range=KeyRange(0, 10),
+        residual=Between("c3", 1, 3))),
+    "index/exchange": (None, False, lambda db: _index_exchange(
+        db, key_range=KeyRange(0, 10))),
+    "index/exchange-residual-tiny-pool": (8, False, lambda db:
+                                          _index_exchange(
+        db, key_range=KeyRange(0, 10), residual=Between("c3", 1, 3))),
+}
+
+
+def _observe_index_case(case, observe_plan):
+    from repro.config import EngineConfig
+    from repro.database import Database
+
+    pool, warm, build = INDEX_CASES[case]
+    db = Database(config=EngineConfig(buffer_pool_pages=pool)
+                  if pool else None)
+    plan = build(db)
+    if warm:
+        measure(db, plan)
+    rows, observed = observe_plan(db, plan, cold=not warm)
+    clock = db.runtime.clock
+    observed["clock"] = [repr(clock.io_ms), repr(clock.cpu_ms)]
+    return db, plan, rows, observed
+
+
+INDEX_GOLDEN = {
+    "index/bands-cold": {
+        "batches": [1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 222],
+        "clock": ["7.441499999999996", "3.7722000000001623"],
+        "cpu": [37692, "624a500ea2fe8bef"],
+        "io": [67, "e324dc90f57a3042"],
+        "rows": [9438, "ad6217555664f553"],
+    },
+    "index/bands-tiny-pool": {
+        "batches": [1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 222],
+        "clock": ["43.97250000000015", "3.747450000000181"],
+        "cpu": [37197, "8730e29a4779a2c7"],
+        "io": [562, "b89a1c123c56956d"],
+        "rows": [9438, "ad6217555664f553"],
+    },
+    "index/bands-tiny-pool-warm": {
+        "batches": [1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 222],
+        "clock": ["87.9449999999992", "7.49489999999983"],
+        "cpu": [37197, "8730e29a4779a2c7"],
+        "io": [562, "b89a1c123c56956d"],
+        "rows": [9438, "ad6217555664f553"],
+    },
+    "index/bands-warm": {
+        "batches": [1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 222],
+        "clock": ["10.3935", "7.547149999999747"],
+        "cpu": [37747, "3c082b4d2c15bf38"],
+        "io": [12, "1c24f75e72b81176"],
+        "rows": [9438, "ad6217555664f553"],
+    },
+    "index/cold-only-tiny-pool": {
+        "batches": [1024, 1024, 661],
+        "clock": ["1270.5285000000288", "0.9481499999999201"],
+        "cpu": [8127, "e3235ec8c5371dad"],
+        "io": [2713, "e3088132fa56d353"],
+        "rows": [2709, "560253bfe5f074a8"],
+    },
+    "index/empty-range": {
+        "batches": [],
+        "clock": ["1.23", "0.0"],
+        "cpu": [0, "4f53cda18c2baa0c"],
+        "io": [2, "65d3a6c19d5e2d84"],
+        "rows": [0, "4f53cda18c2baa0c"],
+    },
+    "index/exchange": {
+        "batches": [1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 78, 72, 72],
+        "clock": ["8.24100000000003", "1.7269000000007202"],
+        "cpu": [37560, "9150d1009dbbf4f9"],
+        "io": [213, "6b8eac8867189c66"],
+        "rows": [9438, "cf903babf16b30f6"],
+    },
+    "index/exchange-residual-tiny-pool": {
+        "batches": [1024, 1024, 1024, 235, 234, 233],
+        "clock": ["21.627499999999774", "1.24716666666699"],
+        "cpu": [31426, "a401db0e62677f7b"],
+        "io": [677, "e7b47c5b3addeaa3"],
+        "rows": [3774, "09dad304d318843e"],
+    },
+    "index/limit-first-flush": {
+        "batches": [5],
+        "clock": ["5.165999999999998", "0.40684999999997773"],
+        "cpu": [4041, "eab1e573d24b783b"],
+        "io": [57, "046042fc650ecc74"],
+        "rows": [5, "a089333192c7c82a"],
+    },
+    "index/limit-mid-block": {
+        "batches": [1024, 476],
+        "clock": ["28.166999999999852", "1.9353500000004726"],
+        "cpu": [19181, "705ab436834279d0"],
+        "io": [350, "766cb55cfb2c338c"],
+        "rows": [1500, "65952f8fc552677e"],
+    },
+    "index/residual": {
+        "batches": [1024, 1024, 1024, 702],
+        "clock": ["7.441499999999996", "3.205799999999965"],
+        "cpu": [32028, "91bbd86179e165f1"],
+        "io": [67, "e324dc90f57a3042"],
+        "rows": [3774, "2052fba17a545f7d"],
+    },
+    "index/residual-char": {
+        "batches": [1024, 1024, 1024, 72],
+        "clock": ["43.97250000000015", "3.1180499999998537"],
+        "cpu": [30903, "80d7922b35581fcb"],
+        "io": [562, "b89a1c123c56956d"],
+        "rows": [3144, "049e18a2965b2a37"],
+    },
+    "index/residual-none-pass": {
+        "batches": [],
+        "clock": ["7.441499999999996", "2.82839999999984"],
+        "cpu": [28254, "f505ae267c01cf70"],
+        "io": [67, "e324dc90f57a3042"],
+        "rows": [0, "4f53cda18c2baa0c"],
+    },
+    "index/whole-heap": {
+        "batches": [1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024,
+                    1024, 1024, 1024, 1024, 337],
+        "clock": ["20.971499999999974", "6.273999999999891"],
+        "cpu": [62692, "dc06aa2f8b160719"],
+        "io": [107, "4a3f29853482c03a"],
+        "rows": [15697, "83d1527bab452084"],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(INDEX_CASES))
+def test_index_scan_block_walk_keeps_rows_batches_and_charges(
+        case, observe_plan):
+    db, plan, rows, observed = _observe_index_case(case, observe_plan)
+    assert observed == INDEX_GOLDEN[case]
+    # ... and the rows are right, not merely unchanged.
+    scans = [plan]
+    while not isinstance(scans[0], IndexScan):
+        scans = [c for op in scans for c in op.children()]
+    lo, hi = scans[0].key_range.lo, scans[0].key_range.hi
+    matches = scans[0].residual.bind(scans[0].schema)
+    wanted = [r for r in measure(db, FullTableScan(db.table("banded"))).rows
+              if (lo is None or r[1] >= lo) and (hi is None or r[1] < hi)
+              and matches(r)]
+    if len(scans) == 1:
+        # Key order, physical order within a key: a prefix under Limit.
+        wanted.sort(key=lambda r: (r[1], r[0]))
+        assert rows == wanted[:len(rows)]
+        assert len(rows) == min(len(wanted), getattr(plan, "n", len(wanted)))
+    else:
+        assert sorted(rows) == wanted

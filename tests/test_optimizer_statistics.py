@@ -1,6 +1,7 @@
 """Histograms, the statistics catalog, and staleness injection."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import StatisticsError
 from repro.optimizer.statistics import ColumnStats, Histogram, StatisticsCatalog
@@ -31,6 +32,52 @@ def test_histogram_empty_and_degenerate():
     assert Histogram(0.0, 1.0, []).range_fraction(0, 1) == 0.0
     point = Histogram(5.0, 5.0, [10])
     assert point.range_fraction(0, 10) == 1.0
+
+
+def _range_fraction_over_every_bucket(hist, lo, hi):
+    """``Histogram.range_fraction`` as it was: all buckets, every call."""
+    if hist.total == 0 or not hist.counts:
+        return 0.0
+    lo_v = hist.lo if lo is None else max(float(lo), hist.lo)
+    hi_v = hist.hi if hi is None else min(float(hi), hist.hi)
+    if hi_v < lo_v:
+        return 0.0
+    if hist.hi == hist.lo:
+        return 1.0
+    width = (hist.hi - hist.lo) / len(hist.counts)
+    if width <= 0:
+        return 1.0
+    covered = 0.0
+    for i, count in enumerate(hist.counts):
+        b_lo = hist.lo + i * width
+        b_hi = b_lo + width
+        overlap = min(hi_v, b_hi) - max(lo_v, b_lo)
+        if overlap > 0:
+            covered += count * (overlap / width)
+    return min(1.0, covered / hist.total)
+
+
+_BOUND = st.none() | st.integers(-10**6, 10**6) | st.floats(
+    -1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    lo=st.floats(-1e6, 1e6, allow_nan=False),
+    span=st.sampled_from([0.0, 1e-9, 0.1, 1.0, 99.0, 100.0, 12345.678, 1e9]),
+    counts=st.lists(st.integers(0, 10**6), max_size=120),
+    a=_BOUND, b=_BOUND, snap=st.booleans(), data=st.data(),
+)
+def test_histogram_range_fraction_skips_only_buckets_that_add_nothing(
+        lo, span, counts, a, b, snap, data):
+    hist = Histogram(lo=lo, hi=lo + span, counts=counts)
+    if snap and counts:
+        # Bounds on (and a hair off) bucket edges: where rounding lives.
+        width = span / len(counts)
+        a = lo + data.draw(st.integers(-1, len(counts) + 1)) * width
+        b = a + data.draw(st.sampled_from([0.0, width, 3 * width, span]))
+    expected = _range_fraction_over_every_bucket(hist, a, b)
+    assert hist.range_fraction(a, b).hex() == float(expected).hex()
 
 
 def test_histogram_skew_detected():

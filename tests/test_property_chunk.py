@@ -9,6 +9,7 @@ indexing would.  Values must come back as built-in Python types, never
 NumPy scalars.
 """
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.storage.chunk import Chunk, mask_from_bools
@@ -91,6 +92,23 @@ def test_take_and_slice_match_row_indexing(batch, data):
     lo = data.draw(st.integers(0, len(rows)))
     hi = data.draw(st.integers(lo, len(rows)))
     assert chunk[lo:hi].to_rows() == rows[lo:hi]
+
+    # A contiguous slice is a lazy ``range`` selection: narrowing it again
+    # (slice, take in any order, array indices, filter) composes offsets.
+    window, part = chunk[lo:hi], rows[lo:hi]
+    a = data.draw(st.integers(0, len(part)))
+    b = data.draw(st.integers(a, len(part)))
+    assert window[a:b].to_rows() == part[a:b]
+    assert window[::2].to_rows() == part[::2]
+    picks = data.draw(st.lists(st.integers(0, max(0, len(part) - 1)),
+                               max_size=8)) if part else []
+    assert window.take(picks).to_rows() == [part[i] for i in picks]
+    assert window.take(np.array(picks, dtype=np.intp)).to_rows() == \
+        [part[i] for i in picks]
+    odd = window.filter(mask_from_bools((i % 2 for i in range(len(part))),
+                                        len(part)))
+    assert (odd.to_rows() if odd is not None else []) == part[1::2]
+    _assert_plain_python(window.to_rows())
 
     # A second narrowing composes selection vectors.
     if indices:

@@ -25,6 +25,17 @@ def test_schema_of_ints_and_payload():
     assert schema.tuple_size(tuple_header=24) == 36
 
 
+def test_payload_is_summed_once_and_only_when_a_layout_asks():
+    schema = Schema([Column("k"), Column("tag", ColumnType.CHAR, 25)])
+    assert schema.payload_bytes() == schema.payload_bytes() == 29
+    # A derived schema (a string literal in a select list) has a CHAR of
+    # no declared length: it is a fine schema until someone lays it out.
+    derived = Schema([Column("lit", ColumnType.CHAR), Column("n")])
+    assert derived.column_names == ("lit", "n")
+    with pytest.raises(StorageError):
+        derived.payload_bytes()
+
+
 def test_micro_tuple_is_64_bytes():
     schema = Schema.of_ints([f"c{i}" for i in range(1, 11)])
     assert schema.tuple_size(tuple_header=24) == 64
