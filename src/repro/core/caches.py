@@ -51,6 +51,28 @@ class _Bitmap:
     def get(self, i: int) -> bool:
         return bool(self._bits[i >> 3] & (1 << (i & 7)))
 
+    def zero_runs(self, start: int, end: int) -> list[tuple[int, int]]:
+        """Maximal runs ``(first, length)`` of clear bits in ``[start, end)``.
+
+        Read off the slice as one integer, whose lowest set bit is found
+        in a handful of word operations however long the clear run below
+        it — the cost follows the number of runs, not of bits.
+        """
+        word = int.from_bytes(self._bits[start >> 3:(end + 7) >> 3],
+                              "little") >> (start & 7)
+        clear = ~word & ((1 << (end - start)) - 1)
+        runs = []
+        while clear:
+            low = clear & -clear
+            # Adding the run's lowest bit carries through the run: what
+            # is left of it is one bit, just past the run's end.
+            rest = clear + low
+            first = low.bit_length() - 1
+            runs.append((start + first,
+                         (rest & -rest).bit_length() - 1 - first))
+            clear &= rest
+        return runs
+
     def set(self, i: int) -> bool:
         """Set bit ``i``; returns True if it was newly set."""
         mask = 1 << (i & 7)
@@ -80,6 +102,11 @@ class PageIdCache:
     def is_seen(self, page_id: int) -> bool:
         """True when the page has already been processed."""
         return self._bitmap.get(page_id)
+
+    def unseen_runs(self, start: int, end: int) -> list[tuple[int, int]]:
+        """Maximal runs ``(first page, length)`` of unprocessed pages in
+        ``[start, end)``, ascending."""
+        return self._bitmap.zero_runs(start, end)
 
     def seen_view(self):
         """Live read-only ``uint8`` view of the bitmap bytes.

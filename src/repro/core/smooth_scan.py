@@ -272,37 +272,20 @@ class SmoothScan(Operator):
             start = tid.page_id
             end = min(num_pages, start + region)
             region_pages = 0
-            run_start: int | None = None
-            for pid in range(start, end):
-                if is_seen(pid):
-                    if run_start is not None:
-                        pending = self._emit_run(
-                            ctx, heap, run_start, pid - run_start,
-                            state, qualify, residual_sel,
-                            fast_mask, tid, pending,
-                        )
-                        if pending_size(pending) >= DEFAULT_BATCH_SIZE:
-                            stats.probes = probes
-                            yield as_batch(pending)
-                            pending = []
-                            flushed = stats.produced
-                        region_pages += pid - run_start
-                        run_start = None
-                    continue
-                if run_start is None:
-                    run_start = pid
-            if run_start is not None:
+            # ``_emit_run`` marks only the pages of its own run, so the
+            # runs found now are the runs a page-by-page walk would find.
+            for run_start, run_len in page_cache.unseen_runs(start, end):
                 pending = self._emit_run(
-                    ctx, heap, run_start, end - run_start,
+                    ctx, heap, run_start, run_len,
                     state, qualify, residual_sel,
                     fast_mask, tid, pending,
                 )
-                region_pages += end - run_start
-            if pending_size(pending) >= DEFAULT_BATCH_SIZE:
-                stats.probes = probes
-                yield as_batch(pending)
-                pending = []
-                flushed = stats.produced
+                region_pages += run_len
+                if pending_size(pending) >= DEFAULT_BATCH_SIZE:
+                    stats.probes = probes
+                    yield as_batch(pending)
+                    pending = []
+                    flushed = stats.produced
 
             region_pages_res = stats.pages_with_results - pages_res_global
             pages_res_global = stats.pages_with_results

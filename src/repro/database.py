@@ -224,19 +224,8 @@ class Database:
                           table.schema, heap)
             shard.insert_many(rows)
             for idx_column in sorted(table.indexes):
-                col_pos = table.schema.index_of(idx_column)
-                key_size = table.schema.columns[col_pos].byte_size
-                index = BTreeIndex(
-                    name=f"{shard.name}_{idx_column}_idx",
-                    file_id=self._allocate_file_id(),
-                    key_size=key_size,
-                    page_size=self.config.page_size,
-                )
-                index.bulk_load(
-                    (row[col_pos], tid)
-                    for tid, row in shard.heap.iter_rows()
-                )
-                shard.indexes[idx_column] = index
+                self._build_index(shard, idx_column,
+                                  f"{shard.name}_{idx_column}_idx")
             self._shard_tables[shard.name] = shard
             self.catalog.analyze(shard)
             shards.append(shard)
@@ -276,19 +265,24 @@ class Database:
                 f"table {table_name!r} already has an index on "
                 f"{column!r}; drop_index() it first to rebuild"
             )
+        index = self._build_index(table, column,
+                                  name or f"{table_name}_{column}_idx")
+        self._bump_catalog_version()
+        return index
+
+    def _build_index(self, table: Table, column: str,
+                     name: str) -> BTreeIndex:
+        """Build and register a B+-tree from the heap image's key column."""
         col_pos = table.schema.index_of(column)
-        key_size = table.schema.columns[col_pos].byte_size
         index = BTreeIndex(
-            name=name or f"{table_name}_{column}_idx",
+            name=name,
             file_id=self._allocate_file_id(),
-            key_size=key_size,
+            key_size=table.schema.columns[col_pos].byte_size,
             page_size=self.config.page_size,
         )
-        index.bulk_load(
-            (row[col_pos], tid) for tid, row in table.heap.iter_rows()
-        )
+        index.load_column(table.column_values(column),
+                          table.heap.tuples_per_page)
         table.indexes[column] = index
-        self._bump_catalog_version()
         return index
 
     def drop_index(self, table_name: str, column: str) -> None:

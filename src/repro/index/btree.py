@@ -8,8 +8,12 @@ charge real page reads through the buffer pool, so index I/O shows up in
 the same accounting as heap I/O (Eq. (11)'s ``height``, ``card`` and
 ``#leaves_res`` terms all emerge from execution rather than being assumed).
 
-The implementation is array-backed: parallel sorted lists of keys and TIDs.
-Bulk loading sorts once; point inserts keep order via bisection.  This is a
+The implementation is two parallel sequences: the sorted keys (a list, so
+a probe is one ``bisect``) and an int64 array of packed TID codes.  No
+``TID`` object is stored — one per entry, alive for the life of the table,
+is re-walked by the cyclic collector whenever a query allocates result
+tuples; per-entry consumers get a transient one made from the code.
+Building sorts once; point inserts keep order via bisection.  This is a
 deliberate simplification of node splitting — the paper only ever reads its
 indexes, and layout math (fanout, height, leaf count) follows Eqs. (5)-(7)
 exactly.
@@ -18,6 +22,7 @@ exactly.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 import numpy as _np
@@ -32,6 +37,14 @@ from repro.storage.types import TID
 TID_SHIFT = 20
 #: The slot bits of a packed TID code.
 TID_SLOT_MASK = (1 << TID_SHIFT) - 1
+
+
+def unpack_tids(codes) -> list[TID]:
+    """The TIDs an array of packed codes stands for (made on the spot)."""
+    # ``tuple.__new__`` is ``TID(page, slot)`` without the Python-level
+    # constructor call, which is most of the cost of a transient TID.
+    return [tuple.__new__(TID, divmod(code, TID_SLOT_MASK + 1))
+            for code in codes.tolist()]
 
 
 class IndexPage:
@@ -58,26 +71,50 @@ class BTreeIndex:
         self.page_size = page_size
         self.fanout = layout.fanout(page_size, key_size)
         self._keys: list = []
-        self._tids: list[TID] = []
-        self._codes = None  # packed int64 TID codes, built lazily
+        #: Entry ``i``'s packed TID code, parallel to ``_keys``.
+        self._codes = _np.empty(0, dtype=_np.int64)
 
     # -- construction -----------------------------------------------------
 
+    def load_column(self, column, tuples_per_page: int) -> None:
+        """Replace the index contents with one entry per heap row.
+
+        ``column`` is the key column of a heap image (an array or an
+        object list): row ``i`` lives at TID ``divmod(i, tuples_per_page)``.
+        """
+        page, slot = divmod(_np.arange(len(column), dtype=_np.int64),
+                            tuples_per_page)
+        self._load(column, page << TID_SHIFT | slot)
+
     def bulk_load(self, pairs: Iterable[tuple[object, TID]]) -> None:
         """Replace the index contents with ``pairs`` (sorted internally)."""
-        entries = sorted(pairs, key=lambda p: (p[0], p[1]))
-        self._keys = [k for k, _ in entries]
-        self._tids = [t for _, t in entries]
-        self._codes = None
+        pairs = sorted(pairs, key=itemgetter(1))
+        self._load([key for key, _ in pairs], _np.array(
+            [page << TID_SHIFT | slot for _, (page, slot) in pairs],
+            dtype=_np.int64))
+
+    def _load(self, keys, codes) -> None:
+        """Store ``keys`` and their ``codes``, given in ascending code order.
+
+        Code order is TID order, so a stable sort on the key alone leaves
+        the entries in strict ``(key, TID)`` order.
+        """
+        if isinstance(keys, _np.ndarray):
+            order = _np.argsort(keys, kind="stable")
+            self._keys = keys[order].tolist()
+        else:
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            self._keys = [keys[i] for i in order]
+        self._codes = codes[_np.asarray(order, dtype=_np.intp)]
 
     def insert(self, key: object, tid: TID) -> None:
         """Insert one entry, preserving strict ``(key, TID)`` order."""
+        code = tid.page_id << TID_SHIFT | tid.slot
         lo = bisect_left(self._keys, key)
         hi = bisect_right(self._keys, key)
-        pos = lo + bisect_left(self._tids[lo:hi], tid)
+        pos = lo + int(self._codes[lo:hi].searchsorted(code))
         self._keys.insert(pos, key)
-        self._tids.insert(pos, tid)
-        self._codes = None
+        self._codes = _np.insert(self._codes, pos, code)
 
     # -- geometry ---------------------------------------------------------
 
@@ -112,54 +149,34 @@ class BTreeIndex:
             )
         return IndexPage(page_id)  # type: ignore[return-value]
 
-    def leaf_of_position(self, pos: int) -> int:
-        """Leaf page id containing entry number ``pos``."""
-        return pos // self.fanout
-
     def _path_page_ids(self, leaf: int) -> list[int]:
         """Page ids on the root-to-leaf path, root first, leaf last."""
-        sizes = self.level_sizes
-        offsets = [0]
-        for s in sizes[:-1]:
-            offsets.append(offsets[-1] + s)
         path = []
-        node = leaf
-        for level, offset in enumerate(offsets):
-            if level == 0:
-                path.append(offset + min(leaf, sizes[0] - 1))
-            else:
-                node = node // self.fanout
-                path.append(offset + min(node, sizes[level] - 1))
-        return list(reversed(path))
+        offset, node = 0, leaf
+        for level, size in enumerate(self.level_sizes):
+            if level:
+                node //= self.fanout
+            path.append(offset + min(node, size - 1))
+            offset += size
+        path.reverse()
+        return path
 
     # -- reading ----------------------------------------------------------
-
-    def position_of(self, key: object, inclusive: bool = True) -> int:
-        """First entry position with key ``>= key`` (or ``> key``)."""
-        if inclusive:
-            return bisect_left(self._keys, key)
-        return bisect_right(self._keys, key)
-
-    def end_position(self, key: object, inclusive: bool = False) -> int:
-        """One past the last entry position with key ``< key`` (or ``<=``)."""
-        if inclusive:
-            return bisect_right(self._keys, key)
-        return bisect_left(self._keys, key)
 
     def range_positions(self, lo: object | None, hi: object | None,
                         lo_inclusive: bool = True,
                         hi_inclusive: bool = False) -> tuple[int, int]:
         """Entry-position interval ``[start, end)`` for a key range."""
-        start = 0 if lo is None else self.position_of(lo, lo_inclusive)
-        end = (
-            len(self._keys) if hi is None
-            else self.end_position(hi, hi_inclusive)
-        )
+        keys = self._keys
+        start = 0 if lo is None else (
+            bisect_left if lo_inclusive else bisect_right)(keys, lo)
+        end = len(keys) if hi is None else (
+            bisect_right if hi_inclusive else bisect_left)(keys, hi)
         return start, max(start, end)
 
     def entry_at(self, pos: int) -> tuple[object, TID]:
         """The ``(key, TID)`` entry at position ``pos``."""
-        return self._keys[pos], self._tids[pos]
+        return self._keys[pos], unpack_tids(self._codes[pos:pos + 1])[0]
 
     def scan(self, ctx, lo: object | None = None, hi: object | None = None,
              lo_inclusive: bool = True,
@@ -171,30 +188,21 @@ class BTreeIndex:
         scan crosses into a new leaf, plus per-entry CPU.  This reproduces
         Eq. (11)'s index-side terms.
         """
-        start, end = self.range_positions(lo, hi, lo_inclusive, hi_inclusive)
-        if start >= end:
-            if self._keys:
-                # An empty range still pays the descent that discovers it.
-                self._charge_descent(ctx, min(start, len(self._keys) - 1))
-            return
-        self._charge_descent(ctx, start)
-        current_leaf = self.leaf_of_position(start)
-        for pos in range(start, end):
-            leaf = self.leaf_of_position(pos)
-            if leaf != current_leaf:
-                ctx.buffer.get_page(self, leaf, stream_hint=True)
-                current_leaf = leaf
-            ctx.charge_index_entry()
-            yield self._keys[pos], self._tids[pos]
+        for pos, leaf_end in self._leaf_spans(ctx, lo, hi, lo_inclusive,
+                                              hi_inclusive):
+            for entry in zip(self._keys[pos:leaf_end],
+                             unpack_tids(self._codes[pos:leaf_end])):
+                ctx.charge_index_entry()
+                yield entry
 
     def _leaf_spans(self, ctx, lo: object | None, hi: object | None,
                     lo_inclusive: bool,
                     hi_inclusive: bool) -> Iterator[tuple[int, int]]:
         """Yield a key range's entry positions ``(start, end)`` leaf by leaf.
 
-        The one walk under every batch scan below: charges the descent,
-        and each further leaf's page read only when the consumer asks for
-        that leaf.  Per-entry CPU is the caller's to charge.
+        The one walk under every scan: charges the descent, and each
+        further leaf's page read only when the consumer asks for that
+        leaf.  Per-entry CPU is the caller's to charge.
         """
         start, end = self.range_positions(lo, hi, lo_inclusive, hi_inclusive)
         if start >= end:
@@ -221,14 +229,14 @@ class BTreeIndex:
 
         The batch counterpart of :meth:`scan`: the same descent, leaf-read
         and per-entry CPU costs are charged, but entries are handed back
-        one leaf page at a time as parallel key/TID slices, so consumers
+        one leaf page at a time as parallel key/TID lists, so consumers
         pay no per-entry generator resumption.
         """
-        keys, tids = self._keys, self._tids
         for pos, leaf_end in self._leaf_spans(ctx, lo, hi, lo_inclusive,
                                               hi_inclusive):
             ctx.charge_index_entry(leaf_end - pos)
-            yield keys[pos:leaf_end], tids[pos:leaf_end]
+            yield (self._keys[pos:leaf_end],
+                   unpack_tids(self._codes[pos:leaf_end]))
 
     def scan_codes(self, ctx, lo: object | None = None,
                    hi: object | None = None,
@@ -246,7 +254,7 @@ class BTreeIndex:
                                               hi_inclusive):
             ctx.charge_index_entry(leaf_end - pos)
         start, end = self.range_positions(lo, hi, lo_inclusive, hi_inclusive)
-        return self._code_array()[start:end]
+        return self._codes[start:end]
 
     def scan_leaf_codes(self, ctx, lo: object | None = None,
                         hi: object | None = None,
@@ -260,31 +268,21 @@ class BTreeIndex:
         (Smooth Scan's eager unordered path), or entry by entry inside a
         longer per-tuple charge sequence (the index scan).
         """
-        codes = self._code_array()
         for pos, leaf_end in self._leaf_spans(ctx, lo, hi, lo_inclusive,
                                               hi_inclusive):
-            yield codes[pos:leaf_end]
-
-    def _code_array(self):
-        """The full packed-code array, built lazily and cached."""
-        codes = self._codes
-        if codes is None:
-            codes = _np.fromiter(
-                ((t.page_id << TID_SHIFT) | t.slot for t in self._tids),
-                dtype=_np.int64, count=len(self._tids),
-            )
-            self._codes = codes
-        return codes
+            yield self._codes[pos:leaf_end]
 
     def _charge_descent(self, ctx, pos: int) -> None:
         """Charge the root-to-leaf page reads for the entry at ``pos``."""
-        for pid in self._path_page_ids(self.leaf_of_position(pos)):
+        for pid in self._path_page_ids(pos // self.fanout):
             ctx.buffer.get_page(self, pid)
 
     def lookup(self, ctx, key: object) -> Iterator[TID]:
         """Yield the TIDs of all entries equal to ``key`` (point probe)."""
-        for _key, tid in self.scan(ctx, lo=key, hi=key, hi_inclusive=True):
-            yield tid
+        for pos, leaf_end in self._leaf_spans(ctx, key, key, True, True):
+            for tid in unpack_tids(self._codes[pos:leaf_end]):
+                ctx.charge_index_entry()
+                yield tid
 
     def min_key(self) -> object:
         """Smallest key; raises BTreeError when empty."""

@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as _np
+
 from repro.errors import StatisticsError
 from repro.storage.table import Table
 
@@ -140,37 +142,56 @@ class StatisticsCatalog:
             )),
         )
         for name in names:
-            values = []
-            for i, value in enumerate(table.column_values(name)):
-                if i >= seen_rows:
-                    break
-                if sample_rate >= 1.0 or self._rng.random() < sample_rate:
-                    values.append(value)
+            values = table.column_values(name)[:seen_rows]
+            if sample_rate < 1.0:
+                # One draw per row per column, in row order: the RNG
+                # stream the stale-statistics figures were recorded with.
+                draws = [self._rng.random() < sample_rate for _ in values]
+                values = (values[_np.array(draws, dtype=bool)]
+                          if isinstance(values, _np.ndarray)
+                          else [v for v, keep in zip(values, draws) if keep])
             stats.columns[name] = self._column_stats(name, values,
                                                      seen_rows, buckets)
         self._stats[table.name] = stats
         return stats
 
-    def _column_stats(self, name: str, values: list, row_count: int,
+    def _column_stats(self, name: str, values, row_count: int,
                       buckets: int) -> ColumnStats:
-        if not values:
+        """Statistics of one column's (sampled) values, array or list.
+
+        An array column is bucketed with the list path's own float64
+        expression, element-wise, so both give identical histograms.
+        """
+        if not len(values):
             return ColumnStats(column=name, row_count=row_count,
                                min_value=None, max_value=None, ndv=0)
-        numeric = all(isinstance(v, (int, float)) for v in values)
-        lo, hi = min(values), max(values)
-        ndv = len(set(values))
-        histogram = None
-        if numeric:
-            counts = [0] * buckets
+        counts = None
+        if isinstance(values, _np.ndarray):
+            lo, hi = values.min().item(), values.max().item()
+            ndv = len(_np.unique(values))
             span = float(hi) - float(lo)
-            for v in values:
-                if span <= 0:
-                    counts[0] += 1
-                else:
-                    b = min(buckets - 1,
-                            int((float(v) - float(lo)) / span * buckets))
-                    counts[b] += 1
-            histogram = Histogram(lo=float(lo), hi=float(hi), counts=counts)
+            if span <= 0:
+                counts = [len(values)] + [0] * (buckets - 1)
+            else:
+                slots = ((values.astype(_np.float64) - float(lo))
+                         / span * buckets).astype(_np.int64)
+                counts = _np.bincount(_np.minimum(slots, buckets - 1),
+                                      minlength=buckets).tolist()
+        else:
+            lo, hi = min(values), max(values)
+            ndv = len(set(values))
+            if all(isinstance(v, (int, float)) for v in values):
+                counts = [0] * buckets
+                span = float(hi) - float(lo)
+                for v in values:
+                    if span <= 0:
+                        counts[0] += 1
+                    else:
+                        b = min(buckets - 1,
+                                int((float(v) - float(lo)) / span * buckets))
+                        counts[b] += 1
+        histogram = None if counts is None else Histogram(
+            lo=float(lo), hi=float(hi), counts=counts)
         return ColumnStats(column=name, row_count=row_count,
                            min_value=lo, max_value=hi, ndv=ndv,
                            histogram=histogram)

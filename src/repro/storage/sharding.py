@@ -126,20 +126,17 @@ def partition_rows(table: "Table", num_shards: int, scheme: str,
     index builds).
     """
     validate_sharding(num_shards, scheme)
-    buckets: list[list["Row"]] = [[] for _ in range(num_shards)]
+    rows = [row for page in table.heap.iter_pages()
+            for row in page.all_rows()]
     if scheme == "round_robin":
-        for i, (_tid, row) in enumerate(table.heap.iter_rows()):
-            buckets[i % num_shards].append(row)
-        return buckets, ()
+        return [rows[i::num_shards] for i in range(num_shards)], ()
     if column is None:
         raise StorageError(
             "range partitioning requires a column name"
         )
-    col_pos = table.schema.index_of(column)
-    bounds = range_split_keys(
-        [row[col_pos] for _tid, row in table.heap.iter_rows()],
-        num_shards,
-    )
-    for _tid, row in table.heap.iter_rows():
-        buckets[bisect_right(bounds, row[col_pos])].append(row)
+    keys = table.heap.image().column_values(table.schema.index_of(column))
+    bounds = range_split_keys(keys, num_shards)
+    buckets: list[list["Row"]] = [[] for _ in range(num_shards)]
+    for key, row in zip(keys, rows, strict=True):
+        buckets[bisect_right(bounds, key)].append(row)
     return buckets, bounds

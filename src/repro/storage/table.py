@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import StorageError
+from repro.storage.chunk import ColumnData
 from repro.storage.heap import HeapFile
 from repro.storage.types import Row, Schema, TID
 
@@ -66,15 +67,16 @@ class Table:
         """True if a secondary index exists on ``column``."""
         return column in self.indexes
 
-    def column_values(self, column: str) -> Iterable:
-        """Yield the values of one column in heap order (no I/O charged).
+    def column_values(self, column: str) -> ColumnData:
+        """One column in heap order, as the heap image holds it.
 
-        Used by statistics collection and index builds, which the paper
-        treats as offline activity outside measured runs.
+        An array where the values typed to one (see
+        :mod:`~repro.storage.chunk`), an object list otherwise; read
+        only, no I/O charged.  Used by statistics collection and index
+        builds, which the paper treats as offline activity outside
+        measured runs.
         """
-        idx = self.schema.index_of(column)
-        for _tid, row in self.heap.iter_rows():
-            yield row[idx]
+        return self.heap.image().columns[self.schema.index_of(column)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -44,24 +44,21 @@ def small_table(db):
     return db, table
 
 
-def _observe_plan(db, plan, cold=True):
-    """Run ``plan`` (cold by default) batch by batch; what it produced
-    and charged.
+def _digest(values):
+    """``[length, SHA-256 prefix of repr]``: a sequence at golden size."""
+    return [len(values),
+            hashlib.sha256(repr(values).encode()).hexdigest()[:16]]
 
-    Returns the rows and a JSON-sized record of the run: row count and
-    SHA-256 of ``repr(rows)``, the batch lengths, and length + SHA-256
-    of the exact argument sequences of ``SimClock.charge_cpu`` /
-    ``charge_io`` — the form the frozen-at-the-parent goldens of the
-    scan regression tests are kept in.  A ``charge_cpu_seq`` call is
-    recorded element by element, as the per-element charges it stands
+
+def _observe_charges(db, fn):
+    """Call ``fn()``; its result and what it charged.
+
+    The charges are length + SHA-256 of the exact argument sequences of
+    ``SimClock.charge_cpu`` / ``charge_io`` — the form the
+    frozen-at-the-parent goldens are kept in.  A ``charge_cpu_seq`` call
+    is recorded element by element, as the per-element charges it stands
     for, so goldens frozen before a loop became a sequence still hold.
     """
-    from repro.exec.stats import StreamingRun
-
-    def digest(values):
-        return [len(values),
-                hashlib.sha256(repr(values).encode()).hexdigest()[:16]]
-
     cpu, io = [], []
     # Hooked on the runtime's clock instance, outside whatever is there
     # already (the ledger sanitizer hooks the same attributes).
@@ -75,13 +72,39 @@ def _observe_plan(db, plan, cold=True):
             cpu.extend(costs.tolist()), charge_cpu_seq(costs))[1])
         patch.setattr(clock, "charge_io",
                       lambda ms: (io.append(ms), charge_io(ms))[1])
+        result = fn()
+    return result, {"cpu": _digest(cpu), "io": _digest(io)}
+
+
+def _observe_plan(db, plan, cold=True):
+    """Run ``plan`` (cold by default) batch by batch; what it produced
+    and charged.
+
+    Returns the rows and a JSON-sized record of the run: row count and
+    SHA-256 of ``repr(rows)``, the batch lengths, and the charge record
+    of :func:`_observe_charges` — the form the scan regression tests'
+    goldens are kept in.
+    """
+    from repro.exec.stats import StreamingRun
+
+    def drain():
         run = StreamingRun(db, plan, cold=cold)
         rows, lengths = [], []
         while (batch := run.next_batch()) is not None:
             lengths.append(len(batch))
             rows.extend(batch)
-    return rows, {"rows": digest(rows), "batches": lengths,
-                  "cpu": digest(cpu), "io": digest(io)}
+        return rows, lengths
+
+    (rows, lengths), charges = _observe_charges(db, drain)
+    return rows, {"rows": _digest(rows), "batches": lengths, **charges}
+
+
+@pytest.fixture(scope="session")
+def observe_charges():
+    """:func:`_observe_charges` and :func:`_digest`, for tests that hold
+    something other than a plan to a charge golden (stateless, so
+    session-scoped: hypothesis tests may take it)."""
+    return _observe_charges, _digest
 
 
 @pytest.fixture()

@@ -1,6 +1,7 @@
 """Smooth Scan's auxiliary structures: bitmaps and the Result Cache."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.caches import PageIdCache, ResultCache, TupleIdCache
 from repro.errors import ExecutionError
@@ -23,6 +24,30 @@ def test_page_id_cache_bounds():
         cache.mark(10)
     with pytest.raises(ExecutionError):
         cache.mark(-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.integers(0, n - 1)),
+    st.integers(0, n), st.integers(0, n))))
+def test_property_unseen_runs_are_what_a_page_walk_finds(case):
+    """The region walk Smooth Scan used to do, one ``is_seen`` a page."""
+    num_pages, seen, a, b = case
+    start, end = min(a, b), max(a, b)
+    cache = PageIdCache(num_pages)
+    for pid in seen:
+        cache.mark(pid)
+    runs, run_start = [], None
+    for pid in range(start, end):
+        if cache.is_seen(pid):
+            if run_start is not None:
+                runs.append((run_start, pid - run_start))
+                run_start = None
+        elif run_start is None:
+            run_start = pid
+    if run_start is not None:
+        runs.append((run_start, end - run_start))
+    assert cache.unseen_runs(start, end) == runs
 
 
 def test_page_id_cache_memory_is_bitmap_sized():

@@ -1,0 +1,146 @@
+"""Degenerate sizes: tables, indexes and shards of zero, one or all-equal.
+
+No failure is injected here — every case is a *size* at the edge of what
+the storage and index layers are built for.  (The configuration sizes —
+one-page pools, one-page sort memory, tiny result-cache limits — are
+still in ``tests/test_failure_injection.py``, due to follow.)
+"""
+
+import pytest
+
+from repro.core.smooth_scan import SmoothScan
+from repro.database import Database
+from repro.exec.exchange import Exchange, ShardedScan
+from repro.exec.expressions import KeyRange
+from repro.exec.scans import FullTableScan, IndexScan, SortScan
+from repro.exec.stats import measure
+from repro.storage.types import Schema, TID
+
+AB = Schema.of_ints(["a", "b"])
+
+
+def index_paths(table, key_range):
+    return (IndexScan(table, "b", key_range),
+            SortScan(table, "b", key_range),
+            SmoothScan(table, "b", key_range),
+            SmoothScan(table, "b", key_range, ordered=True))
+
+
+def test_single_row_table():
+    db = Database()
+    table = db.load_table("t", AB, [(1, 5)])
+    db.create_index("t", "b")
+    for plan in (FullTableScan(table),
+                 IndexScan(table, "b", KeyRange(0, 10)),
+                 SmoothScan(table, "b", KeyRange(0, 10))):
+        assert measure(db, plan).rows == [(1, 5)]
+
+
+def test_single_distinct_key_ordered_smooth():
+    """Result-cache partitioning degenerates to one partition."""
+    db = Database()
+    table = db.load_table("t", AB, [(i, 42) for i in range(3_000)])
+    db.create_index("t", "b")
+    scan = SmoothScan(table, "b", KeyRange.equal(42), ordered=True)
+    rows = measure(db, scan).rows
+    assert len(rows) == 3_000
+
+
+def test_max_region_one_page_table():
+    db = Database()
+    table = db.load_table("t", AB, [(i, i) for i in range(50)])
+    db.create_index("t", "b")
+    scan = SmoothScan(table, "b", KeyRange.all())
+    assert len(measure(db, scan).rows) == 50
+    assert scan.last_stats.pages_fetched == 1
+
+
+def test_empty_index_reads_nothing_and_charges_nothing():
+    db = Database()
+    table = db.load_table("t", AB, [])
+    index = db.create_index("t", "b")
+    assert len(index) == 0
+    assert (index.num_leaves, index.height, index.num_pages) == (1, 1, 1)
+    assert index.range_positions(None, None) == (0, 0)
+    ctx = db.cold_run()
+    assert list(index.scan(ctx)) == []
+    assert list(index.scan_batches(ctx, 0, 10)) == []
+    assert index.scan_codes(ctx).tolist() == []
+    assert list(index.scan_leaf_codes(ctx)) == []
+    assert list(index.lookup(ctx, 5)) == []
+    # No entry, so not even the descent that finds a range empty.
+    assert (db.clock.io_ms, db.clock.cpu_ms) == (0.0, 0.0)
+    for plan in index_paths(table, KeyRange(0, 10)):
+        assert measure(db, plan).rows == []
+
+
+def test_one_entry_index():
+    db = Database()
+    table = db.load_table("t", AB, [(1, 5)])
+    index = db.create_index("t", "b")
+    assert index.entry_at(0) == (5, TID(0, 0))
+    assert index.min_key() == index.max_key() == 5
+    ctx = db.cold_run()
+    assert list(index.lookup(ctx, 5)) == [TID(0, 0)]
+    assert list(index.lookup(ctx, 4)) == []
+    for key_range, rows in ((KeyRange(0, 10), [(1, 5)]),
+                            (KeyRange(5, 5, hi_inclusive=True), [(1, 5)]),
+                            (KeyRange(5, 5), []),
+                            (KeyRange(6, None), [])):
+        for plan in index_paths(table, key_range):
+            assert measure(db, plan).rows == rows
+
+
+def test_all_equal_keys_keep_tid_order():
+    """A stable sort on the key alone: equal keys stay in heap order."""
+    db = Database()
+    table = db.load_table("t", AB, [(i, 7) for i in range(1_000)])
+    index = db.create_index("t", "b")
+    per_page = table.heap.tuples_per_page
+    tids = [TID(*divmod(i, per_page)) for i in range(1_000)]
+    ctx = db.cold_run()
+    assert list(index.lookup(ctx, 7)) == tids
+    assert list(index.scan(ctx, 7, 7)) == []
+    assert index.range_positions(7, 7, True, True) == (0, 1_000)
+    assert index.range_positions(7, None, False) == (1_000, 1_000)
+    assert index.root_key_separators(16) == [7]
+    for plan in index_paths(table, KeyRange.equal(7)):
+        assert measure(db, plan).rows == [(i, 7) for i in range(1_000)]
+
+
+def test_insert_into_an_empty_tree():
+    db = Database()
+    table = db.create_table("t", AB)
+    index = db.create_index("t", "b")
+    assert db.append_rows("t", [(0, 9), (1, 3), (2, 9), (3, 3)]) == 4
+    assert [index.entry_at(i) for i in range(len(index))] == [
+        (3, TID(0, 1)), (3, TID(0, 3)), (9, TID(0, 0)), (9, TID(0, 2))]
+    # The same tree a build over the loaded heap gives.
+    db.drop_index("t", "b")
+    rebuilt = db.create_index("t", "b")
+    assert [rebuilt.entry_at(i) for i in range(4)] == [
+        index.entry_at(i) for i in range(4)]
+    for plan in index_paths(table, KeyRange(0, 5)):
+        assert measure(db, plan).rows == [(1, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("scheme", ["round_robin", "range"])
+def test_a_shard_that_receives_zero_rows(scheme):
+    """Two rows over four shards: the empty shards are tables too."""
+    db = Database()
+    db.load_table("t", AB, [(0, 4), (1, 4)])
+    db.create_index("t", "b")
+    shard_set = db.shard_table("t", 4, scheme, "b" if scheme == "range"
+                               else None)
+    sizes = [shard.row_count for shard in shard_set.shards]
+    assert sum(sizes) == 2 and sizes.count(0) >= 2
+    for shard in shard_set.shards:
+        index = shard.index_on("b")
+        assert len(index) == shard.row_count
+        assert db.catalog.table_stats(shard.name).row_count \
+            == shard.row_count
+    plan = Exchange([
+        ShardedScan(IndexScan(shard, "b", KeyRange(0, 10)), shard.name, i)
+        for i, shard in enumerate(shard_set.shards)
+    ], table_name="t")
+    assert sorted(measure(db, plan).rows) == [(0, 4), (1, 4)]

@@ -1,8 +1,10 @@
-"""Failure injection: the engine under hostile configurations.
+"""The engine under hostile configurations (no failure is injected).
 
 Every stressor here is a situation a production engine must survive:
 pathologically small buffers, one-page sort memory, tight result-cache
-limits mid-ordered-scan, string keys, and degenerate tables.
+limits mid-ordered-scan, string keys, triggers and regions at the table's
+edge.  Degenerate table, index and shard *sizes* are in
+``tests/test_degenerate_sizes.py``; the cases here are due to follow them.
 """
 
 import random
@@ -69,27 +71,6 @@ def test_tiny_result_cache_with_non_eager_trigger():
     assert len(ids) == len(set(ids)) == table.row_count
 
 
-def test_single_row_table():
-    db = Database()
-    table = db.load_table("t", Schema.of_ints(["a", "b"]), [(1, 5)])
-    db.create_index("t", "b")
-    for plan in (FullTableScan(table),
-                 IndexScan(table, "b", KeyRange(0, 10)),
-                 SmoothScan(table, "b", KeyRange(0, 10))):
-        assert measure(db, plan).rows == [(1, 5)]
-
-
-def test_single_distinct_key_ordered_smooth():
-    """Result-cache partitioning degenerates to one partition."""
-    db = Database()
-    table = db.load_table("t", Schema.of_ints(["a", "b"]),
-                          [(i, 42) for i in range(3_000)])
-    db.create_index("t", "b")
-    scan = SmoothScan(table, "b", KeyRange.equal(42), ordered=True)
-    rows = measure(db, scan).rows
-    assert len(rows) == 3_000
-
-
 def test_string_keyed_index():
     db = Database()
     schema = Schema([Column("id", ColumnType.INT),
@@ -109,16 +90,6 @@ def test_string_keyed_index():
                          ordered=True)
     keys = [r[1] for r in measure(db, ordered).rows]
     assert keys == sorted(keys)
-
-
-def test_max_region_one_page_table():
-    db = Database()
-    table = db.load_table("t", Schema.of_ints(["a", "b"]),
-                          [(i, i) for i in range(50)])
-    db.create_index("t", "b")
-    scan = SmoothScan(table, "b", KeyRange.all())
-    assert len(measure(db, scan).rows) == 50
-    assert scan.last_stats.pages_fetched == 1
 
 
 def test_trigger_on_last_tuple():

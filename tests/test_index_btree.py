@@ -1,13 +1,15 @@
 """B+-tree behaviour: ordering, ranges, charging, and invariants."""
 
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.database import Database
 from repro.errors import BTreeError
-from repro.index.btree import BTreeIndex
-from repro.storage.types import Schema, TID
+from repro.index.btree import BTreeIndex, TID_SHIFT
+from repro.storage.types import Column, ColumnType, Schema, TID
 
 
 def make_index(pairs, key_size=4):
@@ -161,3 +163,236 @@ def test_property_range_positions_match_filter(keys, lo, hi):
     via_positions = [index.entry_at(i)[0] for i in range(start, end)]
     expected = sorted(k for k in keys if lo <= k < hi)
     assert via_positions == expected
+
+
+# -- the tree is two arrays: nothing it returns or charges may move -----------
+#
+# ``BTREE_GOLDEN`` was recorded at the commit before the index stopped
+# storing ``TID`` objects (when ``bulk_load`` sorted ``(key, TID)`` pairs
+# read off ``heap.iter_rows()``), with ``observe_reads`` below over
+# ``golden_ranges`` of ``build_golden_table``, per key kind and read.
+
+#: Key column of a given kind for the duplicate-heavy key number ``k``.
+KEY_KINDS = {
+    "int": (Column("k"), lambda k: k),
+    "float": (Column("k", ColumnType.FLOAT), lambda k: k * 0.5),
+    "char": (Column("k", ColumnType.CHAR, 12), lambda k: f"key{k:03d}"),
+}
+
+READS = ("scan", "scan_batches", "scan_codes", "scan_leaf_codes")
+
+
+def code_of(tid):
+    return tid[0] << TID_SHIFT | tid[1]
+
+
+def read_entries(index, ctx, read, bounds):
+    """One range read, flattened: ``(key, code)`` pairs or bare codes."""
+    if read == "scan":
+        return [(k, code_of(t)) for k, t in index.scan(ctx, *bounds)]
+    if read == "scan_batches":
+        return [(k, code_of(t))
+                for keys, tids in index.scan_batches(ctx, *bounds)
+                for k, t in zip(keys, tids, strict=True)]
+    if read == "scan_codes":
+        return index.scan_codes(ctx, *bounds).tolist()
+    return [c for codes in index.scan_leaf_codes(ctx, *bounds)
+            for c in codes.tolist()]
+
+
+def golden_ranges(key):
+    """Whole index, the four inclusivity combinations, point, empties."""
+    lo, hi = key(7), key(23)
+    return [(None, None, True, False), (None, hi, True, True),
+            (lo, None, False, False),
+            *((lo, hi, li, ui) for li in (True, False)
+              for ui in (True, False)),
+            (lo, lo, True, True), (lo, lo, True, False), (hi, lo, True, True),
+            (key(500), None, True, False), (None, key(-1), True, False)]
+
+
+def build_golden_table(kind):
+    """6,000 rows over 40 distinct keys: several leaves, height 2."""
+    column, key = KEY_KINDS[kind]
+    rng = random.Random(11)
+    db = Database()
+    db.load_table("t", Schema([Column("id"), column]),
+                  [(i, key(rng.randrange(40))) for i in range(6_000)])
+    return db, db.create_index("t", "k"), key
+
+
+def observe_reads(observe_charges, db, index, read, ranges):
+    """What ``read`` returns and charges over ``ranges``, each run cold."""
+    observe, digest = observe_charges
+    entries, charges = observe(db, lambda: [
+        read_entries(index, db.cold_run(), read, bounds)
+        for bounds in ranges])
+    return {"entries": digest(entries), **charges}
+
+
+BTREE_GOLDEN = {
+    "char/scan": {"cpu": [23893, "740824a19416fc64"],
+                  "entries": [12, "d196533faec5cc5d"],
+                  "io": [65, "9cd99426c8adfbd0"]},
+    "char/scan_batches": {"cpu": [49, "bb7a7a96be7aff5b"],
+                          "entries": [12, "d196533faec5cc5d"],
+                          "io": [65, "9cd99426c8adfbd0"]},
+    "char/scan_codes": {"cpu": [49, "bb7a7a96be7aff5b"],
+                        "entries": [12, "de65bc8bd92331b3"],
+                        "io": [65, "9cd99426c8adfbd0"]},
+    "char/scan_leaf_codes": {"cpu": [0, "4f53cda18c2baa0c"],
+                             "entries": [12, "de65bc8bd92331b3"],
+                             "io": [65, "9cd99426c8adfbd0"]},
+    "float/scan": {"cpu": [23893, "740824a19416fc64"],
+                   "entries": [12, "cf23b1abb4bcb496"],
+                   "io": [51, "9f6e5a8644672364"]},
+    "float/scan_batches": {"cpu": [35, "ae4a3fa2dd80ff91"],
+                           "entries": [12, "cf23b1abb4bcb496"],
+                           "io": [51, "9f6e5a8644672364"]},
+    "float/scan_codes": {"cpu": [35, "ae4a3fa2dd80ff91"],
+                         "entries": [12, "7073c01987329f29"],
+                         "io": [51, "9f6e5a8644672364"]},
+    "float/scan_leaf_codes": {"cpu": [0, "4f53cda18c2baa0c"],
+                              "entries": [12, "7073c01987329f29"],
+                              "io": [51, "9f6e5a8644672364"]},
+    "int/scan": {"cpu": [23893, "740824a19416fc64"],
+                 "entries": [12, "cdf314391c0e257e"],
+                 "io": [38, "b29912f890f50fb5"]},
+    "int/scan_batches": {"cpu": [22, "d2d25397a094d140"],
+                         "entries": [12, "cdf314391c0e257e"],
+                         "io": [38, "b29912f890f50fb5"]},
+    "int/scan_codes": {"cpu": [22, "d2d25397a094d140"],
+                       "entries": [12, "621a00cecdebb8d0"],
+                       "io": [38, "b29912f890f50fb5"]},
+    "int/scan_leaf_codes": {"cpu": [0, "4f53cda18c2baa0c"],
+                            "entries": [12, "621a00cecdebb8d0"],
+                            "io": [38, "b29912f890f50fb5"]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KEY_KINDS))
+def test_column_built_index_reads_and_charges_as_the_pair_sorted_one(
+        kind, observe_charges):
+    db, index, key = build_golden_table(kind)
+    for read in READS:
+        assert observe_reads(observe_charges, db, index, read,
+                             golden_ranges(key)) \
+            == BTREE_GOLDEN[f"{kind}/{read}"], read
+
+
+_BUILD_STEPS = st.lists(
+    st.tuples(st.sampled_from(["column", "bulk_load", "insert"]),
+              st.lists(st.integers(0, 8), max_size=40)),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(KEY_KINDS)), _BUILD_STEPS, st.randoms())
+def test_property_every_build_route_leaves_sorted_pairs(
+        observe_charges, kind, steps, rng):
+    """Column build, ``bulk_load`` and ``insert``, in any interleaving.
+
+    128-byte index pages (8-26 entries a leaf) put leaf crossings and a
+    second level inside a few dozen entries.
+    """
+    from repro.storage.heap import HeapFile
+    from repro.storage.table import Table
+
+    column, key = KEY_KINDS[kind]
+    schema = Schema([Column("id"), column])
+    heap = HeapFile(file_id=1, schema=schema, tuples_per_page=7)
+    table = Table("t", schema, heap)
+
+    def new_index():
+        return BTreeIndex("idx", file_id=2, key_size=column.byte_size,
+                          page_size=128)
+
+    index = table.indexes["k"] = new_index()
+    pairs = []
+    for route, numbers in steps:
+        rows = [(len(pairs) + i, key(k)) for i, k in enumerate(numbers)]
+        if route == "insert":
+            pairs += [(row[1], table.insert(row)) for row in rows]
+            continue
+        pairs += [(row[1], heap.append(row)) for row in rows]
+        if route == "column":
+            index.load_column(heap.image().columns[1], heap.tuples_per_page)
+        else:
+            shuffled = list(pairs)
+            rng.shuffle(shuffled)
+            index.bulk_load(shuffled)
+    assert len(index) == len(pairs)
+
+    wanted = [(k, code_of(t)) for k, t in sorted(pairs)]
+    lo, hi = key(2), key(5)
+    ranges = [(None, None, True, False), (hi, lo, True, True),
+              (key(9), None, True, False),
+              *((lo, hi, li, ui) for li in (True, False)
+                for ui in (True, False))]
+    reference = new_index()
+    reference.bulk_load(pairs)
+    db = Database()
+    for bounds in ranges:
+        lo_, hi_, li, ui = bounds
+        cut = [(k, c) for k, c in wanted
+               if (lo_ is None or k > lo_ or (li and k == lo_))
+               and (hi_ is None or k < hi_ or (ui and k == hi_))]
+        for read in READS:
+            got = read_entries(index, db.cold_run(), read, bounds)
+            assert got == (cut if read in ("scan", "scan_batches")
+                           else [c for _, c in cut]), (read, bounds)
+    for read in READS:
+        assert (observe_reads(observe_charges, db, index, read, ranges)
+                == observe_reads(observe_charges, db, reference, read,
+                                 ranges))
+
+
+# -- no object per entry: the collector has nothing to walk -------------------
+
+
+def _tracked_objects_after_queries(num_tuples):
+    """Build, analyze, run one query per access path; what the collector
+    still tracks afterwards, and the table's page count."""
+    from repro.core.smooth_scan import SmoothScan
+    from repro.core.switch_scan import SwitchScan
+    from repro.core.trigger import OptimizerDrivenTrigger
+    from repro.exec.expressions import Between, KeyRange
+    from repro.exec.scans import FullTableScan, IndexScan, SortScan
+    from repro.exec.stats import measure
+    from repro.workloads.micro import VALUE_DOMAIN, build_micro_table
+
+    db = Database()
+    table = build_micro_table(db, num_tuples=num_tuples, seed=7)
+    db.analyze()
+    tenth = KeyRange(0, VALUE_DOMAIN // 10)
+    for plan in (
+        FullTableScan(table, Between("c2", 0, VALUE_DOMAIN // 10)),
+        IndexScan(table, "c2", tenth),
+        SortScan(table, "c2", tenth),
+        SmoothScan(table, "c2", tenth),
+        # Mode 0, the Tuple ID cache and the Result Cache: every
+        # per-entry consumer of transient TIDs.
+        SmoothScan(table, "c2", tenth, ordered=True,
+                   trigger=OptimizerDrivenTrigger(25)),
+        SwitchScan(table, "c2", tenth, threshold=50),
+    ):
+        assert measure(db, plan, keep_rows=False).row_count > 0
+    # ... and ``insert`` keeps a code, not the TID it was handed.
+    db.append_rows(table.name, [tuple(range(len(table.schema.column_names)))])
+    del plan
+    gc.collect()
+    return db, table.num_pages, gc.get_objects()
+
+
+def test_no_tid_outlives_a_query_and_tracked_objects_follow_pages():
+    """A population of GC-tracked objects proportional to the *row* count
+    is re-walked by every collection a big result set triggers; the heap
+    may keep a few per *page* (the page and its row list)."""
+    small_db, small_pages, small = _tracked_objects_after_queries(5_000)
+    small_count = len(small)
+    assert sum(type(o) is TID for o in small) == 0
+    del small_db, small
+    big_db, big_pages, big = _tracked_objects_after_queries(20_000)
+    assert sum(type(o) is TID for o in big) == 0
+    assert big_pages - small_pages == 125
+    assert len(big) - small_count < 4 * (big_pages - small_pages)

@@ -1,11 +1,18 @@
 """Histograms, the statistics catalog, and staleness injection."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import StatisticsError
-from repro.optimizer.statistics import ColumnStats, Histogram, StatisticsCatalog
-from repro.storage.types import Schema
+from repro.optimizer.statistics import (
+    ColumnStats,
+    Histogram,
+    StatisticsCatalog,
+    TableStats,
+)
+from repro.storage.types import Column, ColumnType, Schema
 
 
 @pytest.fixture()
@@ -155,3 +162,93 @@ def test_override_and_forget(analyzed):
     assert catalog.column_stats("t", "b").ndv == 2
     catalog.forget("t")
     assert not catalog.has_table("t")
+
+
+# -- ANALYZE reads the heap image: the statistics may not move ---------------
+
+
+def _row_path_stats(table, seed=0, sample_rate=1.0, buckets=100,
+                    prefix_fraction=None):
+    """``StatisticsCatalog.analyze`` as it was: a value at a time off the
+    row tuples, one RNG draw per row per column when sampling."""
+    rng = random.Random(seed)
+    seen_rows = table.row_count
+    if prefix_fraction is not None:
+        seen_rows = max(1, int(table.row_count * prefix_fraction))
+    stats = TableStats(
+        table=table.name, row_count=seen_rows,
+        num_pages=max(1, int(table.num_pages * (
+            prefix_fraction if prefix_fraction is not None else 1.0))))
+    for pos, name in enumerate(table.schema.column_names):
+        values = []
+        for i, (_tid, row) in enumerate(table.heap.iter_rows()):
+            if i >= seen_rows:
+                break
+            if sample_rate >= 1.0 or rng.random() < sample_rate:
+                values.append(row[pos])
+        if not values:
+            stats.columns[name] = ColumnStats(name, seen_rows, None, None, 0)
+            continue
+        lo, hi = min(values), max(values)
+        histogram = None
+        if all(isinstance(v, (int, float)) for v in values):
+            counts = [0] * buckets
+            span = float(hi) - float(lo)
+            for v in values:
+                if span <= 0:
+                    counts[0] += 1
+                else:
+                    counts[min(buckets - 1, int(
+                        (float(v) - float(lo)) / span * buckets))] += 1
+            histogram = Histogram(lo=float(lo), hi=float(hi), counts=counts)
+        stats.columns[name] = ColumnStats(name, seen_rows, lo, hi,
+                                          len(set(values)), histogram)
+    return stats
+
+
+def _micro_tables(db):
+    from repro.workloads.micro import build_micro_table
+    return [build_micro_table(db, num_tuples=3_000, seed=7)]
+
+
+def _skew_tables(db):
+    from repro.workloads.skew import build_skew_table
+    return [build_skew_table(db, 3_000)]
+
+
+def _tpch_tables(db):
+    from repro.workloads.tpch.generator import generate_tpch
+    return generate_tpch(db, scale_factor=0.001).all_tables()
+
+
+def _edge_tables(db):
+    """Floats, a constant column, integers past int64 (an object list in
+    the image, numeric all the same), one row, no rows."""
+    mixed = Schema([Column("f", ColumnType.FLOAT), Column("same"),
+                    Column("big", ColumnType.BIGINT)])
+    return [
+        db.load_table("mixed", mixed, [
+            (i * 0.25 - 3.0, 7, 2**70 + i % 4) for i in range(500)]),
+        db.load_table("one", Schema.of_ints(["a"]), [(5,)]),
+        db.load_table("none", Schema.of_ints(["a"]), []),
+    ]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"sample_rate": 0.1}, {"prefix_fraction": 0.5},
+    {"sample_rate": 0.3, "prefix_fraction": 0.5, "buckets": 7},
+], ids=repr)
+@pytest.mark.parametrize("build", [_micro_tables, _skew_tables,
+                                   _tpch_tables, _edge_tables])
+def test_analyze_from_the_image_equals_the_row_walk(db, build, kwargs):
+    for table in build(db):
+        expected = _row_path_stats(table, seed=5, **kwargs)
+        got = StatisticsCatalog(seed=5).analyze(table, **kwargs)
+        assert got == expected
+        for name, column in got.columns.items():
+            want = expected.columns[name]
+            # Built-in values, not array scalars that merely compare equal.
+            assert type(column.min_value) is type(want.min_value), name
+            assert type(column.max_value) is type(want.max_value), name
+            if column.histogram is not None:
+                assert {type(c) for c in column.histogram.counts} <= {int}
