@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.api.result import QueryResult
 from repro.errors import InterfaceError
-from repro.exec.iterator import Chunk
+from repro.exec.iterator import Batch, Chunk
 from repro.exec.stats import StreamingRun, measure
 from repro.optimizer.plan_cache import options_fingerprint
 from repro.optimizer.planner import PlannedQuery, Planner, PlannerOptions
@@ -333,11 +333,12 @@ class Cursor:
     right after ``execute``; ``rowcount`` stays ``-1`` until the result
     is fully drained (streaming cursors cannot know it earlier).
 
-    Between fetches the cursor buffers exactly one batch: ``_rows`` is
-    the row list of the last batch pulled (read-only here — it can be
-    the producer's own list) and ``_head`` the offset of the first row
-    not yet handed out.  Fetches slice it, so what they return is always
-    a new list the caller may keep and mutate.
+    Between fetches the cursor buffers exactly one batch: ``_batch`` is
+    the last batch pulled, as it arrived (read-only here — it stays its
+    producer's), and ``_head`` the offset of the first row not yet
+    handed out.  Fetches slice it and build rows for the slice alone, so
+    what they return is always a new list the caller may keep and mutate,
+    and rows nobody fetches are never built.
     """
 
     def __init__(self, connection: Connection):
@@ -350,7 +351,7 @@ class Cursor:
         self._closed = False
         self._run: StreamingRun | None = None
         self._planned: PlannedQuery | None = None
-        self._rows: list[Row] = []    # last pulled batch (or EXPLAIN lines)
+        self._batch: Batch = []       # last pulled batch (or EXPLAIN lines)
         self._head = 0                # first row of it not yet fetched
         self._last_cache_outcome: str | None = None
 
@@ -439,13 +440,9 @@ class Cursor:
             raise InterfaceError(
                 f"fetchmany size must be positive, got {size}"
             )
-        head = self._head
-        out = self._rows[head:head + size]
-        self._head = head + len(out)
+        out = self._take(size)
         while len(out) < size and self._pull():
-            part = self._rows[:size - len(out)]
-            self._head = len(part)
-            out += part
+            out += self._take(size - len(out))
         self._maybe_finish()
         return out
 
@@ -454,10 +451,10 @@ class Cursor:
 
         Like :meth:`fetchmany`, returns a list the caller owns."""
         self._check_fetchable()
-        out = self._rows[self._head:]
+        out = self._take(None)
         while self._pull():
-            out += self._rows
-        self._rows, self._head = [], 0
+            out += self._take(None)
+        self._batch, self._head = [], 0
         self._maybe_finish()
         return out
 
@@ -518,7 +515,7 @@ class Cursor:
         """Abandon any in-flight run and refuse further use."""
         if self._run is not None:
             self._run.close()
-        self._rows, self._head = [], 0
+        self._batch, self._head = [], 0
         self._closed = True
 
     def __enter__(self) -> "Cursor":
@@ -534,7 +531,7 @@ class Cursor:
             self._run.close()
         self._run = None
         self._planned = None
-        self._rows, self._head = [], 0
+        self._batch, self._head = [], 0
         self.description = None
         self.rowcount = rowcount
 
@@ -550,7 +547,7 @@ class Cursor:
             f"invalidations={stats['invalidations']})"
         )
         # Known in full at execute time: buffered as the one batch.
-        self._rows, self._head = [(line,) for line in lines], 0
+        self._batch, self._head = [(line,) for line in lines], 0
         self.description = [
             ("plan", ColumnType.CHAR, None, None, None, None, None)
         ]
@@ -568,7 +565,7 @@ class Cursor:
             )
 
     def _pull(self) -> bool:
-        """Buffer the next operator batch's rows; False when done.
+        """Buffer the next operator batch; False when done.
 
         Replaces the buffered batch, so callers take what is left of the
         old one first.
@@ -578,17 +575,28 @@ class Cursor:
         batch = self._run.next_batch()
         if batch is None:
             return False
-        # Rowify here, at the API boundary — batches arrive columnar.
-        # Either list may be shared with its producer (``Chunk._rows``,
-        # a Materialize replay): slice it, never hand it out.
-        self._rows = batch.to_rows() if isinstance(batch, Chunk) else batch
-        self._head = 0
+        self._batch, self._head = batch, 0
         return True
+
+    def _take(self, size: int | None) -> list[Row]:
+        """The next ``size`` rows of the buffered batch (all that is left
+        of it when fewer, or when ``size`` is None), as a new list.
+
+        Rowify here, at the API boundary, and only the slice handed out
+        — batches arrive columnar.
+        """
+        head = self._head
+        stop = len(self._batch)
+        if size is not None:
+            stop = min(stop, head + size)
+        self._head = stop
+        part = self._batch[head:stop]
+        return part.to_rows() if isinstance(part, Chunk) else part
 
     def _maybe_finish(self) -> None:
         """Publish rowcount once the stream is exhausted and drained.
 
         (EXPLAIN rowcount is known — and set — at execute time.)"""
         if self._run is not None and self._run.exhausted \
-                and self._head == len(self._rows):
+                and self._head == len(self._batch):
             self.rowcount = self._run.rows_produced

@@ -370,6 +370,7 @@ class SmoothScan(Operator):
             lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
         ):
             page_checks = 0
+            mode0_rows: list = []
             for j in range(len(keys)):
                 tid = tids[j]
                 probes += 1
@@ -377,10 +378,19 @@ class SmoothScan(Operator):
                 # ---- Mode 0: per-probe random fetches until the trigger
                 # fires; inherently tuple-at-a-time.
                 if mode0_active:
-                    page = ctx.get_page(heap, tid.page_id)
+                    if not mode0_rows:
+                        # What is left of the leaf, in one gather (a
+                        # payload read charges nothing); reversed, so
+                        # each probe pops its row.
+                        at = _np.array(tids[j:], dtype=_np.int64)
+                        mode0_rows = heap.image().take(
+                            at[:, 0] * heap.tuples_per_page + at[:, 1]
+                        ).to_rows()
+                        mode0_rows.reverse()
+                    ctx.get_page(heap, tid.page_id)
                     stats.mode0_page_fetches += 1
                     ctx.charge_inspect()
-                    row = page.get(tid.slot)
+                    row = mode0_rows.pop()
                     if residual_fn(row):
                         stats.mode0_tuples += 1
                         stats.produced += 1
@@ -492,12 +502,16 @@ class SmoothScan(Operator):
             out.append(sel)
             return out
 
+        # The run's rows in one gather, handed out page by page.
+        run_rows = heap.run_chunk(run_start, run_len).to_rows()
+        per_page = heap.tuples_per_page
         for page in ctx.get_run(heap, run_start, run_len):
             pid = page.page_id
             page_cache.mark(pid)
             ctx.charge_cache_insert()
             stats.pages_fetched += 1
-            rows = page.all_rows()
+            at = (pid - run_start) * per_page
+            rows = run_rows[at:at + per_page]
             ctx.charge_inspect(len(rows))
             sel = qualify(rows)
             if sel and residual_sel is not None:

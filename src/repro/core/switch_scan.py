@@ -23,6 +23,7 @@ from repro.exec.expressions import (
     require_columns,
 )
 from repro.exec.iterator import Batch, Chunk, DEFAULT_BATCH_SIZE, Operator
+from repro.index.btree import TID_SHIFT, TID_SLOT_MASK
 from repro.storage.chunk import mask_and, mask_nonzero
 from repro.storage.table import Table
 from repro.storage.types import Row, TID
@@ -80,27 +81,36 @@ class SwitchScan(Operator):
         # Phase 1: classical index scan, monitoring actual cardinality.
         # Random per-TID heap fetches dominate here, so the scan stays
         # per entry — which also stops charging at the exact entry where
-        # the switch fires, mid-leaf.
+        # the switch fires, mid-leaf.  Only the payload moves a leaf at a
+        # time: its rows come out of the heap image in one gather.
         pending: list[Row] = []
         rng = self.key_range
-        for _key, tid in self.index.scan(
+        per_page = heap.tuples_per_page
+        for codes in self.index.scan_leaf_codes(
             ctx, lo=rng.lo, hi=rng.hi,
             lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
         ):
-            page = ctx.get_page(heap, tid.page_id)
-            ctx.charge_inspect()
-            row = page.get(tid.slot)
-            if residual_fn(row):
-                produced += 1
-                produced_tids.add(tid)
-                ctx.charge_cache_insert()
-                ctx.charge_emit()
-                pending.append(row)
-                if len(pending) >= DEFAULT_BATCH_SIZE:
-                    yield pending
-                    pending = []
-            if produced > self.threshold:
-                self.switched = True
+            pages = codes >> TID_SHIFT
+            slots = codes & TID_SLOT_MASK
+            leaf_rows = heap.image().take(pages * per_page + slots).to_rows()
+            for page_id, slot, row in zip(pages.tolist(), slots.tolist(),
+                                          leaf_rows, strict=True):
+                ctx.charge_index_entry()
+                ctx.get_page(heap, page_id)
+                ctx.charge_inspect()
+                if residual_fn(row):
+                    produced += 1
+                    produced_tids.add(TID(page_id, slot))
+                    ctx.charge_cache_insert()
+                    ctx.charge_emit()
+                    pending.append(row)
+                    if len(pending) >= DEFAULT_BATCH_SIZE:
+                        yield pending
+                        pending = []
+                if produced > self.threshold:
+                    self.switched = True
+                    break
+            if self.switched:
                 break
         if pending:
             yield pending

@@ -210,11 +210,12 @@ class Database:
         buckets, bounds = partition_rows(table, num_shards, scheme,
                                          column if scheme == "range"
                                          else None)
+        image = table.heap.image()
         if table_name in self._shard_sets:
             self.unshard_table(table_name)
         shards = []
         tuple_size = table.schema.tuple_size(self.config.tuple_header)
-        for i, rows in enumerate(buckets):
+        for i, positions in enumerate(buckets):
             heap = HeapFile(
                 file_id=self._allocate_file_id(),
                 schema=table.schema,
@@ -222,7 +223,7 @@ class Database:
             )
             shard = Table(shard_table_name(table_name, i),
                           table.schema, heap)
-            shard.insert_many(rows)
+            shard.insert_many(image.take(positions).to_rows())
             for idx_column in sorted(table.indexes):
                 self._build_index(shard, idx_column,
                                   f"{shard.name}_{idx_column}_idx")

@@ -20,10 +20,6 @@ class StorageError(ReproError):
     """A storage-layer invariant was violated."""
 
 
-class PageFullError(StorageError):
-    """An insert was attempted on a heap page with no free slot."""
-
-
 class UnknownPageError(StorageError):
     """A page id outside the file was requested."""
 

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+import numpy as _np
+
 from repro.context import ExecutionContext
 from repro.errors import PlanningError
 from repro.exec.expressions import Predicate, TruePredicate
 from repro.exec.iterator import Batch, Chunk, Operator, chunked
+from repro.index.btree import TID_SHIFT, TID_SLOT_MASK
 from repro.storage.table import Table
 from repro.storage.types import Row, Schema
 
@@ -275,28 +278,45 @@ class IndexNestedLoopJoin(Operator):
         return f"IndexNestedLoopJoin({self.inner_table.name}, {self.inner_access})"
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        """Probe the inner index one outer batch at a time."""
+        """Probe the inner index one outer batch at a time.
+
+        The inner rows a batch will fetch are read first, in one gather
+        out of the heap image at the positions the index holds for the
+        batch's keys (uncharged, as every payload read is); the probe
+        loop then charges lookup by lookup and fetch by fetch.
+        """
         matches = self.residual.bind(self.schema)
         heap = self.inner_table.heap
+        per_page = heap.tuples_per_page
         opos = self.outer_pos
         inner_key_pos = self.inner_table.schema.index_of(self.inner_column)
         smooth = self.inner_access == "smooth"
+        peek_codes = self.index.peek_codes
         for batch in self.outer.batches(ctx):
+            if not len(batch):
+                continue
+            codes = _np.concatenate([peek_codes(orow[opos]) for orow in batch])
+            inner_rows = heap.image().take(
+                (codes >> TID_SHIFT) * per_page
+                + (codes & TID_SLOT_MASK)).to_rows()
+            taken = 0
             out: list[Row] = []
             for orow in batch:
                 key = orow[opos]
                 tids = list(self.index.lookup(ctx, key))
                 if not tids:
                     continue
+                irows = inner_rows[taken:taken + len(tids)]
+                taken += len(tids)
                 if smooth and len(tids) > 1:
                     out.extend(self._probe_smooth(
-                        ctx, heap, orow, key, tids, inner_key_pos, matches
+                        ctx, heap, orow, key, tids, irows, inner_key_pos,
+                        matches
                     ))
                 else:
-                    for tid in tids:
-                        page = ctx.get_page(heap, tid.page_id)
+                    for tid, irow in zip(tids, irows, strict=True):
+                        ctx.get_page(heap, tid.page_id)
                         ctx.charge_inspect()
-                        irow = page.get(tid.slot)
                         joined = orow + irow
                         if matches(joined):
                             ctx.charge_emit()
@@ -305,17 +325,24 @@ class IndexNestedLoopJoin(Operator):
                 yield out
 
     def _probe_smooth(self, ctx: ExecutionContext, heap, orow: Row,
-                      key: object, tids, inner_key_pos: int,
-                      matches) -> Iterator[Row]:
-        """Per-key morphing: fetch each page once, probe it entirely."""
-        page_ids = sorted({tid.page_id for tid in tids})
+                      key: object, tids, irows: list[Row],
+                      inner_key_pos: int, matches) -> Iterator[Row]:
+        """Per-key morphing: fetch each page once, probe it entirely.
+
+        Probing a page entirely finds the key's rows on it, which are
+        ``irows`` (one per TID, and one key's TIDs are in slot order).
+        """
+        on_page: dict[int, list[Row]] = {}
+        for tid, irow in zip(tids, irows, strict=True):
+            found = on_page.setdefault(tid.page_id, [])
+            # A NULL outer key probes every entry and equals no row.
+            if irow[inner_key_pos] == key:
+                found.append(irow)
         from repro.exec.scans import _contiguous_runs  # shared helper
-        for run_start, run_len in _contiguous_runs(page_ids):
+        for run_start, run_len in _contiguous_runs(sorted(on_page)):
             for page in ctx.get_run(heap, run_start, run_len):
                 ctx.charge_inspect(len(page))
-                for irow in page:
-                    if irow[inner_key_pos] != key:
-                        continue
+                for irow in on_page[page.page_id]:
                     joined = orow + irow
                     if matches(joined):
                         ctx.charge_emit()

@@ -202,37 +202,39 @@ class SortScan(Operator):
         spans = dict(zip(page_ids,
                          zip(starts.tolist(), ends.tolist(), strict=False),
                          strict=False))
-        matches = self.residual.bind(self.schema)
-        for run_start, run_len in _contiguous_runs(page_ids):
-            # Candidates per run: spans are contiguous in code space.
-            first = spans[run_start][0]
-            end = spans[run_start + run_len - 1][1]
+        matches = (None if isinstance(self.residual, TruePredicate)
+                   else self.residual.bind(self.schema))
+        image = heap.image()
+        # Candidates per run: spans are contiguous in code space.
+        runs = [(start, length, spans[start][0], spans[start + length - 1][1])
+                for start, length in _contiguous_runs(page_ids)]
+        # Sparse runs (few slots per page): gathering whole-page columns
+        # to select a handful of rows costs more than fetching the rows
+        # directly — every sparse run's rows in one gather, handed out
+        # run by run below.  Same charges, row batches.
+        sparse = [positions[first:end] for _, length, first, end in runs
+                  if end - first < length * _SPARSE_SLOTS_PER_PAGE]
+        sparse_rows: list[Row] = image.take(
+            _np.concatenate(sparse)).to_rows() if sparse else []
+        taken = 0
+        for run_start, run_len, first, end in runs:
+            for page in ctx.get_run(heap, run_start, run_len):
+                lo, hi = spans[page.page_id]
+                ctx.charge_inspect(hi - lo)
             if end - first < run_len * _SPARSE_SLOTS_PER_PAGE:
-                # Sparse run (few slots per page): gathering whole-page
-                # columns to select a handful of rows costs more than
-                # fetching the rows directly.  Same charges, row batch.
-                out: list[Row] = []
-                for page in ctx.get_run(heap, run_start, run_len):
-                    lo, hi = spans[page.page_id]
-                    ctx.charge_inspect(hi - lo)
-                    get = page.get
-                    for slot in slots_arr[lo:hi].tolist():
-                        row = get(slot)
-                        if matches(row):
-                            out.append(row)
+                out = sparse_rows[taken:taken + end - first]
+                taken += end - first
+                if matches is not None:
+                    out = [row for row in out if matches(row)]
                 if out:
                     ctx.charge_emit(len(out))
                     yield out
                 continue
-            for page in ctx.get_run(heap, run_start, run_len):
-                lo, hi = spans[page.page_id]
-                ctx.charge_inspect(hi - lo)
             # One batch per run (batch boundaries are simulated-clock
             # state: Exchange interleaves on them): the run's candidates
             # as positions in the heap image — a plain slice when every
             # row of the run is one, as TIDs are distinct and sorted.
             start, stop = int(positions[first]), int(positions[end - 1]) + 1
-            image = heap.image()
             kept = filter_chunk(
                 image[start:stop] if stop - start == end - first
                 else image.take(positions[first:end]))

@@ -284,6 +284,15 @@ class BTreeIndex:
                 ctx.charge_index_entry()
                 yield tid
 
+    def peek_codes(self, key: object):
+        """Packed TID codes of the entries equal to ``key``; no charge.
+
+        The TIDs :meth:`lookup` will yield, for a caller that gathers the
+        rows ahead of the probe loop that pays for them.
+        """
+        start, end = self.range_positions(key, key, True, True)
+        return self._codes[start:end]
+
     def min_key(self) -> object:
         """Smallest key; raises BTreeError when empty."""
         if not self._keys:

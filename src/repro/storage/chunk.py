@@ -167,11 +167,15 @@ class Chunk:
             if step != 1:
                 return self.take(list(range(start, stop, step)))
             # A contiguous slice is a ``range`` selection (always step
-            # 1): no column is touched until a consumer reads it.
+            # 1): no column is touched until a consumer reads it, and
+            # rows the producer already built are not built again.
             sel = self.sel
-            return Chunk(self.names, self.columns,
+            part = Chunk(self.names, self.columns,
                          sel=range(start, max(start, stop)) if sel is None
                          else sel[start:stop])
+            if self._rows is not None:
+                part._rows = self._rows[start:stop]
+            return part
         return self.to_rows()[item]
 
     def to_rows(self) -> list[Row]:

@@ -1,28 +1,35 @@
-"""Heap files: page-ordered row storage.
+"""Heap files: page-ordered row storage, kept once, as columns.
 
-A :class:`HeapFile` is the physical body of a table — an append-only list
-of :class:`~repro.storage.page.HeapPage`.  It never charges I/O itself;
-all timed access flows through the :class:`~repro.storage.buffer.BufferPool`
-so that repeated-page effects (the index scan's downfall) are modeled
-faithfully.
+A :class:`HeapFile` is the physical body of a table.  It never charges
+I/O itself; all timed access flows through the
+:class:`~repro.storage.buffer.BufferPool` so that repeated-page effects
+(the index scan's downfall) are modeled faithfully.
 
-Beside the row tuples on its pages, a heap keeps exactly one columnar
-representation: the *image*, a table-wide :class:`~repro.storage.chunk.
-Chunk` in physical order (row ``page * tuples_per_page + slot``), built
-on first columnar access and extended — never rebuilt — after appends.
-Every columnar batch a scan emits is a slice of it or a selection vector
-over it, so there is nothing to cache per page or per extent and nothing
-to invalidate but the row watermark.
+The rows live in exactly one place: the *image*, a table-wide
+:class:`~repro.storage.chunk.Chunk` in physical order (row
+``page * tuples_per_page + slot``).  Appended rows wait as tuples in one
+pending block, which is typed and joined onto the image — never rebuilt —
+when it reaches :data:`BLOCK_PAGES` pages and whenever somebody reads, so
+a load never holds the table both as tuples and as columns.  The
+:class:`~repro.storage.page.HeapPage` objects are windows onto the
+image.  Every columnar batch a scan emits is a slice of the image or a
+selection vector over it, and the payload reads everybody else uses are
+:meth:`HeapFile.row` for one row and ``image().take(positions)
+.to_rows()`` for many; there is nothing to cache per page or per extent
+and nothing to invalidate.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import StorageError, UnknownPageError
 from repro.storage.chunk import Chunk, extend_column
 from repro.storage.page import HeapPage
 from repro.storage.types import Row, Schema, TID
+
+#: Pages of appended rows that wait as tuples before they are typed.
+BLOCK_PAGES = 256
 
 
 class HeapFile:
@@ -39,6 +46,10 @@ class HeapFile:
         #: The columnar image of rows ``[0, len(self._image))``.
         self._image = Chunk(schema.column_names,
                             [[] for _ in schema.column_names])
+        #: Rows ``[len(self._image), row_count)``, not yet typed.
+        self._pending: list[Row] = []
+        #: One scalar read per image column (see :meth:`row`).
+        self._readers: list = []
 
     @property
     def num_pages(self) -> int:
@@ -52,37 +63,77 @@ class HeapFile:
 
     def append(self, row: Row) -> TID:
         """Store ``row`` at the end of the heap; returns its TID."""
-        self.schema.validate_row(row)
-        if not self._pages or self._pages[-1].is_full:
-            self._pages.append(
-                HeapPage(page_id=len(self._pages), capacity=self.tuples_per_page)
-            )
-        page = self._pages[-1]
-        slot = page.insert(row)
-        self._row_count += 1
-        return TID(page.page_id, slot)
+        self.extend((row,))
+        return TID(*divmod(self._row_count - 1, self.tuples_per_page))
+
+    def extend(self, rows: Iterable[Row]) -> int:
+        """Store ``rows`` at the end of the heap; returns how many.
+
+        Each row is validated as it arrives; the rows before one that
+        fails stay stored.
+        """
+        validate = self.schema.validate_row
+        pending = self._pending
+        block = BLOCK_PAGES * self.tuples_per_page
+        before = self._row_count
+        try:
+            for row in rows:
+                validate(row)
+                pending.append(row)
+                if len(pending) >= block:
+                    self._fold()
+        finally:
+            self._open_pages()
+        return self._row_count - before
+
+    def _open_pages(self) -> None:
+        """Bring the page windows and the row count up to the stored rows."""
+        count = len(self._image) + len(self._pending)
+        per_page = self.tuples_per_page
+        pages = self._pages
+        if pages:
+            pages[-1].n = min(per_page, count - (len(pages) - 1) * per_page)
+        for page_id in range(len(pages), -(-count // per_page)):
+            pages.append(HeapPage(
+                self, page_id, min(per_page, count - page_id * per_page)))
+        self._row_count = count
+
+    def _fold(self) -> None:
+        """Type the pending block and join it onto the image.
+
+        One column at a time (a single transient value list, not a
+        transposed copy of the block).  The rows already in the image
+        are copied over, never re-typed, and chunks handed out earlier
+        stay valid — rows never move.
+        """
+        block = self._pending
+        image = self._image
+        image = self._image = Chunk(image.names, [
+            extend_column(col, [row[i] for row in block])
+            for i, col in enumerate(image.columns)
+        ])
+        block.clear()
+        # ``ndarray.item`` hands back the built-in value ``tolist`` would.
+        self._readers = [col.__getitem__ if isinstance(col, list)
+                         else col.item for col in image.columns]
 
     def image(self) -> Chunk:
         """The whole heap as one columnar chunk, in physical order.
 
-        Built one column at a time (a single transient value list, not a
-        transposed copy of the table) and brought up to date from the row
-        watermark: rows appended since the last call are typed on their
-        own and joined on, so a table that is synced by appends never
-        pays for its old rows again.  Chunks handed out earlier stay
-        valid — rows never move.  Callers only read.
+        Callers only read — and read a part of it (a slice, a ``take``):
+        ``to_rows()`` on the image itself would cache a tuple per row on
+        the one chunk that lives as long as the table.
         """
-        image = self._image
-        if len(image) != self._row_count:
-            first, skip = divmod(len(image), self.tuples_per_page)
-            tail = self._pages[first].all_rows()[skip:]
-            for page in self._pages[first + 1:]:
-                tail.extend(page.all_rows())
-            image = self._image = Chunk(image.names, [
-                extend_column(col, [row[i] for row in tail])
-                for i, col in enumerate(image.columns)
-            ])
-        return image
+        if self._pending:
+            self._fold()
+        return self._image
+
+    def row(self, pos: int) -> Row:
+        """Row ``pos`` (``page * tuples_per_page + slot``, in range) as a
+        tuple of built-in values, without charging I/O."""
+        if self._pending:
+            self._fold()
+        return tuple([read(pos) for read in self._readers])
 
     def run_chunk(self, start: int, n: int, names: object = None) -> Chunk:
         """Pages ``[start, start + n)`` as a zero-copy slice of the image.
@@ -114,5 +165,5 @@ class HeapFile:
     def iter_rows(self) -> Iterator[tuple[TID, Row]]:
         """Yield ``(TID, row)`` in physical order, charging no I/O."""
         for page in self._pages:
-            for slot, row in page.rows_with_slots():
+            for slot, row in enumerate(page.all_rows()):
                 yield TID(page.page_id, slot), row

@@ -31,11 +31,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as _np
+
 from repro.errors import StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.table import Table
-    from repro.storage.types import Row
 
 #: The partitioning schemes the shard catalog understands.
 SHARD_SCHEMES = ("round_robin", "range")
@@ -116,27 +117,27 @@ def range_split_keys(values: list, num_shards: int) -> tuple:
 
 
 def partition_rows(table: "Table", num_shards: int, scheme: str,
-                   column: str | None) -> tuple[list[list["Row"]], tuple]:
+                   column: str | None) -> tuple[list[_np.ndarray], tuple]:
     """Assign every stored row to a shard.
 
-    Returns ``(rows_per_shard, bounds)`` where ``rows_per_shard[i]`` is
-    shard *i*'s rows in the parent's heap order and ``bounds`` is the
-    range-scheme split keys (empty for round-robin).  Pure bookkeeping:
-    no simulated I/O is charged (partitioning is offline DDL, like
-    index builds).
+    Returns ``(positions_per_shard, bounds)`` where
+    ``positions_per_shard[i]`` holds shard *i*'s rows as ascending
+    positions in the parent's heap image (so a shard keeps the parent's
+    heap order) and ``bounds`` is the range-scheme split keys (empty for
+    round-robin).  Pure bookkeeping: no simulated I/O is charged
+    (partitioning is offline DDL, like index builds).
     """
     validate_sharding(num_shards, scheme)
-    rows = [row for page in table.heap.iter_pages()
-            for row in page.all_rows()]
+    n_rows = table.row_count
     if scheme == "round_robin":
-        return [rows[i::num_shards] for i in range(num_shards)], ()
+        return [_np.arange(i, n_rows, num_shards)
+                for i in range(num_shards)], ()
     if column is None:
         raise StorageError(
             "range partitioning requires a column name"
         )
     keys = table.heap.image().column_values(table.schema.index_of(column))
     bounds = range_split_keys(keys, num_shards)
-    buckets: list[list["Row"]] = [[] for _ in range(num_shards)]
-    for key, row in zip(keys, rows, strict=True):
-        buckets[bisect_right(bounds, key)].append(row)
-    return buckets, bounds
+    shard_of = _np.fromiter((bisect_right(bounds, key) for key in keys),
+                            dtype=_np.intp, count=n_rows)
+    return [_np.flatnonzero(shard_of == i) for i in range(num_shards)], bounds

@@ -46,12 +46,25 @@ class Table:
         return tid
 
     def insert_many(self, rows: Iterable[Row]) -> int:
-        """Append many rows; returns how many were stored."""
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
+        """Append many rows; returns how many were stored.
+
+        The heap takes them in bulk; the registered indexes then learn
+        the new rows' keys from the image — also when a bad row stops
+        the load part-way, so heap and indexes never disagree.
+        """
+        heap = self.heap
+        first = heap.row_count
+        try:
+            return heap.extend(rows)
+        finally:
+            if self.indexes and heap.row_count > first:
+                new = heap.image()[first:]
+                tids = [TID(*divmod(pos, heap.tuples_per_page))
+                        for pos in range(first, heap.row_count)]
+                for column, index in self.indexes.items():
+                    keys = new.column_values(self.schema.index_of(column))
+                    for key, tid in zip(keys, tids, strict=True):
+                        index.insert(key, tid)
 
     def index_on(self, column: str) -> "BTreeIndex":
         """Return the index on ``column``; raises StorageError if absent."""

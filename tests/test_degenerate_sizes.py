@@ -1,22 +1,40 @@
 """Degenerate sizes: tables, indexes and shards of zero, one or all-equal.
 
 No failure is injected here — every case is a *size* at the edge of what
-the storage and index layers are built for.  (The configuration sizes —
-one-page pools, one-page sort memory, tiny result-cache limits — are
-still in ``tests/test_failure_injection.py``, due to follow.)
+the storage and index layers are built for: tables, indexes and shards
+of zero and one, a one-page pool, one page of sort memory, a region
+larger than the table, and the heap's block and page boundaries.  (The
+tiny result-cache limits are still in
+``tests/test_failure_injection.py``, due to follow.)
 """
+
+import random
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.core.smooth_scan import SmoothScan
 from repro.database import Database
 from repro.exec.exchange import Exchange, ShardedScan
-from repro.exec.expressions import KeyRange
+from repro.exec.expressions import Between, KeyRange
 from repro.exec.scans import FullTableScan, IndexScan, SortScan
+from repro.exec.sort import Sort
 from repro.exec.stats import measure
+from repro.storage.heap import BLOCK_PAGES, HeapFile
 from repro.storage.types import Schema, TID
 
 AB = Schema.of_ints(["a", "b"])
+
+
+def build(config=None, rows=5_000, seed=3):
+    db = Database(config=config)
+    rng = random.Random(seed)
+    table = db.load_table(
+        "t", Schema.of_ints(["c1", "c2", "c3"]),
+        [(i, rng.randrange(1_000), rng.randrange(10)) for i in range(rows)],
+    )
+    db.create_index("t", "c2")
+    return db, table
 
 
 def index_paths(table, key_range):
@@ -144,3 +162,90 @@ def test_a_shard_that_receives_zero_rows(scheme):
         for i, shard in enumerate(shard_set.shards)
     ], table_name="t")
     assert sorted(measure(db, plan).rows) == [(0, 4), (1, 4)]
+
+
+def test_one_page_buffer_pool_still_correct():
+    db, table = build(EngineConfig(buffer_pool_pages=1))
+    expected = sorted(measure(db, FullTableScan(
+        table, Between("c2", 0, 500))).rows)
+    for plan in (IndexScan(table, "c2", KeyRange(0, 500)),
+                 SortScan(table, "c2", KeyRange(0, 500)),
+                 SmoothScan(table, "c2", KeyRange(0, 500))):
+        assert sorted(measure(db, plan).rows) == expected
+
+
+def test_one_page_work_mem_sorts_correctly():
+    db, table = build(EngineConfig(work_mem_pages=1))
+    rows = measure(db, Sort(FullTableScan(table), ["c2"])).rows
+    keys = [r[1] for r in rows]
+    assert keys == sorted(keys)
+    assert len(rows) == table.row_count
+
+
+def test_smooth_scan_region_larger_than_table():
+    db, table = build(rows=2_000)
+    scan = SmoothScan(table, "c2", KeyRange(0, 1000),
+                      max_region_pages=10_000)
+    rows = measure(db, scan).rows
+    assert len(rows) == 2_000
+    assert scan.last_stats.pages_fetched == table.num_pages
+
+
+# -- the heap's own edges: the image, the pending block, the page windows ----
+
+
+def test_empty_heap_image():
+    heap = HeapFile(file_id=0, schema=AB, tuples_per_page=4)
+    image = heap.image()
+    assert len(image) == 0 and image.names == ("a", "b")
+    assert heap.num_pages == heap.row_count == 0
+    assert list(heap.iter_pages()) == list(heap.iter_rows()) == []
+    assert heap.run_chunk(0, 1).to_rows() == []
+    assert heap.extend([]) == 0 and heap.image() is image
+
+
+def test_partial_last_page():
+    heap = HeapFile(file_id=0, schema=AB, tuples_per_page=4)
+    assert heap.extend((i, -i) for i in range(6)) == 6
+    assert [len(page) for page in heap.iter_pages()] == [4, 2]
+    last = heap.page(1)
+    assert not last.is_full and heap.page(0).is_full
+    assert last.all_rows() == list(last) == [(4, -4), (5, -5)]
+    assert last.get(1) == (5, -5)
+    with pytest.raises(Exception, match="slot 2 not in use"):
+        last.get(2)
+    # The short page fills in place: same window, no new page.
+    assert heap.append((6, -6)) == TID(1, 2)
+    assert heap.page(1) is last and len(last) == 3
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_block_boundary_on_a_page_boundary(extra):
+    """A load of exactly one block (a whole number of pages) folds with
+    nothing pending; one more row waits as the only pending tuple."""
+    per_page = 2
+    block = BLOCK_PAGES * per_page
+    heap = HeapFile(file_id=0, schema=AB, tuples_per_page=per_page)
+    rows = [(i, i % 7) for i in range(block + extra)]
+    assert heap.extend(iter(rows)) == len(rows)
+    assert len(heap._pending) == extra
+    assert heap.num_pages == BLOCK_PAGES + extra
+    assert all(page.is_full for page in list(heap.iter_pages())[:BLOCK_PAGES])
+    assert heap.fetch(TID(BLOCK_PAGES - 1, 1)) == rows[block - 1]
+    assert [row for _tid, row in heap.iter_rows()] == rows
+    assert not heap._pending and len(heap.image()) == len(rows)
+
+
+def test_one_row_appended_after_the_image_was_handed_out():
+    heap = HeapFile(file_id=0, schema=AB, tuples_per_page=4)
+    heap.extend((i, i) for i in range(4))
+    image = heap.image()
+    held = image[2:]
+    assert heap.append((4, 4)) == TID(1, 0)
+    assert heap.row_count == 5 and heap.num_pages == 2
+    # The old image and what was cut from it still read the old rows ...
+    assert len(image) == 4 and held.to_rows() == [(2, 2), (3, 3)]
+    # ... and the next reader sees the new one, on its own page.
+    assert len(heap.image()) == 5 and heap.image() is not image
+    assert heap.page(1).all_rows() == [(4, 4)]
+    assert heap.row(4) == (4, 4)

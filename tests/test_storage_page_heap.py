@@ -1,41 +1,63 @@
 """Heap pages and heap files."""
 
+import gc
+import types
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import PageFullError, StorageError, UnknownPageError
+from repro.errors import StorageError, UnknownPageError
+from repro.storage import heap as heap_module
+from repro.storage.chunk import Chunk
 from repro.storage.heap import HeapFile
 from repro.storage.page import HeapPage
 from repro.storage.types import Column, ColumnType, Schema, TID
 
 
+def _one_page_heap(capacity):
+    """A heap whose first page is the page under test: a page is a
+    window, so its rows go in through the heap."""
+    return HeapFile(file_id=0, schema=Schema.of_ints(["a"]),
+                    tuples_per_page=capacity)
+
+
 def test_page_insert_and_get():
-    page = HeapPage(page_id=0, capacity=3)
-    assert page.insert((1,)) == 0
-    assert page.insert((2,)) == 1
+    heap = _one_page_heap(capacity=3)
+    assert heap.append((1,)).slot == 0
+    assert heap.append((2,)).slot == 1
+    page = heap.page(0)
     assert page.get(1) == (2,)
     assert len(page) == 2
     assert not page.is_full
 
 
 def test_page_full_raises():
-    page = HeapPage(page_id=0, capacity=1)
-    page.insert((1,))
+    heap = _one_page_heap(capacity=1)
+    heap.append((1,))
+    page = heap.page(0)
     assert page.is_full
-    with pytest.raises(PageFullError):
-        page.insert((2,))
-
-
-def test_page_bad_slot():
-    page = HeapPage(page_id=0, capacity=2)
-    page.insert((1,))
+    # A full page takes no more rows: the heap opens the next one.
+    assert heap.append((2,)) == TID(1, 0)
+    assert len(page) == 1 and page.all_rows() == [(1,)]
     with pytest.raises(StorageError):
         page.get(1)
 
 
+def test_page_bad_slot():
+    heap = _one_page_heap(capacity=2)
+    heap.append((1,))
+    page = heap.page(0)
+    with pytest.raises(StorageError):
+        page.get(1)
+    with pytest.raises(StorageError):
+        page.get(-1)
+
+
 def test_page_rejects_zero_capacity():
     with pytest.raises(StorageError):
-        HeapPage(page_id=0, capacity=0)
+        _one_page_heap(capacity=0)
 
 
 @pytest.fixture()
@@ -169,3 +191,134 @@ def test_run_chunk_is_a_zero_copy_slice_of_the_image():
         # Object columns are not even sliced until somebody reads them.
         assert run.columns[2] is image.columns[2]
     assert len(heap.run_chunk(2, 1)) == 2  # the short last page
+
+
+# -- rows live once, as columns: every read gives back what was appended ------
+
+_WIDE = Schema([Column("k"), Column("f", ColumnType.FLOAT),
+                Column("tag", ColumnType.CHAR, 4), Column("n"),
+                Column("big", ColumnType.BIGINT), Column("mix")])
+
+_wide_rows = st.tuples(
+    st.integers(-1000, 1000),
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+    st.none() | st.integers(-5, 5),             # NULLs: an object column
+    st.integers(-2 ** 70, 2 ** 70),             # beyond int64, sometimes
+    st.integers(0, 9) | st.floats(allow_nan=False, allow_infinity=False),
+)
+
+_heap_ops = st.lists(st.one_of(
+    st.tuples(st.just("append"), _wide_rows),
+    st.tuples(st.just("extend"), st.lists(_wide_rows, max_size=9)),
+    st.tuples(st.sampled_from(
+        ["image", "get", "all_rows", "fetch", "iter_rows"])),
+), max_size=25)
+
+
+def _assert_same_rows(got, want):
+    """Equal values *and* equal built-in types (no NumPy scalar, no int
+    where a float went in)."""
+    assert got == want
+    assert [[type(v) for v in row] for row in got] == [
+        [type(v) for v in row] for row in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_heap_ops)
+def test_property_any_interleaving_of_appends_and_reads_returns_the_rows(ops):
+    per_page = 3
+    # Two pages to a block, so blocks fold mid-``extend`` and both kinds
+    # of boundary are crossed within a few operations.
+    with mock.patch.object(heap_module, "BLOCK_PAGES", 2):
+        heap = HeapFile(file_id=0, schema=_WIDE, tuples_per_page=per_page)
+        model: list = []
+        held: list = []
+        for op, *args in ops:
+            if op == "append":
+                assert heap.append(args[0]) == TID(
+                    *divmod(len(model), per_page))
+                model.append(args[0])
+            elif op == "extend":
+                assert heap.extend(iter(args[0])) == len(args[0])
+                model.extend(args[0])
+            elif op == "image":
+                cut = len(model) // 2
+                held.append((heap.image()[cut:], model[cut:]))
+            elif op == "get":
+                for page in heap.iter_pages():
+                    _assert_same_rows(
+                        [page.get(slot) for slot in range(len(page))],
+                        model[page.page_id * per_page:][:per_page])
+            elif op == "all_rows":
+                _assert_same_rows(
+                    [row for page in heap.iter_pages() for row in page],
+                    model)
+            elif op == "fetch" and model:
+                last = len(model) - 1
+                _assert_same_rows(
+                    [heap.fetch(TID(0, 0)),
+                     heap.fetch(TID(*divmod(last, per_page))),
+                     heap.row(last // 2)],
+                    [model[0], model[last], model[last // 2]])
+            elif op == "iter_rows":
+                pairs = list(heap.iter_rows())
+                assert [tid for tid, _row in pairs] == [
+                    TID(*divmod(i, per_page)) for i in range(len(model))]
+                _assert_same_rows([row for _tid, row in pairs], model)
+            assert heap.row_count == len(model)
+            assert heap.num_pages == -(-len(model) // per_page)
+        # Chunks handed out before later appends still read their rows.
+        for chunk, rows in held:
+            _assert_same_rows(chunk.to_rows(), rows)
+        _assert_same_rows(heap.image()[:].to_rows(), model)
+        assert heap.image().to_rows() == _fresh(
+            _WIDE, model, per_page).image().to_rows()
+
+
+def _reachable_from(root):
+    """Every container object reachable from ``root`` through the
+    storage layer's own objects (not through classes or modules)."""
+    walked = (HeapFile, HeapPage, Chunk, list, tuple, dict,
+              types.BuiltinMethodType, types.MethodWrapperType)
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or not isinstance(obj, walked):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def test_a_heap_holds_no_row_tuple_and_a_page_holds_nothing():
+    assert HeapPage.__slots__ == ("_heap", "page_id", "n")
+    per_page = 7
+    rows = [(10 ** 6 + i, i / 3, f"t{i % 5}", None if i % 4 else i)
+            for i in range(40 * per_page + 3)]
+
+    def row_tuples(heap):
+        return [obj for obj in _reachable_from(heap)
+                if type(obj) is tuple and len(obj) == len(_MIXED)
+                and type(obj[0]) is int and obj[0] >= 10 ** 6]
+
+    heap = _fresh(_MIXED, rows[:-5], per_page)
+    # Appended and not yet read: the rows wait as tuples, once.
+    assert len(row_tuples(heap)) == len(rows) - 5
+    image = heap.image()
+    assert row_tuples(heap) == []
+    # Reading through every door leaves nothing behind either ...
+    assert [row for page in heap.iter_pages() for row in page] == rows[:-5]
+    assert [row for _tid, row in heap.iter_rows()] == rows[:-5]
+    assert heap.page(3).get(2) == heap.row(3 * per_page + 2) == rows[23]
+    assert heap.run_chunk(2, 3).to_rows() == rows[14:35]
+    assert heap.image() is image
+    assert row_tuples(heap) == []
+    # ... and an append waits only until the next read.
+    heap.extend(rows[-5:])
+    assert len(row_tuples(heap)) == 5
+    assert heap.fetch(TID(40, 2)) == rows[-1]
+    assert row_tuples(heap) == []
+    # One tracked object per page, whatever the page holds.
+    assert sum(type(obj) is HeapPage for obj in _reachable_from(heap)) \
+        == heap.num_pages == 41
