@@ -83,6 +83,21 @@ class _Bitmap:
         self._count += 1
         return True
 
+    def set_run(self, start: int, n: int) -> int:
+        """Set bits ``[start, start + n)``; returns how many were new.
+
+        One integer operation on the bytes the run touches, the way
+        :meth:`zero_runs` reads them; written back in place, so an
+        :meth:`array_view` stays live.
+        """
+        first, last = start >> 3, (start + n + 7) >> 3
+        run = ((1 << n) - 1) << (start & 7)
+        word = int.from_bytes(self._bits[first:last], "little")
+        new = n - (word & run).bit_count()
+        self._bits[first:last] = (word | run).to_bytes(last - first, "little")
+        self._count += new
+        return new
+
     @property
     def count(self) -> int:
         return self._count
@@ -129,6 +144,19 @@ class PageIdCache:
                 f"page id {page_id} outside table of {self.num_pages} pages"
             )
         return self._bitmap.set(page_id)
+
+    def mark_run(self, start: int, n: int) -> int:
+        """Record pages ``[start, start + n)`` as processed — one
+        :meth:`mark` per page, in one step; returns how many were new."""
+        if n <= 0:
+            return 0
+        if start < 0 or start + n > self.num_pages:
+            # The first page of the run that a per-page walk would refuse.
+            bad = start if start < 0 else max(start, self.num_pages)
+            raise ExecutionError(
+                f"page id {bad} outside table of {self.num_pages} pages"
+            )
+        return self._bitmap.set_run(start, n)
 
     @property
     def pages_seen(self) -> int:

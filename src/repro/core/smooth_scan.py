@@ -21,17 +21,23 @@ index, a key range and a residual predicate.  With ``ordered=True`` it
 emits in strict index-key order (usable under ORDER BY / merge joins),
 otherwise tuples stream out as pages are processed.
 
-Execution is batch-vectorized: index entries arrive one leaf at a time
-(:meth:`~repro.index.btree.BTreeIndex.scan_batches`), morphing-region runs
-are probed whole and their output accumulated into batches flushed at the
-batch-size threshold — as positions in the heap's columnar image when no
-auxiliary cache needs the rows (eager and unordered), so no payload moves
-before a consumer reads it — and page probing compiles the key range and
-residual predicate into masks and selection lists instead of calling a
-closure per tuple.  Mode 0 and the Result Cache hand-off stay per probe
-and emit row lists, as in the paper.  Every charge is the paper's
-per-page / per-tuple charge; ``tests/golden_row_path.json`` pins them to
-the tuple-at-a-time pipeline this engine grew out of.
+Which rows qualify does not depend on the morphing — only *when* each is
+met does — so a scan finds them once
+(:class:`~repro.core.qualifying.QualifyingPositions`: the ascending
+positions, in the heap's columnar image, of the rows that pass the key
+range and the residual, produced when it pays) and a run of unseen pages
+is a ``searchsorted`` cut into that array: its selection vector, its
+``produced`` count and its ``pages_with_results``.  Around the cut a run
+is one pool request, one Page ID cache run-mark and its per-page charges
+as one sequence; only the policy update between regions is sequential.
+Index entries arrive a leaf of packed TID codes at a time and are tested
+against a live view of the Page ID bitmap.  With no auxiliary cache
+(eager and unordered) batches are selection vectors over the image, so no
+payload moves before a consumer reads it; Mode 0 and the Result Cache
+hand-off stay per probe and emit row lists, as in the paper.  Every
+charge is the paper's per-page / per-tuple charge;
+``tests/golden_row_path.json`` pins them to the tuple-at-a-time pipeline
+this engine grew out of.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from repro.context import ExecutionContext
 from repro.core.caches import PageIdCache, ResultCache, TupleIdCache
 from repro.core.morph_stats import SmoothScanStats
 from repro.core.policy import ElasticPolicy, MorphPolicy
+from repro.core.qualifying import QualifyingPositions
 from repro.core.trigger import EagerTrigger, Trigger
 from repro.errors import PlanningError
 from repro.exec.expressions import (
@@ -52,16 +59,38 @@ from repro.exec.expressions import (
     Predicate,
     TruePredicate,
     range_mask,
-    range_selector,
     require_columns,
 )
-from repro.storage.chunk import mask_and
 from repro.exec.iterator import Batch, DEFAULT_BATCH_SIZE, Operator
-from repro.index.btree import TID_SHIFT, TID_SLOT_MASK
+from repro.index.btree import TID_SHIFT, TID_SLOT_MASK, unpack_tids
 from repro.storage.table import Table
 from repro.storage.types import TID
 
 _DEFAULT_RESULT_CACHE_PARTITIONS = 16
+
+#: Runs up to this many pages charge page by page; a longer one hands the
+#: clock one sequence (NumPy's fixed cost, ~7.6 us a run against ~0.75 us
+#: a page under an open ledger, loses below about ten pages).
+_DIRECT_CHARGE_PAGES = 8
+
+
+def _charge_pages(ctx: ExecutionContext, per_page: int, n_pages: int,
+                  n_rows: int) -> None:
+    """Charge processing ``n_pages`` fetched pages holding ``n_rows`` rows
+    (only the last may be short): ``cache_insert`` then ``inspect`` of its
+    rows, page after page — to the clock as one sequence when the run is
+    long, bit-identical to the calls it stands for."""
+    if n_pages <= _DIRECT_CHARGE_PAGES:
+        for rows_left in range(n_rows, 0, -per_page):
+            ctx.charge_cache_insert()
+            ctx.charge_inspect(min(per_page, rows_left))
+        return
+    cpu = ctx.config.cpu
+    costs = _np.empty(2 * n_pages)
+    costs[0::2] = cpu.cache_insert
+    costs[1::2] = cpu.tuple_inspect * per_page
+    costs[-1] = cpu.tuple_inspect * (n_rows - (n_pages - 1) * per_page)
+    ctx.clock.charge_cpu_seq(costs)
 
 
 @dataclass
@@ -75,6 +104,7 @@ class _RunState:
     policy: MorphPolicy
     max_region: int
     col_pos: int
+    qualifying: QualifyingPositions
 
 
 class SmoothScan(Operator):
@@ -168,6 +198,12 @@ class SmoothScan(Operator):
         max_region = self.max_region_pages or ctx.config.max_region_pages
         if self.max_mode == 1:
             max_region = 1
+        qualifying = QualifyingPositions(
+            heap, self.index, self.key_range,
+            range_mask(self.key_range, col_pos),
+            None if isinstance(self.residual, TruePredicate)
+            else self.residual.bind_mask(self.schema),
+        )
         tracer = ctx.runtime.tracer
         tracer.emit(
             "morph.start", query_id=tracer.current_query_id,
@@ -183,6 +219,7 @@ class SmoothScan(Operator):
             policy=self.policy,
             max_region=max_region,
             col_pos=col_pos,
+            qualifying=qualifying,
         )
 
     # -- batch-vectorized execution ----------------------------------------
@@ -195,51 +232,33 @@ class SmoothScan(Operator):
         tuple_cache = state.tuple_cache
         result_cache = state.result_cache
         policy = state.policy
-        max_region = state.max_region
-        col_pos = state.col_pos
-
-        residual_fn = self.residual.bind(self.schema)
-        qualify = range_selector(self.key_range, col_pos)
-        residual_sel = (
-            None if isinstance(self.residual, TruePredicate)
-            else self.residual.bind_batch(self.schema)
-        )
-        # With no auxiliary cache consuming TIDs (eager + unordered, the
-        # common case) page probing needs no slot positions — run fully
-        # columnar: one key-range mask plus one residual mask per run of
-        # pages, kept as positions in the heap image without touching a
-        # row.
-        fast_mask = None
-        if state.tuple_cache is None and state.result_cache is None:
-            fast_mask = range_mask(self.key_range, col_pos)
-            if not isinstance(self.residual, TruePredicate):
-                residual_mask = self.residual.bind_mask(self.schema)
-
-                def fast_mask(chunk, _q=fast_mask, _r=residual_mask):
-                    return mask_and(_q(chunk), _r(chunk))
-
+        per_page = heap.tuples_per_page
+        num_pages = heap.num_pages
+        residual_fn = self.residual.bind(self.schema)  # Mode 0's, per tuple
         tracer = ctx.runtime.tracer
         region = policy.initial_region()
         mode0_active = not self.trigger.eager
         flattened = False
         pages_res_global = 0
         pages_seen_smooth = 0
-        num_pages = heap.num_pages
         is_seen = page_cache.is_seen
+        seen_bits = page_cache.seen_view()
 
-        # In the columnar config ``pending`` accumulates selection vectors
-        # over the heap image (one per qualifying page run; a ``range``
-        # when the whole run qualified), joined at flush; otherwise it
-        # accumulates rows as before.  Every row that enters ``pending``
-        # is counted in ``stats.produced`` as it does, so the rows
-        # pending across the parts are ``produced`` minus its value at
-        # the last flush — no re-summing after every region.
-        columnar = fast_mask is not None
+        # With no auxiliary cache consuming TIDs (eager + unordered, the
+        # common case) ``pending`` accumulates selection vectors over the
+        # heap image (one per qualifying page run; a ``range`` when the
+        # whole run qualified), joined at flush; otherwise it accumulates
+        # rows.  Every row that enters ``pending`` is counted in
+        # ``stats.produced`` as it does, so the rows pending across the
+        # vectors are ``produced`` minus its value at the last flush.
+        ordered = result_cache is not None
+        columnar = tuple_cache is None and not ordered
         pending: list = []
         flushed = 0
 
-        def pending_size(parts: list) -> int:
-            return stats.produced - flushed if columnar else len(parts)
+        def full() -> bool:
+            size = stats.produced - flushed if columnar else len(pending)
+            return size >= DEFAULT_BATCH_SIZE
 
         def as_batch(parts: list) -> Batch:
             if not columnar:
@@ -251,196 +270,158 @@ class SmoothScan(Operator):
                 for p in parts
             ]))
 
-        # Hot-loop bookkeeping kept in locals: the probe ordinal and the
-        # per-batch count of Page-ID-cache probes (charged in bulk per
-        # leaf batch).  Invariant: ``stats.probes = probes`` must run
-        # immediately before every yield — a generator can only be
-        # abandoned while suspended at a yield, so this keeps reported
-        # internals current even under early termination (e.g. Limit).
+        # Invariant: ``stats.probes = probes`` must run immediately before
+        # every yield — a generator can only be abandoned while suspended
+        # at a yield, so this keeps reported internals current even under
+        # early termination (e.g. Limit).  Page-ID-cache probes are
+        # counted per leaf and charged in bulk at its end.
         probes = 0
         rng = self.key_range
-
-        def probe_region(tid: TID) -> Iterator[Batch]:
-            """Fetch/process the morphing region at ``tid``, yield flushes.
-
-            Shared by the scalar and vectorized probe loops; updates the
-            enclosing execution state (pending output, region size and
-            the selectivity accounting) in place.
-            """
-            nonlocal pending, region, pages_res_global, pages_seen_smooth
-            nonlocal flattened, flushed
-            start = tid.page_id
-            end = min(num_pages, start + region)
-            region_pages = 0
-            # ``_emit_run`` marks only the pages of its own run, so the
-            # runs found now are the runs a page-by-page walk would find.
-            for run_start, run_len in page_cache.unseen_runs(start, end):
-                pending = self._emit_run(
-                    ctx, heap, run_start, run_len,
-                    state, qualify, residual_sel,
-                    fast_mask, tid, pending,
-                )
-                region_pages += run_len
-                if pending_size(pending) >= DEFAULT_BATCH_SIZE:
-                    stats.probes = probes
-                    yield as_batch(pending)
-                    pending = []
-                    flushed = stats.produced
-
-            region_pages_res = stats.pages_with_results - pages_res_global
-            pages_res_global = stats.pages_with_results
-            pages_seen_smooth += region_pages
-
-            # ---- Policy update (Eqs. (1) and (2)).
-            if region_pages > 0 and pages_seen_smooth > 0:
-                local_sel = region_pages_res / region_pages
-                global_sel = pages_res_global / pages_seen_smooth
-                region = min(
-                    max_region,
-                    max(1, policy.next_region(
-                        region, local_sel, global_sel)),
-                )
-                stats.probes = probes
-                stats.region_trace.append((probes, region))
-                if region > stats.max_region_used:
-                    stats.max_region_used = region
-                if region > 1 and not flattened:
-                    # Mode 1 → Mode 2: the region first grew past one
-                    # page, with the selectivities that drove it.
-                    flattened = True
-                    tracer.emit(
-                        "morph.flatten",
-                        query_id=tracer.current_query_id,
-                        value=float(region),
-                        local_selectivity=local_sel,
-                        global_selectivity=global_sel,
-                    )
-
-        # ---- Vectorized probe loop: with no auxiliary cache (and hence
-        # no Mode 0 — non-eager triggers always build a Tuple ID cache),
-        # each index entry reduces to one Page-ID-cache check.  Test a
-        # whole leaf of packed codes against a live view of the cache
-        # bitmap and jump straight to the next unseen page, recomputing
-        # the seen mask only after each region fetch flips bits.
-        if columnar:
-            seen_bits = page_cache.seen_view()
-            for codes in self.index.scan_leaf_codes(
-                ctx, lo=rng.lo, hi=rng.hi,
-                lo_inclusive=rng.lo_inclusive,
-                hi_inclusive=rng.hi_inclusive,
-            ):
-                n = len(codes)
-                ctx.charge_index_entry(n)
-                pages = codes >> TID_SHIFT
-                page_checks = 0
-                j = 0
-                while j < n:
-                    sub = pages[j:]
-                    seen = (seen_bits[sub >> 3] >> (sub & 7)) & 1
-                    hits = _np.flatnonzero(seen == 0)
-                    if not hits.size:
-                        probes += n - j
-                        page_checks += n - j
-                        break
-                    k = j + int(hits[0])
-                    probes += k - j + 1
-                    page_checks += k - j + 1
-                    code = int(codes[k])
-                    yield from probe_region(
-                        TID(code >> TID_SHIFT, code & TID_SLOT_MASK)
-                    )
-                    j = k + 1
-                if page_checks:
-                    ctx.charge_cache_probe(page_checks)
-            stats.probes = probes
-            if pending:
-                yield as_batch(pending)
-            tracer.emit(
-                "morph.finish", query_id=tracer.current_query_id,
-                value=float(stats.pages_fetched),
-                pages_fetched=stats.pages_fetched,
-                produced=stats.produced, probes=stats.probes,
-                max_region=stats.max_region_used,
-                morphed_at=stats.morphed_at,
-            )
-            return
-
-        for keys, tids in self.index.scan_batches(
+        for codes in self.index.scan_leaf_codes(
             ctx, lo=rng.lo, hi=rng.hi,
             lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
         ):
+            n = len(codes)
+            ctx.charge_index_entry(n)
+            pages = codes >> TID_SHIFT
             page_checks = 0
             mode0_rows: list = []
-            for j in range(len(keys)):
-                tid = tids[j]
-                probes += 1
-
-                # ---- Mode 0: per-probe random fetches until the trigger
-                # fires; inherently tuple-at-a-time.
-                if mode0_active:
-                    if not mode0_rows:
-                        # What is left of the leaf, in one gather (a
-                        # payload read charges nothing); reversed, so
-                        # each probe pops its row.
-                        at = _np.array(tids[j:], dtype=_np.int64)
-                        mode0_rows = heap.image().take(
-                            at[:, 0] * heap.tuples_per_page + at[:, 1]
-                        ).to_rows()
-                        mode0_rows.reverse()
-                    ctx.get_page(heap, tid.page_id)
-                    stats.mode0_page_fetches += 1
-                    ctx.charge_inspect()
-                    row = mode0_rows.pop()
-                    if residual_fn(row):
-                        stats.mode0_tuples += 1
-                        stats.produced += 1
-                        assert tuple_cache is not None
-                        tuple_cache.add(tid)
-                        ctx.charge_cache_insert()
-                        ctx.charge_emit()
-                        pending.append(row)
-                        if len(pending) >= DEFAULT_BATCH_SIZE:
-                            stats.probes = probes
-                            yield pending
-                            pending = []
-                    if self.trigger.should_morph(stats.produced):
-                        mode0_active = False
-                        stats.morphed_at = stats.produced
-                        tracer.emit(
-                            "morph.trigger",
-                            query_id=tracer.current_query_id,
-                            value=float(stats.produced),
-                            probes=probes, trigger=self.trigger.name,
-                        )
-                        override = self.trigger.post_morph_policy()
-                        if override is not None:
-                            policy = override
-                    continue
-
-                # ---- Smooth modes: Result Cache first (ordered only) ...
-                if result_cache is not None:
-                    key = keys[j]
-                    result_cache.advance(key)
-                    ctx.charge_cache_probe()
-                    cached = result_cache.take(key, tid, disk=ctx.disk)
-                    if cached is not None:
-                        stats.produced += 1
-                        ctx.charge_emit()
-                        pending.append(cached)
-                        if len(pending) >= DEFAULT_BATCH_SIZE:
-                            stats.probes = probes
-                            yield pending
-                            pending = []
-                        continue
-
-                # ---- ... then the Page ID cache check.
-                page_checks += 1
-                if is_seen(tid.page_id):
-                    continue
+            tids = None
+            j = 0
+            while j < n:
+                if mode0_active or ordered:
+                    # ---- Entry by entry, Mode 0 and the Result Cache,
+                    # up to the next entry on an unseen page.
+                    if tids is None:
+                        # The leaf's TIDs, and its rows in one gather (a
+                        # payload read charges nothing).
+                        tids = unpack_tids(codes)
+                        found = heap.image().take(
+                            pages * per_page + (codes & TID_SLOT_MASK))
+                        keys = found.column_values(state.col_pos)
+                    for j in range(j, n):
+                        tid = tids[j]
+                        probes += 1
+                        if mode0_active:
+                            # Per-probe random fetches until the trigger
+                            # fires; inherently tuple-at-a-time.
+                            if not mode0_rows:
+                                # Reversed, so each probe pops its row.
+                                mode0_rows = found[j:].to_rows()[::-1]
+                            ctx.get_page(heap, tid.page_id)
+                            stats.mode0_page_fetches += 1
+                            ctx.charge_inspect()
+                            row = mode0_rows.pop()
+                            if residual_fn(row):
+                                stats.mode0_tuples += 1
+                                stats.produced += 1
+                                assert tuple_cache is not None
+                                tuple_cache.add(tid)
+                                ctx.charge_cache_insert()
+                                ctx.charge_emit()
+                                pending.append(row)
+                                if full():
+                                    stats.probes = probes
+                                    yield pending
+                                    pending = []
+                            if self.trigger.should_morph(stats.produced):
+                                mode0_active = False
+                                stats.morphed_at = stats.produced
+                                tracer.emit(
+                                    "morph.trigger",
+                                    query_id=tracer.current_query_id,
+                                    value=float(stats.produced),
+                                    probes=probes, trigger=self.trigger.name,
+                                )
+                                override = self.trigger.post_morph_policy()
+                                if override is not None:
+                                    policy = override
+                            continue
+                        if ordered:
+                            # Smooth modes: the Result Cache first ...
+                            key = keys[j]
+                            result_cache.advance(key)
+                            ctx.charge_cache_probe()
+                            cached = result_cache.take(key, tid,
+                                                       disk=ctx.disk)
+                            if cached is not None:
+                                stats.produced += 1
+                                ctx.charge_emit()
+                                pending.append(cached)
+                                if full():
+                                    stats.probes = probes
+                                    yield pending
+                                    pending = []
+                                continue
+                        # ... then the Page ID cache check.
+                        page_checks += 1
+                        if not is_seen(tid.page_id):
+                            break
+                    else:
+                        break
+                    page, slot = tid
+                    j += 1
+                else:
+                    # ---- Each entry is one Page-ID-cache check: the next
+                    # entry's bit with plain integers, then the rest of
+                    # the leaf against the live bitmap view, straight to
+                    # the next unseen page.
+                    k = j
+                    if is_seen(int(pages[k])):
+                        sub = pages[k:]
+                        hits = _np.flatnonzero(
+                            (seen_bits[sub >> 3] >> (sub & 7)) & 1 == 0)
+                        if not hits.size:
+                            probes += n - j
+                            page_checks += n - j
+                            break
+                        k += int(hits[0])
+                    probes += k - j + 1
+                    page_checks += k - j + 1
+                    page, slot = divmod(int(codes[k]), TID_SLOT_MASK + 1)
+                    j = k + 1
 
                 # ---- Fetch and process the morphing region, emitting each
                 # contiguous run of unseen pages as one whole batch.
-                yield from probe_region(tid)
+                # ``_emit_run`` marks only the pages of its own run, so the
+                # runs found now are the runs a page-by-page walk would find.
+                region_pages = 0
+                for run_start, run_len in page_cache.unseen_runs(
+                        page, min(num_pages, page + region)):
+                    self._emit_run(ctx, heap, run_start, run_len, state,
+                                   page * per_page + slot, pending)
+                    region_pages += run_len
+                    if full():
+                        stats.probes = probes
+                        yield as_batch(pending)
+                        pending = []
+                        flushed = stats.produced
+
+                region_pages_res = stats.pages_with_results - pages_res_global
+                pages_res_global = stats.pages_with_results
+                pages_seen_smooth += region_pages
+
+                # ---- Policy update (Eqs. (1) and (2)).
+                if region_pages > 0:
+                    local_sel = region_pages_res / region_pages
+                    global_sel = pages_res_global / pages_seen_smooth
+                    region = min(state.max_region, max(1, policy.next_region(
+                        region, local_sel, global_sel)))
+                    stats.probes = probes
+                    stats.region_trace.append((probes, region))
+                    if region > stats.max_region_used:
+                        stats.max_region_used = region
+                    if region > 1 and not flattened:
+                        # Mode 1 → Mode 2: the region first grew past one
+                        # page, with the selectivities that drove it.
+                        flattened = True
+                        tracer.emit(
+                            "morph.flatten",
+                            query_id=tracer.current_query_id,
+                            value=float(region),
+                            local_selectivity=local_sel,
+                            global_selectivity=global_sel,
+                        )
             if page_checks:
                 ctx.charge_cache_probe(page_checks)
 
@@ -456,90 +437,74 @@ class SmoothScan(Operator):
         )
 
     def _emit_run(self, ctx: ExecutionContext, heap, run_start: int,
-                  run_len: int, state: _RunState, qualify, residual_sel,
-                  fast_mask, probe_tid: TID, out: list) -> list:
-        """Vectorized run probe: append the run's output to ``out``.
+                  run_len: int, state: _RunState, probe_pos: int,
+                  out: list) -> None:
+        """Probe one contiguous run of unseen pages into ``out``.
 
-        Fetches one contiguous run of unseen pages, filters each whole
-        page through the compiled key-range/residual selectors, and
-        appends produced rows (parking the rest in the Result Cache when
-        an order must be preserved).  With ``fast_mask`` set (no
-        auxiliary cache consumes TIDs) the run is instead masked once as
-        a slice of the heap image — ``out`` then accumulates the
-        qualifying *positions* (``page * tuples_per_page + slot``), not
-        rows — and the per-page statistics come out of the positions.
+        One pool request, one Page ID cache run-mark and one cut into the
+        scan's qualifying positions.  Then the run's charges, in pieces:
+        a piece's ``cache_insert`` / ``inspect`` page charges first, what
+        its candidates cost after.  With no auxiliary cache the run is
+        one piece and ``out`` takes the cut itself, a selection vector;
+        the caches want TIDs and rows page by page, so there a piece is a
+        page and ``out`` takes rows — all of the page's when unordered,
+        only the probe's own (at ``probe_pos``) when the Result Cache
+        parks the rest to preserve an order.
         """
         stats = state.stats
-        page_cache = state.page_cache
         tuple_cache = state.tuple_cache
         result_cache = state.result_cache
-        col_pos = state.col_pos
-        probe_page, probe_slot = probe_tid
-
-        if fast_mask is not None:
-            mark = page_cache.mark
-            for page in ctx.get_run(heap, run_start, run_len):
-                mark(page.page_id)
-                ctx.charge_cache_insert()
-                stats.pages_fetched += 1
-                ctx.charge_inspect(len(page))
-            run = heap.run_chunk(run_start, run_len)
-            sel = run.sel  # the run's positions in the image: a range
-            pages_hit = run_len
-            mask = fast_mask(run)
-            if mask is not None:
-                hits = _np.flatnonzero(mask)
-                if not hits.size:
-                    return out
-                if hits.size < len(run):
-                    if run_len > 1:
-                        pages_hit = 1 + _np.count_nonzero(
-                            _np.diff(hits // heap.tuples_per_page))
-                    sel = hits + sel.start
-            stats.pages_with_results += pages_hit
-            stats.produced += len(sel)
-            ctx.charge_emit(len(sel))
-            out.append(sel)
-            return out
-
-        # The run's rows in one gather, handed out page by page.
-        run_rows = heap.run_chunk(run_start, run_len).to_rows()
         per_page = heap.tuples_per_page
-        for page in ctx.get_run(heap, run_start, run_len):
-            pid = page.page_id
-            page_cache.mark(pid)
-            ctx.charge_cache_insert()
-            stats.pages_fetched += 1
-            at = (pid - run_start) * per_page
-            rows = run_rows[at:at + per_page]
-            ctx.charge_inspect(len(rows))
-            sel = qualify(rows)
-            if sel and residual_sel is not None:
-                sel = residual_sel(rows, sel)
-            if not sel:
+        ctx.get_run(heap, run_start, run_len)
+        state.page_cache.mark_run(run_start, run_len)
+        stats.pages_fetched += run_len
+        lo = run_start * per_page
+        hi = min(lo + run_len * per_page, state.qualifying.rows)
+        sel, pages_hit = state.qualifying.cut(lo, hi)
+        stats.pages_with_results += pages_hit
+        columnar = tuple_cache is None and result_cache is None
+        if columnar:
+            pieces = ((run_len, hi - lo, sel),)
+        else:
+            # The caches want rows: the run's candidates in one gather,
+            # handed out page by page as indices into ``at`` / ``rows``.
+            at = _np.asarray(sel)
+            rows = heap.image().take(sel).to_rows()
+            edges = at.searchsorted(_np.arange(
+                run_start, run_start + run_len + 1) * per_page).tolist()
+            at = at.tolist()
+            pieces = ((1, min(per_page, hi - lo - i * per_page),
+                       range(edges[i], edges[i + 1])) for i in range(run_len))
+        for n_pages, n_rows, found in pieces:
+            _charge_pages(ctx, per_page, n_pages, n_rows)
+            if not len(found):
                 continue
-            stats.pages_with_results += 1
             if tuple_cache is not None:
                 # Fig. 7b's post-morph overhead: a produced-tuple check
                 # for every qualifying tuple found by Smooth Scan.
-                ctx.charge_cache_probe(len(sel))
-                contains = tuple_cache.contains
-                sel = [i for i in sel if not contains(TID(pid, i))]
-                if not sel:
+                ctx.charge_cache_probe(len(found))
+                found = [k for k in found if not tuple_cache.contains(
+                    tuple.__new__(TID, divmod(at[k], per_page)))]
+                if not found:
                     continue
-            if result_cache is None:
-                stats.produced += len(sel)
-                ctx.charge_emit(len(sel))
-                out += [rows[i] for i in sel]
-            else:
-                insert = result_cache.insert
-                for i in sel:
-                    if pid == probe_page and i == probe_slot:
+            if result_cache is not None:
+                for k in found:
+                    row = rows[k]
+                    if at[k] == probe_pos:
                         stats.produced += 1
                         ctx.charge_emit()
-                        out.append(rows[i])
+                        out.append(row)
                     else:
-                        row = rows[i]
                         ctx.charge_cache_insert()
-                        insert(row[col_pos], TID(pid, i), row, disk=ctx.disk)
-        return out
+                        # (A ``TID`` without its Python-level constructor.)
+                        result_cache.insert(
+                            row[state.col_pos],
+                            tuple.__new__(TID, divmod(at[k], per_page)),
+                            row, disk=ctx.disk)
+                continue
+            stats.produced += len(found)
+            ctx.charge_emit(len(found))
+            if columnar:
+                out.append(found)
+            else:
+                out += [rows[k] for k in found]

@@ -7,6 +7,7 @@ vectorized column implementation.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.context import ExecutionContext
@@ -67,11 +68,15 @@ class Project(Operator):
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         positions = self._positions
         names = self.schema.column_names
+        # One C-level pick per row; ``itemgetter`` of a single position
+        # returns the bare value, and a projected row is always a tuple.
+        pick = itemgetter(*positions) if len(positions) > 1 \
+            else lambda row, p=positions[0]: (row[p],)
         for batch in self.child.batches(ctx):
             if isinstance(batch, Chunk):
                 yield batch.project(positions, names)
             else:
-                yield [tuple(row[p] for p in positions) for row in batch]
+                yield list(map(pick, batch))
 
 
 class MapProject(Operator):

@@ -73,6 +73,9 @@ class BTreeIndex:
         self._keys: list = []
         #: Entry ``i``'s packed TID code, parallel to ``_keys``.
         self._codes = _np.empty(0, dtype=_np.int64)
+        #: ``(level_sizes, height)``: worked out at the first question
+        #: after a build, dropped by :meth:`insert`.
+        self._geometry: tuple[list[int], int] | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -106,6 +109,7 @@ class BTreeIndex:
             order = sorted(range(len(keys)), key=keys.__getitem__)
             self._keys = [keys[i] for i in order]
         self._codes = codes[_np.asarray(order, dtype=_np.intp)]
+        self._geometry = None
 
     def insert(self, key: object, tid: TID) -> None:
         """Insert one entry, preserving strict ``(key, TID)`` order."""
@@ -115,26 +119,35 @@ class BTreeIndex:
         pos = lo + int(self._codes[lo:hi].searchsorted(code))
         self._keys.insert(pos, key)
         self._codes = _np.insert(self._codes, pos, code)
+        self._geometry = None
 
     # -- geometry ---------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._keys)
 
+    def _shape(self) -> tuple[list[int], int]:
+        """Level sizes and height of the tree as it stands, worked out once."""
+        if self._geometry is None:
+            leaves = max(1, layout.num_leaves(len(self._keys), self.fanout))
+            self._geometry = (layout.level_sizes(leaves, self.fanout),
+                              layout.height(leaves, self.fanout))
+        return self._geometry
+
     @property
     def num_leaves(self) -> int:
         """Leaf page count (``#leaves``, Eq. (6))."""
-        return max(1, layout.num_leaves(len(self._keys), self.fanout))
+        return self._shape()[0][0]
 
     @property
     def height(self) -> int:
         """Tree height (``height``, Eq. (7))."""
-        return layout.height(self.num_leaves, self.fanout)
+        return self._shape()[1]
 
     @property
     def level_sizes(self) -> list[int]:
-        """Node counts per level, leaves first."""
-        return layout.level_sizes(self.num_leaves, self.fanout)
+        """Node counts per level, leaves first (the tree's own list)."""
+        return self._shape()[0]
 
     @property
     def num_pages(self) -> int:
@@ -290,7 +303,18 @@ class BTreeIndex:
         The TIDs :meth:`lookup` will yield, for a caller that gathers the
         rows ahead of the probe loop that pays for them.
         """
-        start, end = self.range_positions(key, key, True, True)
+        return self.peek_range_codes(key, key, True, True)
+
+    def peek_range_codes(self, lo: object | None, hi: object | None,
+                         lo_inclusive: bool = True,
+                         hi_inclusive: bool = False):
+        """Packed TID codes of a key range, in key order; no charge.
+
+        What a charged scan of the range will hand out, for a caller that
+        works out which rows qualify ahead of the scan that pays to find
+        them (a read-only view of the tree's array).
+        """
+        start, end = self.range_positions(lo, hi, lo_inclusive, hi_inclusive)
         return self._codes[start:end]
 
     def min_key(self) -> object:

@@ -50,6 +50,50 @@ def test_property_unseen_runs_are_what_a_page_walk_finds(case):
     assert cache.unseen_runs(start, end) == runs
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.integers(0, n - 1)),
+    st.integers(-2, n + 2), st.integers(0, n + 2))))
+def test_property_mark_run_is_one_mark_per_page(case):
+    """Bits, ``pages_seen``, the count of new pages and the out-of-bounds
+    error of ``mark_run`` are those of a ``mark`` per page — and the live
+    view handed out before the run sees it."""
+    num_pages, seen, start, n = case
+    by_run, by_page = PageIdCache(num_pages), PageIdCache(num_pages)
+    for pid in seen:
+        by_run.mark(pid)
+        by_page.mark(pid)
+    view = by_run.seen_view()
+    if n and (start < 0 or start + n > num_pages):
+        with pytest.raises(ExecutionError) as per_page:
+            for pid in range(start, start + n):
+                by_page.mark(pid)
+        with pytest.raises(ExecutionError) as per_run:
+            by_run.mark_run(start, n)
+        assert str(per_run.value) == str(per_page.value)
+        return
+    start = max(start, 0)  # (an empty run may start anywhere)
+    new = sum(by_page.mark(pid) for pid in range(start, start + n))
+    assert by_run.mark_run(start, n) == new
+    assert by_run.pages_seen == by_page.pages_seen
+    assert view.tobytes() == by_page.seen_view().tobytes()
+    assert view is not by_run.seen_view()  # a fresh view of the same bytes
+    assert [by_run.is_seen(pid) for pid in range(num_pages)] == [
+        pid in seen or start <= pid < start + n for pid in range(num_pages)]
+    assert by_run.unseen_runs(0, num_pages) == by_page.unseen_runs(0, num_pages)
+
+
+def test_mark_run_of_nothing_and_on_an_empty_table():
+    cache = PageIdCache(0)
+    assert cache.mark_run(0, 0) == 0
+    with pytest.raises(ExecutionError, match="page id 0 outside table of 0"):
+        cache.mark_run(0, 1)
+    cache = PageIdCache(9)
+    assert cache.mark_run(3, 0) == 0 and cache.pages_seen == 0
+    assert cache.mark_run(7, 2) == 2 and cache.mark_run(6, 3) == 1
+    assert cache.unseen_runs(0, 9) == [(0, 6)]
+
+
 def test_page_id_cache_memory_is_bitmap_sized():
     # One bit per page: 1M pages -> 125KB (the paper quotes 140KB).
     cache = PageIdCache(1_000_000)

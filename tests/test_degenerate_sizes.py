@@ -2,9 +2,10 @@
 
 No failure is injected here — every case is a *size* at the edge of what
 the storage and index layers are built for: tables, indexes and shards
-of zero and one, a one-page pool, one page of sort memory, a region
-larger than the table, and the heap's block and page boundaries.  (The
-tiny result-cache limits are still in
+of zero and one, a one-page pool, one page of sort memory, a result
+cache of a few entries, a region larger than the table or capped at one
+page, a range that no row or every row satisfies, and the heap's block
+and page boundaries.  (A trigger on the last tuple is still in
 ``tests/test_failure_injection.py``, due to follow.)
 """
 
@@ -14,6 +15,7 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.core.smooth_scan import SmoothScan
+from repro.core.trigger import OptimizerDrivenTrigger
 from repro.database import Database
 from repro.exec.exchange import Exchange, ShardedScan
 from repro.exec.expressions import Between, KeyRange
@@ -21,7 +23,7 @@ from repro.exec.scans import FullTableScan, IndexScan, SortScan
 from repro.exec.sort import Sort
 from repro.exec.stats import measure
 from repro.storage.heap import BLOCK_PAGES, HeapFile
-from repro.storage.types import Schema, TID
+from repro.storage.types import Column, ColumnType, Schema, TID
 
 AB = Schema.of_ints(["a", "b"])
 
@@ -189,6 +191,125 @@ def test_smooth_scan_region_larger_than_table():
     rows = measure(db, scan).rows
     assert len(rows) == 2_000
     assert scan.last_stats.pages_fetched == table.num_pages
+
+
+def test_tiny_result_cache_limit_under_ordered_scan():
+    db, table = build()
+    scan = SmoothScan(table, "c2", KeyRange(0, 1000), ordered=True,
+                      result_cache_memory_limit=500)
+    rows = measure(db, scan).rows
+    keys = [r[1] for r in rows]
+    assert keys == sorted(keys)
+    assert len(rows) == table.row_count
+    assert scan.last_stats.result_cache.spills > 0
+    assert scan.last_stats.result_cache.unspills > 0
+
+
+def test_tiny_result_cache_with_non_eager_trigger():
+    db, table = build()
+    scan = SmoothScan(table, "c2", KeyRange(0, 1000), ordered=True,
+                      trigger=OptimizerDrivenTrigger(25),
+                      result_cache_memory_limit=500)
+    rows = measure(db, scan).rows
+    ids = [r[0] for r in rows]
+    assert len(ids) == len(set(ids)) == table.row_count
+
+
+def test_string_keyed_index():
+    db = Database()
+    schema = Schema([Column("id", ColumnType.INT),
+                     Column("name", ColumnType.CHAR, 10)])
+    names = ["ant", "bee", "cat", "dog", "eel", "fox"]
+    table = db.load_table(
+        "t", schema, [(i, names[i % 6]) for i in range(1_200)]
+    )
+    db.create_index("t", "name")
+    scan = SmoothScan(table, "name", KeyRange("bee", "dog",
+                                              hi_inclusive=True))
+    rows = measure(db, scan).rows
+    assert len(rows) == 600  # bee, cat, dog
+    assert {r[1] for r in rows} == {"bee", "cat", "dog"}
+    ordered = SmoothScan(table, "name",
+                         KeyRange("ant", "fox", hi_inclusive=True),
+                         ordered=True)
+    keys = [r[1] for r in measure(db, ordered).rows]
+    assert keys == sorted(keys)
+
+
+# -- Smooth Scan's own edges: what a run's cut can come back with --------------
+
+
+def test_range_no_row_satisfies_still_fetches_its_regions():
+    """Every entry is in the key range and the residual drops them all:
+    each page is fetched, probed and marked, and none has a result."""
+    db, table = build(rows=2_000)
+    scan = SmoothScan(table, "c2", KeyRange(0, 1_000),
+                      residual=Between("c3", 10, 20))
+    result = measure(db, scan)
+    stats = scan.last_stats
+    assert result.rows == [] and stats.produced == 0
+    assert stats.pages_fetched == table.num_pages
+    assert stats.pages_with_results == 0
+    assert stats.probes == table.row_count
+    assert 1 <= len(stats.region_trace) <= table.num_pages
+
+
+def test_range_every_row_satisfies_hands_out_ranges(monkeypatch):
+    """Every run's selection is a ``range`` over the image — no position
+    array is cut — and the short last page's run ends where the table
+    does."""
+    from repro.core.qualifying import QualifyingPositions
+
+    cuts = []
+    cut = QualifyingPositions.cut
+    monkeypatch.setattr(QualifyingPositions, "cut", lambda self, lo, hi: (
+        cuts.append(cut(self, lo, hi)), cuts[-1])[1])
+    db, table = build(rows=2_000)
+    assert table.row_count % table.heap.tuples_per_page  # a short last page
+    for kwargs in ({}, {"residual": Between("c3", 0, 10)},
+                   {"key_range": KeyRange(0, 1_000)}):
+        del cuts[:]
+        scan = SmoothScan(table, "c2", **kwargs)
+        assert sorted(measure(db, scan).rows) == sorted(
+            measure(db, FullTableScan(table)).rows)
+        stats = scan.last_stats
+        assert stats.pages_with_results == stats.pages_fetched \
+            == table.num_pages
+        assert all(type(sel) is range for sel, _pages in cuts)
+        assert sum(len(sel) for sel, _pages in cuts) == table.row_count
+        assert sum(pages for _sel, pages in cuts) == table.num_pages
+
+
+def test_one_page_table_under_every_smooth_configuration():
+    db = Database()
+    table = db.load_table("t", AB, [(i, i % 5) for i in range(40)])
+    db.create_index("t", "b")
+    assert table.num_pages == 1
+    for kwargs in ({}, {"ordered": True}, {"max_mode": 1},
+                   {"trigger": OptimizerDrivenTrigger(3)},
+                   {"trigger": OptimizerDrivenTrigger(3), "ordered": True},
+                   {"residual": Between("a", 10, 30)}):
+        scan = SmoothScan(table, "b", KeyRange(1, 4), **kwargs)
+        wanted = [(i, i % 5) for i in range(40) if 1 <= i % 5 < 4
+                  and ("residual" not in kwargs or 10 <= i < 30)]
+        assert sorted(measure(db, scan).rows) == wanted, kwargs
+        assert scan.last_stats.pages_fetched == 1
+
+
+def test_region_cap_of_one_page():
+    """Every run is one page: charged call by call, cut by two searches."""
+    db, table = build(rows=2_000)
+    capped = SmoothScan(table, "c2", KeyRange(0, 500), max_region_pages=1)
+    mode1 = SmoothScan(table, "c2", KeyRange(0, 500), max_mode=1)
+    got, same = measure(db, capped), measure(db, mode1)
+    assert sorted(got.rows) == sorted(measure(db, FullTableScan(
+        table, Between("c2", 0, 500))).rows)
+    assert capped.last_stats.max_region_used == 1
+    assert len(capped.last_stats.region_trace) \
+        == capped.last_stats.pages_fetched == table.num_pages
+    # The cap is Entire Page Probe by another name, to the last charge.
+    assert (got.rows, got.io_ms, got.cpu_ms) == (
+        same.rows, same.io_ms, same.cpu_ms)
 
 
 # -- the heap's own edges: the image, the pending block, the page windows ----

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.database import Database
 from repro.errors import BTreeError
+from repro.index import layout
 from repro.index.btree import BTreeIndex, TID_SHIFT
 from repro.storage.types import Column, ColumnType, Schema, TID
 
@@ -110,6 +111,29 @@ def test_geometry_consistency():
     assert sizes[-1] == 1
     assert index.num_pages == sum(sizes)
     assert index.height == len(sizes)
+
+
+def test_geometry_is_worked_out_per_build_and_dropped_by_insert():
+    """A tree is asked for its shape on every descent: it answers from
+    one ``(level sizes, height)`` per build, and an insert that may have
+    grown a level makes it work the shape out again."""
+    index = BTreeIndex("i", 0, key_size=8)
+    fanout = index.fanout
+    assert (index.num_leaves, index.height, index.level_sizes) == (1, 1, [1])
+    index.bulk_load((k, TID(k // 50, k % 50)) for k in range(fanout))
+    assert (index.num_leaves, index.height, index.level_sizes) == (1, 1, [1])
+    assert index.level_sizes is index.level_sizes  # not recomputed
+    assert index._path_page_ids(0) == [0]
+    # One entry more than a leaf holds: a second leaf, and a root over both.
+    index.insert(fanout, TID(99, 0))
+    assert (index.num_leaves, index.height) == (2, 2)
+    assert index.level_sizes == [2, 1] and index.num_pages == 3
+    assert index._path_page_ids(1) == [2, 1]
+    assert index.num_leaves == layout.num_leaves(len(index), fanout)
+    assert index.height == layout.height(index.num_leaves, fanout)
+    # A rebuild starts over as well.
+    index.bulk_load([(1, TID(0, 0))])
+    assert (index.num_leaves, index.height, index.num_pages) == (1, 1, 1)
 
 
 def test_page_bounds():

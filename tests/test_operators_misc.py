@@ -42,6 +42,28 @@ def test_project_reorders(base):
     assert first == ((7 * 0) % 10, 0)
 
 
+def test_project_row_list_batches(base):
+    """A child that emits row lists (sparse scan runs, joins): one pick
+    per row; a one-column projection still yields 1-tuples."""
+    from repro.exec.iterator import Operator
+
+    db, scan = base
+
+    class RowLists(Operator):
+        schema = scan.schema
+
+        def batches(self, ctx):
+            yield [(1, 2), (3, 4)]
+            yield [(5, 6)]
+
+    ctx = db.cold_run()
+    assert list(Project(RowLists(), ["b", "a"]).batches(ctx)) == [
+        [(2, 1), (4, 3)], [(6, 5)]]
+    assert list(Project(RowLists(), ["b"]).batches(ctx)) == [
+        [(2,), (4,)], [(6,)]]
+    assert (ctx.clock.io_ms, ctx.clock.cpu_ms) == (0.0, 0.0)
+
+
 def test_project_requires_columns(base):
     _db, scan = base
     with pytest.raises(PlanningError):

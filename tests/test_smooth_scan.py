@@ -19,6 +19,7 @@ from repro.core.trigger import (
 )
 from repro.errors import PlanningError
 from repro.exec.expressions import Between, KeyRange
+from repro.exec.misc import Limit
 from repro.exec.scans import FullTableScan
 from repro.exec.stats import measure
 
@@ -241,12 +242,17 @@ def test_all_duplicate_keys(db):
 # conftest's ``observe_plan``; eager trigger, unordered — the columnar
 # config the counter lives in.  120K micro rows: 0.1% leaves everything to
 # the final flush, 1% crosses the 1,024-row threshold once, 5% and 20%
-# repeatedly, and the residual halves what each region contributes.
+# repeatedly, and the residual halves what each region contributes.  The
+# last three cases were recorded at the commit before a run became a cut
+# into the scan's qualifying positions (when every run masked its slice of
+# the heap image): a residual over the long flattened regions of 20%, the
+# Entire Page Probe cap (every region one page), and a ``Limit`` that
+# abandons the scan between two entries of a leaf.
 
-def _flush_plan(table, selectivity, residual=None):
+def _flush_plan(table, selectivity, residual=None, **kwargs):
     from repro.workloads.micro import selectivity_range
     return SmoothScan(table, "c2", selectivity_range(selectivity),
-                      residual=residual)
+                      residual=residual, **kwargs)
 
 
 FLUSH_CASES = {
@@ -256,6 +262,10 @@ FLUSH_CASES = {
     "smooth/20pct": lambda t: _flush_plan(t, 0.20),
     "smooth/5pct-residual": lambda t: _flush_plan(
         t, 0.05, Between("c3", 0, 50_000)),
+    "smooth/20pct-residual": lambda t: _flush_plan(
+        t, 0.20, Between("c3", 20_000, 90_000)),
+    "smooth/5pct-mode1": lambda t: _flush_plan(t, 0.05, max_mode=1),
+    "smooth/20pct-limit": lambda t: Limit(_flush_plan(t, 0.20), 3_000),
 }
 
 FLUSH_GOLDEN = {
@@ -277,11 +287,29 @@ FLUSH_GOLDEN = {
         "io": [57, "ace392053330636d"],
         "rows": [23645, "270c6658d5e6b3fd"],
     },
+    "smooth/20pct-limit": {
+        "batches": [1384, 1526, 90],
+        "cpu": [357, "e08bbc3e7dc55bb7"],
+        "io": [18, "1c029591f4fcb753"],
+        "rows": [3000, "957ae5beeb6413d7"],
+    },
+    "smooth/20pct-residual": {
+        "batches": [2047, 3669, 1068, 1065, 6831, 1255, 557],
+        "cpu": [2049, "9cef4fbc3f5c2038"],
+        "io": [57, "ace392053330636d"],
+        "rows": [16492, "dfb37198a5c1d818"],
+    },
     "smooth/5pct": {
         "batches": [2067, 3251, 632],
         "cpu": [2029, "45d2b0fe72218cbd"],
         "io": [47, "b4791c5cfbce4bc9"],
         "rows": [5950, "6664980fec8ccd6b"],
+    },
+    "smooth/5pct-mode1": {
+        "batches": [1024, 1028, 1026, 1027, 1024, 821],
+        "cpu": [3005, "e301ff37eb4bc840"],
+        "io": [2003, "2da329a4543218a0"],
+        "rows": [5950, "9f8a130b6b5f663b"],
     },
     "smooth/5pct-residual": {
         "batches": [1111, 1057, 750],
@@ -308,11 +336,17 @@ def test_smooth_flush_boundaries_and_charges_unchanged(
     plan = FLUSH_CASES[case](table)
     rows, observed = observe_plan(db, plan)
     assert observed == FLUSH_GOLDEN[case]
-    wanted = FullTableScan(table, Between("c2", plan.key_range.lo,
-                                          plan.key_range.hi))
-    assert sorted(rows) == sorted(
+    scan = plan.child if isinstance(plan, Limit) else plan
+    wanted = FullTableScan(table, Between("c2", scan.key_range.lo,
+                                          scan.key_range.hi))
+    qualifying = sorted(
         r for r in measure(db, wanted).rows
-        if plan.residual.bind(plan.schema)(r))
+        if scan.residual.bind(scan.schema)(r))
+    if scan is plan:
+        assert sorted(rows) == qualifying
+    else:  # a prefix of the scan's output: distinct qualifying rows
+        assert len(set(rows)) == len(rows) == plan.n
+        assert set(rows) <= set(qualifying)
 
 
 def test_smooth_flushes_only_at_the_batch_size_threshold(
@@ -327,3 +361,214 @@ def test_smooth_flushes_only_at_the_batch_size_threshold(
     # than one morphing region's worth of rows.
     assert all(n >= DEFAULT_BATCH_SIZE for n in lengths[:-1])
     assert sum(lengths) == observed["rows"][0]
+
+
+# -- a run is a cut into the scan's qualifying positions ------------------------
+
+
+class MaskEachRun:
+    """What Smooth Scan did before it found its rows once: every run masks
+    its own slice of the heap image — the reference ``QualifyingPositions``
+    is held to, through the same ``cut``."""
+
+    def __init__(self, heap, index, rng, in_range, residual):
+        self.image = heap.image()
+        self.rows = len(self.image)
+        self.per_page = heap.tuples_per_page
+        self.in_range, self.residual = in_range, residual
+
+    def cut(self, lo, hi):
+        import numpy as np
+        from repro.storage.chunk import mask_and
+
+        run = self.image[lo:hi]
+        mask = mask_and(self.in_range(run), None if self.residual is None
+                        else self.residual(run))
+        hits = np.arange(hi - lo) if mask is None \
+            else np.flatnonzero(np.asarray(mask, dtype=bool))
+        pages = len(set((hits // self.per_page).tolist()))
+        return (range(lo, hi) if len(hits) == hi - lo else hits + lo), pages
+
+
+def _small_scan_cases():
+    from hypothesis import strategies as st
+
+    from repro.exec.expressions import NullRejecting
+
+    @st.composite
+    def cases(draw):
+        strings = draw(st.booleans())
+        domain = (["ant", "bee", "cat", "dog", "eel", "fox", "gnu"]
+                  if strings else list(range(12)))
+        key = st.sampled_from(domain)
+        # Duplicated keys; a NULL-bearing residual column (an object
+        # column in the image); any row count, so a partial last page.
+        rows = draw(st.lists(
+            st.tuples(key, st.none() | st.integers(0, 9)),
+            min_size=1, max_size=260))
+        # Bounds in order four times out of five (equal ones, and those
+        # the wrong way round, give the empty ranges); either may be open.
+        lo, hi = draw(key), draw(key)
+        if lo > hi and draw(st.integers(0, 4)):
+            lo, hi = hi, lo
+        key_range = KeyRange(draw(st.none() | st.just(lo)),
+                             draw(st.none() | st.just(hi)),
+                             draw(st.booleans()), draw(st.booleans()))
+        residual = draw(st.none() | st.builds(
+            lambda lo, span: NullRejecting(Between("r", lo, lo + span)),
+            st.integers(0, 9), st.integers(0, 9)))
+        return dict(
+            strings=strings, rows=rows, key_range=key_range,
+            residual=residual,
+            policy=draw(st.sampled_from(ALL_POLICIES)),
+            max_mode=draw(st.sampled_from([1, 2])),
+            ordered=draw(st.booleans()),
+            trigger=draw(st.none() | st.integers(0, 40)),
+            # When the positions pass is taken: (almost) never, at the
+            # first region, or after a few.
+            rent_rows=draw(st.sampled_from([1, 64, 2048])),
+            sort_rows=draw(st.sampled_from([0, 4, 10**6])),
+        )
+
+    return cases()
+
+
+def _run_to_the_end(db, plan):
+    from repro.exec.stats import StreamingRun
+
+    run = StreamingRun(db, plan, cold=True)
+    batches = []
+    while (batch := run.next_batch()) is not None:
+        batches.append(list(batch))
+    return batches, plan.last_stats, run.ledger
+
+
+def test_property_a_cut_is_what_masking_the_run_gives():
+    """Rows, batch lengths, ``SmoothScanStats`` and the ledger of a scan
+    that cuts its runs out of one array of qualifying positions — however
+    and whenever that array is produced — are those of a scan that masks
+    each run's slice of the image."""
+    from hypothesis import HealthCheck, given, settings
+
+    import repro.core.qualifying as qualifying
+    import repro.core.smooth_scan as smooth_scan
+    from repro.config import EngineConfig
+    from repro.database import Database
+    from repro.storage.types import Column, ColumnType, Schema
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(case=_small_scan_cases())
+    def check(case):
+        # 768-byte pages hold 7 of these rows: a few dozen pages.
+        db = Database(config=EngineConfig(page_size=768))
+        key_type = (Column("k", ColumnType.CHAR, 4) if case["strings"]
+                    else Column("k"))
+        table = db.load_table(
+            "t", Schema([Column("id"), key_type, Column("r")]),
+            [(i, k, r) for i, (k, r) in enumerate(case["rows"])])
+        db.create_index("t", "k")
+
+        def plan():
+            trigger = case["trigger"]
+            return SmoothScan(
+                table, "k", case["key_range"], residual=case["residual"],
+                policy=case["policy"], max_mode=case["max_mode"],
+                ordered=case["ordered"],
+                trigger=None if trigger is None
+                else OptimizerDrivenTrigger(trigger))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qualifying, "_RENT_ROWS", case["rent_rows"])
+            patch.setattr(qualifying, "_SORT_ROWS", case["sort_rows"])
+            got = _run_to_the_end(db, plan())
+            patch.setattr(smooth_scan, "QualifyingPositions", MaskEachRun)
+            wanted = _run_to_the_end(db, plan())
+        assert got == wanted
+        # ... and the reference is right: the rows a row-at-a-time filter keeps.
+        in_range = case["key_range"].contains
+        passes = (lambda row: True) if case["residual"] is None \
+            else case["residual"].bind(table.schema)
+        assert sorted(row for batch in got[0] for row in batch) == sorted(
+            row for row in ((i, k, r) for i, (k, r) in
+                            enumerate(case["rows"]))
+            if in_range(row[1]) and passes(row))
+
+    check()
+
+
+def _count_masks_and_peeks(monkeypatch):
+    """Record the length of every chunk the compiled range mask is asked
+    about, and every uncharged peek at a range's index codes."""
+    import repro.core.smooth_scan as smooth_scan
+    from repro.index.btree import BTreeIndex
+
+    masked, peeked = [], []
+    compile_mask = smooth_scan.range_mask
+    peek = BTreeIndex.peek_range_codes
+
+    def counting_range_mask(rng, col_pos):
+        mask_of = compile_mask(rng, col_pos)
+        return lambda chunk: (masked.append(len(chunk)), mask_of(chunk))[1]
+
+    def counting_peek(self, *args):
+        codes = peek(self, *args)
+        peeked.append(len(codes))
+        return codes
+
+    monkeypatch.setattr(smooth_scan, "range_mask", counting_range_mask)
+    monkeypatch.setattr(BTreeIndex, "peek_range_codes", counting_peek)
+    return masked, peeked
+
+
+def test_short_scans_never_pay_for_the_positions_pass(
+        flush_setup, monkeypatch):
+    """A scan that ends after a few regions masks what it fetched and no
+    more; a narrow one sorts its own few index codes at its first region."""
+    from repro.workloads.micro import selectivity_range
+
+    db, table = flush_setup
+    per_page = table.heap.tuples_per_page
+    masked, peeked = _count_masks_and_peeks(monkeypatch)
+
+    scan = _flush_plan(table, 1.0)
+    assert len(measure(db, Limit(scan, 20)).rows) == 20
+    stats = scan.last_stats
+    assert peeked == [] and len(masked) >= 1
+    assert sum(masked) == stats.pages_fetched * per_page < table.row_count
+    assert max(masked) <= stats.max_region_used * per_page
+
+    del masked[:]
+    entries = table.index_on("c2").range_positions
+    lo = selectivity_range(0.5).hi
+    hi = next(hi for hi in range(lo + 1, lo + 10_000)
+              if entries(lo, hi)[1] - entries(lo, hi)[0] >= 16)
+    scan = SmoothScan(table, "c2", KeyRange(lo, hi))
+    assert len(measure(db, scan).rows) == peeked[0] >= 16
+    assert masked == [] and len(peeked) == 1
+
+
+def test_long_scans_take_the_positions_pass_once(flush_setup, monkeypatch):
+    """The 1% sweep point buys its positions out of the index after a few
+    rented regions; a wide range crossed a page at a time buys them with
+    one table-wide mask once the regions masked one by one have cost as
+    much — and neither masks anything afterwards."""
+    from repro.core.qualifying import _RENT_ROWS, _SORT_ROWS
+
+    db, table = flush_setup
+    masked, peeked = _count_masks_and_peeks(monkeypatch)
+
+    scan = _flush_plan(table, 0.01)
+    produced = len(measure(db, scan).rows)
+    assert peeked == [produced]
+    assert len(masked) == -(-produced * _SORT_ROWS // _RENT_ROWS) - 1
+    assert len(scan.last_stats.region_trace) > 10 * len(masked)
+
+    del masked[:], peeked[:]
+    scan = _flush_plan(table, 0.5, max_mode=1)
+    measure(db, scan)
+    rented = -(-table.row_count // _RENT_ROWS) - 1
+    assert peeked == [] and masked[rented:] == [table.row_count]
+    assert set(masked[:rented]) == {table.heap.tuples_per_page}
+    assert scan.last_stats.pages_fetched == table.num_pages > 10 * rented
