@@ -20,7 +20,6 @@ from __future__ import annotations
 from repro.config import EngineConfig
 from repro.runtime import CostLedger, EngineRuntime
 from repro.storage.buffer import PagedFile
-from repro.storage.page import HeapPage
 
 
 class ExecutionContext:
@@ -41,13 +40,13 @@ class ExecutionContext:
 
     # -- page access ------------------------------------------------------
 
-    def get_page(self, file: PagedFile, page_id: int) -> HeapPage:
-        """Fetch one page through the buffer pool."""
-        return self.buffer.get_page(file, page_id)
+    def get_page(self, file: PagedFile, page_id: int) -> None:
+        """Request one page through the buffer pool."""
+        self.buffer.get_page(file, page_id)
 
     def get_run(self, file: PagedFile, start_page: int,
-                n_pages: int) -> list[HeapPage]:
-        """Fetch a contiguous run of pages through the buffer pool."""
+                n_pages: int) -> range:
+        """Request a run of pages through the buffer pool; its page ids."""
         return self.buffer.get_run(file, start_page, n_pages)
 
     # -- CPU charging -----------------------------------------------------

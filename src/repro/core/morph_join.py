@@ -112,7 +112,7 @@ class MorphingIndexJoin(Operator):
                     for tid in self.index.lookup(ctx, key):
                         if not is_seen(tid.page_id):
                             self._absorb_page(
-                                ctx, ctx.get_page(heap, tid.page_id),
+                                ctx, heap, tid.page_id,
                                 tuple_cache, page_cache, key_pos, stats,
                             )
                     complete_keys.add(key)
@@ -130,13 +130,14 @@ class MorphingIndexJoin(Operator):
                 yield out
 
     @staticmethod
-    def _absorb_page(ctx: ExecutionContext, page, tuple_cache: dict,
-                     page_cache: PageIdCache, key_pos: int,
-                     stats: MorphJoinStats) -> None:
-        """Cache every tuple of a fetched inner page (the morph)."""
-        page_cache.mark(page.page_id)
+    def _absorb_page(ctx: ExecutionContext, heap, page_id: int,
+                     tuple_cache: dict, page_cache: PageIdCache,
+                     key_pos: int, stats: MorphJoinStats) -> None:
+        """Fetch an inner page and cache every tuple on it (the morph)."""
+        ctx.get_page(heap, page_id)
+        page_cache.mark(page_id)
         stats.pages_fetched += 1
-        rows = page.all_rows()
+        rows = heap.run_chunk(page_id, 1).to_rows()
         ctx.charge_inspect(len(rows))
         ctx.charge_cache_insert(len(rows))
         setdefault = tuple_cache.setdefault

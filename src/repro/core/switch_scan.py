@@ -124,10 +124,8 @@ class SwitchScan(Operator):
         contains = produced_tids.contains
         extent = ctx.config.extent_pages
         for start in range(0, heap.num_pages, extent):
-            n = min(extent, heap.num_pages - start)
             parts: list[Chunk] = []
-            for page in ctx.get_run(heap, start, n):
-                pid = page.page_id
+            for pid in ctx.get_run(heap, start, extent):
                 chunk = heap.run_chunk(pid, 1)
                 ctx.charge_inspect(len(chunk))
                 mask = qualify_mask(chunk)

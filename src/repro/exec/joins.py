@@ -332,6 +332,8 @@ class IndexNestedLoopJoin(Operator):
         Probing a page entirely finds the key's rows on it, which are
         ``irows`` (one per TID, and one key's TIDs are in slot order).
         """
+        per_page = heap.tuples_per_page
+        row_count = heap.row_count
         on_page: dict[int, list[Row]] = {}
         for tid, irow in zip(tids, irows, strict=True):
             found = on_page.setdefault(tid.page_id, [])
@@ -340,9 +342,10 @@ class IndexNestedLoopJoin(Operator):
                 found.append(irow)
         from repro.exec.scans import _contiguous_runs  # shared helper
         for run_start, run_len in _contiguous_runs(sorted(on_page)):
-            for page in ctx.get_run(heap, run_start, run_len):
-                ctx.charge_inspect(len(page))
-                for irow in on_page[page.page_id]:
+            for page_id in ctx.get_run(heap, run_start, run_len):
+                # Full, unless it is the heap's short last page.
+                ctx.charge_inspect(min(per_page, row_count - page_id * per_page))
+                for irow in on_page[page_id]:
                     joined = orow + irow
                     if matches(joined):
                         ctx.charge_emit()

@@ -58,11 +58,15 @@ class FullTableScan(Operator):
         heap = self.table.heap
         filter_chunk = self.predicate.bind_chunk(self.schema)
         extent = ctx.config.extent_pages
+        per_page = heap.tuples_per_page
         for start in range(0, heap.num_pages, extent):
-            n = min(extent, heap.num_pages - start)
-            for page in ctx.get_run(heap, start, n):
-                ctx.charge_inspect(len(page))
-            kept = filter_chunk(heap.run_chunk(start, n))
+            n = len(ctx.get_run(heap, start, extent))
+            chunk = heap.run_chunk(start, n)
+            # Every page is full but the heap's last, which ends its run.
+            for _ in range(n - 1):
+                ctx.charge_inspect(per_page)
+            ctx.charge_inspect(len(chunk) - (n - 1) * per_page)
+            kept = filter_chunk(chunk)
             if kept is not None:
                 ctx.charge_emit(len(kept))
                 yield kept
@@ -218,8 +222,8 @@ class SortScan(Operator):
             _np.concatenate(sparse)).to_rows() if sparse else []
         taken = 0
         for run_start, run_len, first, end in runs:
-            for page in ctx.get_run(heap, run_start, run_len):
-                lo, hi = spans[page.page_id]
+            for page_id in ctx.get_run(heap, run_start, run_len):
+                lo, hi = spans[page_id]
                 ctx.charge_inspect(hi - lo)
             if end - first < run_len * _SPARSE_SLOTS_PER_PAGE:
                 out = sparse_rows[taken:taken + end - first]

@@ -47,15 +47,6 @@ def unpack_tids(codes) -> list[TID]:
             for code in codes.tolist()]
 
 
-class IndexPage:
-    """Placeholder object cached by the buffer pool for index pages."""
-
-    __slots__ = ("page_id",)
-
-    def __init__(self, page_id: int):
-        self.page_id = page_id
-
-
 class BTreeIndex:
     """Array-backed B+-tree over one column of a table.
 
@@ -153,14 +144,6 @@ class BTreeIndex:
     def num_pages(self) -> int:
         """Total index pages (buffer-pool protocol)."""
         return sum(self.level_sizes)
-
-    def page(self, page_id: int) -> IndexPage:
-        """Return the placeholder page object (buffer-pool protocol)."""
-        if not 0 <= page_id < self.num_pages:
-            raise BTreeError(
-                f"index page {page_id} outside file of {self.num_pages}"
-            )
-        return IndexPage(page_id)  # type: ignore[return-value]
 
     def _path_page_ids(self, leaf: int) -> list[int]:
         """Page ids on the root-to-leaf path, root first, leaf last."""

@@ -1,10 +1,9 @@
-"""Storage substrate: types, simulated disk, pages, heaps, buffer pool."""
+"""Storage substrate: types, simulated disk, heaps, buffer pool."""
 
 from repro.storage.buffer import BufferPool, BufferStats
 from repro.storage.chunk import Chunk
 from repro.storage.disk import DiskProfile, DiskStats, SimClock, SimulatedDisk
 from repro.storage.heap import HeapFile
-from repro.storage.page import HeapPage
 from repro.storage.table import Table
 from repro.storage.types import TID, Column, ColumnType, Row, Schema
 
@@ -17,7 +16,6 @@ __all__ = [
     "DiskProfile",
     "DiskStats",
     "HeapFile",
-    "HeapPage",
     "Row",
     "Schema",
     "SimClock",

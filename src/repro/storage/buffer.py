@@ -1,10 +1,12 @@
-"""LRU buffer pool.
+"""LRU buffer pool: it tracks which pages are resident, nothing else.
 
-All timed page access goes through here.  A hit charges a tiny CPU cost;
-a miss delegates to the :class:`~repro.storage.disk.SimulatedDisk`, which
-charges sequential or random I/O and counts requests.  ``reset()`` empties
-the pool, reproducing the paper's cold runs ("we clear database buffer
-caches as well as OS file system caches before each query execution").
+All timed page access goes through here.  A page is a number, so the
+pool holds ``(file_id, page_id)`` keys in LRU order.  A hit charges a
+tiny CPU cost; a miss delegates to the
+:class:`~repro.storage.disk.SimulatedDisk`, which charges sequential or
+random I/O and counts requests.  ``reset()`` empties the pool,
+reproducing the paper's cold runs ("we clear database buffer caches as
+well as OS file system caches before each query execution").
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Protocol
 
-from repro.errors import StorageError
+from repro.errors import StorageError, UnknownPageError
 from repro.storage.disk import SimulatedDisk
-from repro.storage.page import HeapPage
 
 
 class PagedFile(Protocol):
@@ -25,8 +26,6 @@ class PagedFile(Protocol):
 
     @property
     def num_pages(self) -> int: ...
-
-    def page(self, page_id: int) -> HeapPage: ...
 
 
 @dataclass
@@ -48,8 +47,15 @@ class BufferStats:
         self.misses = 0
 
 
+def _outside(file: PagedFile, page_id: int) -> UnknownPageError:
+    """The error for a request of a page ``file`` does not have."""
+    return UnknownPageError(
+        f"page {page_id} outside file {file.file_id} of {file.num_pages} pages"
+    )
+
+
 class BufferPool:
-    """A page-granular LRU cache over the simulated disk."""
+    """A page-granular LRU cache of residency over the simulated disk."""
 
     def __init__(self, disk: SimulatedDisk, capacity_pages: int,
                  hit_cpu_ms: float = 5.0e-5):
@@ -59,7 +65,8 @@ class BufferPool:
         self.capacity_pages = capacity_pages
         self.hit_cpu_ms = hit_cpu_ms
         self.stats = BufferStats()
-        self._pages: OrderedDict[tuple[int, int], object] = OrderedDict()
+        #: Resident ``(file_id, page_id)`` keys, least recently used first.
+        self._pages: OrderedDict[tuple[int, int], None] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._pages)
@@ -79,8 +86,8 @@ class BufferPool:
         return (file.file_id, page_id) in self._pages
 
     def get_page(self, file: PagedFile, page_id: int,
-                 stream_hint: bool = False) -> HeapPage:
-        """Return one page, charging a hit or a (random/seq) miss.
+                 stream_hint: bool = False) -> None:
+        """Request one page, charging a hit or a (random/seq) miss.
 
         ``stream_hint`` marks reads that belong to a per-file sequential
         stream (B+-tree leaf chains) so interleaved reads of other files do
@@ -91,66 +98,72 @@ class BufferPool:
             self._pages.move_to_end(key)
             self.stats.hits += 1
             self.disk.clock.charge_cpu(self.hit_cpu_ms)
-            return self._pages[key]  # type: ignore[return-value]
+            return
+        if not 0 <= page_id < file.num_pages:
+            raise _outside(file, page_id)
         self.stats.misses += 1
         self.disk.read_page(file.file_id, page_id, stream_hint=stream_hint)
-        page = file.page(page_id)
-        self._admit(key, page)
-        return page
+        self._admit(key)
 
     def get_run(self, file: PagedFile, start_page: int,
-                n_pages: int) -> list[HeapPage]:
-        """Return ``n_pages`` contiguous pages, batching misses into runs.
+                n_pages: int) -> range:
+        """Request ``n_pages`` contiguous pages, batching misses into runs.
 
-        Resident pages are served from memory; contiguous spans of missing
-        pages are fetched with :meth:`SimulatedDisk.read_run`, so a morphing
-        region of Smooth Scan costs one random jump plus sequential reads.
+        Returns the page ids requested — the run clipped at the end of the
+        file.  Resident pages are served from memory; contiguous spans of
+        missing pages are fetched with :meth:`SimulatedDisk.read_run`, so a
+        morphing region of Smooth Scan costs one random jump plus
+        sequential reads.
         """
-        if n_pages <= 0:
-            return []
         end = min(start_page + n_pages, file.num_pages)
-        # One tight loop with bulk bookkeeping: stats, the buffer-hit CPU
-        # charge and LRU eviction are applied once per run, not per page,
-        # so handing a morphing region to a batch operator costs O(pages)
-        # dict operations and nothing else.
+        pages = range(start_page, max(start_page, end))
+        if not pages:
+            return pages
+        if start_page < 0:  # the end is clipped; only the start can be out
+            raise _outside(file, start_page)
+        # One tight loop with bulk bookkeeping: stats and the buffer-hit
+        # CPU charge are applied once per run, not per page, so handing a
+        # morphing region to a batch operator costs O(pages) dict
+        # operations and nothing else.
         resident = self._pages
         file_id = file.file_id
-        file_page = file.page
         capacity = self.capacity_pages
-        pages: list[HeapPage] = []
-        append = pages.append
         hits = 0
         run_start: int | None = None
-        for pid in range(start_page, end):
+        for pid in pages:
             key = (file_id, pid)
-            page = resident.get(key)
-            if page is not None:
+            if key in resident:
                 if run_start is not None:
-                    self.disk.read_run(file_id, run_start, pid - run_start)
+                    self._read_span(file_id, run_start, pid)
                     run_start = None
                 resident.move_to_end(key)
                 hits += 1
             else:
                 if run_start is None:
                     run_start = pid
-                page = file_page(pid)
-                resident[key] = page
+                resident[key] = None
                 # Strict LRU: evict at admission time, so a run larger
                 # than the free capacity cannot transiently hold extra
                 # pages (and mid-run evictions turn later "hits" into
                 # honest misses, exactly as per-page admission did).
                 if len(resident) > capacity:
                     resident.popitem(last=False)
-            append(page)  # type: ignore[arg-type]
         if run_start is not None:
-            self.disk.read_run(file_id, run_start, end - run_start)
+            self._read_span(file_id, run_start, end)
         if hits:
             self.stats.hits += hits
             self.disk.clock.charge_cpu(self.hit_cpu_ms * hits)
-        misses = len(pages) - hits
-        if misses:
-            self.stats.misses += misses
+        self.stats.misses += len(pages) - hits
         return pages
+
+    def _read_span(self, file_id: int, first: int, stop: int) -> None:
+        """Read the admitted span ``[first, stop)``, or take it back."""
+        try:
+            self.disk.read_run(file_id, first, stop - first)
+        except BaseException:
+            for pid in range(first, stop):
+                self._pages.pop((file_id, pid), None)
+            raise
 
     def touch_pages(self, file: PagedFile,
                     page_ids: Iterable[int]) -> list[bool]:
@@ -158,14 +171,15 @@ class BufferPool:
 
         The pool and disk transitions of one :meth:`get_page` per id — a
         miss is a single-page read, admitted (and the LRU victim evicted)
-        before the next id is looked at — for callers that need no page
-        object.  The hit CPU charge is *not* made here: the caller places
-        ``hit_cpu_ms`` per returned hit inside its own per-tuple charge
-        sequence, where :meth:`get_page` would have charged it.
+        before the next id is looked at.  The hit CPU charge is *not*
+        made here: the caller places ``hit_cpu_ms`` per returned hit
+        inside its own per-tuple charge sequence, where :meth:`get_page`
+        would have charged it.
         """
         resident = self._pages
         stats = self.stats
         file_id = file.file_id
+        num_pages = file.num_pages
         hits = []
         for pid in page_ids:
             key = (file_id, pid)
@@ -174,9 +188,11 @@ class BufferPool:
                 resident.move_to_end(key)
                 stats.hits += 1
             else:
+                if not 0 <= pid < num_pages:
+                    raise _outside(file, pid)
                 stats.misses += 1
                 self.disk.read_page(file_id, pid)
-                self._admit(key, file.page(pid))
+                self._admit(key)
             hits.append(hit)
         return hits
 
@@ -185,7 +201,7 @@ class BufferPool:
         self._pages.clear()
         self.stats.reset()
 
-    def _admit(self, key: tuple[int, int], page: object) -> None:
-        self._pages[key] = page
+    def _admit(self, key: tuple[int, int]) -> None:
+        self._pages[key] = None
         while len(self._pages) > self.capacity_pages:
             self._pages.popitem(last=False)

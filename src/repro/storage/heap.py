@@ -10,13 +10,13 @@ The rows live in exactly one place: the *image*, a table-wide
 ``page * tuples_per_page + slot``).  Appended rows wait as tuples in one
 pending block, which is typed and joined onto the image — never rebuilt —
 when it reaches :data:`BLOCK_PAGES` pages and whenever somebody reads, so
-a load never holds the table both as tuples and as columns.  The
-:class:`~repro.storage.page.HeapPage` objects are windows onto the
-image.  Every columnar batch a scan emits is a slice of the image or a
-selection vector over it, and the payload reads everybody else uses are
-:meth:`HeapFile.row` for one row and ``image().take(positions)
-.to_rows()`` for many; there is nothing to cache per page or per extent
-and nothing to invalidate.
+a load never holds the table both as tuples and as columns.  A page is
+arithmetic: every page but the last is full, and there are
+``ceil(row_count / tuples_per_page)`` of them.  Every columnar batch a
+scan emits is a slice of the image or a selection vector over it, and
+the payload reads everybody else uses are :meth:`HeapFile.row` for one
+row and ``image().take(positions).to_rows()`` for many; there is nothing
+to cache per page or per extent and nothing to invalidate.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Iterable, Iterator
 
 from repro.errors import StorageError, UnknownPageError
 from repro.storage.chunk import Chunk, extend_column
-from repro.storage.page import HeapPage
 from repro.storage.types import Row, Schema, TID
 
 #: Pages of appended rows that wait as tuples before they are typed.
@@ -41,7 +40,6 @@ class HeapFile:
         self.file_id = file_id
         self.schema = schema
         self.tuples_per_page = tuples_per_page
-        self._pages: list[HeapPage] = []
         self._row_count = 0
         #: The columnar image of rows ``[0, len(self._image))``.
         self._image = Chunk(schema.column_names,
@@ -53,8 +51,8 @@ class HeapFile:
 
     @property
     def num_pages(self) -> int:
-        """Number of allocated pages (``#P`` in the cost model)."""
-        return len(self._pages)
+        """Number of pages the rows fill (``#P`` in the cost model)."""
+        return -(-self._row_count // self.tuples_per_page)
 
     @property
     def row_count(self) -> int:
@@ -83,20 +81,8 @@ class HeapFile:
                 if len(pending) >= block:
                     self._fold()
         finally:
-            self._open_pages()
+            self._row_count = len(self._image) + len(pending)
         return self._row_count - before
-
-    def _open_pages(self) -> None:
-        """Bring the page windows and the row count up to the stored rows."""
-        count = len(self._image) + len(self._pending)
-        per_page = self.tuples_per_page
-        pages = self._pages
-        if pages:
-            pages[-1].n = min(per_page, count - (len(pages) - 1) * per_page)
-        for page_id in range(len(pages), -(-count // per_page)):
-            pages.append(HeapPage(
-                self, page_id, min(per_page, count - page_id * per_page)))
-        self._row_count = count
 
     def _fold(self) -> None:
         """Type the pending block and join it onto the image.
@@ -139,31 +125,34 @@ class HeapFile:
         """Pages ``[start, start + n)`` as a zero-copy slice of the image.
 
         Callers still charge I/O and CPU through the execution context —
-        this is pure payload access, like :meth:`page`.  ``names`` is
-        ignored: the frozen ``perf/probes.py`` still passes the schema's
-        column names, which is what the image carries anyway.
+        this is pure payload access.  ``names`` is ignored: the frozen
+        ``perf/probes.py`` still passes the schema's column names, which
+        is what the image carries anyway.
         """
         per_page = self.tuples_per_page
         return self.image()[start * per_page:(start + n) * per_page]
 
-    def page(self, page_id: int) -> HeapPage:
-        """Return page ``page_id`` without charging I/O."""
-        if not 0 <= page_id < len(self._pages):
-            raise UnknownPageError(
-                f"page {page_id} outside heap of {len(self._pages)} pages"
-            )
-        return self._pages[page_id]
-
     def fetch(self, tid: TID) -> Row:
-        """Return the row named by ``tid`` without charging I/O."""
-        return self.page(tid.page_id).get(tid.slot)
+        """Return the row named by ``tid`` without charging I/O.
 
-    def iter_pages(self) -> Iterator[HeapPage]:
-        """Yield pages in physical order (full-scan order)."""
-        return iter(self._pages)
+        Raises :class:`UnknownPageError` for a page outside the heap and
+        :class:`StorageError` for a slot its page does not use.
+        """
+        page_id, slot = tid
+        per_page = self.tuples_per_page
+        if not 0 <= page_id < self.num_pages:
+            raise UnknownPageError(
+                f"page {page_id} outside heap of {self.num_pages} pages"
+            )
+        n = min(per_page, self._row_count - page_id * per_page)
+        if not 0 <= slot < n:
+            raise StorageError(
+                f"slot {slot} not in use on page {page_id} ({n} rows)"
+            )
+        return self.row(page_id * per_page + slot)
 
     def iter_rows(self) -> Iterator[tuple[TID, Row]]:
         """Yield ``(TID, row)`` in physical order, charging no I/O."""
-        for page in self._pages:
-            for slot, row in enumerate(page.all_rows()):
-                yield TID(page.page_id, slot), row
+        for page_id in range(self.num_pages):
+            for slot, row in enumerate(self.run_chunk(page_id, 1).to_rows()):
+                yield TID(page_id, slot), row

@@ -476,9 +476,9 @@ class _PerTidIndexScan(IndexScan):
             ctx, lo=rng.lo, hi=rng.hi,
             lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
         ):
-            page = ctx.get_page(heap, tid.page_id)
+            ctx.get_page(heap, tid.page_id)
             ctx.charge_inspect()
-            row = page.get(tid.slot)
+            row = heap.fetch(tid)
             if matches(row):
                 ctx.charge_emit()
                 yield row

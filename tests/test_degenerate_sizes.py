@@ -4,9 +4,9 @@ No failure is injected here — every case is a *size* at the edge of what
 the storage and index layers are built for: tables, indexes and shards
 of zero and one, a one-page pool, one page of sort memory, a result
 cache of a few entries, a region larger than the table or capped at one
-page, a range that no row or every row satisfies, and the heap's block
-and page boundaries.  (A trigger on the last tuple is still in
-``tests/test_failure_injection.py``, due to follow.)
+page, a range that no row or every row satisfies, a trigger on the last
+qualifying tuple, and the heap's block and page boundaries.  Injected
+faults are in ``tests/test_failure_injection.py``.
 """
 
 import random
@@ -17,6 +17,7 @@ from repro.config import EngineConfig
 from repro.core.smooth_scan import SmoothScan
 from repro.core.trigger import OptimizerDrivenTrigger
 from repro.database import Database
+from repro.errors import StorageError
 from repro.exec.exchange import Exchange, ShardedScan
 from repro.exec.expressions import Between, KeyRange
 from repro.exec.scans import FullTableScan, IndexScan, SortScan
@@ -193,6 +194,17 @@ def test_smooth_scan_region_larger_than_table():
     assert scan.last_stats.pages_fetched == table.num_pages
 
 
+def test_trigger_on_last_tuple():
+    """Morph exactly at the final qualifying tuple: nothing remains."""
+    db, table = build(rows=1_000)
+    total = measure(db, FullTableScan(
+        table, Between("c2", 0, 1000))).row_count
+    scan = SmoothScan(table, "c2", KeyRange(0, 1000),
+                      trigger=OptimizerDrivenTrigger(total - 1))
+    rows = measure(db, scan).rows
+    assert len(rows) == total
+
+
 def test_tiny_result_cache_limit_under_ordered_scan():
     db, table = build()
     scan = SmoothScan(table, "c2", KeyRange(0, 1000), ordered=True,
@@ -312,7 +324,14 @@ def test_region_cap_of_one_page():
         same.rows, same.io_ms, same.cpu_ms)
 
 
-# -- the heap's own edges: the image, the pending block, the page windows ----
+# -- the heap's own edges: the image, the pending block, page arithmetic -----
+
+
+def _page_lengths(heap):
+    """Rows per page, by arithmetic: every page is full but the last."""
+    per_page = heap.tuples_per_page
+    return [min(per_page, heap.row_count - p * per_page)
+            for p in range(heap.num_pages)]
 
 
 def test_empty_heap_image():
@@ -320,7 +339,7 @@ def test_empty_heap_image():
     image = heap.image()
     assert len(image) == 0 and image.names == ("a", "b")
     assert heap.num_pages == heap.row_count == 0
-    assert list(heap.iter_pages()) == list(heap.iter_rows()) == []
+    assert list(heap.iter_rows()) == []
     assert heap.run_chunk(0, 1).to_rows() == []
     assert heap.extend([]) == 0 and heap.image() is image
 
@@ -328,16 +347,16 @@ def test_empty_heap_image():
 def test_partial_last_page():
     heap = HeapFile(file_id=0, schema=AB, tuples_per_page=4)
     assert heap.extend((i, -i) for i in range(6)) == 6
-    assert [len(page) for page in heap.iter_pages()] == [4, 2]
-    last = heap.page(1)
-    assert not last.is_full and heap.page(0).is_full
-    assert last.all_rows() == list(last) == [(4, -4), (5, -5)]
-    assert last.get(1) == (5, -5)
-    with pytest.raises(Exception, match="slot 2 not in use"):
-        last.get(2)
-    # The short page fills in place: same window, no new page.
+    assert _page_lengths(heap) == [4, 2]
+    assert heap.run_chunk(1, 1).to_rows() == [(4, -4), (5, -5)]
+    assert heap.fetch(TID(1, 1)) == (5, -5)
+    with pytest.raises(StorageError, match="slot 2 not in use on page 1"):
+        heap.fetch(TID(1, 2))
+    # The short page fills in place: no new page.
     assert heap.append((6, -6)) == TID(1, 2)
-    assert heap.page(1) is last and len(last) == 3
+    assert _page_lengths(heap) == [4, 3] == [
+        len(heap.run_chunk(p, 1)) for p in range(2)]
+    assert heap.fetch(TID(1, 2)) == (6, -6)
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -351,7 +370,7 @@ def test_block_boundary_on_a_page_boundary(extra):
     assert heap.extend(iter(rows)) == len(rows)
     assert len(heap._pending) == extra
     assert heap.num_pages == BLOCK_PAGES + extra
-    assert all(page.is_full for page in list(heap.iter_pages())[:BLOCK_PAGES])
+    assert _page_lengths(heap) == [per_page] * BLOCK_PAGES + [1] * extra
     assert heap.fetch(TID(BLOCK_PAGES - 1, 1)) == rows[block - 1]
     assert [row for _tid, row in heap.iter_rows()] == rows
     assert not heap._pending and len(heap.image()) == len(rows)
@@ -368,5 +387,5 @@ def test_one_row_appended_after_the_image_was_handed_out():
     assert len(image) == 4 and held.to_rows() == [(2, 2), (3, 3)]
     # ... and the next reader sees the new one, on its own page.
     assert len(heap.image()) == 5 and heap.image() is not image
-    assert heap.page(1).all_rows() == [(4, 4)]
+    assert heap.run_chunk(1, 1).to_rows() == [(4, 4)]
     assert heap.row(4) == (4, 4)

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.database import Database
-from repro.errors import BTreeError
+from repro.errors import BTreeError, UnknownPageError
 from repro.index import layout
 from repro.index.btree import BTreeIndex, TID_SHIFT
+from repro.storage.buffer import BufferPool
+from repro.storage.disk import DiskProfile, SimClock, SimulatedDisk
 from repro.storage.types import Column, ColumnType, Schema, TID
 
 
@@ -138,9 +140,11 @@ def test_geometry_is_worked_out_per_build_and_dropped_by_insert():
 
 def test_page_bounds():
     index = make_index([(i, TID(0, i)) for i in range(10)])
-    index.page(0)
-    with pytest.raises(BTreeError):
-        index.page(index.num_pages)
+    pool = BufferPool(SimulatedDisk(DiskProfile.hdd(), SimClock()), 4)
+    pool.get_page(index, index.num_pages - 1)
+    with pytest.raises(UnknownPageError, match="outside file 9 of 1 pages"):
+        pool.get_page(index, index.num_pages)
+    assert len(pool) == pool.stats.misses == 1
 
 
 def test_path_page_ids_root_first():
@@ -376,7 +380,8 @@ def test_property_every_build_route_leaves_sorted_pairs(
 
 def _tracked_objects_after_queries(num_tuples):
     """Build, analyze, run one query per access path; what the collector
-    still tracks afterwards, and the table's page count."""
+    still tracks afterwards, how many more objects that is than before
+    the build, and the table's page count."""
     from repro.core.smooth_scan import SmoothScan
     from repro.core.switch_scan import SwitchScan
     from repro.core.trigger import OptimizerDrivenTrigger
@@ -385,6 +390,8 @@ def _tracked_objects_after_queries(num_tuples):
     from repro.exec.stats import measure
     from repro.workloads.micro import VALUE_DOMAIN, build_micro_table
 
+    gc.collect()
+    before = len(gc.get_objects())
     db = Database()
     table = build_micro_table(db, num_tuples=num_tuples, seed=7)
     db.analyze()
@@ -405,18 +412,21 @@ def _tracked_objects_after_queries(num_tuples):
     db.append_rows(table.name, [tuple(range(len(table.schema.column_names)))])
     del plan
     gc.collect()
-    return db, table.num_pages, gc.get_objects()
+    after = gc.get_objects()
+    return db, table.num_pages, after, len(after) - before
 
 
 def test_no_tid_outlives_a_query_and_tracked_objects_follow_pages():
     """A population of GC-tracked objects proportional to the *row* count
     is re-walked by every collection a big result set triggers; the heap
-    may keep one per *page* (the page window — no row list behind it)."""
-    small_db, small_pages, small = _tracked_objects_after_queries(5_000)
-    small_count = len(small)
+    keeps none per *page* either (a page is a number)."""
+    _tracked_objects_after_queries(1_000)  # lazy imports and caches
+    small_db, small_pages, small, small_count = \
+        _tracked_objects_after_queries(5_000)
     assert sum(type(o) is TID for o in small) == 0
     del small_db, small
-    big_db, big_pages, big = _tracked_objects_after_queries(20_000)
+    big_db, big_pages, big, big_count = _tracked_objects_after_queries(20_000)
     assert sum(type(o) is TID for o in big) == 0
     assert big_pages - small_pages == 125
-    assert len(big) - small_count < 2 * (big_pages - small_pages)
+    # A constant, so that one object per page (125 here) cannot hide in it.
+    assert big_count - small_count < 16

@@ -1,4 +1,4 @@
-"""Heap pages and heap files."""
+"""Heap files, and pages as arithmetic over them."""
 
 import gc
 import types
@@ -12,13 +12,12 @@ from repro.errors import StorageError, UnknownPageError
 from repro.storage import heap as heap_module
 from repro.storage.chunk import Chunk
 from repro.storage.heap import HeapFile
-from repro.storage.page import HeapPage
 from repro.storage.types import Column, ColumnType, Schema, TID
 
 
 def _one_page_heap(capacity):
-    """A heap whose first page is the page under test: a page is a
-    window, so its rows go in through the heap."""
+    """A heap whose first page is the page under test: a page is a range
+    of the heap's rows, so they go in through the heap."""
     return HeapFile(file_id=0, schema=Schema.of_ints(["a"]),
                     tuples_per_page=capacity)
 
@@ -27,32 +26,30 @@ def test_page_insert_and_get():
     heap = _one_page_heap(capacity=3)
     assert heap.append((1,)).slot == 0
     assert heap.append((2,)).slot == 1
-    page = heap.page(0)
-    assert page.get(1) == (2,)
-    assert len(page) == 2
-    assert not page.is_full
+    assert heap.fetch(TID(0, 1)) == (2,)
+    assert heap.num_pages == 1 and len(heap.run_chunk(0, 1)) == 2
+    with pytest.raises(StorageError, match="slot 2 not in use on page 0"):
+        heap.fetch(TID(0, 2))  # a free slot of a page that is not full
 
 
 def test_page_full_raises():
     heap = _one_page_heap(capacity=1)
     heap.append((1,))
-    page = heap.page(0)
-    assert page.is_full
     # A full page takes no more rows: the heap opens the next one.
     assert heap.append((2,)) == TID(1, 0)
-    assert len(page) == 1 and page.all_rows() == [(1,)]
-    with pytest.raises(StorageError):
-        page.get(1)
+    assert heap.num_pages == 2
+    assert heap.run_chunk(0, 1).to_rows() == [(1,)]
+    with pytest.raises(StorageError, match="slot 1 not in use on page 0"):
+        heap.fetch(TID(0, 1))
 
 
 def test_page_bad_slot():
     heap = _one_page_heap(capacity=2)
     heap.append((1,))
-    page = heap.page(0)
-    with pytest.raises(StorageError):
-        page.get(1)
-    with pytest.raises(StorageError):
-        page.get(-1)
+    with pytest.raises(StorageError, match="slot 1 not in use on page 0"):
+        heap.fetch(TID(0, 1))
+    with pytest.raises(StorageError, match="slot -1 not in use on page 0"):
+        heap.fetch(TID(0, -1))
 
 
 def test_page_rejects_zero_capacity():
@@ -82,8 +79,9 @@ def test_heap_fetch_roundtrip(heap):
 
 def test_heap_page_bounds(heap):
     heap.append((1,))
-    with pytest.raises(UnknownPageError):
-        heap.page(5)
+    for page_id in (1, 5, -1):
+        with pytest.raises(UnknownPageError, match=f"page {page_id} outside"):
+            heap.fetch(TID(page_id, 0))
 
 
 def test_heap_validates_arity(heap):
@@ -98,12 +96,6 @@ def test_heap_iter_rows_in_physical_order(heap):
     assert [r for _t, r in rows] == [(i,) for i in range(9)]
     assert rows[0][0] == TID(0, 0)
     assert rows[-1][0] == TID(2, 0)
-
-
-def test_heap_iter_pages_order(heap):
-    for i in range(6):
-        heap.append((i,))
-    assert [p.page_id for p in heap.iter_pages()] == [0, 1]
 
 
 # -- the columnar image: one per heap, extended from the row watermark -------
@@ -246,13 +238,13 @@ def test_property_any_interleaving_of_appends_and_reads_returns_the_rows(ops):
                 cut = len(model) // 2
                 held.append((heap.image()[cut:], model[cut:]))
             elif op == "get":
-                for page in heap.iter_pages():
-                    _assert_same_rows(
-                        [page.get(slot) for slot in range(len(page))],
-                        model[page.page_id * per_page:][:per_page])
+                _assert_same_rows(
+                    [heap.fetch(TID(*divmod(i, per_page)))
+                     for i in range(len(model))], model)
             elif op == "all_rows":
                 _assert_same_rows(
-                    [row for page in heap.iter_pages() for row in page],
+                    [row for p in range(heap.num_pages)
+                     for row in heap.run_chunk(p, 1).to_rows()],
                     model)
             elif op == "fetch" and model:
                 last = len(model) - 1
@@ -279,7 +271,7 @@ def test_property_any_interleaving_of_appends_and_reads_returns_the_rows(ops):
 def _reachable_from(root):
     """Every container object reachable from ``root`` through the
     storage layer's own objects (not through classes or modules)."""
-    walked = (HeapFile, HeapPage, Chunk, list, tuple, dict,
+    walked = (HeapFile, Chunk, list, tuple, dict,
               types.BuiltinMethodType, types.MethodWrapperType)
     seen, stack = {}, [root]
     while stack:
@@ -292,7 +284,6 @@ def _reachable_from(root):
 
 
 def test_a_heap_holds_no_row_tuple_and_a_page_holds_nothing():
-    assert HeapPage.__slots__ == ("_heap", "page_id", "n")
     per_page = 7
     rows = [(10 ** 6 + i, i / 3, f"t{i % 5}", None if i % 4 else i)
             for i in range(40 * per_page + 3)]
@@ -308,9 +299,8 @@ def test_a_heap_holds_no_row_tuple_and_a_page_holds_nothing():
     image = heap.image()
     assert row_tuples(heap) == []
     # Reading through every door leaves nothing behind either ...
-    assert [row for page in heap.iter_pages() for row in page] == rows[:-5]
     assert [row for _tid, row in heap.iter_rows()] == rows[:-5]
-    assert heap.page(3).get(2) == heap.row(3 * per_page + 2) == rows[23]
+    assert heap.fetch(TID(3, 2)) == heap.row(3 * per_page + 2) == rows[23]
     assert heap.run_chunk(2, 3).to_rows() == rows[14:35]
     assert heap.image() is image
     assert row_tuples(heap) == []
@@ -319,6 +309,8 @@ def test_a_heap_holds_no_row_tuple_and_a_page_holds_nothing():
     assert len(row_tuples(heap)) == 5
     assert heap.fetch(TID(40, 2)) == rows[-1]
     assert row_tuples(heap) == []
-    # One tracked object per page, whatever the page holds.
-    assert sum(type(obj) is HeapPage for obj in _reachable_from(heap)) \
-        == heap.num_pages == 41
+    # Nothing per page is reachable from the heap: a page is arithmetic.
+    one_page = _fresh(_MIXED, rows[:3], per_page)
+    one_page.image()
+    assert (heap.num_pages, one_page.num_pages) == (41, 1)
+    assert len(_reachable_from(heap)) == len(_reachable_from(one_page))
