@@ -196,8 +196,7 @@ class Connection:
 
         The one-shot twin of a cursor: plan (through the plan cache),
         drain, and return a :class:`~repro.api.result.QueryResult`; an
-        ``EXPLAIN`` statement returns the rendered plan string.  This is
-        what the deprecated ``Database.sql()`` facade delegates to.
+        ``EXPLAIN`` statement returns the rendered plan string.
         """
         self._check_open()
         if isinstance(sql, PreparedStatement):

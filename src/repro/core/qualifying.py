@@ -52,7 +52,7 @@ class QualifyingPositions:
         index: the B+-tree driving the scan.
         rng: the scan's key range.
         in_range: ``rng`` compiled to a chunk mask
-            (:func:`~repro.exec.expressions.range_mask`).
+            (:meth:`~repro.exec.expressions.KeyRange.predicate`).
         residual: the residual compiled to a chunk mask, or ``None``.
     """
 

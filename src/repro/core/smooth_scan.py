@@ -58,7 +58,6 @@ from repro.exec.expressions import (
     KeyRange,
     Predicate,
     TruePredicate,
-    range_mask,
     require_columns,
 )
 from repro.exec.iterator import Batch, DEFAULT_BATCH_SIZE, Operator
@@ -200,7 +199,7 @@ class SmoothScan(Operator):
             max_region = 1
         qualifying = QualifyingPositions(
             heap, self.index, self.key_range,
-            range_mask(self.key_range, col_pos),
+            self.key_range.predicate(self.column).bind_mask(self.schema),
             None if isinstance(self.residual, TruePredicate)
             else self.residual.bind_mask(self.schema),
         )

@@ -19,7 +19,6 @@ from repro.exec.expressions import (
     KeyRange,
     Predicate,
     TruePredicate,
-    range_mask,
     require_columns,
 )
 from repro.exec.iterator import Batch, Chunk, DEFAULT_BATCH_SIZE, Operator
@@ -69,8 +68,8 @@ class SwitchScan(Operator):
         heap = self.table.heap
         self.switched = False
         residual_fn = self.residual.bind(self.schema)
-        col_pos = self.schema.index_of(self.column)
-        qualify_mask = range_mask(self.key_range, col_pos)
+        qualify_mask = self.key_range.predicate(self.column).bind_mask(
+            self.schema)
         residual_mask = (
             None if isinstance(self.residual, TruePredicate)
             else self.residual.bind_mask(self.schema)

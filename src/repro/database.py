@@ -22,7 +22,6 @@ Queries come in two flavors:
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Iterable
 
 from repro.config import DEFAULT_CONFIG, EngineConfig
@@ -60,7 +59,6 @@ class Database:
         self._catalog: "StatisticsCatalog | None" = None
         self._catalog_version = 0
         self._plan_cache: "PlanCache | None" = None
-        self._session: "Connection | None" = None
         #: Shard catalog: logical table name -> its registered
         #: partitioning.  Shard tables live in ``_shard_tables``, NOT in
         #: ``runtime.tables`` — they are execution artifacts of their
@@ -340,12 +338,6 @@ class Database:
         from repro.api.session import Connection
         return Connection(self, options=options, cold=cold)
 
-    def _default_session(self) -> "Connection":
-        """The lazily-created session backing the deprecated facades."""
-        if self._session is None:
-            self._session = self.connect()
-        return self._session
-
     # -- statistics -----------------------------------------------------
 
     @property
@@ -364,7 +356,7 @@ class Database:
 
         Experiment setups deliberately build *stale* catalogs (analyzed
         before late data arrived); installing one here makes every
-        facade entry point (``query``/``sql``/``explain``) plan against
+        entry point (``query``, every connection's SQL) plan against
         those wrong numbers — the regime the paper studies — without
         callers having to thread the catalog through each call.
         """
@@ -424,63 +416,6 @@ class Database:
         planned.reset_counters()
         run = measure(self, planned.root, cold=cold, keep_rows=keep_rows)
         return QueryResult(planned, run)
-
-    # -- SQL ------------------------------------------------------------
-
-    def sql(self, text: str, *, cold: bool = True, keep_rows: bool = True,
-            options: "PlannerOptions | None" = None,
-            catalog: "StatisticsCatalog | None" = None
-            ) -> "QueryResult | str":
-        """Execute one SQL statement.  Deprecated; use :meth:`connect`.
-
-        The historical one-call facade, kept working for existing
-        callers: hint comments layer onto ``options`` and an ``EXPLAIN
-        SELECT ...`` returns the rendered plan tree as a *string* (the
-        ``QueryResult | str`` union the session layer was built to
-        fix — ``Connection.execute`` gives EXPLAIN a result set
-        instead).  Internally this now delegates to a connection, so
-        repeated statements benefit from the plan cache; with an
-        explicit ``catalog`` override it plans directly, uncached (the
-        cache is keyed for the database's own catalog only).
-        """
-        warnings.warn(
-            "Database.sql() is deprecated; use db.connect() and "
-            "Connection/Cursor (or Connection.run) instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        if catalog is not None:
-            from repro.sql import compile_statement
-            bound = compile_statement(self, text)
-            opts = bound.planner_options(options)
-            if bound.explain:
-                return self.plan(bound.spec, options=opts,
-                                 catalog=catalog).render()
-            return self.execute(bound.spec, cold=cold, keep_rows=keep_rows,
-                                options=opts, catalog=catalog)
-        return self._default_session().run(
-            text, cold=cold, keep_rows=keep_rows, options=options
-        )
-
-    def explain(self, text: str,
-                options: "PlannerOptions | None" = None,
-                catalog: "StatisticsCatalog | None" = None) -> str:
-        """The plan tree for a SQL statement, without executing it.
-
-        Deprecated alongside :meth:`sql` (use
-        ``Connection.execute("EXPLAIN ...")`` or
-        ``PreparedStatement.explain``); accepts plain ``SELECT ...`` as
-        well as ``EXPLAIN SELECT ...``, and still returns the bare
-        rendered tree with no plan-cache line, exactly as it always did.
-        """
-        warnings.warn(
-            "Database.explain() is deprecated; use db.connect() and "
-            "cursor EXPLAIN or PreparedStatement.explain() instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        from repro.sql import compile_statement
-        bound = compile_statement(self, text)
-        return self.plan(bound.spec, options=bound.planner_options(options),
-                         catalog=catalog).render()
 
     # -- physical execution ---------------------------------------------
 

@@ -16,7 +16,6 @@ from repro.exec.expressions import (
     column_getter,
     conjunction,
     extract_range,
-    range_selector,
 )
 from repro.exec.iterator import (
     Batch,
@@ -84,7 +83,6 @@ __all__ = [
     "StreamingRun",
     "WorkloadClient",
     "WorkloadReport",
-    "range_selector",
     "Sort",
     "SortScan",
     "TruePredicate",

@@ -1,26 +1,29 @@
 """Predicates and key ranges.
 
-Predicates are small composable objects that *bind* against a schema into a
-plain ``row -> bool`` closure, so per-row evaluation never does name
-lookups.  For batch execution they compile into three progressively more
-vectorized forms:
+A predicate compiles two ways, one per shape of input:
 
-* :meth:`Predicate.bind_batch` — a *selector* over a list of rows (plus an
-  optional candidate selection) returning the indices of qualifying rows;
-* :meth:`Predicate.bind_filter` — the gather-free ``rows -> rows`` form,
-  now a single default expressed through ``bind_batch``;
+* :meth:`Predicate.bind` — a plain ``row -> bool`` closure with column
+  positions resolved once.  It checks one tuple at a time: Mode 0, Switch
+  Scan's index phase, the residuals of INLJ and Sort Scan's sparse reads,
+  and a :class:`~repro.exec.misc.Filter` over a row list (a join's
+  output), which keeps ``[row for row in rows if bind(row)]``.
 * :meth:`Predicate.bind_mask` / :meth:`Predicate.bind_chunk` — the
   columnar forms over a :class:`~repro.storage.chunk.Chunk`: one array
-  comparison produces a boolean mask over a whole heap page, and
+  comparison produces a boolean mask over a whole run of pages, and
   ``bind_chunk`` narrows the chunk by selection vector without touching a
-  single row tuple.
+  single row tuple.  The full scan, Sort Scan's dense branch and Smooth
+  Scan's morphing regions check rows this way.
+
+A row list has no columns to compare, so it takes the per-tuple form;
+conjunctions and disjunctions bind to one plain loop over their parts
+(:func:`_all_of` / :func:`_any_of`), which is what keeps that form cheap.
 
 :func:`extract_range` splits a predicate into the key range an index can
 serve plus the residual part that must be re-checked per tuple — the
 contract between the planner and every index-driven access path
-(classical, Sort, Switch and Smooth Scan alike).  :func:`range_selector`,
-:func:`range_filter` and :func:`range_mask` are the corresponding compiled
-forms of a bare :class:`KeyRange`.
+(classical, Sort, Switch and Smooth Scan alike).  A bare
+:class:`KeyRange` compiles through :meth:`KeyRange.predicate`, the
+predicate it stands for.
 """
 
 from __future__ import annotations
@@ -47,14 +50,6 @@ from repro.storage.types import Row, Schema
 
 RowPredicate = Callable[[Row], bool]
 
-#: ``(rows, candidate_indices | None) -> selected_indices``.  ``None``
-#: candidates mean "all of ``rows``"; the result is always ascending.
-BatchPredicate = Callable[..., "list[int]"]
-
-#: ``rows -> qualifying rows`` (order-preserving); the gather-free batch
-#: form used when slot positions are not needed downstream.
-RowsFilter = Callable[[Sequence[Row]], "list[Row]"]
-
 #: ``chunk -> mask | None`` over the chunk's logical rows; ``None`` means
 #: "every row qualifies" (the free all-pass case).
 MaskPredicate = Callable[[Chunk], Optional[Mask]]
@@ -62,6 +57,32 @@ MaskPredicate = Callable[[Chunk], Optional[Mask]]
 #: ``chunk -> chunk | None``: narrow a chunk to qualifying rows via its
 #: selection vector; ``None`` means no row qualified.
 ChunkFilter = Callable[[Chunk], Optional[Chunk]]
+
+
+def _all_of(bound: Sequence[RowPredicate]) -> RowPredicate:
+    """``row -> every part holds``, as one loop (no generator per row)."""
+    bound = tuple(bound)
+
+    def all_of(row: Row) -> bool:
+        for f in bound:
+            if not f(row):
+                return False
+        return True
+
+    return all_of
+
+
+def _any_of(bound: Sequence[RowPredicate]) -> RowPredicate:
+    """``row -> some part holds``, as one loop (no generator per row)."""
+    bound = tuple(bound)
+
+    def any_of(row: Row) -> bool:
+        for f in bound:
+            if f(row):
+                return True
+        return False
+
+    return any_of
 
 
 def _scalar_vectorizable(value: object) -> bool:
@@ -98,44 +119,6 @@ class Predicate(ABC):
     @abstractmethod
     def bind(self, schema: Schema) -> RowPredicate:
         """Compile to a ``row -> bool`` closure for ``schema``."""
-
-    def bind_batch(self, schema: Schema) -> BatchPredicate:
-        """Compile to a vectorized selector over a list of rows.
-
-        The selector takes ``(rows, sel=None)`` where ``sel`` is an
-        optional ascending list of candidate indices (``None`` meaning all
-        rows) and returns the ascending list of indices whose rows
-        satisfy the predicate.  The default implementation wraps
-        :meth:`bind`; leaf predicates override it with inlined loops.
-        """
-        fn = self.bind(schema)
-
-        def select(rows: Sequence[Row], sel=None) -> list[int]:
-            if sel is None:
-                return [i for i, row in enumerate(rows) if fn(row)]
-            return [i for i in sel if fn(rows[i])]
-
-        return select
-
-    def bind_filter(self, schema: Schema) -> RowsFilter:
-        """Compile to a ``rows -> qualifying rows`` batch filter.
-
-        The gather-free sibling of :meth:`bind_batch` for consumers that
-        do not need slot positions.  This is the *single* default for all
-        predicate classes, expressed through :meth:`bind_batch` so each
-        subclass maintains one vectorized implementation instead of a
-        near-identical select/filter pair; the all-pass case returns the
-        input batch unchanged.
-        """
-        select = self.bind_batch(schema)
-
-        def filter_rows(rows: Sequence[Row]) -> list[Row]:
-            sel = select(rows)
-            if len(sel) == len(rows):
-                return rows if isinstance(rows, list) else list(rows)
-            return [rows[i] for i in sel]
-
-        return filter_rows
 
     def bind_mask(self, schema: Schema) -> MaskPredicate:
         """Compile to a columnar ``chunk -> mask | None`` evaluator.
@@ -184,17 +167,12 @@ class Predicate(ABC):
         return Or([self, other])
 
 
+@dataclass(frozen=True)
 class TruePredicate(Predicate):
     """Matches every row (the default when no filter is given)."""
 
     def bind(self, schema: Schema) -> RowPredicate:
         return lambda row: True
-
-    def bind_batch(self, schema: Schema) -> BatchPredicate:
-        def select(rows: Sequence[Row], sel=None) -> list[int]:
-            return list(range(len(rows))) if sel is None else list(sel)
-
-        return select
 
     def bind_mask(self, schema: Schema) -> MaskPredicate:
         return lambda chunk: None
@@ -219,18 +197,6 @@ class Comparison(Predicate):
         fn = self.op.fn
         value = self.value
         return lambda row: fn(row[idx], value)
-
-    def bind_batch(self, schema: Schema) -> BatchPredicate:
-        idx = schema.index_of(self.column)
-        fn = self.op.fn
-        value = self.value
-
-        def select(rows: Sequence[Row], sel=None) -> list[int]:
-            if sel is None:
-                return [i for i, row in enumerate(rows) if fn(row[idx], value)]
-            return [i for i in sel if fn(rows[i][idx], value)]
-
-        return select
 
     def bind_mask(self, schema: Schema) -> MaskPredicate:
         idx = schema.index_of(self.column)
@@ -271,25 +237,6 @@ class Between(Predicate):
         lo_ok = operator.ge if self.lo_inclusive else operator.gt
         hi_ok = operator.le if self.hi_inclusive else operator.lt
         return lambda row: lo_ok(row[idx], lo) and hi_ok(row[idx], hi)
-
-    def bind_batch(self, schema: Schema) -> BatchPredicate:
-        idx = schema.index_of(self.column)
-        lo, hi = self.lo, self.hi
-        lo_ok = operator.ge if self.lo_inclusive else operator.gt
-        hi_ok = operator.le if self.hi_inclusive else operator.lt
-
-        def select(rows: Sequence[Row], sel=None) -> list[int]:
-            if sel is None:
-                return [
-                    i for i, row in enumerate(rows)
-                    if lo_ok(row[idx], lo) and hi_ok(row[idx], hi)
-                ]
-            return [
-                i for i in sel
-                if lo_ok(rows[i][idx], lo) and hi_ok(rows[i][idx], hi)
-            ]
-
-        return select
 
     def bind_mask(self, schema: Schema) -> MaskPredicate:
         idx = schema.index_of(self.column)
@@ -333,17 +280,6 @@ class InList(Predicate):
         values = frozenset(self.values)
         return lambda row: row[idx] in values
 
-    def bind_batch(self, schema: Schema) -> BatchPredicate:
-        idx = schema.index_of(self.column)
-        values = frozenset(self.values)
-
-        def select(rows: Sequence[Row], sel=None) -> list[int]:
-            if sel is None:
-                return [i for i, row in enumerate(rows) if row[idx] in values]
-            return [i for i in sel if rows[i][idx] in values]
-
-        return select
-
     def bind_mask(self, schema: Schema) -> MaskPredicate:
         idx = schema.index_of(self.column)
         values = tuple(self.values)
@@ -364,20 +300,7 @@ class And(Predicate):
         self.parts = tuple(parts)
 
     def bind(self, schema: Schema) -> RowPredicate:
-        bound = [p.bind(schema) for p in self.parts]
-        return lambda row: all(f(row) for f in bound)
-
-    def bind_batch(self, schema: Schema) -> BatchPredicate:
-        bound = [p.bind_batch(schema) for p in self.parts]
-
-        def select(rows: Sequence[Row], sel=None) -> list[int]:
-            for f in bound:
-                sel = f(rows, sel)
-                if not sel:
-                    return []
-            return list(range(len(rows))) if sel is None else sel
-
-        return select
+        return _all_of([p.bind(schema) for p in self.parts])
 
     def bind_mask(self, schema: Schema) -> MaskPredicate:
         bound = [p.bind_mask(schema) for p in self.parts]
@@ -406,30 +329,12 @@ class Or(Predicate):
         self.parts = tuple(parts)
 
     def bind(self, schema: Schema) -> RowPredicate:
-        bound = [p.bind(schema) for p in self.parts]
-        return lambda row: any(f(row) for f in bound)
-
-    def bind_batch(self, schema: Schema) -> BatchPredicate:
-        bound = [p.bind_batch(schema) for p in self.parts]
-
-        def select(rows: Sequence[Row], sel=None) -> list[int]:
-            remaining = list(range(len(rows))) if sel is None else list(sel)
-            matched: list[int] = []
-            for f in bound:
-                if not remaining:
-                    break
-                hits = f(rows, remaining)
-                if hits:
-                    matched.extend(hits)
-                    hit_set = set(hits)
-                    remaining = [i for i in remaining if i not in hit_set]
-            matched.sort()
-            return matched
-
-        return select
+        return _any_of([p.bind(schema) for p in self.parts])
 
     def bind_mask(self, schema: Schema) -> MaskPredicate:
         bound = [p.bind_mask(schema) for p in self.parts]
+        if not bound:  # the empty disjunction holds for no row
+            return lambda chunk: mask_not(None, len(chunk))
 
         def mask_of(chunk: Chunk) -> Mask | None:
             mask: Mask | None = None
@@ -481,9 +386,7 @@ class NullRejecting(Predicate):
                 return NullRejecting(inner.part).bind(schema)
         if isinstance(part, (And, Or)):
             bound = [NullRejecting(p).bind(schema) for p in part.parts]
-            if isinstance(part, And):
-                return lambda row: all(f(row) for f in bound)
-            return lambda row: any(f(row) for f in bound)
+            return (_all_of if isinstance(part, And) else _any_of)(bound)
         fn = part.bind(schema)
         positions = sorted(schema.index_of(c) for c in part.columns())
 
@@ -511,16 +414,6 @@ class Not(Predicate):
     def bind(self, schema: Schema) -> RowPredicate:
         bound = self.part.bind(schema)
         return lambda row: not bound(row)
-
-    def bind_batch(self, schema: Schema) -> BatchPredicate:
-        bound = self.part.bind_batch(schema)
-
-        def select(rows: Sequence[Row], sel=None) -> list[int]:
-            candidates = range(len(rows)) if sel is None else sel
-            hit_set = set(bound(rows, sel))
-            return [i for i in candidates if i not in hit_set]
-
-        return select
 
     def bind_mask(self, schema: Schema) -> MaskPredicate:
         bound = self.part.bind_mask(schema)
@@ -603,18 +496,6 @@ class ColumnComparison(Predicate):
         fn = self.op.fn
         return lambda row: fn(row[li], row[ri])
 
-    def bind_batch(self, schema: Schema) -> BatchPredicate:
-        li = schema.index_of(self.left)
-        ri = schema.index_of(self.right)
-        fn = self.op.fn
-
-        def select(rows: Sequence[Row], sel=None) -> list[int]:
-            if sel is None:
-                return [i for i, row in enumerate(rows) if fn(row[li], row[ri])]
-            return [i for i in sel if fn(rows[i][li], rows[i][ri])]
-
-        return select
-
     def bind_mask(self, schema: Schema) -> MaskPredicate:
         li = schema.index_of(self.left)
         ri = schema.index_of(self.right)
@@ -678,6 +559,21 @@ class KeyRange:
                 return False
         return True
 
+    def predicate(self, column: str) -> Predicate:
+        """The predicate ``column in self`` stands for: ``TRUE``, a
+        one-sided :class:`Comparison` or a :class:`Between` — which is how
+        a scan compiles its key range to a chunk mask."""
+        if self.lo is None and self.hi is None:
+            return TruePredicate()
+        if self.lo is None:
+            op = CompareOp.LE if self.hi_inclusive else CompareOp.LT
+            return Comparison(column, op, self.hi)
+        if self.hi is None:
+            op = CompareOp.GE if self.lo_inclusive else CompareOp.GT
+            return Comparison(column, op, self.lo)
+        return Between(column, self.lo, self.hi,
+                       self.lo_inclusive, self.hi_inclusive)
+
     def intersect(self, other: "KeyRange") -> "KeyRange":
         """The intersection of two ranges (may be empty)."""
         lo, lo_inc = self.lo, self.lo_inclusive
@@ -689,127 +585,6 @@ class KeyRange:
                 other.hi == hi and not other.hi_inclusive)):
             hi, hi_inc = other.hi, other.hi_inclusive
         return KeyRange(lo, hi, lo_inc, hi_inc)
-
-
-def range_selector(rng: KeyRange, col_pos: int) -> BatchPredicate:
-    """Compile ``rng`` into a vectorized selector on column ``col_pos``.
-
-    The returned function takes ``(rows, sel=None)`` and returns the
-    ascending indices of rows whose key at ``col_pos`` lies inside the
-    range — the batch counterpart of ``rng.contains(row[col_pos])``, with
-    the bound checks specialized once instead of re-tested per tuple.
-    """
-    lo, hi = rng.lo, rng.hi
-    lo_ok = operator.ge if rng.lo_inclusive else operator.gt
-    hi_ok = operator.le if rng.hi_inclusive else operator.lt
-
-    if lo is None and hi is None:
-        def select_all(rows: Sequence[Row], sel=None) -> list[int]:
-            return list(range(len(rows))) if sel is None else list(sel)
-        return select_all
-
-    if lo is None:
-        def select_hi(rows: Sequence[Row], sel=None) -> list[int]:
-            if sel is None:
-                return [i for i, row in enumerate(rows)
-                        if hi_ok(row[col_pos], hi)]
-            return [i for i in sel if hi_ok(rows[i][col_pos], hi)]
-        return select_hi
-
-    if hi is None:
-        def select_lo(rows: Sequence[Row], sel=None) -> list[int]:
-            if sel is None:
-                return [i for i, row in enumerate(rows)
-                        if lo_ok(row[col_pos], lo)]
-            return [i for i in sel if lo_ok(rows[i][col_pos], lo)]
-        return select_lo
-
-    # Both bounds: native chained comparisons per inclusivity variant.
-    if rng.lo_inclusive and not rng.hi_inclusive:
-        def select_incl_excl(rows: Sequence[Row], sel=None) -> list[int]:
-            if sel is None:
-                return [i for i, row in enumerate(rows)
-                        if lo <= row[col_pos] < hi]
-            return [i for i in sel if lo <= rows[i][col_pos] < hi]
-        return select_incl_excl
-
-    if rng.lo_inclusive and rng.hi_inclusive:
-        def select_incl_incl(rows: Sequence[Row], sel=None) -> list[int]:
-            if sel is None:
-                return [i for i, row in enumerate(rows)
-                        if lo <= row[col_pos] <= hi]
-            return [i for i in sel if lo <= rows[i][col_pos] <= hi]
-        return select_incl_incl
-
-    def select_both(rows: Sequence[Row], sel=None) -> list[int]:
-        if sel is None:
-            return [
-                i for i, row in enumerate(rows)
-                if lo_ok(row[col_pos], lo) and hi_ok(row[col_pos], hi)
-            ]
-        return [
-            i for i in sel
-            if lo_ok(rows[i][col_pos], lo) and hi_ok(rows[i][col_pos], hi)
-        ]
-    return select_both
-
-
-def range_filter(rng: KeyRange, col_pos: int) -> RowsFilter:
-    """Compile ``rng`` into a gather-free ``rows -> qualifying rows`` filter.
-
-    The :func:`range_selector` sibling for consumers that do not need slot
-    positions (e.g. an unordered eager Smooth Scan, where no auxiliary
-    cache consumes TIDs): one pass with native chained comparisons.
-    """
-    lo, hi = rng.lo, rng.hi
-    if lo is None and hi is None:
-        return lambda rows: rows  # type: ignore[return-value]
-    if lo is None:
-        if rng.hi_inclusive:
-            return lambda rows: [r for r in rows if r[col_pos] <= hi]
-        return lambda rows: [r for r in rows if r[col_pos] < hi]
-    if hi is None:
-        if rng.lo_inclusive:
-            return lambda rows: [r for r in rows if r[col_pos] >= lo]
-        return lambda rows: [r for r in rows if r[col_pos] > lo]
-    if rng.lo_inclusive:
-        if rng.hi_inclusive:
-            return lambda rows: [r for r in rows if lo <= r[col_pos] <= hi]
-        return lambda rows: [r for r in rows if lo <= r[col_pos] < hi]
-    if rng.hi_inclusive:
-        return lambda rows: [r for r in rows if lo < r[col_pos] <= hi]
-    return lambda rows: [r for r in rows if lo < r[col_pos] < hi]
-
-
-def range_mask(rng: KeyRange, col_pos: int) -> MaskPredicate:
-    """Compile ``rng`` into a columnar ``chunk -> mask | None`` evaluator.
-
-    The :func:`range_selector` sibling for chunk consumers: one or two
-    whole-column array comparisons per chunk instead of per-tuple bound
-    checks.  ``None`` means every row qualifies (the unbounded range).
-    """
-    lo, hi = rng.lo, rng.hi
-    if lo is None and hi is None:
-        return lambda chunk: None
-    lo_ok = operator.ge if rng.lo_inclusive else operator.gt
-    hi_ok = operator.le if rng.hi_inclusive else operator.lt
-    vectorizable = (
-        (lo is None or _scalar_vectorizable(lo))
-        and (hi is None or _scalar_vectorizable(hi))
-    )
-    contains = rng.contains
-
-    def mask_of(chunk: Chunk) -> Mask:
-        arr = chunk.array(col_pos) if vectorizable else None
-        if arr is not None:
-            if lo is None:
-                return hi_ok(arr, hi)
-            if hi is None:
-                return lo_ok(arr, lo)
-            return lo_ok(arr, lo) & hi_ok(arr, hi)
-        return object_mask(chunk.column_values(col_pos), contains)
-
-    return mask_of
 
 
 def _range_of_comparison(cmp: Comparison) -> KeyRange | None:

@@ -34,7 +34,7 @@ class Filter(Operator):
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         filter_chunk = self.predicate.bind_chunk(self.schema)
-        filter_rows = self.predicate.bind_filter(self.schema)
+        matches = self.predicate.bind(self.schema)
         for batch in self.child.batches(ctx):
             ctx.charge_inspect(len(batch))
             if isinstance(batch, Chunk):
@@ -42,7 +42,7 @@ class Filter(Operator):
                 if kept is not None:
                     yield kept
             else:
-                kept_rows = filter_rows(batch)
+                kept_rows = [row for row in batch if matches(row)]
                 if kept_rows:
                     yield kept_rows
 

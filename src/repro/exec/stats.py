@@ -21,7 +21,7 @@ rollups in :mod:`repro.telemetry.rollups`) instead of holding on to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.database import Database
 from repro.exec.iterator import Batch, Chunk, Operator
@@ -226,14 +226,6 @@ class StreamingRun:
             self.closed = True
             self._runtime.unregister_stream(self)
             self._finish_span(partial=not self.exhausted)
-
-
-def count_rows(rows: Iterable[Row]) -> int:
-    """Drain an iterator, returning how many rows it yielded."""
-    n = 0
-    for _ in rows:
-        n += 1
-    return n
 
 
 MeasureFn = Callable[[Database, Operator], RunResult]

@@ -17,9 +17,8 @@ Values are :class:`~repro.optimizer.planner.PlanRecipe` objects — the
 decisions only, never operator trees, so one cached plan can be
 instantiated for any parameter binding.
 
-Statistics refreshes (``analyze``) also bump the catalog version: the
-legacy ``Database.sql`` facade re-planned from scratch every call, and
-the cache must never make it observably different.
+Statistics refreshes (``analyze``) also bump the catalog version: a
+cached plan must never differ observably from planning from scratch.
 """
 
 from __future__ import annotations

@@ -26,8 +26,7 @@ Entry points:
   hint-derived options + explain flag + parameter slots); counted on
   ``db.sql_compile_count``.
 * :meth:`repro.database.Database.connect` — the
-  Connection/Cursor/PreparedStatement session layer applications use
-  (``Database.sql``/``.explain`` remain as deprecated one-call shims).
+  Connection/Cursor/PreparedStatement session layer applications use.
 * ``python -m repro.sql`` — an interactive REPL over a loaded workload.
 """
 

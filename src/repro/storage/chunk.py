@@ -321,13 +321,6 @@ def mask_all(m: Mask | None) -> bool:
     return all(m)
 
 
-def mask_count(m: Mask) -> int:
-    """Number of rows a mask passes."""
-    if _is_array(m):
-        return int(m.sum())
-    return sum(1 for x in m if x)
-
-
 def mask_nonzero(m: Mask) -> "Sequence[int]":
     """Ascending positions a mask passes (ndarray or list)."""
     if _is_array(m):
@@ -346,10 +339,15 @@ def object_mask(col: Sequence, test: Callable[[object], bool]) -> Mask:
 
 
 def mask_isin(col: ColumnData, values: Sequence) -> Mask:
-    """Membership mask: ``col[i] in values`` per row."""
-    if _is_array(col) and values and all(
-            type(v) in (int, float) for v in values):
-        return _np.isin(col, _np.asarray(list(values)))
+    """Membership mask: ``col[i] in values`` per row.
+
+    Array membership only where the values type to the column's own dtype:
+    an int64 column against a value past int64 (or a float) would compare
+    as float64, where distinct integers can collide."""
+    if _is_array(col) and values:
+        probe = _typed_column(values)
+        if _is_array(probe) and probe.dtype == col.dtype:
+            return _np.isin(col, probe)
     vset = frozenset(values)
     return object_mask(col.tolist() if _is_array(col) else col,
                        lambda v: v in vset)

@@ -342,11 +342,6 @@ class SimulatedDisk:
         """Restore a head position captured by :meth:`head_state`."""
         self._head = state
 
-    def reset_head(self) -> None:
-        """Forget head position (e.g. after unrelated activity)."""
-        self._head = None
-        self._file_heads.clear()
-
     def reset(self) -> None:
         """Clear statistics and head position — and nothing else.
 

@@ -2,11 +2,9 @@
 
 Covers the acceptance bar of the API redesign: prepared statements
 compile and plan exactly once across re-executions (counters), results
-are measurement-identical to the legacy literal-SQL facade, cursors
+are measurement-identical to literal SQL, cursors
 stream without materializing, and EXPLAIN is a structured result set.
 """
-
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -38,11 +36,9 @@ def test_fetchall_matches_database_execute(micro_db, conn):
     cur = conn.execute("SELECT c1, c2 FROM micro WHERE c2 < 5000 "
                        "ORDER BY c2")
     rows = cur.fetchall()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = micro_db.sql("SELECT c1, c2 FROM micro WHERE c2 < 5000 "
-                              "ORDER BY c2")
-    assert rows == legacy.rows
+    one_shot = micro_db.connect().run("SELECT c1, c2 FROM micro "
+                                      "WHERE c2 < 5000 ORDER BY c2")
+    assert rows == one_shot.rows
     assert cur.rowcount == len(rows)
 
 
@@ -154,15 +150,13 @@ def _assert_measurement_identical(prepared, literal):
 
 def test_prepared_results_measurement_identical_to_literal_sql(micro_db):
     # At the plan-caching execution the prepared path charges exactly
-    # what the legacy literal facade does: parameter plumbing is free.
+    # what literal SQL does: parameter plumbing is free.
     session = micro_db.connect()
     st = session.prepare("SELECT c1, c2 FROM micro "
                          "WHERE c2 >= ? AND c2 < ? ORDER BY c2")
     prepared = st.run((0, 120))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        literal = micro_db.sql("SELECT c1, c2 FROM micro WHERE c2 >= 0 "
-                               "AND c2 < 120 ORDER BY c2")
+    literal = micro_db.connect().run("SELECT c1, c2 FROM micro WHERE c2 >= 0 "
+                                     "AND c2 < 120 ORDER BY c2")
     _assert_measurement_identical(prepared, literal)
 
 
@@ -305,37 +299,6 @@ def test_different_options_do_not_share_cache_entries(micro_db):
     ).run(sql, keep_rows=False)
     assert plain.decisions[0].path != "smooth"
     assert smooth.decisions[0].path == "smooth"
-
-
-# -- deprecated facade pins ---------------------------------------------------
-
-def test_database_sql_and_explain_warn_but_work(micro_db):
-    with pytest.deprecated_call():
-        result = micro_db.sql("SELECT count(*) AS n FROM micro")
-    assert result.row_count == 1
-    with pytest.deprecated_call():
-        plan_text = micro_db.sql("EXPLAIN SELECT * FROM micro "
-                                 "WHERE c2 < 500")
-    # Old contract: EXPLAIN through db.sql is a *string* (the wart the
-    # cursor API fixes), without the cursor's plan-cache line.
-    assert isinstance(plan_text, str)
-    assert plan_text.startswith("-> ")
-    assert "plan cache" not in plan_text
-    with pytest.deprecated_call():
-        rendered = micro_db.explain("SELECT * FROM micro WHERE c2 < 500")
-    assert rendered.startswith("-> ")
-    assert "plan cache" not in rendered
-
-
-def test_database_sql_explicit_catalog_bypasses_cache(micro_db):
-    from repro.optimizer.statistics import StatisticsCatalog
-    stale = StatisticsCatalog()
-    entries0 = len(micro_db.plan_cache)
-    with pytest.deprecated_call():
-        result = micro_db.sql("SELECT * FROM micro WHERE c2 < 999",
-                              keep_rows=False, catalog=stale)
-    assert result.row_count > 0
-    assert len(micro_db.plan_cache) == entries0  # nothing cached
 
 
 # -- connection lifecycle: cursors close with the session ---------------------

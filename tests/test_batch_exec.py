@@ -17,6 +17,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.morph_join import MorphingIndexJoin
 from repro.core.policy import (
@@ -35,16 +36,16 @@ from repro.exec.aggregates import AggSpec, HashAggregate
 from repro.exec.expressions import (
     And,
     Between,
+    ColumnComparison,
     Comparison,
     CompareOp,
     InList,
     KeyRange,
     Not,
+    NullRejecting,
     Or,
     StringMatch,
     TruePredicate,
-    range_filter,
-    range_selector,
 )
 from repro.exec.iterator import DEFAULT_BATCH_SIZE, Operator, chunked
 from repro.exec.joins import HashJoin, MergeJoin, NestedLoopJoin
@@ -52,7 +53,7 @@ from repro.exec.misc import Filter, Limit, Materialize, Project, Rename
 from repro.exec.scans import FullTableScan, IndexScan, SortScan
 from repro.exec.sort import Sort
 from repro.storage.chunk import Chunk
-from repro.storage.types import Schema
+from repro.storage.types import Column, ColumnType, Schema
 
 ALL_POLICIES = [GreedyPolicy(), SelectivityIncreasePolicy(), ElasticPolicy()]
 TRIGGERS = {
@@ -264,52 +265,83 @@ PREDICATES = [
 ]
 
 
-@pytest.mark.parametrize("predicate", PREDICATES, ids=repr)
-def test_bind_batch_and_filter_match_bind(small_table, predicate):
-    _db, table = small_table
-    rows = [row for _tid, row in table.heap.iter_rows()][:600]
-    schema = table.schema
-    fn = predicate.bind(schema)
-    expected_idx = [i for i, row in enumerate(rows) if fn(row)]
-    expected_rows = [row for row in rows if fn(row)]
+BIG = 2 ** 63
 
-    assert predicate.bind_batch(schema)(rows) == expected_idx
-    assert list(predicate.bind_filter(schema)(rows)) == expected_rows
+#: The rest of the predicate classes, and the float, CHAR and beyond-int64
+#: columns (a chunk holds ``b`` as an array only while it fits int64).
+MORE_PREDICATES = [
+    StringMatch("s", "prefix", "a"),
+    StringMatch("s", "suffix", "b"),
+    StringMatch("s", "contains", "ab"),
+    InList("s", ("a", "ab")),
+    ColumnComparison("c2", CompareOp.LT, "c3"),
+    ColumnComparison("f", CompareOp.GE, "c3"),
+    Comparison("f", CompareOp.LT, 0.5),
+    Between("f", -2, 2.5, lo_inclusive=False),
+    Comparison("b", CompareOp.GT, BIG),
+    Comparison("b", CompareOp.LE, BIG - 1),
+    Between("b", -3, BIG + 1, hi_inclusive=True),
+    InList("b", (BIG, 0)),
+    Or([And([Comparison("c2", CompareOp.GE, 500),
+             StringMatch("s", "prefix", "b")]),
+        Not(InList("c3", (1, 2)))]),
+]
 
-    # Candidate-restricted selection: only even indices offered.
-    candidates = list(range(0, len(rows), 2))
-    want = [i for i in candidates if fn(rows[i])]
-    assert predicate.bind_batch(schema)(rows, candidates) == want
+#: What a NULL-padded row may meet unwrapped: equality and membership.
+NULL_SAFE_PREDICATES = [
+    Comparison("f", CompareOp.EQ, None),
+    Comparison("b", CompareOp.NE, 0),
+    InList("s", ("a", None)),
+]
+
+PREDICATE_SCHEMA = Schema([
+    Column("c1"), Column("c2"), Column("c3"),
+    Column("f", ColumnType.FLOAT), Column("s", ColumnType.CHAR, 4),
+    Column("b", ColumnType.BIGINT),
+])
+
+_row = st.tuples(
+    st.integers(0, 99), st.integers(0, 999), st.integers(0, 9),
+    st.floats(-3, 3, allow_nan=False),
+    st.text("ab", max_size=3),
+    st.integers(-3, 3) | st.integers(BIG - 2, BIG + 2),
+)
 
 
-def test_string_match_batch_falls_back_to_default(db):
-    from repro.storage.types import Column, ColumnType
-    schema = Schema([Column("s", ColumnType.CHAR, 16)])
-    rows = [("apple",), ("banana",), ("apricot",), ("cherry",)]
-    pred = StringMatch("s", "prefix", "ap")
-    assert pred.bind_batch(schema)(rows) == [0, 2]
-    assert pred.bind_filter(schema)(rows) == [("apple",), ("apricot",)]
+def _selected(chunk, predicate):
+    """The rows ``bind``, ``bind_mask`` and ``bind_chunk`` each keep."""
+    rows = chunk.to_rows()
+    matches = predicate.bind(PREDICATE_SCHEMA)
+    by_bind = [row for row in rows if matches(row)]
+    mask = predicate.bind_mask(PREDICATE_SCHEMA)(chunk)
+    assert mask is None or len(mask) == len(rows)
+    by_mask = rows if mask is None else [
+        row for row, keep in zip(rows, mask, strict=True) if keep]
+    kept = predicate.bind_chunk(PREDICATE_SCHEMA)(chunk)
+    by_chunk = [] if kept is None else kept.to_rows()
+    return by_bind, by_mask, by_chunk
 
 
-@pytest.mark.parametrize("rng", [
-    KeyRange.all(),
-    KeyRange(100, None),
-    KeyRange(None, 500),
-    KeyRange(100, 500),
-    KeyRange(100, 500, lo_inclusive=False, hi_inclusive=True),
-    KeyRange.equal(250),
-], ids=lambda r: f"[{r.lo},{r.hi},{r.lo_inclusive},{r.hi_inclusive}]")
-def test_range_selector_and_filter_match_contains(small_table, rng):
-    _db, table = small_table
-    rows = [row for _tid, row in table.heap.iter_rows()][:600]
-    col = 1
-    expected_idx = [i for i, row in enumerate(rows) if rng.contains(row[col])]
-    expected_rows = [row for row in rows if rng.contains(row[col])]
-    assert range_selector(rng, col)(rows) == expected_idx
-    assert list(range_filter(rng, col)(rows)) == expected_rows
-    candidates = list(range(1, len(rows), 3))
-    want = [i for i in candidates if rng.contains(rows[i][col])]
-    assert range_selector(rng, col)(rows, candidates) == want
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(st.tuples(_row, st.booleans()), max_size=40),
+       padded=st.booleans(), every=st.integers(1, 3))
+def test_columnar_forms_select_what_bind_selects(rows, padded, every):
+    """``bind_mask`` and ``bind_chunk`` keep exactly the rows ``bind``
+    keeps, for every predicate class, over a chunk and a selection of it;
+    NULL-padded rows (a left join's misses) meet ``NullRejecting``."""
+    predicates = PREDICATES + MORE_PREDICATES
+    if padded:
+        rows = [row[:3] + (None,) * 3 if pad else row for row, pad in rows]
+        predicates = [NullRejecting(p) for p in predicates] \
+            + NULL_SAFE_PREDICATES
+    else:
+        rows = [row for row, _pad in rows]
+    chunk = Chunk.from_rows(PREDICATE_SCHEMA, rows)
+    for view in (chunk, chunk.take(list(range(0, len(rows), every)))):
+        for predicate in predicates:
+            by_bind, by_mask, by_chunk = _selected(view, predicate)
+            assert by_mask == by_bind, predicate
+            assert by_chunk == by_bind, predicate
 
 
 # -- SmoothScan: the full configuration grid -----------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exec.scans import FullTableScan
-from repro.exec.stats import count_rows, measure
+from repro.exec.stats import measure
 from repro.storage.types import Schema
 
 
@@ -79,8 +79,3 @@ def test_run_result_reprs_and_units(db):
     assert result.total_seconds == pytest.approx(result.total_ms / 1000)
     assert result.read_gb == pytest.approx(result.disk.bytes_read / 1e9)
     assert "RunResult" in repr(result)
-
-
-def test_count_rows():
-    assert count_rows(iter([1, 2, 3])) == 3
-    assert count_rows(iter([])) == 0

@@ -206,6 +206,29 @@ def test_extract_range_unorderable_in_list_is_opaque():
     assert residual is pred
 
 
+@pytest.mark.parametrize("lo", [None, 3])
+@pytest.mark.parametrize("hi", [None, 3, 9])
+@pytest.mark.parametrize("lo_inclusive", [True, False])
+@pytest.mark.parametrize("hi_inclusive", [True, False])
+def test_key_range_predicate_round_trips(lo, hi, lo_inclusive, hi_inclusive):
+    rng = KeyRange(lo, hi, lo_inclusive, hi_inclusive)
+    predicate = rng.predicate("b")
+    if lo is None and hi is None:
+        assert predicate == TruePredicate()
+        assert extract_range(predicate, "b") == (None, TruePredicate())
+    else:
+        # An unbounded side's inclusivity flag means nothing: the
+        # predicate leaves it out, so it comes back as the default.
+        if lo is None:
+            rng = KeyRange(None, hi, hi_inclusive=hi_inclusive)
+        if hi is None:
+            rng = KeyRange(lo, None, lo_inclusive=lo_inclusive)
+        assert extract_range(predicate, "b") == (rng, TruePredicate())
+    matches = predicate.bind(SCHEMA)
+    for key in range(12):
+        assert matches((0, key, 0)) == rng.contains(key)
+
+
 def test_predicate_reprs_are_sqlish():
     assert repr(Between("c2", 0, 20_000, hi_inclusive=True)) == \
         "c2 BETWEEN 0 AND 20000"

@@ -1,9 +1,21 @@
 """Filter, Project, MapProject, Rename, Limit, Materialize, Sort."""
 
+import random
+
 import pytest
 
 from repro.errors import PlanningError, StorageError
-from repro.exec.expressions import Comparison, CompareOp
+from repro.exec.expressions import (
+    And,
+    Between,
+    Comparison,
+    CompareOp,
+    InList,
+    Not,
+    NullRejecting,
+    Or,
+)
+from repro.exec.joins import HashJoin, IndexNestedLoopJoin
 from repro.exec.misc import Filter, Limit, MapProject, Materialize, Project, Rename
 from repro.exec.scans import FullTableScan
 from repro.exec.sort import Sort
@@ -160,3 +172,104 @@ def test_explain_renders_tree(base):
     assert "Limit(5)" in text
     assert "Sort(a)" in text
     assert "FullTableScan(t)" in text
+
+
+# -- Filter over row-list batches ------------------------------------------
+
+
+@pytest.fixture()
+def part_items():
+    """A Q19-shaped pair: ``part`` (with a CHAR column) probed through an
+    index on ``item.l_partkey``; ``l_discount`` holds NULLs.  Two-page
+    extents give the join several outer batches."""
+    from repro.config import EngineConfig
+    from repro.database import Database
+    db = Database(config=EngineConfig(extent_pages=2))
+    rng = random.Random(19)
+    containers = ("SM CASE", "SM BOX", "MED BAG", "MED PKG", "LG CASE",
+                  "LG BOX")
+    part = db.load_table(
+        "part",
+        Schema([Column("p_partkey"), Column("p_brand"), Column("p_size"),
+                Column("p_container", ColumnType.CHAR, 10)]),
+        [(i, rng.randrange(5), rng.randrange(1, 16), rng.choice(containers))
+         for i in range(2_500)],
+    )
+    item = db.load_table(
+        "item", Schema.of_ints(["l_id", "l_partkey", "l_quantity",
+                                "l_discount"]),
+        [(j, rng.randrange(2_500), rng.randrange(1, 51),
+          None if j % 7 == 0 else rng.randrange(11))
+         for j in range(10_000)],
+    )
+    db.create_index("item", "l_partkey")
+    return db, part, item
+
+
+def _q19_branch(brand, containers, qty_lo, size_hi):
+    return And([Comparison("p_brand", CompareOp.EQ, brand),
+                InList("p_container", containers),
+                Between("l_quantity", qty_lo, qty_lo + 10, True, True),
+                Between("p_size", 1, size_hi, True, True)])
+
+
+#: name -> (predicate, the same condition written out by hand).
+ROW_LIST_FILTERS = {
+    "q19": (
+        Or([_q19_branch(1, ("SM CASE", "SM BOX"), 1, 5),
+            _q19_branch(2, ("MED BAG", "MED PKG"), 10, 10),
+            _q19_branch(3, ("LG CASE", "LG BOX"), 20, 15)]),
+        lambda r: any(
+            r[1] == b and r[3] in c and lo <= r[6] <= lo + 10
+            and 1 <= r[2] <= hi
+            for b, c, lo, hi in ((1, ("SM CASE", "SM BOX"), 1, 5),
+                                 (2, ("MED BAG", "MED PKG"), 10, 10),
+                                 (3, ("LG CASE", "LG BOX"), 20, 15))),
+    ),
+    "null-rejecting": (
+        NullRejecting(Or([
+            Comparison("l_discount", CompareOp.LT, 3),
+            Not(Or([Comparison("l_discount", CompareOp.GE, 8),
+                    Comparison("p_brand", CompareOp.NE, 0)])),
+        ])),
+        lambda r: r[7] is not None and (
+            r[7] < 3 or (r[7] < 8 and r[1] == 0)),
+    ),
+}
+
+#: Frozen at the parent of the change that dropped the row-list selectors:
+#: rows, batch lengths and charge sequences of each Filter over INLJ.
+ROW_LIST_FILTER_GOLDEN = {
+    "null-rejecting/classic": {
+        "rows": [2997, "043c509efc5491ca"],
+        "batches": [395, 373, 384, 428, 415, 389, 415, 198],
+        "cpu": [44975, "0f9a2da8536b3771"], "io": [76, "73c5ac6a63b6770c"]},
+    "null-rejecting/smooth": {
+        "rows": [2997, "043c509efc5491ca"],
+        "batches": [395, 373, 384, 428, 415, 389, 415, 198],
+        "cpu": [43525, "50c49f9253ac95b9"], "io": [129, "b10b59ed71a1e325"]},
+    "q19/classic": {
+        "rows": [305, "43c1c748a4b43c37"],
+        "batches": [31, 47, 42, 33, 40, 49, 41, 22],
+        "cpu": [44975, "0f9a2da8536b3771"], "io": [76, "73c5ac6a63b6770c"]},
+    "q19/smooth": {
+        "rows": [305, "43c1c748a4b43c37"],
+        "batches": [31, 47, 42, 33, 40, 49, 41, 22],
+        "cpu": [43525, "50c49f9253ac95b9"], "io": [129, "b10b59ed71a1e325"]},
+}
+
+
+@pytest.mark.parametrize("access", ["classic", "smooth"])
+@pytest.mark.parametrize("name", sorted(ROW_LIST_FILTERS))
+def test_filter_over_inlj_row_lists(part_items, observe_plan, name, access):
+    db, part, item = part_items
+    predicate, by_hand = ROW_LIST_FILTERS[name]
+    plan = Filter(IndexNestedLoopJoin(FullTableScan(part), item,
+                                      "l_partkey", "p_partkey",
+                                      inner_access=access), predicate)
+    rows, record = observe_plan(db, plan)
+    reference = measure(db, HashJoin(FullTableScan(part), FullTableScan(item),
+                                     ["p_partkey"], ["l_partkey"])).rows
+    assert len(record["batches"]) > 1
+    assert sorted(rows) == sorted(filter(by_hand, reference))
+    assert record == ROW_LIST_FILTER_GOLDEN[f"{name}/{access}"]

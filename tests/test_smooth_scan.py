@@ -505,19 +505,19 @@ def _count_masks_and_peeks(monkeypatch):
     from repro.index.btree import BTreeIndex
 
     masked, peeked = [], []
-    compile_mask = smooth_scan.range_mask
     peek = BTreeIndex.peek_range_codes
 
-    def counting_range_mask(rng, col_pos):
-        mask_of = compile_mask(rng, col_pos)
-        return lambda chunk: (masked.append(len(chunk)), mask_of(chunk))[1]
+    class CountingPositions(smooth_scan.QualifyingPositions):
+        def __init__(self, heap, index, rng, in_range, residual):
+            super().__init__(heap, index, rng, lambda chunk: (
+                masked.append(len(chunk)), in_range(chunk))[1], residual)
 
     def counting_peek(self, *args):
         codes = peek(self, *args)
         peeked.append(len(codes))
         return codes
 
-    monkeypatch.setattr(smooth_scan, "range_mask", counting_range_mask)
+    monkeypatch.setattr(smooth_scan, "QualifyingPositions", CountingPositions)
     monkeypatch.setattr(BTreeIndex, "peek_range_codes", counting_peek)
     return masked, peeked
 

@@ -32,13 +32,24 @@ def run_fluent(setup, name, mode):
     )
 
 
-def run_sql(setup, name, mode):
-    bound = compile_statement(setup.db, SQL_QUERIES[name])
+def run_text(setup, text, options=None, keep_rows=True):
+    """Execute SQL text against the stale catalog (uncached)."""
+    bound = compile_statement(setup.db, text)
     return setup.db.execute(
-        bound.spec, cold=True,
-        options=bound.planner_options(mode_options(mode)),
-        catalog=setup.catalog,
+        bound.spec, cold=True, keep_rows=keep_rows,
+        options=bound.planner_options(options), catalog=setup.catalog,
     )
+
+
+def plan_text(setup, text, options=None):
+    """The rendered plan of SQL text (``EXPLAIN`` optional)."""
+    bound = compile_statement(setup.db, text)
+    return setup.db.plan(bound.spec, options=bound.planner_options(options),
+                         catalog=setup.catalog).render()
+
+
+def run_sql(setup, name, mode):
+    return run_text(setup, SQL_QUERIES[name], mode_options(mode))
 
 
 @pytest.mark.parametrize("name", sorted(SQL_QUERIES))
@@ -61,30 +72,26 @@ def test_sql_queries_cover_the_fluent_set():
 
 
 def test_explain_renders_estimated_and_actual(setup):
-    db = setup.db
-    text = db.sql("EXPLAIN " + SQL_QUERIES["Q6"],
-                  options=mode_options("tuned"), catalog=setup.catalog)
-    assert isinstance(text, str)
+    text = plan_text(setup, "EXPLAIN " + SQL_QUERIES["Q6"],
+                     mode_options("tuned"))
     assert "rows est=" in text and "act=?" in text
-    # After execution the same plan object reports actuals; via the
-    # one-shot facade we at least verify the executed result's tree.
+    # After execution the executed result's tree reports actuals.
     result = run_sql(setup, "Q6", "tuned")
     executed = result.explain()
     assert "act=?" not in executed.splitlines()[0]
 
 
 def test_database_explain_accepts_plain_select(setup):
-    text = setup.db.explain(SQL_QUERIES["Q1"], catalog=setup.catalog)
+    text = plan_text(setup, SQL_QUERIES["Q1"])
     assert "HashAggregate" in text and "lineitem" in text
 
 
 def test_hint_changes_chosen_access_path(setup):
-    db = setup.db
     base = "SELECT count(*) AS n FROM lineitem WHERE l_quantity < 24"
     hinted = ("SELECT /*+ force_path(smooth) */ count(*) AS n "
               "FROM lineitem WHERE l_quantity < 24")
-    plain = db.sql(base, keep_rows=False, catalog=setup.catalog)
-    smooth = db.sql(hinted, keep_rows=False, catalog=setup.catalog)
+    plain = run_text(setup, base, keep_rows=False)
+    smooth = run_text(setup, hinted, keep_rows=False)
     assert plain.decisions[0].path != "smooth"
     assert smooth.decisions[0].path == "smooth"
     assert smooth.row_count == plain.row_count
@@ -92,7 +99,6 @@ def test_hint_changes_chosen_access_path(setup):
 
 
 def test_no_inlj_hint_switches_join_method(setup):
-    db = setup.db
     base = """
         SELECT count(*) AS n
         FROM lineitem
@@ -101,8 +107,8 @@ def test_no_inlj_hint_switches_join_method(setup):
           AND l_shipdate < DATE '1995-10-01'
     """
     hinted = base.replace("SELECT", "SELECT /*+ no_inlj */", 1)
-    plain = db.sql(base, keep_rows=False, catalog=setup.catalog)
-    no_inlj = db.sql(hinted, keep_rows=False, catalog=setup.catalog)
+    plain = run_text(setup, base, keep_rows=False)
+    no_inlj = run_text(setup, hinted, keep_rows=False)
     plain_paths = [d.path for d in plain.decisions]
     hinted_paths = [d.path for d in no_inlj.decisions]
     assert "inlj" in plain_paths          # tuned Q14 probes part via INLJ
