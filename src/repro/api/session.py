@@ -352,7 +352,6 @@ class Cursor:
         self._planned: PlannedQuery | None = None
         self._batch: Batch = []       # last pulled batch (or EXPLAIN lines)
         self._head = 0                # first row of it not yet fetched
-        self._last_cache_outcome: str | None = None
 
     # -- execution -----------------------------------------------------------
 
@@ -375,7 +374,6 @@ class Cursor:
         opts = bound.planner_options(self.connection.options)
         planned, outcome = self.connection._plan(bound, opts, params)
         self._planned = planned
-        self._last_cache_outcome = outcome
         if bound.explain:
             self._install_explain(planned, outcome)
             return self
@@ -491,11 +489,6 @@ class Cursor:
     def plan(self) -> PlannedQuery | None:
         """The physical plan of the last execution (EXPLAIN included)."""
         return self._planned
-
-    @property
-    def cache_status(self) -> str | None:
-        """``"hit"``/``"miss"`` — how the plan cache answered last time."""
-        return self._last_cache_outcome
 
     @property
     def stream(self) -> StreamingRun | None:

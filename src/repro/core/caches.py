@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as _np
 
 from repro.errors import ExecutionError
-from repro.storage.types import Row, TID
+from repro.storage.types import Row
 
 
 class _Bitmap:
@@ -170,23 +170,20 @@ class PageIdCache:
 
 
 class TupleIdCache:
-    """One bit per tuple: was it produced before morphing started?"""
+    """One bit per tuple, at its TID: was it produced before morphing
+    started?"""
 
     def __init__(self, num_pages: int, tuples_per_page: int):
-        self.tuples_per_page = tuples_per_page
         self._bitmap = _Bitmap(max(1, num_pages * tuples_per_page))
         self.recorded = 0
 
-    def _position(self, tid: TID) -> int:
-        return tid.page_id * self.tuples_per_page + tid.slot
-
-    def contains(self, tid: TID) -> bool:
+    def contains(self, tid: int) -> bool:
         """True when the tuple was already produced pre-morph."""
-        return self._bitmap.get(self._position(tid))
+        return self._bitmap.get(tid)
 
-    def add(self, tid: TID) -> None:
+    def add(self, tid: int) -> None:
         """Record a tuple produced by the traditional index scan."""
-        if self._bitmap.set(self._position(tid)):
+        if self._bitmap.set(tid):
             self.recorded += 1
 
     @property
@@ -238,8 +235,8 @@ class ResultCache:
         self.memory_limit_bytes = memory_limit_bytes
         self.page_bytes = page_bytes
         n_parts = len(self.separators) + 1
-        self._partitions: list[dict[TID, Row]] = [{} for _ in range(n_parts)]
-        self._spilled: list[dict[TID, Row] | None] = [None] * n_parts
+        self._partitions: list[dict[int, Row]] = [{} for _ in range(n_parts)]
+        self._spilled: list[dict[int, Row] | None] = [None] * n_parts
         self._entries = 0
         #: Lowest partition the probe key has not yet passed; everything
         #: below it is known-evicted, so :meth:`advance` is O(1) per call
@@ -274,7 +271,7 @@ class ResultCache:
 
     # -- operations --------------------------------------------------------
 
-    def insert(self, key: object, tid: TID, row: Row, disk=None) -> None:
+    def insert(self, key: object, tid: int, row: Row, disk=None) -> None:
         """Park a qualifying tuple until its index probe arrives.
 
         ``key`` must not lie below a separator the probe has already
@@ -302,7 +299,7 @@ class ResultCache:
                 and self.memory_bytes > self.memory_limit_bytes):
             self._spill_furthest(i, disk)
 
-    def take(self, key: object, tid: TID, disk=None) -> Row | None:
+    def take(self, key: object, tid: int, disk=None) -> Row | None:
         """Return (without deleting) the cached row for ``tid``, if any.
 
         Spilled partitions are read back (charging sequential I/O on

@@ -85,6 +85,7 @@ class MorphingIndexJoin(Operator):
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Probe the morphing cache one outer batch at a time."""
         heap = self.inner_table.heap
+        per_page = heap.tuples_per_page
         stats = MorphJoinStats()
         self.last_stats = stats
         matches = self.residual.bind(self.schema)
@@ -110,9 +111,10 @@ class MorphingIndexJoin(Operator):
                     # Index consulted only for not-yet-complete keys.
                     stats.index_probes += 1
                     for tid in self.index.lookup(ctx, key):
-                        if not is_seen(tid.page_id):
+                        page = tid // per_page
+                        if not is_seen(page):
                             self._absorb_page(
-                                ctx, heap, tid.page_id,
+                                ctx, heap, page,
                                 tuple_cache, page_cache, key_pos, stats,
                             )
                     complete_keys.add(key)

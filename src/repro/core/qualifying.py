@@ -13,7 +13,7 @@ Producing the positions is the scan's one pass over data, and *when* to
 take it is decided from what the scan can observe, not from a knob.  The
 key range's entry count is free (:meth:`~repro.index.btree.BTreeIndex.
 range_positions`, uncharged), so the price of the pass is known up front:
-sorting the range's own packed index codes (cost follows the result) or
+sorting the range's own index TIDs (cost follows the result) or
 masking the whole key column, whichever is cheaper.  Until the scan has
 spent that much on the fixed cost of masking regions one at a time (rent:
 the rows themselves are masked once either way, and a table holds only so
@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import numpy as _np
 
-from repro.index.btree import TID_SHIFT, TID_SLOT_MASK
 from repro.storage.chunk import mask_all, mask_nonzero
 
 #: Rent-or-buy prices, in rows of the image masked (~1.9 ns each on the
 #: 240K-row micro table): buying out of the index costs about four a
-#: packed code sorted (~8 ns), and a cut that masks its own rows pays a
+#: TID sorted (~8 ns), and a cut that masks its own rows pays a
 #: fixed cost (~4.5 us) of about two thousand that a bought one does not.
 _SORT_ROWS = 4
 _RENT_ROWS = 2048
@@ -91,10 +90,9 @@ class QualifyingPositions:
         range's index entries: an array, or ``span`` when all of it does."""
         if span is None:
             rng = self.rng
-            codes = self.index.peek_range_codes(
-                rng.lo, rng.hi, rng.lo_inclusive, rng.hi_inclusive)
-            sel = (codes >> TID_SHIFT) * self.per_page + (codes & TID_SLOT_MASK)
-            sel.sort()
+            # A copy: the view is the tree's own, read-only array.
+            sel = _np.sort(self.index.peek_range_tids(
+                rng.lo, rng.hi, rng.lo_inclusive, rng.hi_inclusive))
         else:
             sel = self._narrow(span, self.in_range)
         if self.residual is not None and len(sel):

@@ -30,8 +30,8 @@ is a ``searchsorted`` cut into that array: its selection vector, its
 ``produced`` count and its ``pages_with_results``.  Around the cut a run
 is one pool request, one Page ID cache run-mark and its per-page charges
 as one sequence; only the policy update between regions is sequential.
-Index entries arrive a leaf of packed TID codes at a time and are tested
-against a live view of the Page ID bitmap.  With no auxiliary cache
+Index entries arrive a leaf of TIDs (image positions) at a time and are
+tested against a live view of the Page ID bitmap.  With no auxiliary cache
 (eager and unordered) batches are selection vectors over the image, so no
 payload moves before a consumer reads it; Mode 0 and the Result Cache
 hand-off stay per probe and emit row lists, as in the paper.  Every
@@ -61,9 +61,7 @@ from repro.exec.expressions import (
     require_columns,
 )
 from repro.exec.iterator import Batch, DEFAULT_BATCH_SIZE, Operator
-from repro.index.btree import TID_SHIFT, TID_SLOT_MASK, unpack_tids
 from repro.storage.table import Table
-from repro.storage.types import TID
 
 _DEFAULT_RESULT_CACHE_PARTITIONS = 16
 
@@ -276,13 +274,13 @@ class SmoothScan(Operator):
         # counted per leaf and charged in bulk at its end.
         probes = 0
         rng = self.key_range
-        for codes in self.index.scan_leaf_codes(
+        for leaf in self.index.scan_leaf_tids(
             ctx, lo=rng.lo, hi=rng.hi,
             lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
         ):
-            n = len(codes)
+            n = len(leaf)
             ctx.charge_index_entry(n)
-            pages = codes >> TID_SHIFT
+            pages = leaf // per_page
             page_checks = 0
             mode0_rows: list = []
             tids = None
@@ -292,14 +290,13 @@ class SmoothScan(Operator):
                     # ---- Entry by entry, Mode 0 and the Result Cache,
                     # up to the next entry on an unseen page.
                     if tids is None:
-                        # The leaf's TIDs, and its rows in one gather (a
-                        # payload read charges nothing).
-                        tids = unpack_tids(codes)
-                        found = heap.image().take(
-                            pages * per_page + (codes & TID_SLOT_MASK))
+                        # The leaf's TIDs and pages, and its rows in one
+                        # gather (a payload read charges nothing).
+                        tids, page_ids = leaf.tolist(), pages.tolist()
+                        found = heap.image().take(leaf)
                         keys = found.column_values(state.col_pos)
                     for j in range(j, n):
-                        tid = tids[j]
+                        tid, page = tids[j], page_ids[j]
                         probes += 1
                         if mode0_active:
                             # Per-probe random fetches until the trigger
@@ -307,7 +304,7 @@ class SmoothScan(Operator):
                             if not mode0_rows:
                                 # Reversed, so each probe pops its row.
                                 mode0_rows = found[j:].to_rows()[::-1]
-                            ctx.get_page(heap, tid.page_id)
+                            ctx.get_page(heap, page)
                             stats.mode0_page_fetches += 1
                             ctx.charge_inspect()
                             row = mode0_rows.pop()
@@ -354,11 +351,10 @@ class SmoothScan(Operator):
                                 continue
                         # ... then the Page ID cache check.
                         page_checks += 1
-                        if not is_seen(tid.page_id):
+                        if not is_seen(page):
                             break
                     else:
                         break
-                    page, slot = tid
                     j += 1
                 else:
                     # ---- Each entry is one Page-ID-cache check: the next
@@ -377,7 +373,7 @@ class SmoothScan(Operator):
                         k += int(hits[0])
                     probes += k - j + 1
                     page_checks += k - j + 1
-                    page, slot = divmod(int(codes[k]), TID_SLOT_MASK + 1)
+                    tid, page = int(leaf[k]), int(pages[k])
                     j = k + 1
 
                 # ---- Fetch and process the morphing region, emitting each
@@ -388,7 +384,7 @@ class SmoothScan(Operator):
                 for run_start, run_len in page_cache.unseen_runs(
                         page, min(num_pages, page + region)):
                     self._emit_run(ctx, heap, run_start, run_len, state,
-                                   page * per_page + slot, pending)
+                                   tid, pending)
                     region_pages += run_len
                     if full():
                         stats.probes = probes
@@ -436,7 +432,7 @@ class SmoothScan(Operator):
         )
 
     def _emit_run(self, ctx: ExecutionContext, heap, run_start: int,
-                  run_len: int, state: _RunState, probe_pos: int,
+                  run_len: int, state: _RunState, probe_tid: int,
                   out: list) -> None:
         """Probe one contiguous run of unseen pages into ``out``.
 
@@ -447,7 +443,7 @@ class SmoothScan(Operator):
         one piece and ``out`` takes the cut itself, a selection vector;
         the caches want TIDs and rows page by page, so there a piece is a
         page and ``out`` takes rows — all of the page's when unordered,
-        only the probe's own (at ``probe_pos``) when the Result Cache
+        only the probe's own (``probe_tid``) when the Result Cache
         parks the rest to preserve an order.
         """
         stats = state.stats
@@ -482,24 +478,21 @@ class SmoothScan(Operator):
                 # Fig. 7b's post-morph overhead: a produced-tuple check
                 # for every qualifying tuple found by Smooth Scan.
                 ctx.charge_cache_probe(len(found))
-                found = [k for k in found if not tuple_cache.contains(
-                    tuple.__new__(TID, divmod(at[k], per_page)))]
+                found = [k for k in found
+                         if not tuple_cache.contains(at[k])]
                 if not found:
                     continue
             if result_cache is not None:
                 for k in found:
                     row = rows[k]
-                    if at[k] == probe_pos:
+                    if at[k] == probe_tid:
                         stats.produced += 1
                         ctx.charge_emit()
                         out.append(row)
                     else:
                         ctx.charge_cache_insert()
-                        # (A ``TID`` without its Python-level constructor.)
-                        result_cache.insert(
-                            row[state.col_pos],
-                            tuple.__new__(TID, divmod(at[k], per_page)),
-                            row, disk=ctx.disk)
+                        result_cache.insert(row[state.col_pos], at[k], row,
+                                            disk=ctx.disk)
                 continue
             stats.produced += len(found)
             ctx.charge_emit(len(found))

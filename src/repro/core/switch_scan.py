@@ -22,10 +22,9 @@ from repro.exec.expressions import (
     require_columns,
 )
 from repro.exec.iterator import Batch, Chunk, DEFAULT_BATCH_SIZE, Operator
-from repro.index.btree import TID_SHIFT, TID_SLOT_MASK
 from repro.storage.chunk import mask_and, mask_nonzero
 from repro.storage.table import Table
-from repro.storage.types import Row, TID
+from repro.storage.types import Row
 
 
 class SwitchScan(Operator):
@@ -85,21 +84,20 @@ class SwitchScan(Operator):
         pending: list[Row] = []
         rng = self.key_range
         per_page = heap.tuples_per_page
-        for codes in self.index.scan_leaf_codes(
+        for tids in self.index.scan_leaf_tids(
             ctx, lo=rng.lo, hi=rng.hi,
             lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
         ):
-            pages = codes >> TID_SHIFT
-            slots = codes & TID_SLOT_MASK
-            leaf_rows = heap.image().take(pages * per_page + slots).to_rows()
-            for page_id, slot, row in zip(pages.tolist(), slots.tolist(),
-                                          leaf_rows, strict=True):
+            leaf_rows = heap.image().take(tids).to_rows()
+            for tid, page_id, row in zip(tids.tolist(),
+                                         (tids // per_page).tolist(),
+                                         leaf_rows, strict=True):
                 ctx.charge_index_entry()
                 ctx.get_page(heap, page_id)
                 ctx.charge_inspect()
                 if residual_fn(row):
                     produced += 1
-                    produced_tids.add(TID(page_id, slot))
+                    produced_tids.add(tid)
                     ctx.charge_cache_insert()
                     ctx.charge_emit()
                     pending.append(row)
@@ -118,8 +116,8 @@ class SwitchScan(Operator):
 
         # Phase 2: restart as a full scan, skipping already-produced TIDs.
         # Columnar: one key-range/residual mask per page chunk; only the
-        # produced-TID dedup inspects positions (slot == view position on
-        # a whole-page chunk).
+        # produced-TID dedup inspects positions (a row's TID is its page's
+        # first plus its position in the whole-page chunk).
         contains = produced_tids.contains
         extent = ctx.config.extent_pages
         for start in range(0, heap.num_pages, extent):
@@ -139,7 +137,8 @@ class SwitchScan(Operator):
                 if not sel:
                     continue
                 ctx.charge_cache_probe(len(sel))
-                kept = [i for i in sel if not contains(TID(pid, i))]
+                first = pid * per_page
+                kept = [i for i in sel if not contains(first + i)]
                 if kept:
                     parts.append(chunk if len(kept) == len(chunk)
                                  else chunk.take(kept))

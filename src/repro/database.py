@@ -279,8 +279,7 @@ class Database:
             key_size=table.schema.columns[col_pos].byte_size,
             page_size=self.config.page_size,
         )
-        index.load_column(table.column_values(column),
-                          table.heap.tuples_per_page)
+        index.load_column(table.column_values(column))
         table.indexes[column] = index
         return index
 

@@ -18,7 +18,6 @@ from repro.context import ExecutionContext
 from repro.errors import PlanningError
 from repro.exec.expressions import Predicate, TruePredicate
 from repro.exec.iterator import Batch, Chunk, Operator, chunked
-from repro.index.btree import TID_SHIFT, TID_SLOT_MASK
 from repro.storage.table import Table
 from repro.storage.types import Row, Schema
 
@@ -291,14 +290,12 @@ class IndexNestedLoopJoin(Operator):
         opos = self.outer_pos
         inner_key_pos = self.inner_table.schema.index_of(self.inner_column)
         smooth = self.inner_access == "smooth"
-        peek_codes = self.index.peek_codes
+        peek_tids = self.index.peek_tids
         for batch in self.outer.batches(ctx):
             if not len(batch):
                 continue
-            codes = _np.concatenate([peek_codes(orow[opos]) for orow in batch])
-            inner_rows = heap.image().take(
-                (codes >> TID_SHIFT) * per_page
-                + (codes & TID_SLOT_MASK)).to_rows()
+            inner_rows = heap.image().take(_np.concatenate(
+                [peek_tids(orow[opos]) for orow in batch])).to_rows()
             taken = 0
             out: list[Row] = []
             for orow in batch:
@@ -315,7 +312,7 @@ class IndexNestedLoopJoin(Operator):
                     ))
                 else:
                     for tid, irow in zip(tids, irows, strict=True):
-                        ctx.get_page(heap, tid.page_id)
+                        ctx.get_page(heap, tid // per_page)
                         ctx.charge_inspect()
                         joined = orow + irow
                         if matches(joined):
@@ -336,7 +333,7 @@ class IndexNestedLoopJoin(Operator):
         row_count = heap.row_count
         on_page: dict[int, list[Row]] = {}
         for tid, irow in zip(tids, irows, strict=True):
-            found = on_page.setdefault(tid.page_id, [])
+            found = on_page.setdefault(tid // per_page, [])
             # A NULL outer key probes every entry and equals no row.
             if irow[inner_key_pos] == key:
                 found.append(irow)

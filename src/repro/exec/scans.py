@@ -26,7 +26,6 @@ from repro.exec.expressions import (
     require_columns,
 )
 from repro.exec.iterator import Batch, DEFAULT_BATCH_SIZE, Operator
-from repro.index.btree import TID_SHIFT, TID_SLOT_MASK
 from repro.storage.table import Table
 from repro.storage.types import Row
 
@@ -101,11 +100,11 @@ class IndexScan(Operator):
         Charged tuple at a time — per entry ``index_entry``, the page
         request (a buffer-hit charge, or the disk's read), ``inspect``,
         and ``emit`` per survivor; a bulk ``charge_*(n)`` would be a
-        different float sum — but computed a block of packed TID codes at
-        a time: the pool sees the block's page ids in order
+        different float sum — but computed a block of TIDs at a time:
+        the pool sees the block's page ids in order
         (:meth:`~repro.storage.buffer.BufferPool.touch_pages`), the
-        residual is one mask over the block's positions in the heap
-        image, and the CPU charges go to the clock as one sequence.  A
+        residual is one mask over the block's rows of the heap image,
+        and the CPU charges go to the clock as one sequence.  A
         block ends at its leaf's end or where a full batch would, so
         nothing is read or charged past the entry that fills a batch.
         """
@@ -121,16 +120,16 @@ class IndexScan(Operator):
         rng = self.key_range
         pending: list = []
         room = DEFAULT_BATCH_SIZE
-        for codes in self.index.scan_leaf_codes(
+        for tids in self.index.scan_leaf_tids(
             ctx, lo=rng.lo, hi=rng.hi,
             lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
         ):
-            while len(codes):
-                block, codes = codes[:room], codes[room:]
-                pages = block >> TID_SHIFT
-                found = image.take(pages * per_page + (block & TID_SLOT_MASK))
+            while len(tids):
+                block, tids = tids[:room], tids[room:]
+                found = image.take(block)
                 charged = _np.ones((len(block), 4), dtype=bool)
-                charged[:, 1] = ctx.buffer.touch_pages(heap, pages.tolist())
+                charged[:, 1] = ctx.buffer.touch_pages(
+                    heap, (block // per_page).tolist())
                 mask = None if residual is None else residual(found)
                 if mask is not None:
                     charged[:, 3] = mask
@@ -176,32 +175,30 @@ class SortScan(Operator):
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """Columnar bitmap heap scan: one chunk per near-sequential run.
 
-        Phase 1 pulls the range as *packed TID codes* (one int64 per
-        entry) so collecting, sorting and page-grouping the bitmap are
-        all array operations; the code order equals TID tuple order, so
-        emission is in physical (page, slot) order.  Phase 2 fetches and
-        charges page by page but emits a dense run as one selection
-        vector over the heap image.
+        Phase 1 pulls the range as one array of TIDs, so collecting,
+        sorting and page-grouping the bitmap are all array operations; a
+        TID is a row's position in the heap image, so the sorted TIDs
+        emit in physical (page, slot) order.  Phase 2 fetches and charges
+        page by page but emits a dense run as one selection vector over
+        the heap image.
         """
-        codes = self.index.scan_codes(
+        tids = self.index.scan_tids(
             ctx, lo=self.key_range.lo, hi=self.key_range.hi,
             lo_inclusive=self.key_range.lo_inclusive,
             hi_inclusive=self.key_range.hi_inclusive,
         )
-        if not len(codes):
+        if not len(tids):
             return
         heap = self.table.heap
         filter_chunk = self.residual.bind_chunk(self.schema)
-        codes = _np.sort(codes)
-        ctx.charge_compare(_nlogn(len(codes)))
+        positions = _np.sort(tids)
+        ctx.charge_compare(_nlogn(len(positions)))
 
-        # Phase 2: group the sorted codes by page with one diff pass.
-        pages_arr = codes >> TID_SHIFT
-        slots_arr = codes & TID_SLOT_MASK
-        positions = pages_arr * heap.tuples_per_page + slots_arr
+        # Phase 2: group the sorted TIDs by page with one diff pass.
+        pages_arr = positions // heap.tuples_per_page
         bounds = _np.flatnonzero(pages_arr[1:] != pages_arr[:-1]) + 1
         starts = _np.concatenate(([0], bounds))
-        ends = _np.concatenate((bounds, [len(codes)]))
+        ends = _np.concatenate((bounds, [len(positions)]))
         page_ids = pages_arr[starts].tolist()
         spans = dict(zip(page_ids,
                          zip(starts.tolist(), ends.tolist(), strict=False),
@@ -209,7 +206,7 @@ class SortScan(Operator):
         matches = (None if isinstance(self.residual, TruePredicate)
                    else self.residual.bind(self.schema))
         image = heap.image()
-        # Candidates per run: spans are contiguous in code space.
+        # Candidates per run: spans are contiguous in TID order.
         runs = [(start, length, spans[start][0], spans[start + length - 1][1])
                 for start, length in _contiguous_runs(page_ids)]
         # Sparse runs (few slots per page): gathering whole-page columns

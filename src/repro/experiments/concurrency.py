@@ -179,6 +179,23 @@ class ConcurrencyResult:
         return "\n".join(lines)
 
 
+def build_schedule(db: Database, statement,
+                   num_clients: int) -> CooperativeScheduler:
+    """The drill's clients, each replaying its stream of the mix through
+    the prepared ``statement``."""
+    scheduler = CooperativeScheduler(db)
+    for i, stream in enumerate(client_streams(num_clients)):
+        client = WorkloadClient(f"c{i + 1}")
+        for pct in stream:
+            hi = round(pct / 100.0 * VALUE_DOMAIN)
+            client.add_query(
+                f"{pct:g}%",
+                lambda s=statement, p={"lo": 0, "hi": hi}: s.execute(p),
+            )
+        scheduler.add_client(client)
+    return scheduler
+
+
 def _run_series(db: Database, name: str, options: PlannerOptions,
                 num_clients: int) -> SeriesRun:
     """Cache the plan at SEED_PCT, then replay the mix twice."""
@@ -189,23 +206,11 @@ def _run_series(db: Database, name: str, options: PlannerOptions,
     # optimizer saw representative-looking parameters).
     statement.run({"lo": 0, "hi": seed_hi}, cold=True, keep_rows=False)
 
-    def build_schedule() -> CooperativeScheduler:
-        scheduler = CooperativeScheduler(db)
-        for i, stream in enumerate(client_streams(num_clients)):
-            client = WorkloadClient(f"c{i + 1}")
-            for pct in stream:
-                hi = round(pct / 100.0 * VALUE_DOMAIN)
-                client.add_query(
-                    f"{pct:g}%",
-                    lambda s=statement, p={"lo": 0, "hi": hi}: s.execute(p),
-                )
-            scheduler.add_client(client)
-        return scheduler
-
     conserved = True
     reports = {}
     for label, interleave in (("serial", False), ("contended", True)):
-        report = build_schedule().run(cold=True, interleave=interleave)
+        report = build_schedule(db, statement, num_clients).run(
+            cold=True, interleave=interleave)
         # Conservation: the scheduled queries are the only activity
         # since the cold start, so their ledgers must sum to the
         # shared totals — no charge lost or double-attributed.

@@ -30,11 +30,7 @@ from dataclasses import dataclass
 
 from repro.bench.reporting import format_table
 from repro.database import Database
-from repro.exec.scheduler import (
-    CooperativeScheduler,
-    WorkloadClient,
-    WorkloadReport,
-)
+from repro.exec.scheduler import WorkloadReport
 from repro.experiments.common import MicroSetup, make_micro_db
 from repro.experiments.concurrency import (
     CLASSIC_OPTIONS,
@@ -44,7 +40,7 @@ from repro.experiments.concurrency import (
     MIX_PCT,
     SEED_PCT,
     SMOOTH_OPTIONS,
-    client_streams,
+    build_schedule,
 )
 from repro.optimizer.planner import PlannerOptions
 from repro.telemetry import (
@@ -173,17 +169,8 @@ def _run_series(db: Database, name: str, options: PlannerOptions,
     statement = conn.prepare(CONCURRENCY_SQL)
     seed_hi = round(SEED_PCT / 100.0 * VALUE_DOMAIN)
     statement.run({"lo": 0, "hi": seed_hi}, cold=True, keep_rows=False)
-    scheduler = CooperativeScheduler(db)
-    for i, stream in enumerate(client_streams(num_clients)):
-        client = WorkloadClient(f"c{i + 1}")
-        for pct in stream:
-            hi = round(pct / 100.0 * VALUE_DOMAIN)
-            client.add_query(
-                f"{pct:g}%",
-                lambda s=statement, p={"lo": 0, "hi": hi}: s.execute(p),
-            )
-        scheduler.add_client(client)
-    report = scheduler.run(cold=True, interleave=True)
+    report = build_schedule(db, statement, num_clients).run(
+        cold=True, interleave=True)
     conserved = report.total_ledger().matches(db.runtime.totals())
     return report, conserved
 

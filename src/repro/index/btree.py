@@ -1,18 +1,20 @@
 """A non-clustered B+-tree secondary index.
 
 Entries are ``(key, TID)`` pairs kept in strict ``(key, TID)`` order — the
-ordering Section IV-A notes lets a system avoid the Tuple ID cache.  The
-tree is physically modeled: entries are grouped into leaf pages of
-``fanout`` entries, internal levels are laid out above them, and scans
-charge real page reads through the buffer pool, so index I/O shows up in
-the same accounting as heap I/O (Eq. (11)'s ``height``, ``card`` and
-``#leaves_res`` terms all emerge from execution rather than being assumed).
+ordering Section IV-A notes lets a system avoid the Tuple ID cache.  A TID
+is the row's position in the heap's columnar image, an ``int``
+(``page * tuples_per_page + slot``): it sorts by physical placement, and
+its page is ``tid // tuples_per_page``.  The tree is physically modeled:
+entries are grouped into leaf pages of ``fanout`` entries, internal levels
+are laid out above them, and scans charge real page reads through the
+buffer pool, so index I/O shows up in the same accounting as heap I/O
+(Eq. (11)'s ``height``, ``card`` and ``#leaves_res`` terms all emerge from
+execution rather than being assumed).
 
 The implementation is two parallel sequences: the sorted keys (a list, so
-a probe is one ``bisect``) and an int64 array of packed TID codes.  No
-``TID`` object is stored — one per entry, alive for the life of the table,
-is re-walked by the cyclic collector whenever a query allocates result
-tuples; per-entry consumers get a transient one made from the code.
+a probe is one ``bisect``) and a read-only int64 array of TIDs, which bulk
+readers hand out as views — a selection vector over the heap image as it
+stands.  Nothing is kept per entry for the cyclic collector to re-walk.
 Building sorts once; point inserts keep order via bisection.  This is a
 deliberate simplification of node splitting — the paper only ever reads its
 indexes, and layout math (fanout, height, leaf count) follows Eqs. (5)-(7)
@@ -22,29 +24,18 @@ exactly.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as _np
 
 from repro.errors import BTreeError
 from repro.index import layout
-from repro.storage.types import TID
-
-#: Bits reserved for the slot in a packed TID code (page << SHIFT | slot).
-#: Heap pages hold far fewer than 2**20 tuples, so the packing is exact
-#: and code order equals ``(page_id, slot)`` tuple order.
-TID_SHIFT = 20
-#: The slot bits of a packed TID code.
-TID_SLOT_MASK = (1 << TID_SHIFT) - 1
 
 
-def unpack_tids(codes) -> list[TID]:
-    """The TIDs an array of packed codes stands for (made on the spot)."""
-    # ``tuple.__new__`` is ``TID(page, slot)`` without the Python-level
-    # constructor call, which is most of the cost of a transient TID.
-    return [tuple.__new__(TID, divmod(code, TID_SLOT_MASK + 1))
-            for code in codes.tolist()]
+def _read_only(tids):
+    """``tids``, flagged so a write through any view of it raises."""
+    tids.flags.writeable = False
+    return tids
 
 
 class BTreeIndex:
@@ -62,54 +53,38 @@ class BTreeIndex:
         self.page_size = page_size
         self.fanout = layout.fanout(page_size, key_size)
         self._keys: list = []
-        #: Entry ``i``'s packed TID code, parallel to ``_keys``.
-        self._codes = _np.empty(0, dtype=_np.int64)
+        #: Entry ``i``'s TID, parallel to ``_keys``.
+        self._tids = _read_only(_np.empty(0, dtype=_np.int64))
         #: ``(level_sizes, height)``: worked out at the first question
         #: after a build, dropped by :meth:`insert`.
         self._geometry: tuple[list[int], int] | None = None
 
     # -- construction -----------------------------------------------------
 
-    def load_column(self, column, tuples_per_page: int) -> None:
+    def load_column(self, column) -> None:
         """Replace the index contents with one entry per heap row.
 
         ``column`` is the key column of a heap image (an array or an
-        object list): row ``i`` lives at TID ``divmod(i, tuples_per_page)``.
+        object list): row ``i`` has TID ``i``.  TIDs ascend, so a stable
+        sort on the key alone leaves the entries in strict ``(key, TID)``
+        order.
         """
-        page, slot = divmod(_np.arange(len(column), dtype=_np.int64),
-                            tuples_per_page)
-        self._load(column, page << TID_SHIFT | slot)
-
-    def bulk_load(self, pairs: Iterable[tuple[object, TID]]) -> None:
-        """Replace the index contents with ``pairs`` (sorted internally)."""
-        pairs = sorted(pairs, key=itemgetter(1))
-        self._load([key for key, _ in pairs], _np.array(
-            [page << TID_SHIFT | slot for _, (page, slot) in pairs],
-            dtype=_np.int64))
-
-    def _load(self, keys, codes) -> None:
-        """Store ``keys`` and their ``codes``, given in ascending code order.
-
-        Code order is TID order, so a stable sort on the key alone leaves
-        the entries in strict ``(key, TID)`` order.
-        """
-        if isinstance(keys, _np.ndarray):
-            order = _np.argsort(keys, kind="stable")
-            self._keys = keys[order].tolist()
+        if isinstance(column, _np.ndarray):
+            order = _np.argsort(column, kind="stable")
+            self._keys = column[order].tolist()
         else:
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            self._keys = [keys[i] for i in order]
-        self._codes = codes[_np.asarray(order, dtype=_np.intp)]
+            order = sorted(range(len(column)), key=column.__getitem__)
+            self._keys = [column[i] for i in order]
+        self._tids = _read_only(_np.asarray(order, dtype=_np.int64))
         self._geometry = None
 
-    def insert(self, key: object, tid: TID) -> None:
+    def insert(self, key: object, tid: int) -> None:
         """Insert one entry, preserving strict ``(key, TID)`` order."""
-        code = tid.page_id << TID_SHIFT | tid.slot
         lo = bisect_left(self._keys, key)
         hi = bisect_right(self._keys, key)
-        pos = lo + int(self._codes[lo:hi].searchsorted(code))
+        pos = lo + int(self._tids[lo:hi].searchsorted(tid))
         self._keys.insert(pos, key)
-        self._codes = _np.insert(self._codes, pos, code)
+        self._tids = _read_only(_np.insert(self._tids, pos, tid))
         self._geometry = None
 
     # -- geometry ---------------------------------------------------------
@@ -170,13 +145,9 @@ class BTreeIndex:
             bisect_right if hi_inclusive else bisect_left)(keys, hi)
         return start, max(start, end)
 
-    def entry_at(self, pos: int) -> tuple[object, TID]:
-        """The ``(key, TID)`` entry at position ``pos``."""
-        return self._keys[pos], unpack_tids(self._codes[pos:pos + 1])[0]
-
     def scan(self, ctx, lo: object | None = None, hi: object | None = None,
              lo_inclusive: bool = True,
-             hi_inclusive: bool = False) -> Iterator[tuple[object, TID]]:
+             hi_inclusive: bool = False) -> Iterator[tuple[object, int]]:
         """Yield ``(key, TID)`` over a key range, charging index I/O.
 
         Charges one page read per level for the initial root-to-leaf
@@ -187,7 +158,7 @@ class BTreeIndex:
         for pos, leaf_end in self._leaf_spans(ctx, lo, hi, lo_inclusive,
                                               hi_inclusive):
             for entry in zip(self._keys[pos:leaf_end],
-                             unpack_tids(self._codes[pos:leaf_end])):
+                             self._tids[pos:leaf_end].tolist()):
                 ctx.charge_index_entry()
                 yield entry
 
@@ -220,7 +191,7 @@ class BTreeIndex:
                      hi: object | None = None,
                      lo_inclusive: bool = True,
                      hi_inclusive: bool = False,
-                     ) -> Iterator[tuple[list, list[TID]]]:
+                     ) -> Iterator[tuple[list, list[int]]]:
         """Yield ``(keys, tids)`` list pairs over a key range, per leaf.
 
         The batch counterpart of :meth:`scan`: the same descent, leaf-read
@@ -231,32 +202,31 @@ class BTreeIndex:
         for pos, leaf_end in self._leaf_spans(ctx, lo, hi, lo_inclusive,
                                               hi_inclusive):
             ctx.charge_index_entry(leaf_end - pos)
-            yield (self._keys[pos:leaf_end],
-                   unpack_tids(self._codes[pos:leaf_end]))
+            yield self._keys[pos:leaf_end], self._tids[pos:leaf_end].tolist()
 
-    def scan_codes(self, ctx, lo: object | None = None,
-                   hi: object | None = None,
-                   lo_inclusive: bool = True,
-                   hi_inclusive: bool = False):
-        """Packed TID codes over a key range.
+    def scan_tids(self, ctx, lo: object | None = None,
+                  hi: object | None = None,
+                  lo_inclusive: bool = True,
+                  hi_inclusive: bool = False):
+        """The TIDs of a key range, in key order.
 
         Charge-identical to :meth:`scan_batches` — the same descent,
-        leaf-read and per-entry CPU costs — but the result is one int64
-        array view of ``page_id << TID_SHIFT | slot`` codes, which bulk
-        consumers (SortScan's bitmap phase) can sort and group without
-        touching a Python object per entry.
+        leaf-read and per-entry CPU costs — but the result is one
+        read-only int64 view of the tree's array, which bulk consumers
+        (SortScan's bitmap phase) can sort and group without touching a
+        Python object per entry.
         """
         for pos, leaf_end in self._leaf_spans(ctx, lo, hi, lo_inclusive,
                                               hi_inclusive):
             ctx.charge_index_entry(leaf_end - pos)
         start, end = self.range_positions(lo, hi, lo_inclusive, hi_inclusive)
-        return self._codes[start:end]
+        return self._tids[start:end]
 
-    def scan_leaf_codes(self, ctx, lo: object | None = None,
-                        hi: object | None = None,
-                        lo_inclusive: bool = True,
-                        hi_inclusive: bool = False):
-        """Yield per-leaf packed TID code slices over a key range.
+    def scan_leaf_tids(self, ctx, lo: object | None = None,
+                       hi: object | None = None,
+                       lo_inclusive: bool = True,
+                       hi_inclusive: bool = False):
+        """Yield a key range's TIDs, one read-only view per leaf.
 
         For consumers that never look at keys.  Descent and leaf reads
         are charged here, lazily as the consumer advances leaf by leaf;
@@ -266,39 +236,39 @@ class BTreeIndex:
         """
         for pos, leaf_end in self._leaf_spans(ctx, lo, hi, lo_inclusive,
                                               hi_inclusive):
-            yield self._codes[pos:leaf_end]
+            yield self._tids[pos:leaf_end]
 
     def _charge_descent(self, ctx, pos: int) -> None:
         """Charge the root-to-leaf page reads for the entry at ``pos``."""
         for pid in self._path_page_ids(pos // self.fanout):
             ctx.buffer.get_page(self, pid)
 
-    def lookup(self, ctx, key: object) -> Iterator[TID]:
+    def lookup(self, ctx, key: object) -> Iterator[int]:
         """Yield the TIDs of all entries equal to ``key`` (point probe)."""
         for pos, leaf_end in self._leaf_spans(ctx, key, key, True, True):
-            for tid in unpack_tids(self._codes[pos:leaf_end]):
+            for tid in self._tids[pos:leaf_end].tolist():
                 ctx.charge_index_entry()
                 yield tid
 
-    def peek_codes(self, key: object):
-        """Packed TID codes of the entries equal to ``key``; no charge.
+    def peek_tids(self, key: object):
+        """The TIDs of the entries equal to ``key``; no charge.
 
         The TIDs :meth:`lookup` will yield, for a caller that gathers the
         rows ahead of the probe loop that pays for them.
         """
-        return self.peek_range_codes(key, key, True, True)
+        return self.peek_range_tids(key, key, True, True)
 
-    def peek_range_codes(self, lo: object | None, hi: object | None,
-                         lo_inclusive: bool = True,
-                         hi_inclusive: bool = False):
-        """Packed TID codes of a key range, in key order; no charge.
+    def peek_range_tids(self, lo: object | None, hi: object | None,
+                        lo_inclusive: bool = True,
+                        hi_inclusive: bool = False):
+        """The TIDs of a key range, in key order; no charge.
 
         What a charged scan of the range will hand out, for a caller that
         works out which rows qualify ahead of the scan that pays to find
         them (a read-only view of the tree's array).
         """
         start, end = self.range_positions(lo, hi, lo_inclusive, hi_inclusive)
-        return self._codes[start:end]
+        return self._tids[start:end]
 
     def min_key(self) -> object:
         """Smallest key; raises BTreeError when empty."""

@@ -634,8 +634,7 @@ class Planner:
             if rng is None:
                 continue
             sel = card_est.estimate_selectivity(
-                self.catalog, table.name,
-                _range_predicate_for(column, rng),
+                self.catalog, table.name, rng.predicate(column),
             )
             if best is None or sel < best[0]:
                 best = (sel, column, rng, residual)
@@ -1035,19 +1034,3 @@ def _flatten_conjuncts(predicate: Predicate) -> list[Predicate]:
             out.extend(_flatten_conjuncts(part))
         return out
     return [predicate]
-
-
-def _range_predicate_for(column: str, rng: KeyRange) -> Predicate:
-    """Rebuild a Between predicate equivalent to an extracted range."""
-    from repro.exec.expressions import Between, Comparison, CompareOp
-
-    if rng.lo is not None and rng.hi is not None:
-        return Between(column, rng.lo, rng.hi,
-                       rng.lo_inclusive, rng.hi_inclusive)
-    if rng.lo is not None:
-        op = CompareOp.GE if rng.lo_inclusive else CompareOp.GT
-        return Comparison(column, op, rng.lo)
-    if rng.hi is not None:
-        op = CompareOp.LE if rng.hi_inclusive else CompareOp.LT
-        return Comparison(column, op, rng.hi)
-    return TruePredicate()

@@ -5,7 +5,7 @@ from repro.storage.chunk import Chunk
 from repro.storage.disk import DiskProfile, DiskStats, SimClock, SimulatedDisk
 from repro.storage.heap import HeapFile
 from repro.storage.table import Table
-from repro.storage.types import TID, Column, ColumnType, Row, Schema
+from repro.storage.types import Column, ColumnType, Row, Schema
 
 __all__ = [
     "BufferPool",
@@ -20,6 +20,5 @@ __all__ = [
     "Schema",
     "SimClock",
     "SimulatedDisk",
-    "TID",
     "Table",
 ]

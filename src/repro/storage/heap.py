@@ -7,11 +7,12 @@ I/O itself; all timed access flows through the
 
 The rows live in exactly one place: the *image*, a table-wide
 :class:`~repro.storage.chunk.Chunk` in physical order (row
-``page * tuples_per_page + slot``).  Appended rows wait as tuples in one
-pending block, which is typed and joined onto the image — never rebuilt —
-when it reaches :data:`BLOCK_PAGES` pages and whenever somebody reads, so
-a load never holds the table both as tuples and as columns.  A page is
-arithmetic: every page but the last is full, and there are
+``page * tuples_per_page + slot``, a position that is the row's TID).
+Appended rows wait as tuples in one pending block, which is typed and
+joined onto the image — never rebuilt — when it reaches
+:data:`BLOCK_PAGES` pages and whenever somebody reads, so a load never
+holds the table both as tuples and as columns.  A page is arithmetic:
+every page but the last is full, and there are
 ``ceil(row_count / tuples_per_page)`` of them.  Every columnar batch a
 scan emits is a slice of the image or a selection vector over it, and
 the payload reads everybody else uses are :meth:`HeapFile.row` for one
@@ -21,11 +22,11 @@ to cache per page or per extent and nothing to invalidate.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from repro.errors import StorageError, UnknownPageError
+from repro.errors import StorageError
 from repro.storage.chunk import Chunk, extend_column
-from repro.storage.types import Row, Schema, TID
+from repro.storage.types import Row, Schema
 
 #: Pages of appended rows that wait as tuples before they are typed.
 BLOCK_PAGES = 256
@@ -59,10 +60,11 @@ class HeapFile:
         """Number of stored rows (``#T`` in the cost model)."""
         return self._row_count
 
-    def append(self, row: Row) -> TID:
-        """Store ``row`` at the end of the heap; returns its TID."""
+    def append(self, row: Row) -> int:
+        """Store ``row`` at the end of the heap; returns its position
+        (its TID)."""
         self.extend((row,))
-        return TID(*divmod(self._row_count - 1, self.tuples_per_page))
+        return self._row_count - 1
 
     def extend(self, rows: Iterable[Row]) -> int:
         """Store ``rows`` at the end of the heap; returns how many.
@@ -131,28 +133,3 @@ class HeapFile:
         """
         per_page = self.tuples_per_page
         return self.image()[start * per_page:(start + n) * per_page]
-
-    def fetch(self, tid: TID) -> Row:
-        """Return the row named by ``tid`` without charging I/O.
-
-        Raises :class:`UnknownPageError` for a page outside the heap and
-        :class:`StorageError` for a slot its page does not use.
-        """
-        page_id, slot = tid
-        per_page = self.tuples_per_page
-        if not 0 <= page_id < self.num_pages:
-            raise UnknownPageError(
-                f"page {page_id} outside heap of {self.num_pages} pages"
-            )
-        n = min(per_page, self._row_count - page_id * per_page)
-        if not 0 <= slot < n:
-            raise StorageError(
-                f"slot {slot} not in use on page {page_id} ({n} rows)"
-            )
-        return self.row(page_id * per_page + slot)
-
-    def iter_rows(self) -> Iterator[tuple[TID, Row]]:
-        """Yield ``(TID, row)`` in physical order, charging no I/O."""
-        for page_id in range(self.num_pages):
-            for slot, row in enumerate(self.run_chunk(page_id, 1).to_rows()):
-                yield TID(page_id, slot), row

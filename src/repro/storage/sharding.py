@@ -77,11 +77,6 @@ class ShardSet:
         """How many shards the table was split into."""
         return len(self.shards)
 
-    @property
-    def shard_names(self) -> tuple[str, ...]:
-        """The physical shard table names, in shard order."""
-        return tuple(shard.name for shard in self.shards)
-
     def describe(self) -> str:
         """One-line summary for plan rendering and the REPL."""
         on = f" on {self.column}" if self.column else ""

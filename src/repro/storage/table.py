@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.errors import StorageError
 from repro.storage.chunk import ColumnData
 from repro.storage.heap import HeapFile
-from repro.storage.types import Row, Schema, TID
+from repro.storage.types import Row, Schema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.index.btree import BTreeIndex
@@ -38,8 +38,9 @@ class Table:
         """Number of heap pages (``#P``)."""
         return self.heap.num_pages
 
-    def insert(self, row: Row) -> TID:
-        """Append one row, maintaining all registered indexes."""
+    def insert(self, row: Row) -> int:
+        """Append one row, maintaining all registered indexes; returns
+        its position (its TID)."""
         tid = self.heap.append(row)
         for column, index in self.indexes.items():
             index.insert(row[self.schema.index_of(column)], tid)
@@ -59,11 +60,9 @@ class Table:
         finally:
             if self.indexes and heap.row_count > first:
                 new = heap.image()[first:]
-                tids = [TID(*divmod(pos, heap.tuples_per_page))
-                        for pos in range(first, heap.row_count)]
                 for column, index in self.indexes.items():
                     keys = new.column_values(self.schema.index_of(column))
-                    for key, tid in zip(keys, tids, strict=True):
+                    for tid, key in enumerate(keys, first):
                         index.insert(key, tid)
 
     def index_on(self, column: str) -> "BTreeIndex":

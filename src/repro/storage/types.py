@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import StorageError
 
@@ -139,18 +139,3 @@ class Schema:
                 f"row arity {len(row)} does not match schema arity "
                 f"{len(self._columns)}"
             )
-
-
-class TID(NamedTuple):
-    """A tuple identifier: heap page number and slot within the page.
-
-    TIDs order by physical placement, which is exactly the order a Sort
-    Scan (bitmap heap scan) sorts by, and the order that makes Smooth
-    Scan's flattening runs sequential.
-    """
-
-    page_id: int
-    slot: int
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TID({self.page_id},{self.slot})"

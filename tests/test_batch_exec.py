@@ -388,7 +388,7 @@ def test_ordered_non_eager_no_duplicates(small_table, trigger_name,
     assert len(c1s) == len(set(c1s))
     # Exactly the qualifying tuples, in key order after the morph point.
     expected = sorted(
-        (row for _tid, row in table.heap.iter_rows() if 0 <= row[1] < 500),
+        (row for row in table.heap.image()[:].to_rows() if 0 <= row[1] < 500),
         key=lambda r: r[0],
     )
     assert sorted(rows, key=lambda r: r[0]) == expected
@@ -489,7 +489,7 @@ def test_index_scan_batches_key_order_and_residual(small_table):
     keys = [row[1] for row in rows]
     assert keys == sorted(keys)
     assert sorted(rows) == sorted(
-        row for _tid, row in table.heap.iter_rows()
+        row for row in table.heap.image()[:].to_rows()
         if 100 <= row[1] < 400 and row[2] in (1, 2, 3)
     )
 
@@ -508,9 +508,9 @@ class _PerTidIndexScan(IndexScan):
             ctx, lo=rng.lo, hi=rng.hi,
             lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
         ):
-            ctx.get_page(heap, tid.page_id)
+            ctx.get_page(heap, tid // heap.tuples_per_page)
             ctx.charge_inspect()
-            row = heap.fetch(tid)
+            row = heap.row(tid)
             if matches(row):
                 ctx.charge_emit()
                 yield row
@@ -538,7 +538,7 @@ def test_index_scan_charges_once_per_tid(observe_plan):
             [(i, rng.randrange(0, 1000), rng.randrange(0, 10))
              for i in range(5_000)])
         db.create_index("t", "c2")
-        entries = sum(row[1] < 800 for _tid, row in table.heap.iter_rows())
+        entries = sum(row[1] < 800 for row in table.heap.image()[:].to_rows())
         for residual in (None, InList("c3", (1, 2, 3))):
             args = (table, "c2", KeyRange(0, 800), residual)
             rows, observed = observe_plan(db, IndexScan(*args))

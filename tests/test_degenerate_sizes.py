@@ -17,14 +17,13 @@ from repro.config import EngineConfig
 from repro.core.smooth_scan import SmoothScan
 from repro.core.trigger import OptimizerDrivenTrigger
 from repro.database import Database
-from repro.errors import StorageError
 from repro.exec.exchange import Exchange, ShardedScan
 from repro.exec.expressions import Between, KeyRange
 from repro.exec.scans import FullTableScan, IndexScan, SortScan
 from repro.exec.sort import Sort
 from repro.exec.stats import measure
 from repro.storage.heap import BLOCK_PAGES, HeapFile
-from repro.storage.types import Column, ColumnType, Schema, TID
+from repro.storage.types import Column, ColumnType, Schema
 
 AB = Schema.of_ints(["a", "b"])
 
@@ -86,8 +85,8 @@ def test_empty_index_reads_nothing_and_charges_nothing():
     ctx = db.cold_run()
     assert list(index.scan(ctx)) == []
     assert list(index.scan_batches(ctx, 0, 10)) == []
-    assert index.scan_codes(ctx).tolist() == []
-    assert list(index.scan_leaf_codes(ctx)) == []
+    assert index.scan_tids(ctx).tolist() == []
+    assert list(index.scan_leaf_tids(ctx)) == []
     assert list(index.lookup(ctx, 5)) == []
     # No entry, so not even the descent that finds a range empty.
     assert (db.clock.io_ms, db.clock.cpu_ms) == (0.0, 0.0)
@@ -99,10 +98,10 @@ def test_one_entry_index():
     db = Database()
     table = db.load_table("t", AB, [(1, 5)])
     index = db.create_index("t", "b")
-    assert index.entry_at(0) == (5, TID(0, 0))
+    assert index.peek_range_tids(None, None).tolist() == [0]
     assert index.min_key() == index.max_key() == 5
     ctx = db.cold_run()
-    assert list(index.lookup(ctx, 5)) == [TID(0, 0)]
+    assert list(index.lookup(ctx, 5)) == [0]
     assert list(index.lookup(ctx, 4)) == []
     for key_range, rows in ((KeyRange(0, 10), [(1, 5)]),
                             (KeyRange(5, 5, hi_inclusive=True), [(1, 5)]),
@@ -117,10 +116,8 @@ def test_all_equal_keys_keep_tid_order():
     db = Database()
     table = db.load_table("t", AB, [(i, 7) for i in range(1_000)])
     index = db.create_index("t", "b")
-    per_page = table.heap.tuples_per_page
-    tids = [TID(*divmod(i, per_page)) for i in range(1_000)]
     ctx = db.cold_run()
-    assert list(index.lookup(ctx, 7)) == tids
+    assert list(index.lookup(ctx, 7)) == list(range(1_000))
     assert list(index.scan(ctx, 7, 7)) == []
     assert index.range_positions(7, 7, True, True) == (0, 1_000)
     assert index.range_positions(7, None, False) == (1_000, 1_000)
@@ -134,13 +131,11 @@ def test_insert_into_an_empty_tree():
     table = db.create_table("t", AB)
     index = db.create_index("t", "b")
     assert db.append_rows("t", [(0, 9), (1, 3), (2, 9), (3, 3)]) == 4
-    assert [index.entry_at(i) for i in range(len(index))] == [
-        (3, TID(0, 1)), (3, TID(0, 3)), (9, TID(0, 0)), (9, TID(0, 2))]
+    assert list(index.scan(db.context())) == [(3, 1), (3, 3), (9, 0), (9, 2)]
     # The same tree a build over the loaded heap gives.
     db.drop_index("t", "b")
     rebuilt = db.create_index("t", "b")
-    assert [rebuilt.entry_at(i) for i in range(4)] == [
-        index.entry_at(i) for i in range(4)]
+    assert list(rebuilt.scan(db.context())) == list(index.scan(db.context()))
     for plan in index_paths(table, KeyRange(0, 5)):
         assert measure(db, plan).rows == [(1, 3), (3, 3)]
 
@@ -339,7 +334,6 @@ def test_empty_heap_image():
     image = heap.image()
     assert len(image) == 0 and image.names == ("a", "b")
     assert heap.num_pages == heap.row_count == 0
-    assert list(heap.iter_rows()) == []
     assert heap.run_chunk(0, 1).to_rows() == []
     assert heap.extend([]) == 0 and heap.image() is image
 
@@ -349,14 +343,12 @@ def test_partial_last_page():
     assert heap.extend((i, -i) for i in range(6)) == 6
     assert _page_lengths(heap) == [4, 2]
     assert heap.run_chunk(1, 1).to_rows() == [(4, -4), (5, -5)]
-    assert heap.fetch(TID(1, 1)) == (5, -5)
-    with pytest.raises(StorageError, match="slot 2 not in use on page 1"):
-        heap.fetch(TID(1, 2))
+    assert heap.row(5) == (5, -5)
     # The short page fills in place: no new page.
-    assert heap.append((6, -6)) == TID(1, 2)
+    assert heap.append((6, -6)) == 6
     assert _page_lengths(heap) == [4, 3] == [
         len(heap.run_chunk(p, 1)) for p in range(2)]
-    assert heap.fetch(TID(1, 2)) == (6, -6)
+    assert heap.row(6) == (6, -6)
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -371,8 +363,8 @@ def test_block_boundary_on_a_page_boundary(extra):
     assert len(heap._pending) == extra
     assert heap.num_pages == BLOCK_PAGES + extra
     assert _page_lengths(heap) == [per_page] * BLOCK_PAGES + [1] * extra
-    assert heap.fetch(TID(BLOCK_PAGES - 1, 1)) == rows[block - 1]
-    assert [row for _tid, row in heap.iter_rows()] == rows
+    assert heap.row(block - 1) == rows[block - 1]
+    assert heap.image()[:].to_rows() == rows
     assert not heap._pending and len(heap.image()) == len(rows)
 
 
@@ -381,7 +373,7 @@ def test_one_row_appended_after_the_image_was_handed_out():
     heap.extend((i, i) for i in range(4))
     image = heap.image()
     held = image[2:]
-    assert heap.append((4, 4)) == TID(1, 0)
+    assert heap.append((4, 4)) == 4
     assert heap.row_count == 5 and heap.num_pages == 2
     # The old image and what was cut from it still read the old rows ...
     assert len(image) == 4 and held.to_rows() == [(2, 2), (3, 3)]

@@ -9,16 +9,22 @@ from hypothesis import given, settings, strategies as st
 from repro.database import Database
 from repro.errors import BTreeError, UnknownPageError
 from repro.index import layout
-from repro.index.btree import BTreeIndex, TID_SHIFT
+from repro.index.btree import BTreeIndex
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskProfile, SimClock, SimulatedDisk
-from repro.storage.types import Column, ColumnType, Schema, TID
+from repro.storage.types import Column, ColumnType, Schema
 
 
-def make_index(pairs, key_size=4):
+def make_index(keys, key_size=4):
+    """A tree over ``keys``, key ``i`` at TID ``i``."""
     index = BTreeIndex("idx", file_id=9, key_size=key_size)
-    index.bulk_load(pairs)
+    index.load_column(list(keys))
     return index
+
+
+def entries(index):
+    """Every ``(key, TID)`` entry of ``index``, in index order."""
+    return list(index.scan(Database().context()))
 
 
 @pytest.fixture()
@@ -64,8 +70,29 @@ def test_empty_range_yields_nothing(ctx_and_index):
 def test_lookup_point(ctx_and_index):
     db, ctx, table, index = ctx_and_index
     tids = list(index.lookup(ctx, 0))
-    rows = [table.heap.fetch(t) for t in tids]
+    rows = [table.heap.row(t) for t in tids]
     assert rows and all(r[1] == 0 for r in rows)
+
+
+def test_tid_views_are_read_only(ctx_and_index):
+    """Readers hand out views of the tree's own TID array, which consumers
+    pass on as selection vectors: a write through one raises instead of
+    corrupting the index — after a build and after an insert alike."""
+    _db, ctx, table, index = ctx_and_index
+
+    def assert_read_only():
+        for view in (index.scan_tids(ctx, 10, 20),
+                     next(index.scan_leaf_tids(ctx, 10, 20)),
+                     index.peek_range_tids(10, 20), index.peek_tids(15)):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                view.sort()
+
+    assert_read_only()
+    assert table.insert((2_000, 15)) == 2_000
+    assert_read_only()
+    assert index.peek_tids(15).tolist()[-1] == 2_000
 
 
 def test_scan_charges_descent_and_leaf_io(ctx_and_index):
@@ -82,23 +109,22 @@ def test_insert_preserves_order():
     rng = random.Random(5)
     values = [rng.randrange(100) for _ in range(300)]
     for i, v in enumerate(values):
-        index.insert(v, TID(i // 10, i % 10))
-    keys = [index.entry_at(i)[0] for i in range(len(index))]
+        index.insert(v, i)
+    keys = [k for k, _t in entries(index)]
     assert keys == sorted(keys)
     assert len(index) == 300
 
 
 def test_insert_equal_keys_ordered_by_tid():
     index = make_index([])
-    index.insert(5, TID(3, 0))
-    index.insert(5, TID(1, 0))
-    index.insert(5, TID(2, 0))
-    tids = [index.entry_at(i)[1] for i in range(3)]
-    assert tids == [TID(1, 0), TID(2, 0), TID(3, 0)]
+    index.insert(5, 30)
+    index.insert(5, 10)
+    index.insert(5, 20)
+    assert entries(index) == [(5, 10), (5, 20), (5, 30)]
 
 
 def test_min_max_key():
-    index = make_index([(5, TID(0, 0)), (2, TID(0, 1)), (9, TID(0, 2))])
+    index = make_index([5, 2, 9])
     assert index.min_key() == 2
     assert index.max_key() == 9
     empty = make_index([])
@@ -107,7 +133,7 @@ def test_min_max_key():
 
 
 def test_geometry_consistency():
-    index = make_index([(i, TID(i // 100, i % 100)) for i in range(20_000)])
+    index = make_index(range(20_000))
     sizes = index.level_sizes
     assert sizes[0] == index.num_leaves
     assert sizes[-1] == 1
@@ -122,24 +148,24 @@ def test_geometry_is_worked_out_per_build_and_dropped_by_insert():
     index = BTreeIndex("i", 0, key_size=8)
     fanout = index.fanout
     assert (index.num_leaves, index.height, index.level_sizes) == (1, 1, [1])
-    index.bulk_load((k, TID(k // 50, k % 50)) for k in range(fanout))
+    index.load_column(list(range(fanout)))
     assert (index.num_leaves, index.height, index.level_sizes) == (1, 1, [1])
     assert index.level_sizes is index.level_sizes  # not recomputed
     assert index._path_page_ids(0) == [0]
     # One entry more than a leaf holds: a second leaf, and a root over both.
-    index.insert(fanout, TID(99, 0))
+    index.insert(fanout, 99 * 50)
     assert (index.num_leaves, index.height) == (2, 2)
     assert index.level_sizes == [2, 1] and index.num_pages == 3
     assert index._path_page_ids(1) == [2, 1]
     assert index.num_leaves == layout.num_leaves(len(index), fanout)
     assert index.height == layout.height(index.num_leaves, fanout)
     # A rebuild starts over as well.
-    index.bulk_load([(1, TID(0, 0))])
+    index.load_column([1])
     assert (index.num_leaves, index.height, index.num_pages) == (1, 1, 1)
 
 
 def test_page_bounds():
-    index = make_index([(i, TID(0, i)) for i in range(10)])
+    index = make_index(range(10))
     pool = BufferPool(SimulatedDisk(DiskProfile.hdd(), SimClock()), 4)
     pool.get_page(index, index.num_pages - 1)
     with pytest.raises(UnknownPageError, match="outside file 9 of 1 pages"):
@@ -148,7 +174,7 @@ def test_page_bounds():
 
 
 def test_path_page_ids_root_first():
-    index = make_index([(i, TID(i, 0)) for i in range(20_000)])
+    index = make_index(range(20_000))
     path = index._path_page_ids(0)
     assert len(path) == index.height
     assert path[-1] == 0  # leaf 0 last
@@ -156,7 +182,7 @@ def test_path_page_ids_root_first():
 
 
 def test_root_key_separators_sorted_unique():
-    index = make_index([(i % 50, TID(i // 10, i % 10)) for i in range(500)])
+    index = make_index(i % 50 for i in range(500))
     seps = index.root_key_separators(8)
     assert seps == sorted(seps)
     assert len(seps) == len(set(seps))
@@ -165,17 +191,8 @@ def test_root_key_separators_sorted_unique():
 
 def test_root_key_separators_empty_cases():
     assert make_index([]).root_key_separators(8) == []
-    index = make_index([(1, TID(0, 0))])
+    index = make_index([1])
     assert index.root_key_separators(1) == []
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(min_value=-1000, max_value=1000), max_size=300))
-def test_property_bulk_load_matches_sorted(keys):
-    pairs = [(k, TID(i // 8, i % 8)) for i, k in enumerate(keys)]
-    index = make_index(pairs)
-    stored = [index.entry_at(i) for i in range(len(index))]
-    assert stored == sorted(pairs, key=lambda p: (p[0], p[1]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -185,10 +202,9 @@ def test_property_bulk_load_matches_sorted(keys):
     st.integers(min_value=0, max_value=100),
 )
 def test_property_range_positions_match_filter(keys, lo, hi):
-    pairs = [(k, TID(i // 8, i % 8)) for i, k in enumerate(keys)]
-    index = make_index(pairs)
+    index = make_index(keys)
     start, end = index.range_positions(lo, hi)
-    via_positions = [index.entry_at(i)[0] for i in range(start, end)]
+    via_positions = [k for k, _t in entries(index)[start:end]]
     expected = sorted(k for k in keys if lo <= k < hi)
     assert via_positions == expected
 
@@ -196,9 +212,13 @@ def test_property_range_positions_match_filter(keys, lo, hi):
 # -- the tree is two arrays: nothing it returns or charges may move -----------
 #
 # ``BTREE_GOLDEN`` was recorded at the commit before the index stopped
-# storing ``TID`` objects (when ``bulk_load`` sorted ``(key, TID)`` pairs
-# read off ``heap.iter_rows()``), with ``observe_reads`` below over
-# ``golden_ranges`` of ``build_golden_table``, per key kind and read.
+# storing ``TID`` objects (when a TID was a ``(page, slot)`` pair and the
+# index was built by sorting the pairs read off the heap), with
+# ``observe_reads`` below over ``golden_ranges`` of ``build_golden_table``,
+# per key kind and read.  Its entries digest each TID as the packed
+# ``page << 20 | slot`` code the index later stored, so ``frozen_code``
+# writes a TID (a heap position) back in that form before digesting.  The
+# read labels are the names the bulk reads had then.
 
 #: Key column of a given kind for the duplicate-heavy key number ``k``.
 KEY_KINDS = {
@@ -210,22 +230,27 @@ KEY_KINDS = {
 READS = ("scan", "scan_batches", "scan_codes", "scan_leaf_codes")
 
 
-def code_of(tid):
-    return tid[0] << TID_SHIFT | tid[1]
+def frozen_code(tid, per_page):
+    """TID ``tid`` as the packed code ``BTREE_GOLDEN`` digests."""
+    page, slot = divmod(tid, per_page)
+    return page << 20 | slot
 
 
-def read_entries(index, ctx, read, bounds):
+def read_entries(index, ctx, read, bounds, per_page):
     """One range read, flattened: ``(key, code)`` pairs or bare codes."""
     if read == "scan":
-        return [(k, code_of(t)) for k, t in index.scan(ctx, *bounds)]
+        return [(k, frozen_code(t, per_page))
+                for k, t in index.scan(ctx, *bounds)]
     if read == "scan_batches":
-        return [(k, code_of(t))
+        return [(k, frozen_code(t, per_page))
                 for keys, tids in index.scan_batches(ctx, *bounds)
                 for k, t in zip(keys, tids, strict=True)]
     if read == "scan_codes":
-        return index.scan_codes(ctx, *bounds).tolist()
-    return [c for codes in index.scan_leaf_codes(ctx, *bounds)
-            for c in codes.tolist()]
+        tids = index.scan_tids(ctx, *bounds).tolist()
+    else:
+        tids = [t for leaf in index.scan_leaf_tids(ctx, *bounds)
+                for t in leaf.tolist()]
+    return [frozen_code(t, per_page) for t in tids]
 
 
 def golden_ranges(key):
@@ -244,18 +269,18 @@ def build_golden_table(kind):
     column, key = KEY_KINDS[kind]
     rng = random.Random(11)
     db = Database()
-    db.load_table("t", Schema([Column("id"), column]),
-                  [(i, key(rng.randrange(40))) for i in range(6_000)])
-    return db, db.create_index("t", "k"), key
+    table = db.load_table("t", Schema([Column("id"), column]),
+                          [(i, key(rng.randrange(40))) for i in range(6_000)])
+    return db, db.create_index("t", "k"), key, table.heap.tuples_per_page
 
 
-def observe_reads(observe_charges, db, index, read, ranges):
+def observe_reads(observe_charges, db, index, read, ranges, per_page):
     """What ``read`` returns and charges over ``ranges``, each run cold."""
     observe, digest = observe_charges
-    entries, charges = observe(db, lambda: [
-        read_entries(index, db.cold_run(), read, bounds)
+    got, charges = observe(db, lambda: [
+        read_entries(index, db.cold_run(), read, bounds, per_page)
         for bounds in ranges])
-    return {"entries": digest(entries), **charges}
+    return {"entries": digest(got), **charges}
 
 
 BTREE_GOLDEN = {
@@ -301,24 +326,25 @@ BTREE_GOLDEN = {
 @pytest.mark.parametrize("kind", sorted(KEY_KINDS))
 def test_column_built_index_reads_and_charges_as_the_pair_sorted_one(
         kind, observe_charges):
-    db, index, key = build_golden_table(kind)
+    db, index, key, per_page = build_golden_table(kind)
     for read in READS:
         assert observe_reads(observe_charges, db, index, read,
-                             golden_ranges(key)) \
+                             golden_ranges(key), per_page) \
             == BTREE_GOLDEN[f"{kind}/{read}"], read
 
 
 _BUILD_STEPS = st.lists(
-    st.tuples(st.sampled_from(["column", "bulk_load", "insert"]),
+    st.tuples(st.sampled_from(["column", "insert_many", "insert"]),
               st.lists(st.integers(0, 8), max_size=40)),
     min_size=1, max_size=5)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(KEY_KINDS)), _BUILD_STEPS, st.randoms())
+@given(st.sampled_from(sorted(KEY_KINDS)), _BUILD_STEPS)
 def test_property_every_build_route_leaves_sorted_pairs(
-        observe_charges, kind, steps, rng):
-    """Column build, ``bulk_load`` and ``insert``, in any interleaving.
+        observe_charges, kind, steps):
+    """Column build, ``Table.insert_many`` and ``Table.insert``, in any
+    interleaving.
 
     128-byte index pages (8-26 entries a leaf) put leaf crossings and a
     second level inside a few dozen entries.
@@ -341,24 +367,23 @@ def test_property_every_build_route_leaves_sorted_pairs(
         rows = [(len(pairs) + i, key(k)) for i, k in enumerate(numbers)]
         if route == "insert":
             pairs += [(row[1], table.insert(row)) for row in rows]
-            continue
-        pairs += [(row[1], heap.append(row)) for row in rows]
-        if route == "column":
-            index.load_column(heap.image().columns[1], heap.tuples_per_page)
+        elif route == "insert_many":
+            assert table.insert_many(iter(rows)) == len(rows)
+            pairs += [(row[1], tid) for tid, row in enumerate(rows, len(pairs))]
         else:
-            shuffled = list(pairs)
-            rng.shuffle(shuffled)
-            index.bulk_load(shuffled)
+            pairs += [(row[1], heap.append(row)) for row in rows]
+            index.load_column(heap.image().columns[1])
     assert len(index) == len(pairs)
 
-    wanted = [(k, code_of(t)) for k, t in sorted(pairs)]
+    per_page = heap.tuples_per_page
+    wanted = [(k, frozen_code(t, per_page)) for k, t in sorted(pairs)]
     lo, hi = key(2), key(5)
     ranges = [(None, None, True, False), (hi, lo, True, True),
               (key(9), None, True, False),
               *((lo, hi, li, ui) for li in (True, False)
                 for ui in (True, False))]
     reference = new_index()
-    reference.bulk_load(pairs)
+    reference.load_column(heap.image().columns[1])
     db = Database()
     for bounds in ranges:
         lo_, hi_, li, ui = bounds
@@ -366,13 +391,14 @@ def test_property_every_build_route_leaves_sorted_pairs(
                if (lo_ is None or k > lo_ or (li and k == lo_))
                and (hi_ is None or k < hi_ or (ui and k == hi_))]
         for read in READS:
-            got = read_entries(index, db.cold_run(), read, bounds)
+            got = read_entries(index, db.cold_run(), read, bounds, per_page)
             assert got == (cut if read in ("scan", "scan_batches")
                            else [c for _, c in cut]), (read, bounds)
     for read in READS:
-        assert (observe_reads(observe_charges, db, index, read, ranges)
+        assert (observe_reads(observe_charges, db, index, read, ranges,
+                              per_page)
                 == observe_reads(observe_charges, db, reference, read,
-                                 ranges))
+                                 ranges, per_page))
 
 
 # -- no object per entry: the collector has nothing to walk -------------------
@@ -402,13 +428,13 @@ def _tracked_objects_after_queries(num_tuples):
         SortScan(table, "c2", tenth),
         SmoothScan(table, "c2", tenth),
         # Mode 0, the Tuple ID cache and the Result Cache: every
-        # per-entry consumer of transient TIDs.
+        # per-entry consumer of TIDs.
         SmoothScan(table, "c2", tenth, ordered=True,
                    trigger=OptimizerDrivenTrigger(25)),
         SwitchScan(table, "c2", tenth, threshold=50),
     ):
         assert measure(db, plan, keep_rows=False).row_count > 0
-    # ... and ``insert`` keeps a code, not the TID it was handed.
+    # ... and ``insert`` keeps its TID in the tree's array.
     db.append_rows(table.name, [tuple(range(len(table.schema.column_names)))])
     del plan
     gc.collect()
@@ -418,15 +444,15 @@ def _tracked_objects_after_queries(num_tuples):
 
 def test_no_tid_outlives_a_query_and_tracked_objects_follow_pages():
     """A population of GC-tracked objects proportional to the *row* count
-    is re-walked by every collection a big result set triggers; the heap
-    keeps none per *page* either (a page is a number)."""
+    is re-walked by every collection a big result set triggers: a TID is
+    an ``int`` (a number the collector does not track), and the heap
+    keeps nothing per *page* either (a page is a number)."""
     _tracked_objects_after_queries(1_000)  # lazy imports and caches
-    small_db, small_pages, small, small_count = \
+    small_db, small_pages, _small, small_count = \
         _tracked_objects_after_queries(5_000)
-    assert sum(type(o) is TID for o in small) == 0
-    del small_db, small
-    big_db, big_pages, big, big_count = _tracked_objects_after_queries(20_000)
-    assert sum(type(o) is TID for o in big) == 0
+    del small_db, _small
+    big_db, big_pages, _big, big_count = \
+        _tracked_objects_after_queries(20_000)
     assert big_pages - small_pages == 125
     # A constant, so that one object per page (125 here) cannot hide in it.
     assert big_count - small_count < 16

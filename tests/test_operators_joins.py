@@ -44,8 +44,8 @@ def test_hash_join_inner(join_db):
     join = HashJoin(FullTableScan(left), FullTableScan(right),
                     ["l_key"], ["r_key"])
     rows = sorted(measure(db, join).rows)
-    left_rows = [tuple(r) for _t, r in left.heap.iter_rows()]
-    right_rows = [tuple(r) for _t, r in right.heap.iter_rows()]
+    left_rows = [tuple(r) for r in left.heap.image()[:].to_rows()]
+    right_rows = [tuple(r) for r in right.heap.image()[:].to_rows()]
     assert rows == expected_inner(left_rows, right_rows)
 
 

@@ -181,7 +181,7 @@ def _row_path_stats(table, seed=0, sample_rate=1.0, buckets=100,
             prefix_fraction if prefix_fraction is not None else 1.0))))
     for pos, name in enumerate(table.schema.column_names):
         values = []
-        for i, (_tid, row) in enumerate(table.heap.iter_rows()):
+        for i, row in enumerate(table.heap.image()[:].to_rows()):
             if i >= seen_rows:
                 break
             if sample_rate >= 1.0 or rng.random() < sample_rate:

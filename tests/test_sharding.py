@@ -82,10 +82,10 @@ def test_reshard_and_unshard_lifecycle(micro_db):
     assert len(shard_set.bounds) == 2
     # Range shards hold disjoint key intervals in bound order.
     col = micro_db.table("micro").schema.index_of("c2")
-    lo_max = max(r[col] for _tid, r in
-                 shard_set.shards[0].heap.iter_rows())
-    hi_min = min(r[col] for _tid, r in
-                 shard_set.shards[2].heap.iter_rows())
+    lo_max = max(r[col] for r in
+                 shard_set.shards[0].heap.image()[:].to_rows())
+    hi_min = min(r[col] for r in
+                 shard_set.shards[2].heap.image()[:].to_rows())
     assert lo_max < shard_set.bounds[0] <= shard_set.bounds[1] <= hi_min
     with pytest.raises(StorageError, match="itself a shard"):
         micro_db.shard_table("micro#0", 2)

@@ -500,12 +500,12 @@ def test_property_a_cut_is_what_masking_the_run_gives():
 
 def _count_masks_and_peeks(monkeypatch):
     """Record the length of every chunk the compiled range mask is asked
-    about, and every uncharged peek at a range's index codes."""
+    about, and every uncharged peek at a range's index TIDs."""
     import repro.core.smooth_scan as smooth_scan
     from repro.index.btree import BTreeIndex
 
     masked, peeked = [], []
-    peek = BTreeIndex.peek_range_codes
+    peek = BTreeIndex.peek_range_tids
 
     class CountingPositions(smooth_scan.QualifyingPositions):
         def __init__(self, heap, index, rng, in_range, residual):
@@ -513,19 +513,19 @@ def _count_masks_and_peeks(monkeypatch):
                 masked.append(len(chunk)), in_range(chunk))[1], residual)
 
     def counting_peek(self, *args):
-        codes = peek(self, *args)
-        peeked.append(len(codes))
-        return codes
+        tids = peek(self, *args)
+        peeked.append(len(tids))
+        return tids
 
     monkeypatch.setattr(smooth_scan, "QualifyingPositions", CountingPositions)
-    monkeypatch.setattr(BTreeIndex, "peek_range_codes", counting_peek)
+    monkeypatch.setattr(BTreeIndex, "peek_range_tids", counting_peek)
     return masked, peeked
 
 
 def test_short_scans_never_pay_for_the_positions_pass(
         flush_setup, monkeypatch):
     """A scan that ends after a few regions masks what it fetched and no
-    more; a narrow one sorts its own few index codes at its first region."""
+    more; a narrow one sorts its own few index TIDs at its first region."""
     from repro.workloads.micro import selectivity_range
 
     db, table = flush_setup

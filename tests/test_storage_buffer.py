@@ -11,7 +11,7 @@ from repro.index.btree import BTreeIndex
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskProfile, SimClock, SimulatedDisk
 from repro.storage.heap import HeapFile
-from repro.storage.types import TID, Schema
+from repro.storage.types import Schema
 
 
 @pytest.fixture()
@@ -206,7 +206,8 @@ def _pool_files():
                     tuples_per_page=2)
     heap.extend((i,) for i in range(2 * _HEAP_PAGES - 1))
     index = BTreeIndex("i", 1, key_size=8, page_size=48)
-    index.bulk_load((i % 37, TID(*divmod(i, 2))) for i in range(_INDEX_ENTRIES))
+    # Entry ``i`` at TID ``i``: at 2 rows a page, page ``i // 2``.
+    index.load_column([i % 37 for i in range(_INDEX_ENTRIES)])
     assert (heap.num_pages, index.num_pages) == (_HEAP_PAGES, 25)
     return heap, index
 

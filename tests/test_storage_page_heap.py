@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import StorageError, UnknownPageError
+from repro.errors import StorageError
 from repro.storage import heap as heap_module
 from repro.storage.chunk import Chunk
 from repro.storage.heap import HeapFile
-from repro.storage.types import Column, ColumnType, Schema, TID
+from repro.storage.types import Column, ColumnType, Schema
 
 
 def _one_page_heap(capacity):
@@ -24,32 +24,21 @@ def _one_page_heap(capacity):
 
 def test_page_insert_and_get():
     heap = _one_page_heap(capacity=3)
-    assert heap.append((1,)).slot == 0
-    assert heap.append((2,)).slot == 1
-    assert heap.fetch(TID(0, 1)) == (2,)
+    assert heap.append((1,)) == 0
+    assert heap.append((2,)) == 1
+    assert heap.row(1) == (2,)
+    # A page that is not full holds only the rows it was given.
     assert heap.num_pages == 1 and len(heap.run_chunk(0, 1)) == 2
-    with pytest.raises(StorageError, match="slot 2 not in use on page 0"):
-        heap.fetch(TID(0, 2))  # a free slot of a page that is not full
 
 
 def test_page_full_raises():
     heap = _one_page_heap(capacity=1)
     heap.append((1,))
     # A full page takes no more rows: the heap opens the next one.
-    assert heap.append((2,)) == TID(1, 0)
+    assert heap.append((2,)) == 1
     assert heap.num_pages == 2
     assert heap.run_chunk(0, 1).to_rows() == [(1,)]
-    with pytest.raises(StorageError, match="slot 1 not in use on page 0"):
-        heap.fetch(TID(0, 1))
-
-
-def test_page_bad_slot():
-    heap = _one_page_heap(capacity=2)
-    heap.append((1,))
-    with pytest.raises(StorageError, match="slot 1 not in use on page 0"):
-        heap.fetch(TID(0, 1))
-    with pytest.raises(StorageError, match="slot -1 not in use on page 0"):
-        heap.fetch(TID(0, -1))
+    assert heap.run_chunk(1, 1).to_rows() == [(2,)]
 
 
 def test_page_rejects_zero_capacity():
@@ -65,23 +54,15 @@ def heap():
 
 def test_heap_append_assigns_sequential_tids(heap):
     tids = [heap.append((i,)) for i in range(10)]
-    assert tids[0] == TID(0, 0)
-    assert tids[4] == TID(1, 0)
-    assert tids[9] == TID(2, 1)
+    assert tids == list(range(10))
+    assert [tid // heap.tuples_per_page for tid in tids] == [0] * 4 + [1] * 4 + [2] * 2
     assert heap.num_pages == 3
     assert heap.row_count == 10
 
 
 def test_heap_fetch_roundtrip(heap):
     tid = heap.append((42,))
-    assert heap.fetch(tid) == (42,)
-
-
-def test_heap_page_bounds(heap):
-    heap.append((1,))
-    for page_id in (1, 5, -1):
-        with pytest.raises(UnknownPageError, match=f"page {page_id} outside"):
-            heap.fetch(TID(page_id, 0))
+    assert heap.row(tid) == (42,)
 
 
 def test_heap_validates_arity(heap):
@@ -92,10 +73,9 @@ def test_heap_validates_arity(heap):
 def test_heap_iter_rows_in_physical_order(heap):
     for i in range(9):
         heap.append((i,))
-    rows = list(heap.iter_rows())
-    assert [r for _t, r in rows] == [(i,) for i in range(9)]
-    assert rows[0][0] == TID(0, 0)
-    assert rows[-1][0] == TID(2, 0)
+    assert heap.image()[:].to_rows() == [(i,) for i in range(9)]
+    assert [heap.run_chunk(p, 1).to_rows() for p in range(heap.num_pages)] \
+        == [[(0,), (1,), (2,), (3,)], [(4,), (5,), (6,), (7,)], [(8,)]]
 
 
 # -- the columnar image: one per heap, extended from the row watermark -------
@@ -204,7 +184,7 @@ _heap_ops = st.lists(st.one_of(
     st.tuples(st.just("append"), _wide_rows),
     st.tuples(st.just("extend"), st.lists(_wide_rows, max_size=9)),
     st.tuples(st.sampled_from(
-        ["image", "get", "all_rows", "fetch", "iter_rows"])),
+        ["image", "get", "all_rows", "row", "whole"])),
 ), max_size=25)
 
 
@@ -228,8 +208,7 @@ def test_property_any_interleaving_of_appends_and_reads_returns_the_rows(ops):
         held: list = []
         for op, *args in ops:
             if op == "append":
-                assert heap.append(args[0]) == TID(
-                    *divmod(len(model), per_page))
+                assert heap.append(args[0]) == len(model)
                 model.append(args[0])
             elif op == "extend":
                 assert heap.extend(iter(args[0])) == len(args[0])
@@ -239,25 +218,19 @@ def test_property_any_interleaving_of_appends_and_reads_returns_the_rows(ops):
                 held.append((heap.image()[cut:], model[cut:]))
             elif op == "get":
                 _assert_same_rows(
-                    [heap.fetch(TID(*divmod(i, per_page)))
-                     for i in range(len(model))], model)
+                    [heap.row(i) for i in range(len(model))], model)
             elif op == "all_rows":
                 _assert_same_rows(
                     [row for p in range(heap.num_pages)
                      for row in heap.run_chunk(p, 1).to_rows()],
                     model)
-            elif op == "fetch" and model:
+            elif op == "row" and model:
                 last = len(model) - 1
                 _assert_same_rows(
-                    [heap.fetch(TID(0, 0)),
-                     heap.fetch(TID(*divmod(last, per_page))),
-                     heap.row(last // 2)],
+                    [heap.row(0), heap.row(last), heap.row(last // 2)],
                     [model[0], model[last], model[last // 2]])
-            elif op == "iter_rows":
-                pairs = list(heap.iter_rows())
-                assert [tid for tid, _row in pairs] == [
-                    TID(*divmod(i, per_page)) for i in range(len(model))]
-                _assert_same_rows([row for _tid, row in pairs], model)
+            elif op == "whole":
+                _assert_same_rows(heap.image()[:].to_rows(), model)
             assert heap.row_count == len(model)
             assert heap.num_pages == -(-len(model) // per_page)
         # Chunks handed out before later appends still read their rows.
@@ -299,15 +272,15 @@ def test_a_heap_holds_no_row_tuple_and_a_page_holds_nothing():
     image = heap.image()
     assert row_tuples(heap) == []
     # Reading through every door leaves nothing behind either ...
-    assert [row for _tid, row in heap.iter_rows()] == rows[:-5]
-    assert heap.fetch(TID(3, 2)) == heap.row(3 * per_page + 2) == rows[23]
+    assert heap.image()[:].to_rows() == rows[:-5]
+    assert heap.row(3 * per_page + 2) == rows[23]
     assert heap.run_chunk(2, 3).to_rows() == rows[14:35]
     assert heap.image() is image
     assert row_tuples(heap) == []
     # ... and an append waits only until the next read.
     heap.extend(rows[-5:])
     assert len(row_tuples(heap)) == 5
-    assert heap.fetch(TID(40, 2)) == rows[-1]
+    assert heap.row(40 * per_page + 2) == rows[-1]
     assert row_tuples(heap) == []
     # Nothing per page is reachable from the heap: a page is arithmetic.
     one_page = _fresh(_MIXED, rows[:3], per_page)

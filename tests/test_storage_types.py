@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import StorageError
-from repro.storage.types import TID, Column, ColumnType, Schema
+from repro.storage.types import Column, ColumnType, Schema
 
 
 def test_column_sizes():
@@ -69,11 +69,3 @@ def test_schema_equality_and_hash():
     s2 = Schema.of_ints(["a", "b"])
     assert s1 == s2
     assert hash(s1) == hash(s2)
-
-
-def test_tid_orders_by_physical_placement():
-    assert TID(0, 5) < TID(1, 0)
-    assert TID(2, 1) < TID(2, 3)
-    assert sorted([TID(3, 0), TID(0, 7), TID(0, 2)]) == [
-        TID(0, 2), TID(0, 7), TID(3, 0)
-    ]

@@ -97,9 +97,9 @@ def test_q13_distribution_covers_every_customer(tpch_db):
     rows = measure(db, build_query("Q13", builder)).rows
     total_customers = sum(r[1] for r in rows)
     assert total_customers == db.table("customer").row_count
-    zero_order = {row[0] for _t, row in
-                  db.table("customer").heap.iter_rows()}
-    ordered = {row[1] for _t, row in db.table("orders").heap.iter_rows()}
+    zero_order = {row[0] for row in
+                  db.table("customer").heap.image()[:].to_rows()}
+    ordered = {row[1] for row in db.table("orders").heap.image()[:].to_rows()}
     expected_zero = len(zero_order - ordered)
     zero_bucket = next((r[1] for r in rows if r[0] == 0), 0)
     assert zero_bucket == expected_zero

@@ -26,7 +26,7 @@ def test_micro_geometry(micro_setup):
 
 def test_micro_c1_is_order_number(micro_setup):
     _db, table = micro_setup
-    for i, (_tid, row) in zip(range(50), table.heap.iter_rows(), strict=False):
+    for i, row in zip(range(50), table.heap.image()[:].to_rows(), strict=False):
         assert row[0] == i
 
 
@@ -58,7 +58,7 @@ def test_skew_table_layout(db):
     table = build_skew_table(db, 60_000, dense_fraction=0.01,
                              sparse_fraction=1e-3)
     rng = skew_query_range()
-    zeros = [i for i, (_t, row) in enumerate(table.heap.iter_rows())
+    zeros = [i for i, row in enumerate(table.heap.image()[:].to_rows())
              if row[1] == 0]
     head = int(60_000 * 0.01)
     assert zeros[:head] == list(range(head))      # dense head
@@ -92,15 +92,15 @@ def test_tpch_row_counts(tpch):
 
 def test_tpch_primary_keys_unique(tpch):
     _db, tables = tpch
-    keys = [row[0] for _t, row in tables.orders.heap.iter_rows()]
+    keys = [row[0] for row in tables.orders.heap.image()[:].to_rows()]
     assert len(keys) == len(set(keys))
 
 
 def test_tpch_referential_integrity(tpch):
     _db, tables = tpch
-    order_keys = {row[0] for _t, row in tables.orders.heap.iter_rows()}
-    part_keys = {row[0] for _t, row in tables.part.heap.iter_rows()}
-    for _t, line in tables.lineitem.heap.iter_rows():
+    order_keys = {row[0] for row in tables.orders.heap.image()[:].to_rows()}
+    part_keys = {row[0] for row in tables.part.heap.image()[:].to_rows()}
+    for line in tables.lineitem.heap.image()[:].to_rows():
         assert line[0] in order_keys
         assert line[1] in part_keys
 
@@ -112,8 +112,8 @@ def test_tpch_date_correlations(tpch):
     sd, cd, rd = (s.index_of("l_shipdate"), s.index_of("l_commitdate"),
                   s.index_of("l_receiptdate"))
     order_dates = {row[0]: row[4]
-                   for _t, row in tables.orders.heap.iter_rows()}
-    for _t, line in tables.lineitem.heap.iter_rows():
+                   for row in tables.orders.heap.image()[:].to_rows()}
+    for line in tables.lineitem.heap.image()[:].to_rows():
         od = order_dates[line[0]]
         assert od < line[sd] <= od + 121
         assert od + 30 <= line[cd] <= od + 90
@@ -124,7 +124,7 @@ def test_tpch_returnflag_correlated_with_receipt(tpch):
     _db, tables = tpch
     s = tables.lineitem.schema
     rd, rf = s.index_of("l_receiptdate"), s.index_of("l_returnflag")
-    for _t, line in tables.lineitem.heap.iter_rows():
+    for line in tables.lineitem.heap.image()[:].to_rows():
         if line[rd] > CURRENTDATE:
             assert line[rf] == "N"
         else:
@@ -137,7 +137,7 @@ def test_tpch_stale_batch_partitioning():
     tables = generate_tpch(db, scale_factor=0.002, seed=2,
                            stale_batch_cutoff=cutoff)
     n1 = tables.extras["orders_stale_rows"]
-    dates = [row[4] for _t, row in tables.orders.heap.iter_rows()]
+    dates = [row[4] for row in tables.orders.heap.image()[:].to_rows()]
     assert all(d < cutoff for d in dates[:n1])
     assert all(d >= cutoff for d in dates[n1:])
     li_n1 = tables.extras["lineitem_stale_rows"]
