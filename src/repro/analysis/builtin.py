@@ -278,7 +278,7 @@ class WindowPairingRule(Rule):
     code = "RPL103"
     name = "paired-windows"
     rationale = (
-        "begin_attribution/end_attribution route charges into per-query "
+        "begin_attribution/end_attribution diff charges into per-query "
         "ledgers; a window left open after an exception mis-attributes "
         "every later charge (and the next begin raises).  The same goes "
         "for tracer spans (begin_query/finish_query).  Every opener must "
@@ -379,11 +379,12 @@ class WindowPairingRule(Rule):
 
 
 #: The engine's charge surface: anything that advances the simulated
-#: clock or moves simulated pages.  Observation code may never call it.
+#: clock or moves simulated pages.  Observation code may never call it,
+#: nor add to the clock's event counts (``clock.counts[kind] += n``).
 _CHARGE_APIS = frozenset({
-    "charge_io", "charge_cpu", "charge_cpu_seq",
     "charge_inspect", "charge_emit", "charge_compare", "charge_hash",
     "charge_cache_probe", "charge_cache_insert", "charge_index_entry",
+    "charge_exchange", "set_divisor",
     "read_page", "read_run", "spill", "overflow_read", "overflow_write",
     "get_page", "get_run", "touch_pages",
 })
@@ -421,16 +422,38 @@ class TelemetryNoChargeRule(Rule):
                     "route costed work through a separate engine's "
                     "public API",
                 )
+            elif (isinstance(node, (ast.AugAssign, ast.Assign))
+                  and any(_counter_attr(t) == "counts"
+                          for t in _targets(node))):
+                yield self.diag(
+                    unit, node,
+                    "telemetry module adds to the clock's event counts "
+                    "(counts[...]); observation must be free",
+                )
 
 
 #: Integer counters of the cost-accounting structs (DiskStats,
-#: CostLedger, BufferStats, cache stats).  Exact conservation checks
-#: (ledger sums == runtime totals) rely on these never becoming floats.
+#: CostLedger, BufferStats, cache stats, and the clock's event counts,
+#: ``counts[kind]`` of ``SimClock`` and ``CostLedger``).  Exact
+#: conservation checks (ledger sums == runtime totals) rely on these
+#: never becoming floats.
 _INTEGER_COUNTERS = frozenset({
     "requests", "pages_read", "seq_pages", "rand_pages", "bytes_read",
     "pages_written", "bytes_written", "buffer_hits", "buffer_misses",
-    "hits", "misses",
+    "hits", "misses", "counts",
 })
+
+
+def _targets(node: ast.AugAssign | ast.Assign) -> list[ast.expr]:
+    return [node.target] if isinstance(node, ast.AugAssign) else node.targets
+
+
+def _counter_attr(target: ast.expr) -> str | None:
+    """The attribute a counter mutation writes: ``x.attr`` or an
+    element of it, ``x.attr[...]``."""
+    if isinstance(target, ast.Subscript):
+        target = target.value
+    return target.attr if isinstance(target, ast.Attribute) else None
 
 
 @register
@@ -458,15 +481,14 @@ class IntegerCounterRule(Rule):
                 target, value = node.target, node.value
             elif isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target, value = node.targets[0], node.value
-            if (not isinstance(target, ast.Attribute)
-                    or target.attr not in _INTEGER_COUNTERS
-                    or value is None):
+            attr = None if target is None else _counter_attr(target)
+            if attr not in _INTEGER_COUNTERS or value is None:
                 continue
             reason = self._float_risk(value)
             if reason is not None:
                 yield self.diag(
                     unit, node,
-                    f"integer counter .{target.attr} mutated with "
+                    f"integer counter .{attr} mutated with "
                     f"{reason}; exact conservation requires integer "
                     "arithmetic (use //, int())",
                 )

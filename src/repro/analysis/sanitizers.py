@@ -7,11 +7,11 @@ ones, at runtime, on a live engine:
   cooperative-scheduler analogue of a race detector.  Once a runtime
   starts executing queries (the first attribution window opens), every
   simulated charge must land inside *some* window, or summed per-query
-  ledgers silently stop reproducing the shared totals.  The sanitizer
-  hooks the runtime's clock charges and diffs the integer disk/buffer
-  counters across window boundaries, so both millisecond charges and
-  counter bumps that happen between windows are caught and attributed
-  to a call site.
+  ledgers silently stop reproducing the shared totals.  Every counter
+  is an integer — the clock's event counts, the disk's and the buffer
+  pool's — so the sanitizer diffs them all across window boundaries:
+  any that moved between windows is caught, and the drift attributed
+  to the call site that opened the next window.
 * :class:`DeterminismSanitizer` — the double-run hasher.  Anything
   that feeds a committed artifact (report text, trace event streams)
   must hash identically across independent runs; a mismatch means
@@ -29,6 +29,8 @@ import json
 import traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
+
+from repro.storage.disk import KINDS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime import EngineRuntime
@@ -70,14 +72,12 @@ class LedgerSanitizer:
     Installed on one :class:`~repro.runtime.EngineRuntime`; *lazy-armed*
     by the first attribution window, so setup work (bulk loads, index
     builds) before any query is exempt — exactly the phase split the
-    engine's own conservation tests assume.  After arming:
-
-    * a ``charge_io``/``charge_cpu``/``charge_cpu_seq`` while no window
-      is open is a violation (millisecond charges bypass every ledger);
-    * integer disk/buffer counters that moved *between* windows (diffed
-      at the next ``begin_attribution``, at ``cold_start`` and at
-      :meth:`check`) are a violation (counter deltas bypass the diff
-      accounting).
+    engine's own conservation tests assume.  After arming, counters
+    that moved *between* windows — the clock's event counts, disk and
+    buffer counters, diffed at the next ``begin_attribution``, at
+    ``cold_start`` and at :meth:`check` — are a violation (they bypass
+    every ledger), and so is a counter that is not an ``int`` (a charge
+    of a non-integer ``n``).
 
     Use as a context manager (checks on exit), or ``install()`` /
     ``uninstall()`` + :meth:`check` by hand.  ``strict=False`` collects
@@ -95,28 +95,13 @@ class LedgerSanitizer:
     # -- lifecycle ---------------------------------------------------------
 
     def install(self) -> "LedgerSanitizer":
-        """Hook the runtime's charge and window APIs (idempotent)."""
+        """Hook the runtime's window APIs (idempotent)."""
         if self._installed:
             return self
         runtime = self.runtime
-        clock = runtime.clock
-        orig_io, orig_cpu = clock.charge_io, clock.charge_cpu
-        orig_cpu_seq = clock.charge_cpu_seq
         orig_begin = runtime.begin_attribution
         orig_end = runtime.end_attribution
         orig_cold = runtime.cold_start
-
-        def charge_io(ms: float) -> None:
-            self._guard_charge("charge_io", ms)
-            orig_io(ms)
-
-        def charge_cpu(ms: float) -> None:
-            self._guard_charge("charge_cpu", ms)
-            orig_cpu(ms)
-
-        def charge_cpu_seq(costs) -> None:
-            self._guard_charge("charge_cpu_seq", float(sum(costs)))
-            orig_cpu_seq(costs)
 
         def begin_attribution(ledger) -> None:
             if self.armed:
@@ -138,9 +123,6 @@ class LedgerSanitizer:
             # A cold start legitimately zeroes every counter.
             self._base = self._snapshot()
 
-        clock.charge_io = charge_io
-        clock.charge_cpu = charge_cpu
-        clock.charge_cpu_seq = charge_cpu_seq
         runtime.begin_attribution = begin_attribution
         runtime.end_attribution = end_attribution
         runtime.cold_start = cold_start
@@ -151,16 +133,11 @@ class LedgerSanitizer:
         """Remove the hooks, leaving the runtime as found."""
         if not self._installed:
             return
-        clock = self.runtime.clock
         # The originals are bound methods; deleting the instance
         # attributes restores class-level dispatch.
-        for obj, name in ((clock, "charge_io"), (clock, "charge_cpu"),
-                          (clock, "charge_cpu_seq"),
-                          (self.runtime, "begin_attribution"),
-                          (self.runtime, "end_attribution"),
-                          (self.runtime, "cold_start")):
+        for name in ("begin_attribution", "end_attribution", "cold_start"):
             try:
-                delattr(obj, name)
+                delattr(self.runtime, name)
             except AttributeError:
                 pass
         self._installed = False
@@ -177,40 +154,39 @@ class LedgerSanitizer:
 
     # -- detection ---------------------------------------------------------
 
-    def _guard_charge(self, api: str, ms: float) -> None:
-        if self.armed and self.runtime._active is None:
-            self._record(
-                "unattributed-charge",
-                f"{api}({ms:.6g} ms) outside any attribution window",
-            )
-
-    def _snapshot(self) -> tuple:
-        disk = self.runtime.disk.stats
-        buf = self.runtime.buffer.stats
-        return (disk.requests, disk.pages_read, disk.seq_pages,
-                disk.rand_pages, disk.bytes_read, disk.pages_written,
-                disk.bytes_written, buf.hits, buf.misses)
-
-    _COUNTER_NAMES = ("requests", "pages_read", "seq_pages", "rand_pages",
-                      "bytes_read", "pages_written", "bytes_written",
-                      "buffer_hits", "buffer_misses")
+    def _snapshot(self) -> dict:
+        """Every counter by name; a clock count of divisor ``d`` other
+        than 1 is ``kind/d``."""
+        runtime = self.runtime
+        counters = dict(vars(runtime.disk.stats))
+        counters["buffer_hits"] = runtime.buffer.stats.hits
+        counters["buffer_misses"] = runtime.buffer.stats.misses
+        for divisor, row in runtime.clock.rows.items():
+            suffix = "" if divisor == 1 else f"/{divisor}"
+            for kind, n in zip(KINDS, row, strict=True):
+                counters[kind + suffix] = n
+        return counters
 
     def _check_counters(self, when: str) -> None:
+        now = self._snapshot()
+        floats = [name for name, n in now.items() if type(n) is not int]
+        if floats:
+            self._record(
+                "non-integer-count",
+                f"counters are not integers ({when}): {', '.join(floats)}",
+            )
         if self._base is None:
             return
-        now = self._snapshot()
-        if now == self._base:
-            return
-        moved = ", ".join(
-            f"{name}{now[i] - self._base[i]:+d}"
-            for i, name in enumerate(self._COUNTER_NAMES)
-            if now[i] != self._base[i]
-        )
+        base = self._base
         self._base = now
-        self._record(
-            "unattributed-counters",
-            f"integer counters moved outside any window ({when}): {moved}",
-        )
+        moved = ", ".join(f"{name}{n - base.get(name, 0):+}"
+                          for name, n in now.items()
+                          if n != base.get(name, 0))
+        if moved:
+            self._record(
+                "unattributed-counters",
+                f"counters moved outside any window ({when}): {moved}",
+            )
 
     def _record(self, kind: str, detail: str) -> None:
         violation = SanitizerViolation(

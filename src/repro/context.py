@@ -8,11 +8,13 @@ charged), so physical operators (and B+-tree scans) charge costs through
 a single narrow interface.  Keeping it separate from both the storage
 and executor packages breaks what would otherwise be an import cycle.
 
-Operators themselves never see the ledger: they charge the shared clock
-and pull pages through the shared pool exactly as before, and the
-runtime's attribution windows (opened around every batch pull by
-:class:`~repro.exec.stats.StreamingRun`) route those charges into the
-context's ledger.
+Operators themselves never see the ledger: they count events on the
+shared clock and pull pages through the shared pool, and the runtime's
+attribution windows (opened around every batch pull by
+:class:`~repro.exec.stats.StreamingRun`) diff those counts into the
+context's ledger.  Each ``charge_*`` counts ``n`` events of one kind of
+:class:`~repro.config.CpuCosts` — an integer ``n``: a charge of ``n``
+is the same as ``n`` charges of one, in any order.
 """
 
 from __future__ import annotations
@@ -20,6 +22,16 @@ from __future__ import annotations
 from repro.config import EngineConfig
 from repro.runtime import CostLedger, EngineRuntime
 from repro.storage.buffer import PagedFile
+from repro.storage.disk import KINDS
+
+_INSPECT = KINDS.index("tuple_inspect")
+_EMIT = KINDS.index("tuple_emit")
+_COMPARE = KINDS.index("compare")
+_HASH = KINDS.index("hash_op")
+_CACHE_PROBE = KINDS.index("cache_probe")
+_CACHE_INSERT = KINDS.index("cache_insert")
+_INDEX_ENTRY = KINDS.index("index_entry")
+_EXCHANGE_ROW = KINDS.index("exchange_row")
 
 
 class ExecutionContext:
@@ -53,32 +65,32 @@ class ExecutionContext:
 
     def charge_inspect(self, n: int = 1) -> None:
         """Charge predicate evaluation on ``n`` tuples."""
-        self.clock.charge_cpu(self.config.cpu.tuple_inspect * n)
+        self.clock.counts[_INSPECT] += n
 
     def charge_emit(self, n: int = 1) -> None:
         """Charge emission of ``n`` tuples to the parent operator."""
-        self.clock.charge_cpu(self.config.cpu.tuple_emit * n)
+        self.clock.counts[_EMIT] += n
 
     def charge_compare(self, n: int = 1) -> None:
         """Charge ``n`` sort comparisons."""
-        self.clock.charge_cpu(self.config.cpu.compare * n)
+        self.clock.counts[_COMPARE] += n
 
     def charge_hash(self, n: int = 1) -> None:
         """Charge ``n`` hash operations."""
-        self.clock.charge_cpu(self.config.cpu.hash_op * n)
+        self.clock.counts[_HASH] += n
 
     def charge_cache_probe(self, n: int = 1) -> None:
         """Charge ``n`` auxiliary-cache probes (Smooth Scan bookkeeping)."""
-        self.clock.charge_cpu(self.config.cpu.cache_probe * n)
+        self.clock.counts[_CACHE_PROBE] += n
 
     def charge_cache_insert(self, n: int = 1) -> None:
         """Charge ``n`` auxiliary-cache inserts (Smooth Scan bookkeeping)."""
-        self.clock.charge_cpu(self.config.cpu.cache_insert * n)
+        self.clock.counts[_CACHE_INSERT] += n
 
     def charge_index_entry(self, n: int = 1) -> None:
         """Charge advancing ``n`` entries along a B+-tree leaf chain."""
-        self.clock.charge_cpu(self.config.cpu.index_entry * n)
+        self.clock.counts[_INDEX_ENTRY] += n
 
     def charge_exchange(self, n: int = 1) -> None:
         """Charge moving ``n`` rows through an exchange merge."""
-        self.clock.charge_cpu(self.config.cpu.exchange_row * n)
+        self.clock.counts[_EXCHANGE_ROW] += n

@@ -28,8 +28,8 @@ positions, in the heap's columnar image, of the rows that pass the key
 range and the residual, produced when it pays) and a run of unseen pages
 is a ``searchsorted`` cut into that array: its selection vector, its
 ``produced`` count and its ``pages_with_results``.  Around the cut a run
-is one pool request, one Page ID cache run-mark and its per-page charges
-as one sequence; only the policy update between regions is sequential.
+is one pool request, one Page ID cache run-mark and one count of each of
+its charges; only the policy update between regions is sequential.
 Index entries arrive a leaf of TIDs (image positions) at a time and are
 tested against a live view of the Page ID bitmap.  With no auxiliary cache
 (eager and unordered) batches are selection vectors over the image, so no
@@ -64,31 +64,6 @@ from repro.exec.iterator import Batch, DEFAULT_BATCH_SIZE, Operator
 from repro.storage.table import Table
 
 _DEFAULT_RESULT_CACHE_PARTITIONS = 16
-
-#: Runs up to this many pages charge page by page; a longer one hands the
-#: clock one sequence (NumPy's fixed cost, ~7.6 us a run against ~0.75 us
-#: a page under an open ledger, loses below about ten pages).
-_DIRECT_CHARGE_PAGES = 8
-
-
-def _charge_pages(ctx: ExecutionContext, per_page: int, n_pages: int,
-                  n_rows: int) -> None:
-    """Charge processing ``n_pages`` fetched pages holding ``n_rows`` rows
-    (only the last may be short): ``cache_insert`` then ``inspect`` of its
-    rows, page after page — to the clock as one sequence when the run is
-    long, bit-identical to the calls it stands for."""
-    if n_pages <= _DIRECT_CHARGE_PAGES:
-        for rows_left in range(n_rows, 0, -per_page):
-            ctx.charge_cache_insert()
-            ctx.charge_inspect(min(per_page, rows_left))
-        return
-    cpu = ctx.config.cpu
-    costs = _np.empty(2 * n_pages)
-    costs[0::2] = cpu.cache_insert
-    costs[1::2] = cpu.tuple_inspect * per_page
-    costs[-1] = cpu.tuple_inspect * (n_rows - (n_pages - 1) * per_page)
-    ctx.clock.charge_cpu_seq(costs)
-
 
 @dataclass
 class _RunState:
@@ -436,15 +411,14 @@ class SmoothScan(Operator):
                   out: list) -> None:
         """Probe one contiguous run of unseen pages into ``out``.
 
-        One pool request, one Page ID cache run-mark and one cut into the
-        scan's qualifying positions.  Then the run's charges, in pieces:
-        a piece's ``cache_insert`` / ``inspect`` page charges first, what
-        its candidates cost after.  With no auxiliary cache the run is
-        one piece and ``out`` takes the cut itself, a selection vector;
-        the caches want TIDs and rows page by page, so there a piece is a
-        page and ``out`` takes rows — all of the page's when unordered,
-        only the probe's own (``probe_tid``) when the Result Cache
-        parks the rest to preserve an order.
+        One pool request, one Page ID cache run-mark, one cut into the
+        scan's qualifying positions, and the run's page charges: a
+        ``cache_insert`` per page and an ``inspect`` per row.  With no
+        auxiliary cache ``out`` takes the cut itself, a selection vector;
+        the caches want TIDs and rows, so there ``out`` takes rows — all
+        of the run's when unordered, only the probe's own
+        (``probe_tid``) when the Result Cache parks the rest to preserve
+        an order.
         """
         stats = state.stats
         tuple_cache = state.tuple_cache
@@ -457,46 +431,35 @@ class SmoothScan(Operator):
         hi = min(lo + run_len * per_page, state.qualifying.rows)
         sel, pages_hit = state.qualifying.cut(lo, hi)
         stats.pages_with_results += pages_hit
-        columnar = tuple_cache is None and result_cache is None
-        if columnar:
-            pieces = ((run_len, hi - lo, sel),)
-        else:
-            # The caches want rows: the run's candidates in one gather,
-            # handed out page by page as indices into ``at`` / ``rows``.
-            at = _np.asarray(sel)
-            rows = heap.image().take(sel).to_rows()
-            edges = at.searchsorted(_np.arange(
-                run_start, run_start + run_len + 1) * per_page).tolist()
-            at = at.tolist()
-            pieces = ((1, min(per_page, hi - lo - i * per_page),
-                       range(edges[i], edges[i + 1])) for i in range(run_len))
-        for n_pages, n_rows, found in pieces:
-            _charge_pages(ctx, per_page, n_pages, n_rows)
-            if not len(found):
-                continue
-            if tuple_cache is not None:
-                # Fig. 7b's post-morph overhead: a produced-tuple check
-                # for every qualifying tuple found by Smooth Scan.
-                ctx.charge_cache_probe(len(found))
-                found = [k for k in found
-                         if not tuple_cache.contains(at[k])]
-                if not found:
-                    continue
-            if result_cache is not None:
-                for k in found:
-                    row = rows[k]
-                    if at[k] == probe_tid:
-                        stats.produced += 1
-                        ctx.charge_emit()
-                        out.append(row)
-                    else:
-                        ctx.charge_cache_insert()
-                        result_cache.insert(row[state.col_pos], at[k], row,
-                                            disk=ctx.disk)
-                continue
-            stats.produced += len(found)
-            ctx.charge_emit(len(found))
-            if columnar:
-                out.append(found)
-            else:
-                out += [rows[k] for k in found]
+        ctx.charge_cache_insert(run_len)
+        ctx.charge_inspect(hi - lo)
+        if not len(sel):
+            return
+        if tuple_cache is None and result_cache is None:
+            stats.produced += len(sel)
+            ctx.charge_emit(len(sel))
+            out.append(sel)
+            return
+        at = _np.asarray(sel).tolist()
+        rows = heap.image().take(sel).to_rows()
+        found = range(len(at))
+        if tuple_cache is not None:
+            # Fig. 7b's post-morph overhead: a produced-tuple check for
+            # every qualifying tuple found by Smooth Scan.
+            ctx.charge_cache_probe(len(found))
+            found = [k for k in found if not tuple_cache.contains(at[k])]
+        if result_cache is not None:
+            for k in found:
+                row = rows[k]
+                if at[k] == probe_tid:
+                    stats.produced += 1
+                    ctx.charge_emit()
+                    out.append(row)
+                else:
+                    ctx.charge_cache_insert()
+                    result_cache.insert(row[state.col_pos], at[k], row,
+                                        disk=ctx.disk)
+            return
+        stats.produced += len(found)
+        ctx.charge_emit(len(found))
+        out += [rows[k] for k in found]

@@ -11,13 +11,14 @@ The exchange is the intra-query parallelism model of this engine:
   :class:`~repro.exec.scheduler.CooperativeScheduler` applies between
   queries, applied within one.  No threads, no nondeterminism.
 * **Overlapped simulated time.**  While K shards are still producing,
-  each worker's charges advance the shared clock by ``1/K`` of their
-  serial cost (:attr:`~repro.storage.disk.SimClock.scale`): K shard
-  workers progress concurrently, so one unit of per-shard work moves
-  *completion time* by 1/K.  As shards drain, survivors speed up less
-  (K shrinks) — the straggler tail of real parallel scans.  The
+  each worker's charges are counted in the clock's row of divisor K
+  (:meth:`~repro.storage.disk.SimClock.set_divisor`), whose
+  milliseconds are divided by K: K shard workers progress concurrently,
+  so one unit of per-shard work moves *completion time* by 1/K.  As
+  shards drain, survivors speed up less (K shrinks) — the straggler
+  tail of real parallel scans.  The
   coordinator's merge cost (:meth:`~repro.context.ExecutionContext.
-  charge_exchange` per row) stays unscaled: it is the serial fraction,
+  charge_exchange` per row) stays undivided: it is the serial fraction,
   the Amdahl term the shard-scaling experiment quantifies.
 * **One spindle per shard.**  Each shard's disk-head position is saved
   after its slice and restored before its next one, so interleaved
@@ -28,8 +29,7 @@ The exchange is the intra-query parallelism model of this engine:
   begin_shard_attribution`), nested in the query's own window; the
   merge cost is charged inside the producing shard's window.  Summing
   the per-shard ledgers therefore reproduces the parent ledger — and
-  the runtime totals — exactly for integer counters and to float
-  round-off for milliseconds.
+  the runtime totals — exactly: every counter is an integer.
 
 :class:`UnionAll` is the serial baseline: same children, concatenated
 one after another at full cost, no overlap.  The gap between the two is
@@ -90,7 +90,7 @@ class UnionAll(Operator):
 
     The unsharded semantics of an exchange without its parallelism:
     child *i+1* starts only after child *i* is exhausted, every charge
-    lands at scale 1.  Correctness baseline (multiset-equal output) and
+    lands at divisor 1.  Correctness baseline (multiset-equal output) and
     cost baseline (the exchange's speedup denominator) in one.
     """
 
@@ -169,18 +169,18 @@ class Exchange(Operator):
             i = active[turn]
             runtime.begin_shard_attribution(ledgers[i])
             try:
-                saved_scale = clock.scale
+                saved_divisor = clock.divisor
                 saved_head = disk.head_state()
                 disk.set_head_state(heads[i])
-                clock.scale = saved_scale / len(active)
+                clock.set_divisor(saved_divisor * len(active))
                 try:
                     batch = next(iters[i], None)
                 finally:
-                    clock.scale = saved_scale
+                    clock.set_divisor(saved_divisor)
                     heads[i] = disk.head_state()
                     disk.set_head_state(saved_head)
                 if batch is not None:
-                    # Coordinator merge work: serial (unscaled), but
+                    # Coordinator merge work: serial (undivided), but
                     # charged inside the producing shard's window so
                     # the per-shard ledgers still sum to the totals.
                     ctx.charge_exchange(len(batch))

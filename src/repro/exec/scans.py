@@ -51,20 +51,16 @@ class FullTableScan(Operator):
 
         The extent is one slice of the heap image, filtered with one mask
         evaluation, so predicate work runs on extent-sized arrays instead
-        of page-sized ones.  Charges: inspect per page, emit per
-        qualifying batch.
+        of page-sized ones.  Charges: inspect per row, emit per
+        qualifying row.
         """
         heap = self.table.heap
         filter_chunk = self.predicate.bind_chunk(self.schema)
         extent = ctx.config.extent_pages
-        per_page = heap.tuples_per_page
         for start in range(0, heap.num_pages, extent):
             n = len(ctx.get_run(heap, start, extent))
             chunk = heap.run_chunk(start, n)
-            # Every page is full but the heap's last, which ends its run.
-            for _ in range(n - 1):
-                ctx.charge_inspect(per_page)
-            ctx.charge_inspect(len(chunk) - (n - 1) * per_page)
+            ctx.charge_inspect(len(chunk))
             kept = filter_chunk(chunk)
             if kept is not None:
                 ctx.charge_emit(len(kept))
@@ -97,15 +93,12 @@ class IndexScan(Operator):
     def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         """One random heap page request per index entry, in key order.
 
-        Charged tuple at a time — per entry ``index_entry``, the page
-        request (a buffer-hit charge, or the disk's read), ``inspect``,
-        and ``emit`` per survivor; a bulk ``charge_*(n)`` would be a
-        different float sum — but computed a block of TIDs at a time:
-        the pool sees the block's page ids in order
-        (:meth:`~repro.storage.buffer.BufferPool.touch_pages`), the
-        residual is one mask over the block's rows of the heap image,
-        and the CPU charges go to the clock as one sequence.  A
-        block ends at its leaf's end or where a full batch would, so
+        Per entry ``index_entry``, the page request (a buffer hit, or the
+        disk's read) and ``inspect``; ``emit`` per survivor — counted a
+        block of TIDs at a time: the pool sees the block's page ids in
+        order (:meth:`~repro.storage.buffer.BufferPool.touch_pages`) and
+        the residual is one mask over the block's rows of the heap image.
+        A block ends at its leaf's end or where a full batch would, so
         nothing is read or charged past the entry that fills a batch.
         """
         heap = self.table.heap
@@ -113,10 +106,6 @@ class IndexScan(Operator):
         per_page = heap.tuples_per_page
         residual = (None if isinstance(self.residual, TruePredicate)
                     else self.residual.bind_mask(self.schema))
-        cpu = ctx.config.cpu
-        # One row per entry, in charge order; hit and emit are conditional.
-        costs = _np.array([cpu.index_entry, ctx.buffer.hit_cpu_ms,
-                           cpu.tuple_inspect, cpu.tuple_emit])
         rng = self.key_range
         pending: list = []
         room = DEFAULT_BATCH_SIZE
@@ -127,17 +116,16 @@ class IndexScan(Operator):
             while len(tids):
                 block, tids = tids[:room], tids[room:]
                 found = image.take(block)
-                charged = _np.ones((len(block), 4), dtype=bool)
-                charged[:, 1] = ctx.buffer.touch_pages(
-                    heap, (block // per_page).tolist())
-                mask = None if residual is None else residual(found)
-                if mask is not None:
-                    charged[:, 3] = mask
-                    found = found.filter(mask)
-                ctx.clock.charge_cpu_seq(
-                    _np.broadcast_to(costs, charged.shape)[charged])
+                ctx.buffer.touch_pages(heap, (block // per_page).tolist())
+                ctx.charge_index_entry(len(block))
+                ctx.charge_inspect(len(block))
+                if residual is not None:
+                    mask = residual(found)
+                    if mask is not None:
+                        found = found.filter(mask)
                 if found is None:
                     continue
+                ctx.charge_emit(len(found))
                 pending.append(found.sel)
                 room -= len(found)
                 if not room:
@@ -178,9 +166,10 @@ class SortScan(Operator):
         Phase 1 pulls the range as one array of TIDs, so collecting,
         sorting and page-grouping the bitmap are all array operations; a
         TID is a row's position in the heap image, so the sorted TIDs
-        emit in physical (page, slot) order.  Phase 2 fetches and charges
-        page by page but emits a dense run as one selection vector over
-        the heap image.
+        emit in physical (page, slot) order.  Phase 2 fetches a run of
+        pages with results as one pool request, inspects its candidates
+        and emits a dense run as one selection vector over the heap
+        image.
         """
         tids = self.index.scan_tids(
             ctx, lo=self.key_range.lo, hi=self.key_range.hi,
@@ -219,9 +208,8 @@ class SortScan(Operator):
             _np.concatenate(sparse)).to_rows() if sparse else []
         taken = 0
         for run_start, run_len, first, end in runs:
-            for page_id in ctx.get_run(heap, run_start, run_len):
-                lo, hi = spans[page_id]
-                ctx.charge_inspect(hi - lo)
+            ctx.get_run(heap, run_start, run_len)
+            ctx.charge_inspect(end - first)
             if end - first < run_len * _SPARSE_SLOTS_PER_PAGE:
                 out = sparse_rows[taken:taken + end - first]
                 taken += end - first

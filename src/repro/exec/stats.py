@@ -32,20 +32,42 @@ from repro.storage.types import Row
 
 @dataclass
 class RunResult:
-    """Everything measured about one query execution."""
+    """Everything measured about one query execution: its rows and its
+    :class:`~repro.runtime.CostLedger`."""
 
     rows: list[Row]
-    io_ms: float
-    cpu_ms: float
-    disk: DiskStats
-    buffer_hits: int
-    buffer_misses: int
+    ledger: CostLedger
     extras: dict = field(default_factory=dict)
+
+    @property
+    def io_ms(self) -> float:
+        """Simulated blocking I/O wait in milliseconds."""
+        return self.ledger.io_ms
+
+    @property
+    def cpu_ms(self) -> float:
+        """Simulated CPU time in milliseconds."""
+        return self.ledger.cpu_ms
+
+    @property
+    def disk(self) -> DiskStats:
+        """Table II's I/O accounting."""
+        return self.ledger.disk
+
+    @property
+    def buffer_hits(self) -> int:
+        """Pages served from the buffer pool."""
+        return self.ledger.buffer_hits
+
+    @property
+    def buffer_misses(self) -> int:
+        """Pages the buffer pool had to read."""
+        return self.ledger.buffer_misses
 
     @property
     def total_ms(self) -> float:
         """Total simulated execution time in milliseconds."""
-        return self.io_ms + self.cpu_ms
+        return self.ledger.total_ms
 
     @property
     def total_seconds(self) -> float:
@@ -196,15 +218,8 @@ class StreamingRun:
         Reads this run's private ledger, so interleaved queries on the
         same database never fold into each other's measurements.
         """
-        ledger = self.ledger
-        run = RunResult(
-            rows=rows if rows is not None else [],
-            io_ms=ledger.io_ms,
-            cpu_ms=ledger.cpu_ms,
-            disk=ledger.disk.snapshot(),
-            buffer_hits=ledger.buffer_hits,
-            buffer_misses=ledger.buffer_misses,
-        )
+        run = RunResult(rows=rows if rows is not None else [],
+                        ledger=self.ledger.snapshot())
         run.extras["row_count"] = self.rows_produced
         run.extras["partial"] = not self.exhausted
         return run

@@ -214,7 +214,7 @@ def _run_series(db: Database, name: str, options: PlannerOptions,
         # Conservation: the scheduled queries are the only activity
         # since the cold start, so their ledgers must sum to the
         # shared totals — no charge lost or double-attributed.
-        conserved &= report.total_ledger().matches(db.runtime.totals())
+        conserved &= report.total_ledger() == db.runtime.totals()
         reports[label] = report
     return SeriesRun(name=name, serial=reports["serial"],
                      contended=reports["contended"],

@@ -303,7 +303,7 @@ def _run_series(db: Database, name: str, options: PlannerOptions,
         loop = _build_loop(db, options, num_clients, max_inflight,
                            sla_multiple)
         report = loop.run(cold=True, interleave=interleave)
-        conserved = report.total_ledger().matches(db.runtime.totals())
+        conserved = report.total_ledger() == db.runtime.totals()
         runs[label] = ServingRun(
             report=report,
             admission=loop.front.admission.stats,

@@ -7,14 +7,13 @@ time so the scaling verdicts are deterministic:
    every selectivity point, serially (N = 1) and through an
    :class:`~repro.exec.exchange.Exchange` over N round-robin shards.
    Shards progress concurrently — the exchange overlaps their simulated
-   I/O and CPU by scaling the shared clock to ``1/live_shards`` — so a
+   I/O and CPU by dividing its share of the clock by the live shards — so a
    scan-bound point completes near-linearly faster, while the serial
    coordinator merge (one ``exchange_row`` charge per row) bounds the
    speedup below N (Amdahl).  Every sharded run is checked for exact
    row equality against the serial result and for *ledger
    conservation*: the per-shard attribution windows' ledgers must sum
-   to the run's own ledger — integer disk counters exactly, the
-   millisecond floats within ``CostLedger.matches`` tolerance.
+   to the run's own ledger exactly (every counter is an integer).
 
 2. **Serving mix** (the 1,000-client fleet of
    :mod:`repro.experiments.serving`, classic options): the same
@@ -202,15 +201,6 @@ class ShardScalingResult:
         return "\n".join(lines)
 
 
-def _ledger_of_run(res) -> CostLedger:
-    """The run's own ledger, rebuilt from its measured counters."""
-    run = res.run
-    return CostLedger(
-        io_ms=run.io_ms, cpu_ms=run.cpu_ms, disk=run.disk.snapshot(),
-        buffer_hits=run.buffer_hits, buffer_misses=run.buffer_misses,
-    )
-
-
 def _shard_ledger_sum(res) -> CostLedger | None:
     """Summed per-shard exchange ledgers, or None for a serial plan."""
     for op in res.plan.operators():
@@ -242,8 +232,7 @@ def _sweep(result: ShardScalingResult, num_tuples: int) -> None:
             if n == 1:
                 if shard_sum is not None:  # serial must stay serial
                     result.conservation_ok = False
-            elif shard_sum is not None and not shard_sum.matches(
-                    _ledger_of_run(res)):
+            elif shard_sum is not None and shard_sum != res.run.ledger:
                 # A sharded table may still plan serially (the model
                 # says going wide loses — e.g. a point lookup); only
                 # actual exchange runs owe the conservation proof.
@@ -272,7 +261,7 @@ def _serving_point(num_shards: int, num_tuples: int,
     loop = _build_loop(db, options, num_clients,
                        DEFAULT_SERVING_INFLIGHT, DEFAULT_SERVING_SLA)
     report = loop.run(cold=True, interleave=True)
-    conserved = report.total_ledger().matches(db.runtime.totals())
+    conserved = report.total_ledger() == db.runtime.totals()
     stats = loop.front.admission.stats
     point = ServingPoint(
         num_shards=num_shards,

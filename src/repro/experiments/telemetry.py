@@ -171,7 +171,7 @@ def _run_series(db: Database, name: str, options: PlannerOptions,
     statement.run({"lo": 0, "hi": seed_hi}, cold=True, keep_rows=False)
     report = build_schedule(db, statement, num_clients).run(
         cold=True, interleave=True)
-    conserved = report.total_ledger().matches(db.runtime.totals())
+    conserved = report.total_ledger() == db.runtime.totals()
     return report, conserved
 
 

@@ -10,16 +10,19 @@ client's random index probes seek the shared disk head away from
 another's sequential run, and evictions land on whoever is resident.
 
 What each query *measures*, by contrast, is private: a
-:class:`CostLedger` accumulates exactly the charges incurred while that
-query was running.  Attribution happens through *windows*: a
-:class:`~repro.exec.stats.StreamingRun` opens a window around every
-batch it pulls (:meth:`EngineRuntime.begin_attribution` /
-:meth:`EngineRuntime.end_attribution`), the clock routes millisecond
-charges into the active ledger as they happen, and the integer I/O and
-buffer counters are diffed into the ledger when the window closes.
-Summing the ledgers of every query therefore reproduces the shared
-totals — no charge is lost or double-attributed — while interleaved
-queries report correct isolated costs.
+:class:`CostLedger` holds exactly the events counted while that query
+was running.  Every counter is an integer — the clock's event counts
+per kind and overlap divisor, the disk's :class:`~repro.storage.disk.
+DiskStats` and the pool's hits and misses — and milliseconds are
+derived from the counts when read.  Attribution happens through
+*windows*: a :class:`~repro.exec.stats.StreamingRun` opens one around
+every batch it pulls (:meth:`EngineRuntime.begin_attribution` /
+:meth:`EngineRuntime.end_attribution`), and an Exchange opens a nested
+one around every shard pull.  Each window is one snapshot of all the
+counters when it opens and one diff, folded into its ledger, when it
+closes.  Summing the ledgers of every query therefore reproduces the
+shared totals *exactly* — no charge is lost or double-attributed —
+while interleaved queries report correct isolated costs.
 
 Reset responsibilities live in one place: :meth:`EngineRuntime.
 cold_start` (and only it) implements the paper's cold-run discipline —
@@ -34,7 +37,6 @@ execution, so it raises instead (the guard behind
 from __future__ import annotations
 
 import dataclasses
-import math
 import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -42,7 +44,18 @@ from typing import TYPE_CHECKING
 from repro.config import EngineConfig
 from repro.errors import ExecutionError
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import DiskProfile, DiskStats, SimClock, SimulatedDisk
+from repro.storage.disk import (
+    CPU_KINDS,
+    IO_KINDS,
+    Counts,
+    DiskProfile,
+    DiskStats,
+    SimClock,
+    SimulatedDisk,
+    add_counts,
+    counted_ms,
+    unit_costs,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.stats import StreamingRun
@@ -60,17 +73,30 @@ class CostLedger:
     """Every simulated cost one query incurred, isolated from the rest.
 
     The per-query counterpart of the shared runtime's aggregate
-    counters: simulated I/O-wait and CPU milliseconds, the Table-II
-    I/O accounting, and buffer hit/miss counts — attributed through
-    the runtime's attribution windows, so ledgers of interleaved
-    queries never bleed into each other.
+    counters: the clock's event counts (:class:`~repro.storage.disk.
+    SimClock`), the Table-II I/O accounting, and buffer hit/miss counts
+    — attributed through the runtime's attribution windows, so ledgers
+    of interleaved queries never bleed into each other.  Two ledgers are
+    equal when they counted the same events; ``units``, the milliseconds
+    per event the counts are read with, is the price list, not part of
+    what was charged.  A ledger without one takes the first it is added.
     """
 
-    io_ms: float = 0.0
-    cpu_ms: float = 0.0
+    counts: Counts = field(default_factory=dict)
     disk: DiskStats = field(default_factory=DiskStats)
     buffer_hits: int = 0
     buffer_misses: int = 0
+    units: tuple[float, ...] | None = field(default=None, compare=False)
+
+    @property
+    def io_ms(self) -> float:
+        """Simulated I/O wait this query spent, in milliseconds."""
+        return counted_ms(self.counts, self.units, IO_KINDS)
+
+    @property
+    def cpu_ms(self) -> float:
+        """Simulated CPU time this query spent, in milliseconds."""
+        return counted_ms(self.counts, self.units, CPU_KINDS)
 
     @property
     def total_ms(self) -> float:
@@ -80,32 +106,32 @@ class CostLedger:
     def snapshot(self) -> "CostLedger":
         """An independent copy of the current state."""
         return CostLedger(
-            io_ms=self.io_ms,
-            cpu_ms=self.cpu_ms,
+            counts={d: row.copy() for d, row in self.counts.items()},
             disk=self.disk.snapshot(),
             buffer_hits=self.buffer_hits,
             buffer_misses=self.buffer_misses,
+            units=self.units,
         )
 
     def add(self, other: "CostLedger") -> None:
         """Fold ``other``'s charges into this ledger (aggregation)."""
-        self.io_ms += other.io_ms
-        self.cpu_ms += other.cpu_ms
+        add_counts(self.counts, other.counts)
         self.disk.add(other.disk)
         self.buffer_hits += other.buffer_hits
         self.buffer_misses += other.buffer_misses
+        if self.units is None:
+            self.units = other.units
 
     def to_dict(self) -> dict:
         """JSON-ready shape (wire-protocol ``summary`` frames).
 
-        Integer counters stay integers and the millisecond floats
-        round-trip exactly through JSON, so a ledger shipped over the
-        serving protocol still satisfies :meth:`matches` against the
-        runtime totals — the conservation checks survive the wire.
+        Every counter is an integer and the unit costs round-trip
+        exactly through JSON, so :meth:`from_dict` rebuilds an equal
+        ledger — the conservation checks survive the wire.
         """
         return {
-            "io_ms": self.io_ms,
-            "cpu_ms": self.cpu_ms,
+            "counts": [[d, row] for d, row in sorted(self.counts.items())],
+            "units": None if self.units is None else list(self.units),
             "buffer_hits": self.buffer_hits,
             "buffer_misses": self.buffer_misses,
             "disk": dataclasses.asdict(self.disk),
@@ -114,33 +140,25 @@ class CostLedger:
     @classmethod
     def from_dict(cls, data: dict) -> "CostLedger":
         """Rebuild a ledger from :meth:`to_dict` output."""
+        units = data["units"]
         return cls(
-            io_ms=data["io_ms"],
-            cpu_ms=data["cpu_ms"],
+            counts={d: list(row) for d, row in data["counts"]},
             disk=DiskStats(**data["disk"]),
             buffer_hits=data["buffer_hits"],
             buffer_misses=data["buffer_misses"],
+            units=None if units is None else tuple(units),
         )
 
-    def matches(self, other: "CostLedger",
-                rel_tol: float = 1e-9, abs_tol: float = 1e-6) -> bool:
-        """True when both ledgers account the same charges.
-
-        Integer counters must match exactly (``DiskStats`` dataclass
-        equality covers every field, present and future); the
-        millisecond floats are compared with ``math.isclose`` because
-        summing per-query ledgers reorders floating-point additions
-        relative to the shared totals.
-        """
-        return (
-            self.disk == other.disk
-            and self.buffer_hits == other.buffer_hits
-            and self.buffer_misses == other.buffer_misses
-            and math.isclose(self.io_ms, other.io_ms,
-                             rel_tol=rel_tol, abs_tol=abs_tol)
-            and math.isclose(self.cpu_ms, other.cpu_ms,
-                             rel_tol=rel_tol, abs_tol=abs_tol)
-        )
+    def summary(self) -> dict:
+        """The ledger as a report shows it: derived milliseconds, disk
+        stats and buffer counts (the form trace files keep)."""
+        return {
+            "io_ms": self.io_ms,
+            "cpu_ms": self.cpu_ms,
+            "buffer_hits": self.buffer_hits,
+            "buffer_misses": self.buffer_misses,
+            "disk": dataclasses.asdict(self.disk),
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -159,16 +177,15 @@ class EngineRuntime:
     :class:`~repro.storage.disk.SimulatedDisk`,
     :class:`~repro.storage.buffer.BufferPool` and the physical catalog
     (tables, file-id allocation) — plus the attribution machinery that
-    routes charges into per-query :class:`CostLedger`\\ s and the
+    diffs charges into per-query :class:`CostLedger`\\ s and the
     registry of live streaming runs that guards cold starts.
     """
 
     def __init__(self, config: EngineConfig, profile: DiskProfile):
         self.config = config
         self.profile = profile
-        self.clock = SimClock()
+        self.clock = SimClock(unit_costs(config.cpu, profile))
         self.disk = SimulatedDisk(
-            profile=profile,
             clock=self.clock,
             page_size=config.page_size,
             extent_pages=config.extent_pages,
@@ -177,7 +194,6 @@ class EngineRuntime:
             disk=self.disk,
             capacity_pages=config.buffer_pool_pages
             or MIN_AUTO_BUFFER_PAGES,
-            hit_cpu_ms=config.cpu.buffer_hit,
         )
         # Deferred import: the tracer reads this runtime's clock, so
         # the telemetry package sits above this module.
@@ -189,14 +205,9 @@ class EngineRuntime:
         self.tables: dict[str, "Table"] = {}
         self._next_file_id = 0
         self._active: CostLedger | None = None
-        self._window_disk = DiskStats()
-        self._window_hits = 0
-        self._window_misses = 0
+        self._active_start: tuple = ()
         self._shard_active: CostLedger | None = None
-        self._shard_clock = (0.0, 0.0)
-        self._shard_disk = DiskStats()
-        self._shard_hits = 0
-        self._shard_misses = 0
+        self._shard_start: tuple = ()
         # Weak refs: a stream nobody can reach anymore (its cursor was
         # dropped undrained) cannot observe a cache reset, so it stops
         # guarding cold starts the moment it becomes unreachable.
@@ -221,15 +232,28 @@ class EngineRuntime:
 
     # -- per-query cost attribution ---------------------------------------
 
+    def _window(self) -> tuple:
+        """Every counter a window diffs, as of now."""
+        stats = self.buffer.stats
+        return (self.clock.snapshot(), self.disk.stats.snapshot(),
+                stats.hits, stats.misses)
+
+    def _fold(self, ledger: CostLedger, start: tuple) -> None:
+        """Add every counter's change since ``start`` into ``ledger``."""
+        counts, disk, hits, misses = start
+        add_counts(ledger.counts, self.clock.rows, counts)
+        ledger.units = self.clock.units
+        ledger.disk.add(self.disk.stats.diff(disk))
+        ledger.buffer_hits += self.buffer.stats.hits - hits
+        ledger.buffer_misses += self.buffer.stats.misses - misses
+
     def begin_attribution(self, ledger: CostLedger) -> None:
         """Open an attribution window: charges now belong to ``ledger``.
 
         Windows must not nest — concurrent queries interleave at batch
         boundaries (each pull wrapped in its own window), they do not
-        run inside one another.  Millisecond charges are routed into
-        the ledger as the clock accrues them; the integer disk/buffer
-        counters are snapshotted here and diffed in at
-        :meth:`end_attribution`.
+        run inside one another.  The counters are snapshotted here and
+        diffed into the ledger at :meth:`end_attribution`.
         """
         if self._active is not None:
             raise ExecutionError(
@@ -237,35 +261,26 @@ class EngineRuntime:
                 "queries at batch boundaries instead of nesting them"
             )
         self._active = ledger
-        self._window_disk = self.disk.stats.snapshot()
-        self._window_hits = self.buffer.stats.hits
-        self._window_misses = self.buffer.stats.misses
-        self.clock.ledger = ledger
+        self._active_start = self._window()
 
     def end_attribution(self) -> None:
         """Close the open window, folding counter deltas into its ledger."""
         ledger = self._active
         if ledger is None:
             raise ExecutionError("no attribution window is open")
-        self.clock.ledger = None
         self._active = None
-        ledger.disk.add(self.disk.stats.diff(self._window_disk))
-        ledger.buffer_hits += self.buffer.stats.hits - self._window_hits
-        ledger.buffer_misses += (self.buffer.stats.misses
-                                 - self._window_misses)
+        self._fold(ledger, self._active_start)
 
     def begin_shard_attribution(self, ledger: CostLedger) -> None:
         """Open a *nested* per-shard window inside the query's window.
 
         Shard-parallel execution decomposes one query's charges by
         shard: the Exchange operator wraps each shard slice in one of
-        these windows so per-shard ledgers tile the parent ledger.
-        Unlike :meth:`begin_attribution` this is purely diff-based — it
-        snapshots the clock and the integer counters here and folds the
-        deltas in at :meth:`end_shard_attribution`, never touching
-        ``clock.ledger`` or the outer window — so the parent ledger
-        keeps receiving every charge while the shard ledger records its
-        share.  Shard windows must not nest in each other.
+        these windows so per-shard ledgers tile the parent ledger.  It is
+        the same snapshot and diff as :meth:`begin_attribution`, kept
+        apart from the outer window, so the parent ledger still receives
+        every charge while the shard ledger records its share.  Shard
+        windows must not nest in each other.
         """
         if self._shard_active is not None:
             raise ExecutionError(
@@ -273,10 +288,7 @@ class EngineRuntime:
                 "slices interleave at batch boundaries, they do not nest"
             )
         self._shard_active = ledger
-        self._shard_clock = self.clock.snapshot()
-        self._shard_disk = self.disk.stats.snapshot()
-        self._shard_hits = self.buffer.stats.hits
-        self._shard_misses = self.buffer.stats.misses
+        self._shard_start = self._window()
 
     def end_shard_attribution(self) -> None:
         """Close the open shard window, folding deltas into its ledger."""
@@ -284,27 +296,22 @@ class EngineRuntime:
         if ledger is None:
             raise ExecutionError("no shard attribution window is open")
         self._shard_active = None
-        io_before, cpu_before = self._shard_clock
-        ledger.io_ms += self.clock.io_ms - io_before
-        ledger.cpu_ms += self.clock.cpu_ms - cpu_before
-        ledger.disk.add(self.disk.stats.diff(self._shard_disk))
-        ledger.buffer_hits += self.buffer.stats.hits - self._shard_hits
-        ledger.buffer_misses += (self.buffer.stats.misses
-                                 - self._shard_misses)
+        self._fold(ledger, self._shard_start)
 
     def totals(self) -> CostLedger:
         """The shared aggregate counters, as a ledger-shaped snapshot.
 
         Summing every query's ledger since the last cold start must
-        reproduce this (see :meth:`CostLedger.matches`) — the
-        conservation property the test suite asserts.
+        equal this — the conservation property the test suite asserts.
         """
+        counts: Counts = {}
+        add_counts(counts, self.clock.rows)
         return CostLedger(
-            io_ms=self.clock.io_ms,
-            cpu_ms=self.clock.cpu_ms,
+            counts=counts,
             disk=self.disk.stats.snapshot(),
             buffer_hits=self.buffer.stats.hits,
             buffer_misses=self.buffer.stats.misses,
+            units=self.clock.units,
         )
 
     # -- live streams and cold-start semantics -----------------------------

@@ -239,7 +239,7 @@ class Repl:
                 f"{ledger.disk.pages_read} pages  "
                 f"{ledger.buffer_hits}h/{ledger.buffer_misses}m"
             )
-        conserved = report.total_ledger().matches(self.db.runtime.totals())
+        conserved = report.total_ledger() == self.db.runtime.totals()
         self._print(
             f"({n} interleaved clients, p50 {report.p50_ms / 1000:.3f}s, "
             f"p99 {report.p99_ms / 1000:.3f}s, "
@@ -300,16 +300,11 @@ class Repl:
                     f"{ledger.disk.pages_read} pages  "
                     f"{ledger.buffer_hits}h/{ledger.buffer_misses}m"
                 )
-            run = result.run
-            own = CostLedger(io_ms=run.io_ms, cpu_ms=run.cpu_ms,
-                             disk=run.disk.snapshot(),
-                             buffer_hits=run.buffer_hits,
-                             buffer_misses=run.buffer_misses)
             self._print(
                 f"({n} shards, {result.row_count} rows, "
                 f"{result.total_seconds:.3f} s simulated completion; "
                 "shard ledgers sum to the query ledger: "
-                f"{'ok' if total.matches(own) else 'VIOLATED'})"
+                f"{'ok' if total == result.run.ledger else 'VIOLATED'})"
             )
         except ReproError as exc:
             self._print(f"error: {exc}")

@@ -1,8 +1,8 @@
 """LRU buffer pool: it tracks which pages are resident, nothing else.
 
 All timed page access goes through here.  A page is a number, so the
-pool holds ``(file_id, page_id)`` keys in LRU order.  A hit charges a
-tiny CPU cost; a miss delegates to the
+pool holds ``(file_id, page_id)`` keys in LRU order.  A hit counts one
+``buffer_hit`` on the clock; a miss delegates to the
 :class:`~repro.storage.disk.SimulatedDisk`, which charges sequential or
 random I/O and counts requests.  ``reset()`` empties the pool,
 reproducing the paper's cold runs ("we clear database buffer caches as
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 from repro.errors import StorageError, UnknownPageError
-from repro.storage.disk import SimulatedDisk
+from repro.storage.disk import BUFFER_HIT, SimulatedDisk
 
 
 class PagedFile(Protocol):
@@ -57,13 +57,11 @@ def _outside(file: PagedFile, page_id: int) -> UnknownPageError:
 class BufferPool:
     """A page-granular LRU cache of residency over the simulated disk."""
 
-    def __init__(self, disk: SimulatedDisk, capacity_pages: int,
-                 hit_cpu_ms: float = 5.0e-5):
+    def __init__(self, disk: SimulatedDisk, capacity_pages: int):
         if capacity_pages < 1:
             raise StorageError("buffer pool capacity must be >= 1 page")
         self.disk = disk
         self.capacity_pages = capacity_pages
-        self.hit_cpu_ms = hit_cpu_ms
         self.stats = BufferStats()
         #: Resident ``(file_id, page_id)`` keys, least recently used first.
         self._pages: OrderedDict[tuple[int, int], None] = OrderedDict()
@@ -97,7 +95,7 @@ class BufferPool:
         if key in self._pages:
             self._pages.move_to_end(key)
             self.stats.hits += 1
-            self.disk.clock.charge_cpu(self.hit_cpu_ms)
+            self.disk.clock.counts[BUFFER_HIT] += 1
             return
         if not 0 <= page_id < file.num_pages:
             raise _outside(file, page_id)
@@ -122,7 +120,7 @@ class BufferPool:
         if start_page < 0:  # the end is clipped; only the start can be out
             raise _outside(file, start_page)
         # One tight loop with bulk bookkeeping: stats and the buffer-hit
-        # CPU charge are applied once per run, not per page, so handing a
+        # count are applied once per run, not per page, so handing a
         # morphing region to a batch operator costs O(pages) dict
         # operations and nothing else.
         resident = self._pages
@@ -150,9 +148,8 @@ class BufferPool:
                     resident.popitem(last=False)
         if run_start is not None:
             self._read_span(file_id, run_start, end)
-        if hits:
-            self.stats.hits += hits
-            self.disk.clock.charge_cpu(self.hit_cpu_ms * hits)
+        self.stats.hits += hits
+        self.disk.clock.counts[BUFFER_HIT] += hits
         self.stats.misses += len(pages) - hits
         return pages
 
@@ -165,36 +162,32 @@ class BufferPool:
                 self._pages.pop((file_id, pid), None)
             raise
 
-    def touch_pages(self, file: PagedFile,
-                    page_ids: Iterable[int]) -> list[bool]:
-        """Request ``page_ids`` one at a time, in order; was each a hit?
+    def touch_pages(self, file: PagedFile, page_ids: Iterable[int]) -> None:
+        """Request ``page_ids`` one at a time, in order.
 
-        The pool and disk transitions of one :meth:`get_page` per id — a
-        miss is a single-page read, admitted (and the LRU victim evicted)
-        before the next id is looked at.  The hit CPU charge is *not*
-        made here: the caller places ``hit_cpu_ms`` per returned hit
-        inside its own per-tuple charge sequence, where :meth:`get_page`
-        would have charged it.
+        The pool and disk transitions, and the charges, of one
+        :meth:`get_page` per id — a miss is a single-page read, admitted
+        (and the LRU victim evicted) before the next id is looked at; the
+        hits are counted once, at the end.
         """
         resident = self._pages
         stats = self.stats
         file_id = file.file_id
         num_pages = file.num_pages
-        hits = []
+        hits = 0
         for pid in page_ids:
             key = (file_id, pid)
-            hit = key in resident
-            if hit:
+            if key in resident:
                 resident.move_to_end(key)
                 stats.hits += 1
+                hits += 1
             else:
                 if not 0 <= pid < num_pages:
                     raise _outside(file, pid)
                 stats.misses += 1
                 self.disk.read_page(file_id, pid)
                 self._admit(key)
-            hits.append(hit)
-        return hits
+        self.disk.clock.counts[BUFFER_HIT] += hits
 
     def reset(self) -> None:
         """Evict everything and zero stats (start of a cold run)."""

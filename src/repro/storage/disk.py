@@ -1,12 +1,17 @@
-"""The simulated disk: the substrate that replaces real page I/O.
+"""The simulated disk, and the clock that counts what it and the CPU do.
 
 The paper's results are driven by three quantities the real hardware
 provided: the cost of a sequential page read, the cost of a random page
 read, and the number of I/O requests issued.  :class:`SimulatedDisk`
-accounts exactly those.  A shared :class:`SimClock` accumulates simulated
-I/O-wait and CPU milliseconds, giving the CPU/IO breakdown of Figure 4
-without ever touching a real device (the ``repro_why`` substitution: real
-page-level I/O from Python is too slow for faithful benchmarks).
+accounts exactly those.  A shared :class:`SimClock` counts simulated
+events — sequential and random page units, and the nine CPU actions of
+:class:`~repro.config.CpuCosts` — as integers.  Milliseconds are derived
+when read: each count times its unit cost, summed in one fixed order
+(:data:`KINDS`), which gives the CPU/IO breakdown of Figure 4 without
+ever touching a real device (the ``repro_why`` substitution: real
+page-level I/O from Python is too slow for faithful benchmarks).  So a
+total does not depend on the order charges were made in, and a charge of
+``n`` events is the same as ``n`` charges of one.
 
 Sequential vs random classification follows head position: a read of page
 ``p`` of the same file is sequential when it lies within a short forward
@@ -19,13 +24,24 @@ are one request each.  This makes Table II's request counts reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, field, fields
 
-import numpy as _np
+from repro.config import CpuCosts
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime import CostLedger
+#: Every kind of event the clock counts, in the order milliseconds are
+#: summed: the :class:`~repro.config.CpuCosts` actions, then sequential
+#: and random page units.
+KINDS: tuple[str, ...] = (*(f.name for f in fields(CpuCosts)),
+                          "seq_page", "rand_page")
+SEQ_PAGE = KINDS.index("seq_page")
+RAND_PAGE = KINDS.index("rand_page")
+BUFFER_HIT = KINDS.index("buffer_hit")
+CPU_KINDS = range(SEQ_PAGE)
+IO_KINDS = (SEQ_PAGE, RAND_PAGE)
+
+#: Event counts by overlap divisor: ``{divisor: [count per kind]}``.
+Counts = dict[int, list[int]]
+_ZEROS = (0,) * len(KINDS)
 
 
 @dataclass(frozen=True)
@@ -63,87 +79,101 @@ class DiskProfile:
         return unit * self.ms_per_unit
 
 
-def _add_each(total: float, ms) -> float:
-    """``total += m`` for every ``m`` of the array ``ms``, left to right."""
-    return float(_np.add.accumulate(_np.concatenate(((total,), ms)))[-1])
+def unit_costs(cpu: CpuCosts, profile: DiskProfile) -> tuple[float, ...]:
+    """Milliseconds per event of each kind, in :data:`KINDS` order."""
+    return (*(getattr(cpu, kind) for kind in KINDS[:SEQ_PAGE]),
+            profile.page_ms(True), profile.page_ms(False))
 
 
-@dataclass
+def counted_ms(counts: Counts, units: tuple[float, ...], kinds) -> float:
+    """Milliseconds of ``kinds`` in ``counts``: per divisor, ascending, the
+    dot product of its counts with ``units`` in kind order, divided by the
+    divisor."""
+    total = 0.0
+    for divisor in sorted(counts):
+        row = counts[divisor]
+        ms = 0.0
+        for kind in kinds:
+            ms += row[kind] * units[kind]
+        total += ms / divisor
+    return total
+
+
+def add_counts(into: Counts, now: Counts, before: Counts | None = None) -> None:
+    """Add ``now - before`` into ``into``, row by row; no row of ``into``
+    is ever all zeros, so equal charges give equal dicts."""
+    for divisor, row in now.items():
+        base = None if before is None else before.get(divisor)
+        if base is None:
+            if not any(row):
+                continue
+            base = _ZEROS
+        elif row == base:
+            continue
+        have = into.get(divisor)
+        into[divisor] = ([a - b for a, b in zip(row, base)] if have is None
+                         else [h + a - b for h, a, b in zip(have, row, base)])
+
+
 class SimClock:
-    """Accumulates simulated time, split into I/O wait and CPU work.
+    """Counts simulated events; I/O wait and CPU milliseconds are derived.
 
     The clock is *shared*: every query a runtime executes charges into
-    the same totals.  When an attribution window is open (see
-    :class:`~repro.runtime.EngineRuntime`), charges are additionally
-    routed into that window's per-query :class:`~repro.runtime.
-    CostLedger`, which is how interleaved queries keep isolated
-    measurements over one shared clock.
+    the same counters, and each attribution window of
+    :class:`~repro.runtime.EngineRuntime` is a snapshot of them and a
+    diff.  A charge adds ``n`` to one kind of :attr:`counts`, the row of
+    the current overlap :attr:`divisor`: 1 outside an Exchange, the
+    number of shards still producing (times the enclosing divisor)
+    inside a shard pull — N shard workers progress concurrently, so each
+    unit of per-shard work advances *completion time* by 1/N.
     """
 
-    io_ms: float = 0.0
-    cpu_ms: float = 0.0
-    #: Elapsed-time multiplier for overlapped work.  The Exchange
-    #: operator sets this to ``1 / live_shards`` around shard pulls: N
-    #: shard workers progress concurrently, so each unit of per-shard
-    #: work advances *completion time* by 1/N.  At the default 1.0 the
-    #: multiplication is an exact float no-op, so serial execution is
-    #: bit-identical with or without this field.
-    scale: float = 1.0
-    #: The per-query ledger charges are currently attributed to, set by
-    #: ``EngineRuntime.begin_attribution`` / ``end_attribution``.
-    ledger: "CostLedger | None" = field(
-        default=None, repr=False, compare=False
-    )
+    def __init__(self, units: tuple[float, ...] | None = None):
+        #: Milliseconds per event, by kind (:func:`unit_costs`).
+        self.units = (units if units is not None
+                      else unit_costs(CpuCosts(), DiskProfile.hdd()))
+        self.divisor = 1
+        self.reset()
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"SimClock(io_ms={self.io_ms!r}, cpu_ms={self.cpu_ms!r})"
+
+    @property
+    def io_ms(self) -> float:
+        """Blocking I/O wait, in simulated milliseconds."""
+        return counted_ms(self.rows, self.units, IO_KINDS)
+
+    @property
+    def cpu_ms(self) -> float:
+        """CPU processing time, in simulated milliseconds."""
+        return counted_ms(self.rows, self.units, CPU_KINDS)
 
     @property
     def total_ms(self) -> float:
         """Total simulated elapsed time in milliseconds."""
         return self.io_ms + self.cpu_ms
 
-    def charge_io(self, ms: float) -> None:
-        """Add blocking I/O wait time."""
-        ms *= self.scale
-        self.io_ms += ms
-        ledger = self.ledger
-        if ledger is not None:
-            ledger.io_ms += ms
-
-    def charge_cpu(self, ms: float) -> None:
-        """Add CPU processing time."""
-        ms *= self.scale
-        self.cpu_ms += ms
-        ledger = self.ledger
-        if ledger is not None:
-            ledger.cpu_ms += ms
-
-    def charge_cpu_seq(self, costs: Sequence[float]) -> None:
-        """Charge every element of ``costs``, in order, in one call.
-
-        Bit-identical to one :meth:`charge_cpu` per element:
-        ``add.accumulate`` is a strict left-to-right running sum, started
-        at the current total (and at the open ledger's), over the same
-        per-element ``ms * scale`` products.  This is what lets a
-        per-tuple charge sequence be computed as an array without
-        becoming a different float sum.
-        """
-        ms = _np.asarray(costs, dtype=_np.float64) * self.scale
-        self.cpu_ms = _add_each(self.cpu_ms, ms)
-        ledger = self.ledger
-        if ledger is not None:
-            ledger.cpu_ms = _add_each(ledger.cpu_ms, ms)
+    def set_divisor(self, divisor: int) -> None:
+        """Count charges in the row of ``divisor`` until the next call."""
+        self.divisor = divisor
+        row = self.rows.get(divisor)
+        if row is None:
+            row = self.rows[divisor] = [0] * len(KINDS)
+        #: The row charges land in: ``counts[kind] += n``.
+        self.counts = row
 
     def reset(self) -> None:
-        """Zero both counters (start of a measured run).
+        """Zero every counter (start of a measured run).
 
         Attribution state is untouched: resets happen between queries
         (``EngineRuntime.cold_start`` refuses to run inside a window).
         """
-        self.io_ms = 0.0
-        self.cpu_ms = 0.0
+        self.rows: Counts = {}
+        self.set_divisor(self.divisor)
 
-    def snapshot(self) -> tuple[float, float]:
-        """Return ``(io_ms, cpu_ms)`` for delta measurements."""
-        return (self.io_ms, self.cpu_ms)
+    def snapshot(self) -> Counts:
+        """An independent copy of the counters, for window diffs."""
+        return {d: row.copy() for d, row in self.rows.items()}
 
 
 @dataclass
@@ -213,12 +243,12 @@ class SimulatedDisk:
     """Charges simulated time and counts requests for page accesses.
 
     The disk knows nothing about page *contents* — pages live in Python
-    objects — it only models the cost of moving them.  ``file_id`` spaces
-    keep the head-position bookkeeping of independent files (heaps, index
-    files) separate.
+    objects — it only models the cost of moving them, as page units on
+    the clock (whose unit costs carry the device's :class:`DiskProfile`).
+    ``file_id`` spaces keep the head-position bookkeeping of independent
+    files (heaps, index files) separate.
     """
 
-    profile: DiskProfile
     clock: SimClock
     page_size: int = 8192
     extent_pages: int = 16
@@ -252,7 +282,7 @@ class SimulatedDisk:
                   stream_hint: bool = False) -> None:
         """Charge one page read; sequential iff it continues the last read."""
         sequential = self._is_sequential(file_id, page_id, stream_hint)
-        self.clock.charge_io(self.profile.page_ms(sequential))
+        self.clock.counts[SEQ_PAGE if sequential else RAND_PAGE] += 1
         self.stats.requests += 1
         self.stats.pages_read += 1
         self.stats.bytes_read += self.page_size
@@ -273,8 +303,12 @@ class SimulatedDisk:
         if n_pages <= 0:
             return
         first_sequential = self._is_sequential(file_id, start_page)
-        self.clock.charge_io(self.profile.page_ms(first_sequential))
-        self.clock.charge_io(self.profile.page_ms(True) * (n_pages - 1))
+        counts = self.clock.counts
+        if first_sequential:
+            counts[SEQ_PAGE] += n_pages
+        else:
+            counts[RAND_PAGE] += 1
+            counts[SEQ_PAGE] += n_pages - 1
         self.stats.requests += -(-n_pages // self.extent_pages)  # ceil div
         self.stats.pages_read += n_pages
         self.stats.bytes_read += n_pages * self.page_size
@@ -291,7 +325,7 @@ class SimulatedDisk:
         them back, both sequential (2n page transfers, batched requests)."""
         if n_pages <= 0:
             return
-        self.clock.charge_io(self.profile.page_ms(True) * 2 * n_pages)
+        self.clock.counts[SEQ_PAGE] += 2 * n_pages
         self.stats.requests += 2 * -(-n_pages // self.extent_pages)
         self.stats.pages_read += n_pages
         self.stats.bytes_read += n_pages * self.page_size
@@ -308,7 +342,7 @@ class SimulatedDisk:
         """
         if n_pages <= 0:
             return
-        self.clock.charge_io(self.profile.page_ms(True) * n_pages)
+        self.clock.counts[SEQ_PAGE] += n_pages
         self.stats.requests += -(-n_pages // self.extent_pages)  # ceil div
         self.stats.pages_written += n_pages
         self.stats.bytes_written += n_pages * self.page_size
@@ -320,7 +354,7 @@ class SimulatedDisk:
         belong to")."""
         if n_pages <= 0:
             return
-        self.clock.charge_io(self.profile.page_ms(True) * n_pages)
+        self.clock.counts[SEQ_PAGE] += n_pages
         self.stats.requests += -(-n_pages // self.extent_pages)  # ceil div
         self.stats.pages_read += n_pages
         self.stats.bytes_read += n_pages * self.page_size

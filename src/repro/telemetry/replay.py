@@ -4,9 +4,10 @@
 from the trace's setup recipe, replays every captured run through the
 real session layer (plan cache included) and the real
 :class:`~repro.exec.scheduler.CooperativeScheduler`, and compares each
-statement's outcome against the recording: rows must be equal, integer
-ledger counters (pages, requests, buffer hits/misses) must be equal,
-and the millisecond floats must match within 1e-9 relative tolerance.
+statement's outcome against the recording: rows must be equal, and so
+must the ledger's summary — its integer counters (pages, requests,
+buffer hits/misses) and its milliseconds, which are derived from
+integer event counts and so are reproduced to the bit.
 
 The engine is deterministic — simulated clock, simulated disk, no
 threads — so a faithful replay reproduces the original interleaving
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
-from repro.runtime import CostLedger
 from repro.telemetry.capture import (
     CapturedRun,
     CapturedStatement,
@@ -33,10 +33,7 @@ from repro.telemetry.capture import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.database import Database
     from repro.exec.scheduler import WorkloadReport
-
-#: Float tolerance for millisecond comparisons (integers are exact).
-REL_TOL = 1e-9
-ABS_TOL = 1e-9
+    from repro.runtime import CostLedger
 
 
 def build_database(setup: dict) -> "Database":
@@ -78,16 +75,15 @@ class ReplayResult:
                 f"{self.statements} statements diverged\n{head}")
 
 
-def _check(recorded: CapturedStatement, rows: int, ledger: CostLedger,
+def _check(recorded: CapturedStatement, rows: int, ledger: "CostLedger",
            where: str, result: ReplayResult) -> None:
     result.statements += 1
-    expected = CostLedger.from_dict(recorded.ledger)
     if rows != recorded.rows:
         result.mismatches.append(
             f"{where}: rows {rows} != recorded {recorded.rows}")
-    elif not expected.matches(ledger, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+    elif ledger.summary() != recorded.ledger:
         result.mismatches.append(
-            f"{where}: ledger {ledger.to_dict()} != recorded "
+            f"{where}: ledger {ledger.summary()} != recorded "
             f"{recorded.ledger}")
 
 
@@ -118,13 +114,7 @@ def _replay_run(db: "Database", run: CapturedRun,
         for i, seed in enumerate(run.seeds):
             res = prepared(seed).run(seed.params, cold=seed.cold,
                                      keep_rows=False)
-            ledger = CostLedger(
-                io_ms=res.run.io_ms, cpu_ms=res.run.cpu_ms,
-                disk=res.run.disk.snapshot(),
-                buffer_hits=res.run.buffer_hits,
-                buffer_misses=res.run.buffer_misses,
-            )
-            _check(seed, res.row_count, ledger,
+            _check(seed, res.row_count, res.run.ledger,
                    f"{run.label}/seed[{i}]", result)
         if run.clients:
             scheduler = CooperativeScheduler(db, quantum=run.quantum)

@@ -11,7 +11,6 @@ must agree *exactly* with the in-memory
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 from repro.telemetry.schema import QUERIES_TABLE
@@ -104,26 +103,19 @@ def report_totals(report: "WorkloadReport") -> dict:
 
 
 def verify_against_report(store: "HistoryStore", report: "WorkloadReport",
-                          run_id: int = 0, *,
-                          rel_tol: float = 1e-9) -> list[str]:
+                          run_id: int = 0) -> list[str]:
     """Mismatches between SQL rollups and the in-memory report.
 
-    Integer counters must be equal; millisecond sums must match within
-    ``rel_tol`` (they are sums of identical floats, so in practice they
-    are bitwise equal — the tolerance only forgives summation order).
-    Returns an empty list when the warehouse agrees exactly.
+    Every total must be equal: integer counters, and millisecond sums
+    that add the same per-query floats in the same order.  Returns an
+    empty list when the warehouse agrees exactly.
     """
     sql_side = totals(store, run_id=run_id)
     mem_side = report_totals(report)
     problems = []
     for name, expected in mem_side.items():
         actual = sql_side[name]
-        if isinstance(expected, int):
-            ok = int(actual) == expected
-        else:
-            ok = math.isclose(actual, expected, rel_tol=rel_tol,
-                              abs_tol=1e-9)
-        if not ok:
+        if actual != expected:
             problems.append(f"{name}: sql={actual!r} report={expected!r}")
     sql_queries = sum(row["queries"] for row in by_bin(store, run_id=run_id))
     if sql_queries != mem_side["queries"]:

@@ -202,7 +202,7 @@ class Tracer:
             "rand_pages": ledger.disk.rand_pages,
             "buffer_hits": ledger.buffer_hits,
             "buffer_misses": ledger.buffer_misses,
-            "ledger": ledger.to_dict(),
+            "ledger": ledger.summary(),
         }
         if error is not None:
             attrs["error"] = error

@@ -7,12 +7,12 @@ def snapshot(ctx, page_id):
     return page
 
 
-def tax(clock):
-    clock.charge_cpu(0.5)
+def merge_rows(ctx, batch):
+    ctx.charge_exchange(len(batch))
 
 
-def tax_each(clock, costs):
-    clock.charge_cpu_seq(costs)
+def tax(clock, kind):
+    clock.counts[kind] += 1
 
 
 def warm(buffer, heap, page_ids):

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from repro.database import Database
+from repro.storage.disk import IO_KINDS, KINDS, add_counts
 from repro.storage.types import Schema
 from repro.workloads.micro import build_micro_table
 
@@ -51,29 +52,52 @@ def _digest(values):
 
 
 def _observe_charges(db, fn):
-    """Call ``fn()``; its result and what it charged.
+    """Call ``fn(mark)``; its result and what it charged, batch by batch.
 
-    The charges are length + SHA-256 of the exact argument sequences of
-    ``SimClock.charge_cpu`` / ``charge_io`` — the form the
-    frozen-at-the-parent goldens are kept in.  A ``charge_cpu_seq`` call
-    is recorded element by element, as the per-element charges it stands
-    for, so goldens frozen before a loop became a sequence still hold.
+    A batch is what the clock counted between two calls of ``mark()``
+    (the last one runs to ``fn``'s return): ``(kind, divisor, n)`` for
+    every nonzero count, in kind then divisor order.  The record is
+    length + SHA-256 of the per-batch CPU counts and of the per-batch
+    page units — the form the charge goldens are kept in.  A cold
+    start's reset of the clock is bridged, so a batch spans one.
+
+    The goldens' ``cpu`` / ``io`` records were re-recorded in this form
+    at the commit before the clock counted events, by counting every
+    charge call there by kind and overlap divisor (``round(1 / scale)``);
+    each golden's other fields are as first recorded.
     """
-    cpu, io = [], []
-    # Hooked on the runtime's clock instance, outside whatever is there
-    # already (the ledger sanitizer hooks the same attributes).
     clock = db.runtime.clock
-    charge_cpu, charge_io = clock.charge_cpu, clock.charge_io
-    charge_cpu_seq = clock.charge_cpu_seq
+    batches = []
+    pending: dict = {}
+    base = [clock.snapshot()]
+
+    def fold():
+        add_counts(pending, clock.rows, base[0])
+        base[0] = clock.snapshot()
+
+    def mark():
+        fold()
+        counted = sorted((kind, divisor, n)
+                         for divisor, row in pending.items()
+                         for kind, n in enumerate(row) if n)
+        batches.append(tuple(
+            tuple((KINDS[kind], divisor, n) for kind, divisor, n in counted
+                  if (kind in IO_KINDS) == io) for io in (False, True)))
+        pending.clear()
+
+    reset = clock.reset
+
+    def bridged_reset():
+        fold()
+        reset()
+        base[0] = clock.snapshot()
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(clock, "charge_cpu",
-                      lambda ms: (cpu.append(ms), charge_cpu(ms))[1])
-        patch.setattr(clock, "charge_cpu_seq", lambda costs: (
-            cpu.extend(costs.tolist()), charge_cpu_seq(costs))[1])
-        patch.setattr(clock, "charge_io",
-                      lambda ms: (io.append(ms), charge_io(ms))[1])
-        result = fn()
-    return result, {"cpu": _digest(cpu), "io": _digest(io)}
+        patch.setattr(clock, "reset", bridged_reset)
+        result = fn(mark)
+    mark()
+    return result, {"cpu": _digest([cpu for cpu, _ in batches]),
+                    "io": _digest([io for _, io in batches])}
 
 
 def _observe_plan(db, plan, cold=True):
@@ -87,12 +111,13 @@ def _observe_plan(db, plan, cold=True):
     """
     from repro.exec.stats import StreamingRun
 
-    def drain():
+    def drain(mark):
         run = StreamingRun(db, plan, cold=cold)
         rows, lengths = [], []
         while (batch := run.next_batch()) is not None:
             lengths.append(len(batch))
             rows.extend(batch)
+            mark()
         return rows, lengths
 
     (rows, lengths), charges = _observe_charges(db, drain)

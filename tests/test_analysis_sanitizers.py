@@ -8,6 +8,7 @@ from repro.analysis.sanitizers import (
     SanitizerError,
 )
 from repro.database import Database
+from repro.storage.disk import KINDS, RAND_PAGE
 from repro.storage.types import Schema
 
 # These tests install their own sanitizers and plant deliberate
@@ -16,6 +17,7 @@ pytestmark = pytest.mark.no_suite_sanitizer
 
 ROWS = [(i, i % 10) for i in range(3_000)]
 SQL = "SELECT a FROM t WHERE b = :b"
+INSPECT = KINDS.index("tuple_inspect")
 
 
 def make_db():
@@ -57,25 +59,39 @@ def test_planted_unattributed_charge_is_caught():
     db = make_db()
     sanitizer = LedgerSanitizer(db.runtime).install()
     run_query(db)
-    with pytest.raises(SanitizerError, match="outside any attribution"):
-        db.clock.charge_io(5.0)  # the planted defect
-    assert sanitizer.violations[0].kind == "unattributed-charge"
-    assert "charge_io" in sanitizer.violations[0].detail
+    db.clock.counts[RAND_PAGE] += 5  # the planted defect
+    with pytest.raises(SanitizerError, match="outside any window"):
+        sanitizer.check()
+    assert sanitizer.violations[0].kind == "unattributed-counters"
+    assert "rand_page+5" in sanitizer.violations[0].detail
     sanitizer.uninstall()
 
 
 def test_planted_unattributed_sequence_charge_is_caught():
+    """A charge of ``n`` events between windows is caught at the next
+    window, with its count and its overlap divisor."""
     db = make_db()
     sanitizer = LedgerSanitizer(db.runtime).install()
     run_query(db)
-    before = db.clock.cpu_ms
-    with pytest.raises(SanitizerError, match="outside any attribution"):
-        db.clock.charge_cpu_seq([0.25, 0.5])  # the planted defect
-    assert "charge_cpu_seq(0.75 ms)" in sanitizer.violations[0].detail
-    assert db.clock.cpu_ms == before  # strict: refused, not charged
+    db.clock.set_divisor(3)
+    db.clock.counts[INSPECT] += 250  # the planted defect
+    db.clock.set_divisor(1)
+    with pytest.raises(SanitizerError, match="tuple_inspect/3\\+250"):
+        run_query(db)
     sanitizer.uninstall()
-    db.clock.charge_cpu_seq([0.25, 0.5])  # unhooked again: must not raise
-    assert db.clock.cpu_ms == before + 0.25 + 0.5
+
+
+def test_planted_non_integer_count_is_caught():
+    db = make_db()
+    sanitizer = LedgerSanitizer(db.runtime, strict=False).install()
+    run_query(db)
+    # repro: allow[RPL105] -- the planted defect: n must be an int
+    db.clock.counts[INSPECT] += 0.5
+    sanitizer.check()
+    sanitizer.uninstall()
+    assert [v.kind for v in sanitizer.violations] == [
+        "non-integer-count", "unattributed-counters"]
+    assert "tuple_inspect" in sanitizer.violations[0].detail
 
 
 def test_planted_counter_drift_is_caught_at_check():
@@ -111,12 +127,13 @@ def test_non_strict_collects_instead_of_raising():
     db = make_db()
     sanitizer = LedgerSanitizer(db.runtime, strict=False).install()
     run_query(db)
-    db.clock.charge_cpu(1.0)
-    db.clock.charge_cpu(1.0)
+    db.clock.counts[INSPECT] += 1
+    sanitizer.check()
+    db.clock.counts[INSPECT] += 1
     sanitizer.check()
     sanitizer.uninstall()
     assert len(sanitizer.violations) == 2
-    assert all("charge_cpu" in v.detail for v in sanitizer.violations)
+    assert all("tuple_inspect+1" in v.detail for v in sanitizer.violations)
     assert all(v.where for v in sanitizer.violations)
 
 
@@ -125,9 +142,10 @@ def test_uninstall_restores_the_runtime():
     sanitizer = LedgerSanitizer(db.runtime).install()
     run_query(db)
     sanitizer.uninstall()
-    db.clock.charge_io(5.0)  # no window, no sanitizer: must not raise
-    before = len(sanitizer.violations)
-    assert before == 0
+    assert "begin_attribution" not in vars(db.runtime)
+    db.clock.counts[RAND_PAGE] += 5  # no window, no sanitizer: must not raise
+    run_query(db)
+    assert sanitizer.violations == []
 
 
 # -- DeterminismSanitizer -----------------------------------------------------

@@ -348,11 +348,11 @@ def test_connection_close_finalizes_ledgers_exactly():
     session.close()
     # Even for half-drained streams, every charge the session caused
     # is attributed to exactly one cursor ledger: their sum reproduces
-    # the runtime totals (exact integer counters, 1e-9 ms).
+    # the runtime totals exactly.
     summed = CostLedger()
     for ledger in ledgers:
         summed.add(ledger)
-    assert summed.matches(db.runtime.totals())
+    assert summed == db.runtime.totals()
 
 
 def test_open_cursors_prunes_closed_and_dropped_handles():

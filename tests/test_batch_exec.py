@@ -53,6 +53,7 @@ from repro.exec.misc import Filter, Limit, Materialize, Project, Rename
 from repro.exec.scans import FullTableScan, IndexScan, SortScan
 from repro.exec.sort import Sort
 from repro.storage.chunk import Chunk
+from repro.storage.disk import KINDS
 from repro.storage.types import Column, ColumnType, Schema
 
 ALL_POLICIES = [GreedyPolicy(), SelectivityIncreasePolicy(), ElasticPolicy()]
@@ -517,12 +518,11 @@ class _PerTidIndexScan(IndexScan):
 
 
 def test_index_scan_charges_once_per_tid(observe_plan):
-    """One heap-page request and one unit inspect per index entry, one
-    unit emit per survivor: never a bulk ``charge_*(n)``, which would be
-    a different float sum than the paper's per-tuple loop.  The block
-    walk must be that loop to the bit: same rows and batches, same
-    ``charge_cpu`` / ``charge_io`` argument sequences, same ledger —
-    with and without a residual, roomy pool and thrashing one."""
+    """One heap-page request and one inspect per index entry, one emit
+    per survivor: the paper's per-TID loop.  The block walk must count
+    what that loop counts: same rows and batches, same counts per batch,
+    same ledger — with and without a residual, roomy pool and thrashing
+    one."""
     import random
 
     from repro.config import EngineConfig
@@ -545,13 +545,15 @@ def test_index_scan_charges_once_per_tid(observe_plan):
             wanted_rows, wanted = observe_plan(db, _PerTidIndexScan(*args))
             assert rows == wanted_rows and len(rows) > DEFAULT_BATCH_SIZE
             assert observed == wanted
-            # entry + inspect per entry, emit per survivor, hits on top.
-            assert observed["cpu"][0] >= 2 * entries + len(rows)
             got, want = (measure(db, scan(*args))
                          for scan in (IndexScan, _PerTidIndexScan))
-            for field in ("io_ms", "cpu_ms", "disk",
-                          "buffer_hits", "buffer_misses"):
-                assert getattr(got, field) == getattr(want, field), field
+            assert got.ledger == want.ledger
+            assert (got.io_ms, got.cpu_ms) == (want.io_ms, want.cpu_ms)
+            # entry + inspect per entry, emit per survivor, hits on top.
+            counts = dict(zip(KINDS, got.ledger.counts[1], strict=True))
+            assert counts["index_entry"] == counts["tuple_inspect"] == entries
+            assert counts["tuple_emit"] == len(rows)
+            assert counts["buffer_hit"] == got.buffer_hits
             assert got.buffer_hits + got.buffer_misses > entries
 
 

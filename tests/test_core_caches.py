@@ -175,7 +175,7 @@ def test_result_cache_hit_rate(rc):
 
 
 def test_result_cache_spill_and_unspill():
-    disk = SimulatedDisk(profile=DiskProfile.hdd(), clock=SimClock())
+    disk = SimulatedDisk(clock=SimClock())
     cache = ResultCache(separators=[100], bytes_per_entry=1000,
                         memory_limit_bytes=3000, page_bytes=8192)
     # Fill the far partition (keys >= 100) past the limit while probing
@@ -210,7 +210,7 @@ def test_page_id_cache_rejects_marks_on_empty_table():
 def test_result_cache_advance_counts_spilled_evictions():
     # Regression: spilled partitions were dropped without counting their
     # entries in evicted_entries.
-    disk = SimulatedDisk(profile=DiskProfile.hdd(), clock=SimClock())
+    disk = SimulatedDisk(clock=SimClock())
     cache = ResultCache(separators=[100, 200, 300], bytes_per_entry=1000,
                         memory_limit_bytes=3000, page_bytes=8192)
     for i in range(5):  # partition [200, 300): spills past the limit
@@ -244,7 +244,7 @@ def test_result_cache_advance_is_incremental():
 def test_result_cache_unspill_charges_read_not_spill():
     # Regression: _unspill charged disk.spill() — a write-plus-read —
     # when reading an overflow file back.
-    disk = SimulatedDisk(profile=DiskProfile.hdd(), clock=SimClock())
+    disk = SimulatedDisk(clock=SimClock())
     cache = ResultCache(separators=[100], bytes_per_entry=1000,
                         memory_limit_bytes=3000, page_bytes=8192)
     for i in range(5):
@@ -262,7 +262,7 @@ def test_result_cache_unspill_charges_read_not_spill():
     assert cache.stats.unspill_pages_read == spill_pages
     assert disk.stats.pages_read - read_before == spill_pages
     # The read-back costs one sequential pass, not the 2x of a spill.
-    expected = disk.profile.page_ms(True) * spill_pages
+    expected = DiskProfile.hdd().page_ms(True) * spill_pages
     assert disk.clock.io_ms - before_io == pytest.approx(expected)
 
 
@@ -277,7 +277,7 @@ def test_result_cache_insert_below_advanced_position_raises():
 
 
 def test_result_cache_insert_into_spilled_partition_counts_on_advance():
-    disk = SimulatedDisk(profile=DiskProfile.hdd(), clock=SimClock())
+    disk = SimulatedDisk(clock=SimClock())
     cache = ResultCache(separators=[100, 400], bytes_per_entry=1000,
                         memory_limit_bytes=3000, page_bytes=8192)
     for i in range(5):  # partition [100, 400): spills past the limit

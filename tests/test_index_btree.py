@@ -11,7 +11,7 @@ from repro.errors import BTreeError, UnknownPageError
 from repro.index import layout
 from repro.index.btree import BTreeIndex
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import DiskProfile, SimClock, SimulatedDisk
+from repro.storage.disk import SimClock, SimulatedDisk
 from repro.storage.types import Column, ColumnType, Schema
 
 
@@ -166,7 +166,7 @@ def test_geometry_is_worked_out_per_build_and_dropped_by_insert():
 
 def test_page_bounds():
     index = make_index(range(10))
-    pool = BufferPool(SimulatedDisk(DiskProfile.hdd(), SimClock()), 4)
+    pool = BufferPool(SimulatedDisk(SimClock()), 4)
     pool.get_page(index, index.num_pages - 1)
     with pytest.raises(UnknownPageError, match="outside file 9 of 1 pages"):
         pool.get_page(index, index.num_pages)
@@ -277,49 +277,49 @@ def build_golden_table(kind):
 def observe_reads(observe_charges, db, index, read, ranges, per_page):
     """What ``read`` returns and charges over ``ranges``, each run cold."""
     observe, digest = observe_charges
-    got, charges = observe(db, lambda: [
-        read_entries(index, db.cold_run(), read, bounds, per_page)
+    got, charges = observe(db, lambda mark: [
+        (read_entries(index, db.cold_run(), read, bounds, per_page), mark())[0]
         for bounds in ranges])
     return {"entries": digest(got), **charges}
 
 
 BTREE_GOLDEN = {
-    "char/scan": {"cpu": [23893, "740824a19416fc64"],
+    "char/scan": {"cpu": [13, "bc12626c54fc6954"],
                   "entries": [12, "d196533faec5cc5d"],
-                  "io": [65, "9cd99426c8adfbd0"]},
-    "char/scan_batches": {"cpu": [49, "bb7a7a96be7aff5b"],
+                  "io": [13, "d4f65a656cada10a"]},
+    "char/scan_batches": {"cpu": [13, "bc12626c54fc6954"],
                           "entries": [12, "d196533faec5cc5d"],
-                          "io": [65, "9cd99426c8adfbd0"]},
-    "char/scan_codes": {"cpu": [49, "bb7a7a96be7aff5b"],
+                          "io": [13, "d4f65a656cada10a"]},
+    "char/scan_codes": {"cpu": [13, "bc12626c54fc6954"],
                         "entries": [12, "de65bc8bd92331b3"],
-                        "io": [65, "9cd99426c8adfbd0"]},
-    "char/scan_leaf_codes": {"cpu": [0, "4f53cda18c2baa0c"],
+                        "io": [13, "d4f65a656cada10a"]},
+    "char/scan_leaf_codes": {"cpu": [13, "ff4169030dc054d1"],
                              "entries": [12, "de65bc8bd92331b3"],
-                             "io": [65, "9cd99426c8adfbd0"]},
-    "float/scan": {"cpu": [23893, "740824a19416fc64"],
+                             "io": [13, "d4f65a656cada10a"]},
+    "float/scan": {"cpu": [13, "bc12626c54fc6954"],
                    "entries": [12, "cf23b1abb4bcb496"],
-                   "io": [51, "9f6e5a8644672364"]},
-    "float/scan_batches": {"cpu": [35, "ae4a3fa2dd80ff91"],
+                   "io": [13, "8f90651e4e2854e0"]},
+    "float/scan_batches": {"cpu": [13, "bc12626c54fc6954"],
                            "entries": [12, "cf23b1abb4bcb496"],
-                           "io": [51, "9f6e5a8644672364"]},
-    "float/scan_codes": {"cpu": [35, "ae4a3fa2dd80ff91"],
+                           "io": [13, "8f90651e4e2854e0"]},
+    "float/scan_codes": {"cpu": [13, "bc12626c54fc6954"],
                          "entries": [12, "7073c01987329f29"],
-                         "io": [51, "9f6e5a8644672364"]},
-    "float/scan_leaf_codes": {"cpu": [0, "4f53cda18c2baa0c"],
+                         "io": [13, "8f90651e4e2854e0"]},
+    "float/scan_leaf_codes": {"cpu": [13, "ff4169030dc054d1"],
                               "entries": [12, "7073c01987329f29"],
-                              "io": [51, "9f6e5a8644672364"]},
-    "int/scan": {"cpu": [23893, "740824a19416fc64"],
+                              "io": [13, "8f90651e4e2854e0"]},
+    "int/scan": {"cpu": [13, "bc12626c54fc6954"],
                  "entries": [12, "cdf314391c0e257e"],
-                 "io": [38, "b29912f890f50fb5"]},
-    "int/scan_batches": {"cpu": [22, "d2d25397a094d140"],
+                 "io": [13, "0980cf35e00c684b"]},
+    "int/scan_batches": {"cpu": [13, "bc12626c54fc6954"],
                          "entries": [12, "cdf314391c0e257e"],
-                         "io": [38, "b29912f890f50fb5"]},
-    "int/scan_codes": {"cpu": [22, "d2d25397a094d140"],
+                         "io": [13, "0980cf35e00c684b"]},
+    "int/scan_codes": {"cpu": [13, "bc12626c54fc6954"],
                        "entries": [12, "621a00cecdebb8d0"],
-                       "io": [38, "b29912f890f50fb5"]},
-    "int/scan_leaf_codes": {"cpu": [0, "4f53cda18c2baa0c"],
+                       "io": [13, "0980cf35e00c684b"]},
+    "int/scan_leaf_codes": {"cpu": [13, "ff4169030dc054d1"],
                             "entries": [12, "621a00cecdebb8d0"],
-                            "io": [38, "b29912f890f50fb5"]},
+                            "io": [13, "0980cf35e00c684b"]},
 }
 
 

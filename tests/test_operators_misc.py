@@ -238,24 +238,24 @@ ROW_LIST_FILTERS = {
 }
 
 #: Frozen at the parent of the change that dropped the row-list selectors:
-#: rows, batch lengths and charge sequences of each Filter over INLJ.
+#: rows, batch lengths and per-batch charge counts of each Filter over INLJ.
 ROW_LIST_FILTER_GOLDEN = {
     "null-rejecting/classic": {
         "rows": [2997, "043c509efc5491ca"],
         "batches": [395, 373, 384, 428, 415, 389, 415, 198],
-        "cpu": [44975, "0f9a2da8536b3771"], "io": [76, "73c5ac6a63b6770c"]},
+        "cpu": [9, "2d394cd667f07fd4"], "io": [9, "9b02c4f13e841c4e"]},
     "null-rejecting/smooth": {
         "rows": [2997, "043c509efc5491ca"],
         "batches": [395, 373, 384, 428, 415, 389, 415, 198],
-        "cpu": [43525, "50c49f9253ac95b9"], "io": [129, "b10b59ed71a1e325"]},
+        "cpu": [9, "888745622c556e99"], "io": [9, "9b02c4f13e841c4e"]},
     "q19/classic": {
         "rows": [305, "43c1c748a4b43c37"],
         "batches": [31, 47, 42, 33, 40, 49, 41, 22],
-        "cpu": [44975, "0f9a2da8536b3771"], "io": [76, "73c5ac6a63b6770c"]},
+        "cpu": [9, "2d394cd667f07fd4"], "io": [9, "9b02c4f13e841c4e"]},
     "q19/smooth": {
         "rows": [305, "43c1c748a4b43c37"],
         "batches": [31, 47, 42, 33, 40, 49, 41, 22],
-        "cpu": [43525, "50c49f9253ac95b9"], "io": [129, "b10b59ed71a1e325"]},
+        "cpu": [9, "888745622c556e99"], "io": [9, "9b02c4f13e841c4e"]},
 }
 
 

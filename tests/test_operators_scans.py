@@ -145,7 +145,7 @@ def test_scan_on_empty_table(db):
 # (when the dense branch took, filtered and concatenated page by page) by
 # running conftest's ``observe_plan`` over ``SORT_CASES`` there: row count
 # and SHA-256 of ``repr(rows)``, the batch lengths, and length + SHA-256 of
-# the exact argument sequences of ``SimClock.charge_cpu`` / ``charge_io``.
+# the clock's counts of each kind per batch.
 
 _HOT_PAGES = frozenset([*range(5, 40), 50, *range(64, 80), *range(88, 91)])
 
@@ -208,44 +208,44 @@ SORT_CASES = {
 SORT_GOLDEN = {
     "sort/bands": {
         "batches": [1, 6090, 1, 175, 1, 2784, 1, 385],
-        "cpu": [75, "4eab8ec92da2bf88"],
-        "io": [23, "3ba54260d809b614"],
+        "cpu": [9, "73b80867dc54806f"],
+        "io": [9, "97b5388812b728e7"],
         "rows": [9438, "4ff113e1ecca1c47"],
     },
     "sort/bands-residual": {
         "batches": [2436, 70, 1114, 154],
-        "cpu": [71, "ae279483bdbe1239"],
-        "io": [23, "3ba54260d809b614"],
+        "cpu": [5, "53cb396da1d3641a"],
+        "io": [5, "2216079420ab4297"],
         "rows": [3774, "daa3be69c84d092d"],
     },
     "sort/bands-residual-none-pass": {
         "batches": [],
-        "cpu": [67, "aa0c4d52f8406744"],
-        "io": [23, "3ba54260d809b614"],
+        "cpu": [1, "a5000f7a0da92902"],
+        "io": [1, "81eb6a05f9d549b5"],
         "rows": [0, "4f53cda18c2baa0c"],
     },
     "sort/cold-only": {
         "batches": [375, 752, 981, 601],
-        "cpu": [44, "3aa87f98d68ef31d"],
-        "io": [12, "d89c46bdd7db15c7"],
+        "cpu": [5, "6d79a83ca6d5a6b4"],
+        "io": [5, "4b6bc9f9ce692d0e"],
         "rows": [2709, "e835b4d32a704cde"],
     },
     "sort/shard": {
         "batches": [2030, 58, 928, 128],
-        "cpu": [29, "c6aa4f74cfe879ab"],
-        "io": [11, "529a676aee10256c"],
+        "cpu": [5, "6091fc499a594447"],
+        "io": [5, "7f6413dda7ea150f"],
         "rows": [3144, "41faed01c932cc9f"],
     },
     "sort/shard-residual": {
         "batches": [812, 24, 371, 51],
-        "cpu": [29, "623a7f2721375d64"],
-        "io": [11, "529a676aee10256c"],
+        "cpu": [5, "818c5deade0b4d47"],
+        "io": [5, "7f6413dda7ea150f"],
         "rows": [1258, "fb65f9c64f3a9b18"],
     },
     "sort/whole-heap": {
         "batches": [15697],
-        "cpu": [103, "ec3a9010065b5a13"],
-        "io": [13, "cb52aac89517eb69"],
+        "cpu": [2, "f166411cf6ffaa9d"],
+        "io": [2, "bd3cccccfd5340fd"],
         "rows": [15697, "5b40ac2466a18ee7"],
     },
 }
@@ -329,7 +329,8 @@ def test_sort_scan_banded_runs_are_the_intended_shapes(db, observe_plan):
 # IndexScan pulled ``index.scan`` entry by entry, fetched ``page.get`` per
 # TID and cut the survivors with ``chunked``), with conftest's
 # ``observe_plan`` as above plus ``repr`` of the shared clock's totals after
-# the run, which pins the *sums* to the bit where ``scale`` is not 1.
+# the run, which pins the milliseconds derived from the counts, overlap
+# divisors included.
 
 def _index_exchange(db, **kwargs):
     from repro.exec.exchange import Exchange, ShardedScan
@@ -410,101 +411,101 @@ def _observe_index_case(case, observe_plan):
 INDEX_GOLDEN = {
     "index/bands-cold": {
         "batches": [1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 222],
-        "clock": ["7.441499999999996", "3.7722000000001623"],
-        "cpu": [37692, "624a500ea2fe8bef"],
-        "io": [67, "e324dc90f57a3042"],
+        "clock": ["7.4415", "3.7722000000000007"],
+        "cpu": [11, "c1876b3b8cc36b7a"],
+        "io": [11, "a97ce586afa5182e"],
         "rows": [9438, "ad6217555664f553"],
     },
     "index/bands-tiny-pool": {
         "batches": [1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 222],
-        "clock": ["43.97250000000015", "3.747450000000181"],
-        "cpu": [37197, "8730e29a4779a2c7"],
-        "io": [562, "b89a1c123c56956d"],
+        "clock": ["43.9725", "3.7474500000000006"],
+        "cpu": [11, "29ea0f009eee2e9e"],
+        "io": [11, "218dfb0fec529e8d"],
         "rows": [9438, "ad6217555664f553"],
     },
     "index/bands-tiny-pool-warm": {
         "batches": [1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 222],
-        "clock": ["87.9449999999992", "7.49489999999983"],
-        "cpu": [37197, "8730e29a4779a2c7"],
-        "io": [562, "b89a1c123c56956d"],
+        "clock": ["87.945", "7.494900000000001"],
+        "cpu": [11, "29ea0f009eee2e9e"],
+        "io": [11, "218dfb0fec529e8d"],
         "rows": [9438, "ad6217555664f553"],
     },
     "index/bands-warm": {
         "batches": [1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 222],
-        "clock": ["10.3935", "7.547149999999747"],
-        "cpu": [37747, "3c082b4d2c15bf38"],
-        "io": [12, "1c24f75e72b81176"],
+        "clock": ["10.3935", "7.547150000000001"],
+        "cpu": [11, "e894898652a74b88"],
+        "io": [11, "db2cfbb9b795fc12"],
         "rows": [9438, "ad6217555664f553"],
     },
     "index/cold-only-tiny-pool": {
         "batches": [1024, 1024, 661],
-        "clock": ["1270.5285000000288", "0.9481499999999201"],
-        "cpu": [8127, "e3235ec8c5371dad"],
-        "io": [2713, "e3088132fa56d353"],
+        "clock": ["1270.5285", "0.94815"],
+        "cpu": [4, "8facae13c4929089"],
+        "io": [4, "15b214774048ea1d"],
         "rows": [2709, "560253bfe5f074a8"],
     },
     "index/empty-range": {
         "batches": [],
         "clock": ["1.23", "0.0"],
-        "cpu": [0, "4f53cda18c2baa0c"],
-        "io": [2, "65d3a6c19d5e2d84"],
+        "cpu": [1, "b18a48f02566e615"],
+        "io": [1, "a75689814e8c9fc9"],
         "rows": [0, "4f53cda18c2baa0c"],
     },
     "index/exchange": {
         "batches": [1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 78, 72, 72],
-        "clock": ["8.24100000000003", "1.7269000000007202"],
-        "cpu": [37560, "9150d1009dbbf4f9"],
-        "io": [213, "6b8eac8867189c66"],
+        "clock": ["8.241", "1.7269"],
+        "cpu": [13, "a203b18daa5bf777"],
+        "io": [13, "df6743066bd1389a"],
         "rows": [9438, "cf903babf16b30f6"],
     },
     "index/exchange-residual-tiny-pool": {
         "batches": [1024, 1024, 1024, 235, 234, 233],
-        "clock": ["21.627499999999774", "1.24716666666699"],
-        "cpu": [31426, "a401db0e62677f7b"],
-        "io": [677, "e7b47c5b3addeaa3"],
+        "clock": ["21.627499999999998", "1.2471666666666668"],
+        "cpu": [7, "ef1ba79464bd3fe4"],
+        "io": [7, "f8fd8f25e90d6f2b"],
         "rows": [3774, "09dad304d318843e"],
     },
     "index/limit-first-flush": {
         "batches": [5],
-        "clock": ["5.165999999999998", "0.40684999999997773"],
-        "cpu": [4041, "eab1e573d24b783b"],
-        "io": [57, "046042fc650ecc74"],
+        "clock": ["5.1659999999999995", "0.40685000000000004"],
+        "cpu": [2, "eda1472e921feb48"],
+        "io": [2, "500500ca18198bd2"],
         "rows": [5, "a089333192c7c82a"],
     },
     "index/limit-mid-block": {
         "batches": [1024, 476],
-        "clock": ["28.166999999999852", "1.9353500000004726"],
-        "cpu": [19181, "705ab436834279d0"],
-        "io": [350, "766cb55cfb2c338c"],
+        "clock": ["28.166999999999998", "1.9353500000000001"],
+        "cpu": [3, "8b052e6b497894b5"],
+        "io": [3, "26b12a5103e544b2"],
         "rows": [1500, "65952f8fc552677e"],
     },
     "index/residual": {
         "batches": [1024, 1024, 1024, 702],
-        "clock": ["7.441499999999996", "3.205799999999965"],
-        "cpu": [32028, "91bbd86179e165f1"],
-        "io": [67, "e324dc90f57a3042"],
+        "clock": ["7.4415", "3.2058000000000004"],
+        "cpu": [5, "4b6529728a158e4b"],
+        "io": [5, "965a4a61f1934bef"],
         "rows": [3774, "2052fba17a545f7d"],
     },
     "index/residual-char": {
         "batches": [1024, 1024, 1024, 72],
-        "clock": ["43.97250000000015", "3.1180499999998537"],
-        "cpu": [30903, "80d7922b35581fcb"],
-        "io": [562, "b89a1c123c56956d"],
+        "clock": ["43.9725", "3.11805"],
+        "cpu": [5, "f0b0de04771e621f"],
+        "io": [5, "3410e313a62325e2"],
         "rows": [3144, "049e18a2965b2a37"],
     },
     "index/residual-none-pass": {
         "batches": [],
-        "clock": ["7.441499999999996", "2.82839999999984"],
-        "cpu": [28254, "f505ae267c01cf70"],
-        "io": [67, "e324dc90f57a3042"],
+        "clock": ["7.4415", "2.8284000000000002"],
+        "cpu": [1, "291a16d68bfd845e"],
+        "io": [1, "b1b08cc4d1a89dbd"],
         "rows": [0, "4f53cda18c2baa0c"],
     },
     "index/whole-heap": {
         "batches": [1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024,
                     1024, 1024, 1024, 1024, 337],
-        "clock": ["20.971499999999974", "6.273999999999891"],
-        "cpu": [62692, "dc06aa2f8b160719"],
-        "io": [107, "4a3f29853482c03a"],
+        "clock": ["20.9715", "6.274000000000001"],
+        "cpu": [17, "e8c9b975c078b4c6"],
+        "io": [17, "5d1237158580478c"],
         "rows": [15697, "83d1527bab452084"],
     },
 }

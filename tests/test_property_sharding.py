@@ -123,14 +123,11 @@ def test_shard_ledgers_conserved_under_interleaving(num_shards, scheme,
             shard_sum = CostLedger()
             for ledger in exchange.shard_ledgers:
                 shard_sum.add(ledger)
-            # Integer counters exactly; millisecond floats within 1e-9.
-            assert shard_sum.disk == query_ledger.disk
-            assert shard_sum.buffer_hits == query_ledger.buffer_hits
-            assert shard_sum.buffer_misses == query_ledger.buffer_misses
-            assert shard_sum.matches(query_ledger, rel_tol=1e-9,
-                                     abs_tol=1e-9)
+            # Every counter exactly, so the milliseconds to the bit.
+            assert shard_sum == query_ledger
+            assert shard_sum.total_ms == query_ledger.total_ms
         totals = db.runtime.totals()
-        assert summed_queries.matches(totals)
+        assert summed_queries == totals
         assert totals.disk.pages_read > 0  # the property is not vacuous
     finally:
         db.unshard_table("micro")

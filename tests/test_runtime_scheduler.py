@@ -88,11 +88,9 @@ def test_interleaved_cursors_isolated_and_conserved(micro_db):
     # Conservation: the two ledgers sum to the shared totals.
     summed = CostLedger()
     for run in (done1, done2):
-        summed.add(CostLedger(
-            io_ms=run.io_ms, cpu_ms=run.cpu_ms, disk=run.disk.snapshot(),
-            buffer_hits=run.buffer_hits, buffer_misses=run.buffer_misses,
-        ))
-    assert summed.matches(micro_db.runtime.totals())
+        summed.add(run.ledger)
+    assert summed == micro_db.runtime.totals()
+    assert summed.total_ms == micro_db.runtime.totals().total_ms
 
 
 def test_single_query_streaming_identical_to_measure(micro_db):
@@ -144,7 +142,7 @@ def test_ledger_conservation_under_arbitrary_interleaving(order):
     for run in runs:
         summed.add(run.ledger)
     totals = db.runtime.totals()
-    assert summed.matches(totals)
+    assert summed == totals
     # And the integer counters really moved (the property is not vacuous).
     assert totals.disk.pages_read > 0
     assert summed.buffer_hits + summed.buffer_misses > 0
@@ -268,7 +266,7 @@ def test_scheduler_is_deterministic(prepared):
         [(r.client, r.label, r.rows, r.start_ms, r.finish_ms)
          for r in second.records]
     assert first.p99_ms == second.p99_ms
-    assert first.total_ledger().matches(second.total_ledger())
+    assert first.total_ledger() == second.total_ledger()
 
 
 def test_scheduler_conserves_ledgers(prepared):
@@ -276,7 +274,7 @@ def test_scheduler_conserves_ledgers(prepared):
     report = _schedule(
         db, statement, [[50_000, 2_000], [80_000], [20_000]],
     ).run(cold=True)
-    assert report.total_ledger().matches(db.runtime.totals())
+    assert report.total_ledger() == db.runtime.totals()
     assert len(report.records) == 4
     assert report.throughput_qps > 0
 
@@ -412,13 +410,16 @@ def test_buffer_pressure_trigger_drives_smooth_scan(micro_db):
 
 
 def test_cost_ledger_snapshot_add_matches():
-    a = CostLedger(io_ms=1.5, cpu_ms=0.5, buffer_hits=3, buffer_misses=1)
+    # 1.5 ms of sequential pages (units of 0.5) and 0.5 ms of inspects.
+    units = (0.25,) * 9 + (0.5, 5.0)
+    a = CostLedger(counts={1: [2] + [0] * 8 + [3, 0]}, units=units,
+                   buffer_hits=3, buffer_misses=1)
     a.disk.pages_read = 7
     b = a.snapshot()
-    assert b.matches(a)
+    assert b == a
     b.add(a)
     assert b.io_ms == 3.0 and b.disk.pages_read == 14
-    assert not b.matches(a)
+    assert b != a
     assert a.total_ms == 2.0
     assert "CostLedger" in repr(a)
 

@@ -86,7 +86,8 @@ def test_prepare_execute_fetch_close_round_trip(db):
     # The measurement travels as a full ledger: a client can rebuild
     # it and the charges reproduce the engine's accounting.
     rebuilt = CostLedger.from_dict(summary["ledger"])
-    assert rebuilt.matches(db.runtime.totals())
+    assert rebuilt == db.runtime.totals()
+    assert rebuilt.total_ms == db.runtime.totals().total_ms
     # The slot came back when the stream finished.
     assert front.inflight == 0
 

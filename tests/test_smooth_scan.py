@@ -271,50 +271,50 @@ FLUSH_CASES = {
 FLUSH_GOLDEN = {
     "smooth/0.1pct": {
         "batches": [91],
-        "cpu": [366, "f9b8e30a05de4d8c"],
-        "io": [174, "cf395babb49b5393"],
+        "cpu": [2, "b104463371b23a5d"],
+        "io": [2, "195c61cdf1c8f913"],
         "rows": [91, "a8be9d7a8a8bce5b"],
     },
     "smooth/1pct": {
         "batches": [1036, 121],
-        "cpu": [2053, "98eb30a04ce3359c"],
-        "io": [104, "f0fb7a1fd46d28ab"],
+        "cpu": [3, "2c741ef71eaab50c"],
+        "io": [3, "c8edf4340407aac0"],
         "rows": [1157, "0827603142e156dd"],
     },
     "smooth/20pct": {
         "batches": [1384, 1526, 1118, 4169, 1563, 1550, 9722, 1834, 779],
-        "cpu": [2049, "955fdec14c4ef7f7"],
-        "io": [57, "ace392053330636d"],
+        "cpu": [10, "03a19399187e8046"],
+        "io": [10, "ef2f8295b8ccfe28"],
         "rows": [23645, "270c6658d5e6b3fd"],
     },
     "smooth/20pct-limit": {
         "batches": [1384, 1526, 90],
-        "cpu": [357, "e08bbc3e7dc55bb7"],
-        "io": [18, "1c029591f4fcb753"],
+        "cpu": [4, "388ab568c5d6226e"],
+        "io": [4, "0558df5c8b1823b5"],
         "rows": [3000, "957ae5beeb6413d7"],
     },
     "smooth/20pct-residual": {
         "batches": [2047, 3669, 1068, 1065, 6831, 1255, 557],
-        "cpu": [2049, "9cef4fbc3f5c2038"],
-        "io": [57, "ace392053330636d"],
+        "cpu": [8, "b5343b90c59bd792"],
+        "io": [8, "9931e17a41d75a16"],
         "rows": [16492, "dfb37198a5c1d818"],
     },
     "smooth/5pct": {
         "batches": [2067, 3251, 632],
-        "cpu": [2029, "45d2b0fe72218cbd"],
-        "io": [47, "b4791c5cfbce4bc9"],
+        "cpu": [4, "742f1f20b1c88e3c"],
+        "io": [4, "63311fe9d42bc27a"],
         "rows": [5950, "6664980fec8ccd6b"],
     },
     "smooth/5pct-mode1": {
         "batches": [1024, 1028, 1026, 1027, 1024, 821],
-        "cpu": [3005, "e301ff37eb4bc840"],
-        "io": [2003, "2da329a4543218a0"],
+        "cpu": [7, "7c1fb466ef0124b6"],
+        "io": [7, "687d5cfd4d32521e"],
         "rows": [5950, "9f8a130b6b5f663b"],
     },
     "smooth/5pct-residual": {
         "batches": [1111, 1057, 750],
-        "cpu": [2054, "fb37694ee3674c67"],
-        "io": [97, "047b1bbd41761c2b"],
+        "cpu": [4, "babee15213d80363"],
+        "io": [4, "9aa568ac4139a8c5"],
         "rows": [2918, "6bfd04ddeea3c6a0"],
     },
 }

@@ -6,11 +6,10 @@ may move.
 ``page.get(slot)`` / ``page.all_rows()`` inside its charge loop) by
 running conftest's ``observe_plan`` over ``READER_CASES`` there — the
 form ``SORT_GOLDEN`` is kept in: row count and SHA-256 of ``repr(rows)``,
-the batch lengths, and length + SHA-256 of the exact argument sequences
-of ``SimClock.charge_cpu`` / ``charge_io``.  The cases are the readers
-that had no such golden: INLJ classic and smooth, Switch Scan's phase 1,
-Smooth Scan's Mode 0 and its ordered / Result Cache hand-off, and the
-morphing index join.
+the batch lengths, and length + SHA-256 of the clock's counts of each
+kind per batch.  The cases are the readers that had no such golden: INLJ
+classic and smooth, Switch Scan's phase 1, Smooth Scan's Mode 0 and its
+ordered / Result Cache hand-off, and the morphing index join.
 """
 
 import pytest
@@ -108,86 +107,86 @@ _SMALL_POOL = {"inlj/classic-residual", "inlj/smooth",
 READER_GOLDEN = {
     "inlj/classic": {
         "batches": [25837, 25837, 1382],
-        "cpu": [214166, "658141c9b1934c5d"],
-        "io": [124, "3274b6660570924b"],
+        "cpu": [4, "e9c3cbafce587f70"],
+        "io": [4, "7a675ed7f53ded08"],
         "rows": [53056, "eedf7549be2b33b9"],
     },
     "inlj/classic-residual": {
         "batches": [23486, 23488, 1255],
-        "cpu": [161699, "82926cf4e08eb3bf"],
-        "io": [47764, "79f2eea3fe40553a"],
+        "cpu": [4, "5fbf58a772983a86"],
+        "io": [4, "908ea4c2b8497976"],
         "rows": [48229, "2defa731c3cad6d1"],
     },
     "inlj/smooth": {
         "batches": [25837, 25837, 1382],
-        "cpu": [152116, "146eadbb15849082"],
-        "io": [3679, "1360f6bd2bd9f596"],
+        "cpu": [4, "813a266dc853c107"],
+        "io": [4, "908ea4c2b8497976"],
         "rows": [53056, "eedf7549be2b33b9"],
     },
     "inlj/smooth-residual": {
         "batches": [23486, 23488, 1255],
-        "cpu": [150063, "648da3dead8baf19"],
-        "io": [24, "71b179a12b0dc5d2"],
+        "cpu": [4, "f9c2a0fb60661115"],
+        "io": [4, "7a675ed7f53ded08"],
         "rows": [48229, "2defa731c3cad6d1"],
     },
     "morph-join/plain": {
         "batches": [51675, 51615, 2823],
-        "cpu": [117372, "d7ffbb57bcd21be1"],
-        "io": [65, "96268f9b1ef15c33"],
+        "cpu": [4, "ec55ceaa4ec4d1fe"],
+        "io": [4, "dcbe719da1b95999"],
         "rows": [106113, "ea974381290547c2"],
     },
     "morph-join/residual": {
         "batches": [44621, 44577, 2432],
-        "cpu": [102889, "2564d73224165210"],
-        "io": [65, "96268f9b1ef15c33"],
+        "cpu": [4, "669d183c0237ef57"],
+        "io": [4, "dcbe719da1b95999"],
         "rows": [91630, "4bf3cf9a838b73b8"],
     },
     "smooth/mode0-never-morphs": {
         "batches": [1024, 777],
-        "cpu": [7154, "2ec17f36ba4ff6a9"],
-        "io": [55, "34b99eea328274ac"],
+        "cpu": [3, "b695e54f0b2d9bec"],
+        "io": [3, "45a841631afb77b5"],
         "rows": [1801, "e98147026667860d"],
     },
     "smooth/mode0-then-morphs": {
         "batches": [1024, 1596],
-        "cpu": [4491, "0e7a7125bc52c261"],
-        "io": [1447, "7a9bc75f1b0cf573"],
+        "cpu": [3, "8d4ef01e20b1dea9"],
+        "io": [3, "d73caa5da38a50e6"],
         "rows": [2620, "3ad5942848204e50"],
     },
     "smooth/mode0-then-ordered": {
         "batches": [1024, 1024, 356],
-        "cpu": [7619, "c2b33e3bef8fae6a"],
-        "io": [55, "34b99eea328274ac"],
+        "cpu": [4, "41ef4fafe2d19dee"],
+        "io": [4, "b84b75500bf7704a"],
         "rows": [2404, "5943c327418b9134"],
     },
     "smooth/ordered": {
         "batches": [1024, 1024, 1024, 531],
-        "cpu": [10911, "e133bd6e6cdeab23"],
-        "io": [16, "7a0fe145d78de6db"],
+        "cpu": [5, "54b304e0aa601bb4"],
+        "io": [5, "3284423131721180"],
         "rows": [3603, "09d3ae7cec41e975"],
     },
     "smooth/ordered-residual-spills": {
         "batches": [1024, 1024, 1024, 1024, 273],
-        "cpu": [14853, "4954238ade2c9c7a"],
-        "io": [39, "c856f818898e7725"],
+        "cpu": [6, "e3238da7104e59b2"],
+        "io": [6, "410b262dd3de0774"],
         "rows": [4369, "3af8a68f5f802472"],
     },
     "switch/stays-index": {
         "batches": [1024, 177],
-        "cpu": [5953, "d0724e07a921d117"],
-        "io": [54, "6cb9dec729813edf"],
+        "cpu": [3, "2465cc49254ada4e"],
+        "io": [3, "094d44ab8a394f6d"],
         "rows": [1201, "f6410ed8f0dd4b9e"],
     },
     "switch/stays-index-residual": {
         "batches": [655],
-        "cpu": [8470, "5e7e3e0159474dea"],
-        "io": [55, "34b99eea328274ac"],
+        "cpu": [2, "9e7105115af4ea23"],
+        "io": [2, "9f1c26db5309b884"],
         "rows": [655, "6c91c7e38306f8e2"],
     },
     "switch/switches-mid-leaf": {
         "batches": [1024, 477, 650, 650, 649, 154],
-        "cpu": [7565, "e9c0ce44932f7bf2"],
-        "io": [54, "6cb9dec729813edf"],
+        "cpu": [7, "d8a508cd3f3f367d"],
+        "io": [7, "9480cc43bdd4af3f"],
         "rows": [3604, "8b13d89f1578348e"],
     },
 }

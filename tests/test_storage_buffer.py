@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import StorageError, UnknownPageError
 from repro.index.btree import BTreeIndex
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import DiskProfile, SimClock, SimulatedDisk
+from repro.storage.disk import BUFFER_HIT, SimClock, SimulatedDisk
 from repro.storage.heap import HeapFile
 from repro.storage.types import Schema
 
 
 @pytest.fixture()
 def setup():
-    disk = SimulatedDisk(profile=DiskProfile.hdd(), clock=SimClock())
+    disk = SimulatedDisk(clock=SimClock())
     pool = BufferPool(disk=disk, capacity_pages=4)
     heap = HeapFile(file_id=0, schema=Schema.of_ints(["a"]),
                     tuples_per_page=2)
@@ -103,7 +103,7 @@ def test_reset_evicts_everything(setup):
 
 
 def test_capacity_must_be_positive():
-    disk = SimulatedDisk(profile=DiskProfile.hdd(), clock=SimClock())
+    disk = SimulatedDisk(clock=SimClock())
     with pytest.raises(StorageError):
         BufferPool(disk=disk, capacity_pages=0)
 
@@ -120,7 +120,8 @@ def test_the_pool_holds_keys_only(setup):
     _disk, pool, heap = setup
     assert pool.get_page(heap, 5) is None
     pool.get_run(heap, 0, 2)
-    assert pool.touch_pages(heap, [1, 7]) == [True, False]
+    assert pool.touch_pages(heap, [1, 7]) is None
+    assert (pool.stats.hits, pool.stats.misses) == (1, 4)
     assert list(pool._pages.items()) == [
         ((0, 5), None), ((0, 0), None), ((0, 1), None), ((0, 7), None)]
 
@@ -192,10 +193,11 @@ def test_a_run_whose_read_raises_leaves_no_page_of_it_resident(
 #
 # A seeded script of requests over one heap and one B-tree file, run at
 # three capacities.  For each: the exact argument sequence of the disk's
-# ``read_page`` / ``read_run``, the clock's ``charge_cpu`` / ``charge_io``
-# arguments, the hit/miss counters and the final LRU key order.  Recorded
-# when the pool still cached page objects; what it holds must not change
-# what it charges.
+# ``read_page`` / ``read_run``, the clock's counts of each kind per script
+# step, the hit/miss counters and the final LRU key order.  Recorded when
+# the pool still cached page objects (the counts per step at the commit
+# before the clock counted events, from its charge calls); what it holds
+# must not change what it charges.
 
 _HEAP_PAGES = 40  # 79 rows, 2 to a page: the last page is short
 _INDEX_ENTRIES = 100  # fanout 5 at 48-byte pages: 20 leaves, 25 pages
@@ -239,7 +241,7 @@ def _run_pool_script(capacity, observe_charges):
     """One capacity's record of :func:`_pool_script`."""
     observe, digest = observe_charges
     clock = SimClock()
-    disk = SimulatedDisk(profile=DiskProfile.hdd(), clock=clock)
+    disk = SimulatedDisk(clock=clock)
     pool = BufferPool(disk=disk, capacity_pages=capacity)
     files = dict(zip(("heap", "index"), _pool_files(), strict=True))
     reads = []
@@ -250,7 +252,7 @@ def _run_pool_script(capacity, observe_charges):
     disk.read_run = lambda f, s, n: (
         reads.append(("run", f, s, n)), read_run(f, s, n))[1]
 
-    def drive():
+    def drive(mark):
         for op, name, args in _pool_script():
             file = files[name]
             if op == "page":
@@ -261,6 +263,7 @@ def _run_pool_script(capacity, observe_charges):
                 pool.get_run(file, *args)
             else:
                 pool.touch_pages(file, *args)
+            mark()
 
     _, charges = observe(SimpleNamespace(runtime=SimpleNamespace(clock=clock)),
                          drive)
@@ -270,14 +273,14 @@ def _run_pool_script(capacity, observe_charges):
 
 
 POOL_GOLDEN = {
-    1: {"reads": [439, "1ec305dd79155658"], "cpu": [5, "27ec31e4319a016f"],
-        "io": [565, "c406a845feb5ceda"], "hits": 9, "misses": 770,
+    1: {"reads": [439, "1ec305dd79155658"], "cpu": [301, "825cea465c5086c3"],
+        "io": [301, "915e6106a52c7bdb"], "hits": 9, "misses": 770,
         "lru": [1, "1a4919f5f1c3e712"]},
-    4: {"reads": [415, "af700ce7f4418c2c"], "cpu": [25, "fcab759fe3cf349a"],
-        "io": [536, "3cb81a925c41d1bc"], "hits": 59, "misses": 720,
+    4: {"reads": [415, "af700ce7f4418c2c"], "cpu": [301, "b8de720a76c79132"],
+        "io": [301, "fcff121916715d0d"], "hits": 59, "misses": 720,
         "lru": [4, "d7ebeaf8948f7160"]},
-    64: {"reads": [61, "8e131f8b628e896b"], "cpu": [224, "74fa739d6bfd3098"],
-         "io": [82, "7145eade7a141e52"], "hits": 708, "misses": 71,
+    64: {"reads": [61, "8e131f8b628e896b"], "cpu": [301, "c9cf9b1db95469f5"],
+         "io": [301, "076f104e4b96d357"], "hits": 708, "misses": 71,
          "lru": [64, "04fce8c3c07ef05d"]},
 }
 
@@ -337,7 +340,7 @@ _requests = st.lists(st.tuples(
 @given(st.integers(1, 8), _requests)
 def test_property_the_pool_is_a_strict_lru_over_keys(capacity, requests):
     files = _pool_files()  # file ids 0 and 1
-    disk = SimulatedDisk(profile=DiskProfile.hdd(), clock=SimClock())
+    disk = SimulatedDisk(clock=SimClock())
     pool = BufferPool(disk=disk, capacity_pages=capacity)
     ref = _ReferenceLRU(capacity)
     reads = []
@@ -355,8 +358,12 @@ def test_property_the_pool_is_a_strict_lru_over_keys(capacity, requests):
             ref.get_run(file_id, pid, stop)
         else:
             pids = [(pid + 7 * i) % 25 for i in range(n)]
-            assert pool.touch_pages(file, pids) == [
-                ref.get_page(file_id, p) for p in pids]
+            hits = pool.stats.hits
+            pool.touch_pages(file, pids)
+            assert pool.stats.hits - hits == sum(
+                ref.get_page(file_id, p) for p in pids)
     assert reads == ref.reads
     assert list(pool._pages) == ref.keys
     assert (pool.stats.hits, pool.stats.misses) == (ref.hits, ref.misses)
+    # Every request path counts its own hits on the clock.
+    assert disk.clock.counts[BUFFER_HIT] == pool.stats.hits

@@ -2,13 +2,20 @@
 
 import pytest
 
-from repro.storage.disk import DiskProfile, DiskStats, SimClock, SimulatedDisk
+from repro.config import CpuCosts
+from repro.storage.disk import (
+    KINDS,
+    RAND_PAGE,
+    DiskProfile,
+    DiskStats,
+    SimClock,
+    SimulatedDisk,
+)
 
 
 @pytest.fixture()
 def disk():
-    return SimulatedDisk(profile=DiskProfile.hdd(), clock=SimClock(),
-                         page_size=8192, extent_pages=16)
+    return SimulatedDisk(clock=SimClock(), page_size=8192, extent_pages=16)
 
 
 def test_hdd_profile_ratio():
@@ -71,7 +78,7 @@ def test_stream_hint_survives_interleaving(disk):
 
 def test_read_run_costs_one_random_plus_sequential(disk):
     disk.read_run(0, 100, 8)
-    expected = disk.profile.page_ms(False) + 7 * disk.profile.page_ms(True)
+    expected = DiskProfile.hdd().page_ms(False) + 7 * DiskProfile.hdd().page_ms(True)
     assert disk.clock.io_ms == pytest.approx(expected)
     assert disk.stats.pages_read == 8
     assert disk.stats.requests == 1  # within one extent
@@ -103,7 +110,7 @@ def test_bytes_accounting(disk):
 
 def test_spill_charges_two_sequential_passes(disk):
     disk.spill(32)
-    expected = 2 * 32 * disk.profile.page_ms(True)
+    expected = 2 * 32 * DiskProfile.hdd().page_ms(True)
     assert disk.clock.io_ms == pytest.approx(expected)
     assert disk.stats.requests == 4  # 2 x ceil(32/16)
 
@@ -121,12 +128,14 @@ def test_stats_snapshot_diff():
 
 def test_clock_split_and_reset():
     clock = SimClock()
-    clock.charge_io(5.0)
-    clock.charge_cpu(2.0)
-    assert clock.total_ms == 7.0
-    assert clock.snapshot() == (5.0, 2.0)
+    clock.counts[RAND_PAGE] += 5
+    clock.counts[KINDS.index("tuple_inspect")] += 10_000
+    assert clock.io_ms == 5 * DiskProfile.hdd().page_ms(False)
+    assert clock.cpu_ms == 10_000 * CpuCosts().tuple_inspect
+    assert clock.total_ms == clock.io_ms + clock.cpu_ms
+    assert clock.snapshot() == {1: [10_000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5]}
     clock.reset()
-    assert clock.total_ms == 0.0
+    assert clock.total_ms == 0.0 and clock.snapshot() == {1: [0] * 11}
 
 
 def test_disk_reset_clears_head(disk):
