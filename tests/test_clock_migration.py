@@ -11,6 +11,10 @@ relatively larger than a total's: ``serving_workload.txt``'s
 smooth/serial ``p50_ms`` of ``8.354000000010274`` already carried
 1.2e-12.)  The per-batch event counts of the charge goldens, not this
 bound, are what catch a lost charge.
+
+This check has done its job once the migration is in.  The next change
+that alters one of these four artifacts deletes this module and
+``tests/clock_migration/`` rather than re-recording the fixtures.
 """
 
 import math
