@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.api.result import QueryResult
 from repro.errors import InterfaceError
-from repro.exec.iterator import Batch, Chunk
+from repro.exec.iterator import Chunk
 from repro.exec.stats import StreamingRun, measure
 from repro.optimizer.plan_cache import options_fingerprint
 from repro.optimizer.planner import PlannedQuery, Planner, PlannerOptions
@@ -83,6 +83,9 @@ paramstyle = "qmark"      # ':name' style is additionally supported
 
 #: Default Cursor.arraysize: rows per parameterless ``fetchmany()``.
 DEFAULT_ARRAYSIZE = 256
+
+#: What a cursor buffers before its first pull: a batch with no rows.
+_NO_BATCH = Chunk((), [])
 
 
 def _check_same_database(statement: "PreparedStatement",
@@ -350,7 +353,7 @@ class Cursor:
         self._closed = False
         self._run: StreamingRun | None = None
         self._planned: PlannedQuery | None = None
-        self._batch: Batch = []       # last pulled batch (or EXPLAIN lines)
+        self._batch = _NO_BATCH       # last pulled batch (or EXPLAIN lines)
         self._head = 0                # first row of it not yet fetched
 
     # -- execution -----------------------------------------------------------
@@ -451,7 +454,7 @@ class Cursor:
         out = self._take(None)
         while self._pull():
             out += self._take(None)
-        self._batch, self._head = [], 0
+        self._batch, self._head = _NO_BATCH, 0
         self._maybe_finish()
         return out
 
@@ -507,7 +510,7 @@ class Cursor:
         """Abandon any in-flight run and refuse further use."""
         if self._run is not None:
             self._run.close()
-        self._batch, self._head = [], 0
+        self._batch, self._head = _NO_BATCH, 0
         self._closed = True
 
     def __enter__(self) -> "Cursor":
@@ -523,7 +526,7 @@ class Cursor:
             self._run.close()
         self._run = None
         self._planned = None
-        self._batch, self._head = [], 0
+        self._batch, self._head = _NO_BATCH, 0
         self.description = None
         self.rowcount = rowcount
 
@@ -539,7 +542,8 @@ class Cursor:
             f"invalidations={stats['invalidations']})"
         )
         # Known in full at execute time: buffered as the one batch.
-        self._batch, self._head = [(line,) for line in lines], 0
+        self._batch = Chunk.from_rows(("plan",), [(line,) for line in lines])
+        self._head = 0
         self.description = [
             ("plan", ColumnType.CHAR, None, None, None, None, None)
         ]
@@ -575,15 +579,17 @@ class Cursor:
         of it when fewer, or when ``size`` is None), as a new list.
 
         Rowify here, at the API boundary, and only the slice handed out
-        — batches arrive columnar.
+        — batches arrive columnar.  A fetch of the whole batch rowifies
+        the batch itself, and hands out a copy of its row list.
         """
-        head = self._head
-        stop = len(self._batch)
+        batch, head = self._batch, self._head
+        stop = len(batch)
         if size is not None:
             stop = min(stop, head + size)
         self._head = stop
-        part = self._batch[head:stop]
-        return part.to_rows() if isinstance(part, Chunk) else part
+        if head == 0 and stop == len(batch):
+            return batch.to_rows()[:]
+        return batch[head:stop].to_rows()
 
     def _maybe_finish(self) -> None:
         """Publish rowcount once the stream is exhausted and drained.

@@ -8,7 +8,10 @@
 * :class:`ResultCache` — a hash store, partitioned by key range (boundaries
   read off the index root), holding qualifying tuples found during
   entire-page probes that must wait for their index probe to preserve an
-  interesting order.  Partitions are bulk-evicted once the probe key passes
+  interesting order.  A tuple is held as its TID (its position in the
+  heap's columnar image); the row is read from the image when it is
+  emitted, and the cache's memory accounting prices the tuple it stands
+  for.  Partitions are bulk-evicted once the probe key passes
   their range, and the furthest partitions can spill to overflow files
   under memory pressure.
 
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 import numpy as _np
 
 from repro.errors import ExecutionError
-from repro.storage.types import Row
 
 
 class _Bitmap:
@@ -235,8 +237,8 @@ class ResultCache:
         self.memory_limit_bytes = memory_limit_bytes
         self.page_bytes = page_bytes
         n_parts = len(self.separators) + 1
-        self._partitions: list[dict[int, Row]] = [{} for _ in range(n_parts)]
-        self._spilled: list[dict[int, Row] | None] = [None] * n_parts
+        self._partitions: list[set[int]] = [set() for _ in range(n_parts)]
+        self._spilled: list[set[int] | None] = [None] * n_parts
         self._entries = 0
         #: Lowest partition the probe key has not yet passed; everything
         #: below it is known-evicted, so :meth:`advance` is O(1) per call
@@ -265,13 +267,13 @@ class ResultCache:
         """Approximate in-memory footprint."""
         return self._entries * self.bytes_per_entry
 
-    def _partition_pages(self, part: dict) -> int:
+    def _partition_pages(self, part: set) -> int:
         return max(1, math.ceil(len(part) * self.bytes_per_entry
                                 / self.page_bytes))
 
     # -- operations --------------------------------------------------------
 
-    def insert(self, key: object, tid: int, row: Row, disk=None) -> None:
+    def insert(self, key: object, tid: int, disk=None) -> None:
         """Park a qualifying tuple until its index probe arrives.
 
         ``key`` must not lie below a separator the probe has already
@@ -287,9 +289,9 @@ class ResultCache:
                 f"already-advanced probe position {self._min_live}"
             )
         if self._spilled[i] is not None:
-            self._spilled[i][tid] = row
+            self._spilled[i].add(tid)
         else:
-            self._partitions[i][tid] = row
+            self._partitions[i].add(tid)
             self._entries += 1
         self.stats.inserts += 1
         if self._entries > self.stats.peak_entries:
@@ -299,8 +301,8 @@ class ResultCache:
                 and self.memory_bytes > self.memory_limit_bytes):
             self._spill_furthest(i, disk)
 
-    def take(self, key: object, tid: int, disk=None) -> Row | None:
-        """Return (without deleting) the cached row for ``tid``, if any.
+    def take(self, key: object, tid: int, disk=None) -> bool:
+        """Whether ``tid`` is parked (it stays parked).
 
         Spilled partitions are read back (charging sequential I/O on
         ``disk``) before the probe — "overflow files that are read upon
@@ -310,17 +312,17 @@ class ResultCache:
         self.stats.probes += 1
         if self._spilled[i] is not None:
             self._unspill(i, disk)
-        row = self._partitions[i].get(tid)
-        if row is not None:
+        hit = tid in self._partitions[i]
+        if hit:
             self.stats.hits += 1
-        return row
+        return hit
 
     def advance(self, key: object) -> int:
         """Bulk-evict all partitions entirely below ``key``.
 
         Returns the number of evicted entries, spilled ones included —
         dropping a partition's overflow file evicts its entries just as
-        surely as clearing its in-memory dict.  Partition ``j`` covers
+        surely as clearing its in-memory set.  Partition ``j`` covers
         keys below ``separators[j]``; it is passed once
         ``key >= separators[j]``.  Scanning starts at the lowest live
         partition, so the common no-new-separator-crossed probe costs one
@@ -334,7 +336,7 @@ class ResultCache:
             if part:
                 evicted += len(part)
                 self._entries -= len(part)
-                self._partitions[j] = {}
+                self._partitions[j] = set()
             spilled = self._spilled[j]
             if spilled is not None:
                 evicted += len(spilled)
@@ -366,7 +368,7 @@ class ResultCache:
             disk.overflow_write(pages)
         self._spilled[j] = part
         self._entries -= len(part)
-        self._partitions[j] = {}
+        self._partitions[j] = set()
         self.stats.spills += 1
         self.stats.spill_pages_written += pages
 
@@ -384,8 +386,7 @@ class ResultCache:
         if disk is not None:
             disk.overflow_read(pages)
         self._spilled[i] = None
-        for tid, row in part.items():
-            self._partitions[i][tid] = row
-            self._entries += 1
+        self._partitions[i] |= part
+        self._entries += len(part)
         self.stats.unspills += 1
         self.stats.unspill_pages_read += pages

@@ -28,10 +28,9 @@ from typing import Iterator
 from repro.context import ExecutionContext
 from repro.core.caches import PageIdCache
 from repro.exec.expressions import Predicate, TruePredicate
-from repro.exec.iterator import Batch, Operator
-from repro.exec.joins import _joined_schema
+from repro.exec.iterator import Chunk, Operator
+from repro.exec.joins import _joined_schema, joined_chunk
 from repro.storage.table import Table
-from repro.storage.types import Row
 
 
 @dataclass
@@ -82,17 +81,24 @@ class MorphingIndexJoin(Operator):
     def name(self) -> str:
         return f"MorphingIndexJoin({self.inner_table.name})"
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        """Probe the morphing cache one outer batch at a time."""
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
+        """Probe the morphing cache one outer batch at a time.
+
+        The cache maps a key to the heap-image positions of its inner
+        rows, so the probe loop collects (outer position, inner TID)
+        pairs and a batch's output is their
+        :func:`~repro.exec.joins.joined_chunk`, narrowed by one residual
+        mask.  A NULL key matches nothing.
+        """
         heap = self.inner_table.heap
         per_page = heap.tuples_per_page
         stats = MorphJoinStats()
         self.last_stats = stats
-        matches = self.residual.bind(self.schema)
+        residual = self.residual.bind_chunk(self.schema)
+        names = self.schema.column_names
         key_pos = self.inner_key_pos
-        opos = self.outer_pos
 
-        tuple_cache: dict[object, list[Row]] = {}
+        tuple_cache: dict[object, list[int]] = {}
         page_cache = PageIdCache(heap.num_pages)
         complete_keys: set[object] = set()
         cache_get = tuple_cache.get
@@ -101,13 +107,10 @@ class MorphingIndexJoin(Operator):
         for obatch in self.outer.batches(ctx):
             stats.outer_rows += len(obatch)
             ctx.charge_cache_probe(len(obatch))
-            out: list[Row] = []
-            for orow in obatch:
-                key = orow[opos]
-                if key in complete_keys:
-                    stats.cache_hits += 1
-                    inner_rows = cache_get(key, ())
-                else:
+            outer_at: list[int] = []
+            inner_at: list[int] = []
+            for i, key in enumerate(obatch.column_values(self.outer_pos)):
+                if key not in complete_keys:
                     # Index consulted only for not-yet-complete keys.
                     stats.index_probes += 1
                     for tid in self.index.lookup(ctx, key):
@@ -118,30 +121,38 @@ class MorphingIndexJoin(Operator):
                                 tuple_cache, page_cache, key_pos, stats,
                             )
                     complete_keys.add(key)
-                    inner_rows = cache_get(key, ())
-                if not inner_rows:
-                    continue
-                ctx.charge_inspect(len(inner_rows))
-                for irow in inner_rows:
-                    joined = orow + irow
-                    if matches(joined):
-                        stats.emitted += 1
-                        ctx.charge_emit()
-                        out.append(joined)
-            if out:
-                yield out
+                else:
+                    stats.cache_hits += 1
+                tids = cache_get(key, ())
+                outer_at += [i] * len(tids)
+                inner_at += tids
+            ctx.charge_inspect(len(inner_at))
+            if not inner_at:
+                continue
+            kept = residual(joined_chunk(names, obatch, outer_at,
+                                         heap.image(), inner_at))
+            if kept is not None:
+                stats.emitted += len(kept)
+                ctx.charge_emit(len(kept))
+                yield kept
 
     @staticmethod
     def _absorb_page(ctx: ExecutionContext, heap, page_id: int,
                      tuple_cache: dict, page_cache: PageIdCache,
                      key_pos: int, stats: MorphJoinStats) -> None:
-        """Fetch an inner page and cache every tuple on it (the morph)."""
+        """Fetch an inner page and cache every tuple on it (the morph).
+
+        The cache keeps each row's heap-image position under its key; a
+        NULL key is not cached, as nothing can find it.
+        """
         ctx.get_page(heap, page_id)
         page_cache.mark(page_id)
         stats.pages_fetched += 1
-        rows = heap.run_chunk(page_id, 1).to_rows()
-        ctx.charge_inspect(len(rows))
-        ctx.charge_cache_insert(len(rows))
+        keys = heap.run_chunk(page_id, 1).column_values(key_pos)
+        ctx.charge_inspect(len(keys))
+        ctx.charge_cache_insert(len(keys))
         setdefault = tuple_cache.setdefault
-        for row in rows:
-            setdefault(row[key_pos], []).append(row)
+        first = page_id * heap.tuples_per_page
+        for slot, key in enumerate(keys):
+            if key is not None:
+                setdefault(key, []).append(first + slot)

@@ -31,11 +31,12 @@ is a ``searchsorted`` cut into that array: its selection vector, its
 is one pool request, one Page ID cache run-mark and one count of each of
 its charges; only the policy update between regions is sequential.
 Index entries arrive a leaf of TIDs (image positions) at a time and are
-tested against a live view of the Page ID bitmap.  With no auxiliary cache
-(eager and unordered) batches are selection vectors over the image, so no
-payload moves before a consumer reads it; Mode 0 and the Result Cache
-hand-off stay per probe and emit row lists, as in the paper.  Every
-charge is the paper's per-page / per-tuple charge;
+tested against a live view of the Page ID bitmap.  Every batch is a
+selection vector over the image, so no payload moves before a consumer
+reads it: with no auxiliary cache (eager and unordered) a run's cut goes
+out whole, while Mode 0 and the Result Cache hand-off stay per probe, as in
+the paper, and collect TIDs one by one (the Result Cache parks TIDs, not
+rows).  Every charge is the paper's per-page / per-tuple charge;
 ``tests/golden_row_path.json`` pins them to the tuple-at-a-time pipeline
 this engine grew out of.
 """
@@ -60,7 +61,7 @@ from repro.exec.expressions import (
     TruePredicate,
     require_columns,
 )
-from repro.exec.iterator import Batch, DEFAULT_BATCH_SIZE, Operator
+from repro.exec.iterator import DEFAULT_BATCH_SIZE, Chunk, Operator
 from repro.storage.table import Table
 
 _DEFAULT_RESULT_CACHE_PARTITIONS = 16
@@ -196,7 +197,7 @@ class SmoothScan(Operator):
 
     # -- batch-vectorized execution ----------------------------------------
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         heap = self.table.heap
         state = self._prepare(ctx)
         stats = state.stats
@@ -206,7 +207,9 @@ class SmoothScan(Operator):
         policy = state.policy
         per_page = heap.tuples_per_page
         num_pages = heap.num_pages
-        residual_fn = self.residual.bind(self.schema)  # Mode 0's, per tuple
+        # Mode 0's per-probe residual test, read off one mask per leaf.
+        residual_mask = (None if isinstance(self.residual, TruePredicate)
+                         else self.residual.bind_mask(self.schema))
         tracer = ctx.runtime.tracer
         region = policy.initial_region()
         mode0_active = not self.trigger.eager
@@ -216,28 +219,29 @@ class SmoothScan(Operator):
         is_seen = page_cache.is_seen
         seen_bits = page_cache.seen_view()
 
+        # ``pending`` holds the heap-image positions of the rows to emit.
         # With no auxiliary cache consuming TIDs (eager + unordered, the
-        # common case) ``pending`` accumulates selection vectors over the
-        # heap image (one per qualifying page run; a ``range`` when the
-        # whole run qualified), joined at flush; otherwise it accumulates
-        # rows.  Every row that enters ``pending`` is counted in
-        # ``stats.produced`` as it does, so the rows pending across the
-        # vectors are ``produced`` minus its value at the last flush.
+        # common case) it accumulates selection vectors (one per
+        # qualifying page run; a ``range`` when the whole run qualified),
+        # joined at flush; otherwise the caches decide tuple by tuple,
+        # and it accumulates TIDs.  Every row that enters ``pending`` is
+        # counted in ``stats.produced`` as it does, so the rows pending
+        # are ``produced`` minus its value at the last flush.
         ordered = result_cache is not None
-        columnar = tuple_cache is None and not ordered
+        by_run = tuple_cache is None and not ordered
         pending: list = []
         flushed = 0
 
         def full() -> bool:
-            size = stats.produced - flushed if columnar else len(pending)
-            return size >= DEFAULT_BATCH_SIZE
+            return stats.produced - flushed >= DEFAULT_BATCH_SIZE
 
-        def as_batch(parts: list) -> Batch:
-            if not columnar:
-                return parts
+        def as_batch(parts: list) -> Chunk:
+            image = heap.image()
+            if not by_run:
+                return image.take(_np.array(parts, dtype=_np.intp))
             if len(parts) == 1:  # a lone whole run stays a slice
-                return heap.image().take(parts[0])
-            return heap.image().take(_np.concatenate([
+                return image.take(parts[0])
+            return image.take(_np.concatenate([
                 _np.arange(p.start, p.stop) if type(p) is range else p
                 for p in parts
             ]))
@@ -257,7 +261,6 @@ class SmoothScan(Operator):
             ctx.charge_index_entry(n)
             pages = leaf // per_page
             page_checks = 0
-            mode0_rows: list = []
             tids = None
             j = 0
             while j < n:
@@ -265,36 +268,36 @@ class SmoothScan(Operator):
                     # ---- Entry by entry, Mode 0 and the Result Cache,
                     # up to the next entry on an unseen page.
                     if tids is None:
-                        # The leaf's TIDs and pages, and its rows in one
-                        # gather (a payload read charges nothing).
+                        # The leaf's TIDs and pages, its keys and Mode 0's
+                        # residual verdicts, out of one gather (a payload
+                        # read charges nothing).
                         tids, page_ids = leaf.tolist(), pages.tolist()
                         found = heap.image().take(leaf)
                         keys = found.column_values(state.col_pos)
+                        passes = (residual_mask(found) if mode0_active
+                                  and residual_mask is not None else None)
                     for j in range(j, n):
                         tid, page = tids[j], page_ids[j]
                         probes += 1
                         if mode0_active:
                             # Per-probe random fetches until the trigger
                             # fires; inherently tuple-at-a-time.
-                            if not mode0_rows:
-                                # Reversed, so each probe pops its row.
-                                mode0_rows = found[j:].to_rows()[::-1]
                             ctx.get_page(heap, page)
                             stats.mode0_page_fetches += 1
                             ctx.charge_inspect()
-                            row = mode0_rows.pop()
-                            if residual_fn(row):
+                            if passes is None or passes[j]:
                                 stats.mode0_tuples += 1
                                 stats.produced += 1
                                 assert tuple_cache is not None
                                 tuple_cache.add(tid)
                                 ctx.charge_cache_insert()
                                 ctx.charge_emit()
-                                pending.append(row)
+                                pending.append(tid)
                                 if full():
                                     stats.probes = probes
-                                    yield pending
+                                    yield as_batch(pending)
                                     pending = []
+                                    flushed = stats.produced
                             if self.trigger.should_morph(stats.produced):
                                 mode0_active = False
                                 stats.morphed_at = stats.produced
@@ -313,16 +316,15 @@ class SmoothScan(Operator):
                             key = keys[j]
                             result_cache.advance(key)
                             ctx.charge_cache_probe()
-                            cached = result_cache.take(key, tid,
-                                                       disk=ctx.disk)
-                            if cached is not None:
+                            if result_cache.take(key, tid, disk=ctx.disk):
                                 stats.produced += 1
                                 ctx.charge_emit()
-                                pending.append(cached)
+                                pending.append(tid)
                                 if full():
                                     stats.probes = probes
-                                    yield pending
+                                    yield as_batch(pending)
                                     pending = []
+                                    flushed = stats.produced
                                 continue
                         # ... then the Page ID cache check.
                         page_checks += 1
@@ -415,10 +417,10 @@ class SmoothScan(Operator):
         scan's qualifying positions, and the run's page charges: a
         ``cache_insert`` per page and an ``inspect`` per row.  With no
         auxiliary cache ``out`` takes the cut itself, a selection vector;
-        the caches want TIDs and rows, so there ``out`` takes rows — all
-        of the run's when unordered, only the probe's own
-        (``probe_tid``) when the Result Cache parks the rest to preserve
-        an order.
+        the caches decide TID by TID, so there ``out`` takes TIDs — all of
+        the run's that the Tuple ID cache has not seen when unordered,
+        only the probe's own (``probe_tid``) when the Result Cache parks
+        the rest to preserve an order.
         """
         stats = state.stats
         tuple_cache = state.tuple_cache
@@ -441,7 +443,6 @@ class SmoothScan(Operator):
             out.append(sel)
             return
         at = _np.asarray(sel).tolist()
-        rows = heap.image().take(sel).to_rows()
         found = range(len(at))
         if tuple_cache is not None:
             # Fig. 7b's post-morph overhead: a produced-tuple check for
@@ -449,17 +450,16 @@ class SmoothScan(Operator):
             ctx.charge_cache_probe(len(found))
             found = [k for k in found if not tuple_cache.contains(at[k])]
         if result_cache is not None:
+            keys = heap.image().take(sel).column_values(state.col_pos)
             for k in found:
-                row = rows[k]
                 if at[k] == probe_tid:
                     stats.produced += 1
                     ctx.charge_emit()
-                    out.append(row)
+                    out.append(probe_tid)
                 else:
                     ctx.charge_cache_insert()
-                    result_cache.insert(row[state.col_pos], at[k], row,
-                                        disk=ctx.disk)
+                    result_cache.insert(keys[k], at[k], disk=ctx.disk)
             return
         stats.produced += len(found)
         ctx.charge_emit(len(found))
-        out += [rows[k] for k in found]
+        out += [at[k] for k in found]

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as _np
+
 from repro.context import ExecutionContext
 from repro.core.caches import TupleIdCache
 from repro.exec.expressions import (
@@ -21,10 +23,9 @@ from repro.exec.expressions import (
     TruePredicate,
     require_columns,
 )
-from repro.exec.iterator import Batch, Chunk, DEFAULT_BATCH_SIZE, Operator
+from repro.exec.iterator import DEFAULT_BATCH_SIZE, Chunk, Operator
 from repro.storage.chunk import mask_and, mask_nonzero
 from repro.storage.table import Table
-from repro.storage.types import Row
 
 
 class SwitchScan(Operator):
@@ -62,11 +63,11 @@ class SwitchScan(Operator):
             f"threshold={self.threshold})"
         )
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         """Per-probe phase 1, vectorized full-scan phase 2."""
         heap = self.table.heap
+        image = heap.image()
         self.switched = False
-        residual_fn = self.residual.bind(self.schema)
         qualify_mask = self.key_range.predicate(self.column).bind_mask(
             self.schema)
         residual_mask = (
@@ -80,29 +81,32 @@ class SwitchScan(Operator):
         # Random per-TID heap fetches dominate here, so the scan stays
         # per entry — which also stops charging at the exact entry where
         # the switch fires, mid-leaf.  Only the payload moves a leaf at a
-        # time: its rows come out of the heap image in one gather.
-        pending: list[Row] = []
+        # time: the residual is one mask over the leaf's rows of the
+        # heap image, and the batch collects TIDs.
+        pending: list[int] = []
         rng = self.key_range
         per_page = heap.tuples_per_page
         for tids in self.index.scan_leaf_tids(
             ctx, lo=rng.lo, hi=rng.hi,
             lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
         ):
-            leaf_rows = heap.image().take(tids).to_rows()
-            for tid, page_id, row in zip(tids.tolist(),
-                                         (tids // per_page).tolist(),
-                                         leaf_rows, strict=True):
+            mask = None if residual_mask is None \
+                else residual_mask(image.take(tids))
+            passes = [True] * len(tids) if mask is None else list(mask)
+            for tid, page_id, ok in zip(tids.tolist(),
+                                        (tids // per_page).tolist(),
+                                        passes, strict=True):
                 ctx.charge_index_entry()
                 ctx.get_page(heap, page_id)
                 ctx.charge_inspect()
-                if residual_fn(row):
+                if ok:
                     produced += 1
                     produced_tids.add(tid)
                     ctx.charge_cache_insert()
                     ctx.charge_emit()
-                    pending.append(row)
+                    pending.append(tid)
                     if len(pending) >= DEFAULT_BATCH_SIZE:
-                        yield pending
+                        yield image.take(_np.array(pending, dtype=_np.intp))
                         pending = []
                 if produced > self.threshold:
                     self.switched = True
@@ -110,7 +114,7 @@ class SwitchScan(Operator):
             if self.switched:
                 break
         if pending:
-            yield pending
+            yield image.take(_np.array(pending, dtype=_np.intp))
         if not self.switched:
             return
 

@@ -18,7 +18,6 @@ from repro.exec.expressions import (
     extract_range,
 )
 from repro.exec.iterator import (
-    Batch,
     DEFAULT_BATCH_SIZE,
     Operator,
     explain,
@@ -26,8 +25,6 @@ from repro.exec.iterator import (
 from repro.exec.joins import (
     HashJoin,
     IndexNestedLoopJoin,
-    MergeJoin,
-    NestedLoopJoin,
 )
 from repro.exec.misc import (
     Filter,
@@ -51,7 +48,6 @@ from repro.exec.stats import RunResult, StreamingRun, measure
 __all__ = [
     "AggSpec",
     "And",
-    "Batch",
     "Between",
     "DEFAULT_BATCH_SIZE",
     "Comparison",
@@ -68,8 +64,6 @@ __all__ = [
     "Limit",
     "MapProject",
     "Materialize",
-    "MergeJoin",
-    "NestedLoopJoin",
     "Not",
     "NullRejecting",
     "Operator",

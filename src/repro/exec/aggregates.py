@@ -26,7 +26,7 @@ import numpy as _np
 
 from repro.context import ExecutionContext
 from repro.errors import PlanningError
-from repro.exec.iterator import Batch, Chunk, Operator, chunked
+from repro.exec.iterator import Chunk, Operator, chunked
 from repro.storage.types import Column, ColumnType, Row, Schema
 
 _SUPPORTED = ("sum", "count", "avg", "min", "max")
@@ -368,7 +368,7 @@ class HashAggregate(Operator):
         funcs = ", ".join(f"{s.func}({s.column or '*'})" for s in self.aggs)
         return f"HashAggregate([{keys}] {funcs})"
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         groups: dict[tuple, list[_Accumulator]] = {}
         gpos = self._group_positions
         getters = self._getters
@@ -380,10 +380,10 @@ class HashAggregate(Operator):
         for batch in self.child.batches(ctx):
             ctx.charge_hash(len(batch))
             if vstate is not None:
-                if isinstance(batch, Chunk) and vstate.update(batch):
+                if vstate.update(batch):
                     continue
-                # Inexact batch (row list, object column, NaN …): demote
-                # the array state and finish tuple-at-a-time.
+                # Inexact batch (object column, NaN …): demote the array
+                # state and finish tuple-at-a-time.
                 groups = vstate.demote()
                 vstate = None
             for row in batch:

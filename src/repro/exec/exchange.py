@@ -42,7 +42,7 @@ from typing import Iterator, Sequence
 
 from repro.context import ExecutionContext
 from repro.errors import ExecutionError
-from repro.exec.iterator import Batch, Operator
+from repro.exec.iterator import Chunk, Operator
 from repro.runtime import CostLedger
 
 
@@ -81,7 +81,7 @@ class ShardedScan(Operator):
     def children(self) -> tuple[Operator, ...]:
         return (self.child,)
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         return self.child.batches(ctx)
 
 
@@ -105,7 +105,7 @@ class UnionAll(Operator):
     def children(self) -> tuple[Operator, ...]:
         return self._children
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         for child in self._children:
             yield from child.batches(ctx)
 
@@ -145,7 +145,7 @@ class Exchange(Operator):
             return child.shard_name
         return f"shard{index}"
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         runtime = ctx.runtime
         clock = ctx.clock
         disk = ctx.disk

@@ -3,20 +3,22 @@
 A predicate compiles two ways, one per shape of input:
 
 * :meth:`Predicate.bind` — a plain ``row -> bool`` closure with column
-  positions resolved once.  It checks one tuple at a time: Mode 0, Switch
-  Scan's index phase, the residuals of INLJ and Sort Scan's sparse reads,
-  and a :class:`~repro.exec.misc.Filter` over a row list (a join's
-  output), which keeps ``[row for row in rows if bind(row)]``.
+  positions resolved once.  It checks one tuple at a time, and is the
+  reference the columnar forms are held to; the default
+  :meth:`~Predicate.bind_mask` evaluates it row-wise (what
+  :class:`NullRejecting`'s three-valued logic rides).
 * :meth:`Predicate.bind_mask` / :meth:`Predicate.bind_chunk` — the
   columnar forms over a :class:`~repro.storage.chunk.Chunk`: one array
   comparison produces a boolean mask over a whole run of pages, and
   ``bind_chunk`` narrows the chunk by selection vector without touching a
-  single row tuple.  The full scan, Sort Scan's dense branch and Smooth
-  Scan's morphing regions check rows this way.
+  single row tuple.  Every operator checks rows this way — a batch is a
+  chunk — including the per-probe readers (Mode 0 and Switch Scan's
+  index phase read one mask per index leaf) and join residuals (one
+  mask over the joined chunk).
 
-A row list has no columns to compare, so it takes the per-tuple form;
-conjunctions and disjunctions bind to one plain loop over their parts
-(:func:`_all_of` / :func:`_any_of`), which is what keeps that form cheap.
+Conjunctions and disjunctions bind to one plain loop over their parts
+(:func:`_all_of` / :func:`_any_of`), which is what keeps the per-tuple
+form cheap.
 
 :func:`extract_range` splits a predicate into the key range an index can
 serve plus the residual part that must be re-checked per tuple — the

@@ -16,28 +16,29 @@ one batch at a time and may stop early.
 :meth:`Operator.rows` is not a second protocol but a final view over the
 first — it flattens ``batches()`` into row tuples for callers that want
 them, and no operator overrides it.  Operators whose algorithm is
-inherently per-tuple (a merge of two sorted streams) run that loop inside
-``batches()`` and cut its output with :func:`chunked`.
+inherently per-tuple (an aggregate's row-at-a-time fallback) run that loop
+inside ``batches()`` and cut its output with :func:`chunked`.
 
 Batch contract:
 
-* a batch is a non-empty :class:`Chunk` (or, for row-native producers, a
-  non-empty ``list`` of rows — both support ``len()``, iteration yielding
-  row tuples, indexing, and slicing); producers never yield empty batches
-  — an empty producer yields *zero* batches, never an empty one — and the
-  ``rows()`` view asserts it;
+* a batch is a non-empty :class:`Chunk` — the one batch type; producers
+  never yield empty batches — an empty producer yields *zero* batches,
+  never an empty one — and the ``rows()`` view asserts it;
 * iterating a batch yields built-in Python scalars; ``Chunk.to_rows()``
   round-trips exactly, including NULLs and CHAR values;
+* a row-native producer (an index probe, a Mode 0 fetch, a join) collects
+  *positions* — a TID is a row's position in the heap's columnar image
+  (:meth:`~repro.storage.heap.HeapFile.image`) — and yields
+  ``image.take(positions)``; a join collects (left, right) position
+  pairs and yields the two sides' ``take`` side by side;
 * a batch stays its producer's: ``Chunk.to_rows()`` returns the chunk's
-  cached list, ``Chunk.from_rows`` shares the list it was given, a scan's
-  chunk is a slice of, or a selection vector over, the heap's one
-  columnar image (:meth:`~repro.storage.heap.HeapFile.image` — its
-  ``columns`` *are* the table's, whatever its length) and a row-list batch
-  can be the operator's own state — so consumers only read batches, and
-  read columns through ``data_column`` / ``array`` / ``column_values``,
-  which apply the selection.  The one consumer that hands rows to user
-  code, the cursor, buffers a batch's row list and serves fetches as
-  slices of it: what the caller gets is a new list;
+  cached list, ``Chunk.from_rows`` shares the list it was given, and a
+  scan's chunk is a slice of, or a selection vector over, the image (its
+  ``columns`` *are* the table's, whatever its length) — so consumers
+  only read batches, and read columns through ``data_column`` /
+  ``array`` / ``column_values``, which apply the selection.  The one
+  consumer that hands rows to user code, the cursor, rowifies the part
+  of a batch a fetch hands out: what the caller gets is a new list;
 * batch sizes are bounded but not fixed — natural producer units (a heap
   page, an extent run, a morphing region) are preferred over re-chunking,
   and per-tuple producers flush every :data:`DEFAULT_BATCH_SIZE` rows;
@@ -56,20 +57,16 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import islice
-from typing import Iterable, Iterator, Sequence, Union, final
+from typing import Iterable, Iterator, Sequence, final
 
 from repro.context import ExecutionContext
 from repro.storage.chunk import Chunk
 from repro.storage.types import Row, Schema
 
-#: A batch: a columnar chunk, or (row-native producers) a row list.
-Batch = Union[Chunk, list]
-
 #: Rows per batch flushed by per-tuple producers (see :func:`chunked`).
 DEFAULT_BATCH_SIZE = 1024
 
 __all__ = [
-    "Batch",
     "Chunk",
     "DEFAULT_BATCH_SIZE",
     "Operator",
@@ -85,7 +82,7 @@ class Operator(ABC):
     schema: Schema
 
     @abstractmethod
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         """Yield output batches (non-empty), charging costs on ``ctx``."""
 
     @final
@@ -111,7 +108,7 @@ class Operator(ABC):
         """Run to completion and materialize all output rows."""
         out: list[Row] = []
         for batch in self.batches(ctx):
-            out.extend(batch.to_rows() if isinstance(batch, Chunk) else batch)
+            out.extend(batch.to_rows())
         return out
 
 

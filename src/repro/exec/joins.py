@@ -1,4 +1,10 @@
-"""Join operators: hash, merge, (block) nested-loop, and index nested-loop.
+"""Join operators: hash and index nested-loop.
+
+Both emit *position pairs*: a probe collects, per output row, the
+position of its left (outer) row in the probe batch and of its right
+(inner) row — in the build chunk, or the inner heap's columnar image —
+and the output chunk is the two sides' ``take`` of those positions, side
+by side.  No joined row is built before a consumer reads one.
 
 The index nested-loop join supports two inner access modes: ``classic``
 (one random heap fetch per matching TID — PostgreSQL's parameterized index
@@ -17,9 +23,10 @@ import numpy as _np
 from repro.context import ExecutionContext
 from repro.errors import PlanningError
 from repro.exec.expressions import Predicate, TruePredicate
-from repro.exec.iterator import Batch, Chunk, Operator, chunked
+from repro.exec.iterator import Chunk, Operator
+from repro.exec.scans import _contiguous_runs
 from repro.storage.table import Table
-from repro.storage.types import Row, Schema
+from repro.storage.types import Schema
 
 
 def _joined_schema(left: Schema, right: Schema) -> Schema:
@@ -33,6 +40,23 @@ def _joined_schema(left: Schema, right: Schema) -> Schema:
     return Schema(columns)
 
 
+def joined_chunk(names: Sequence[str], left: Chunk, left_at: list[int],
+                 right: Chunk, right_at: list[int]) -> Chunk:
+    """Row ``k`` is ``left[left_at[k]] + right[right_at[k]]``: two takes."""
+    parts = (left.take(_np.asarray(left_at, dtype=_np.intp)),
+             right.take(_np.asarray(right_at, dtype=_np.intp)))
+    return Chunk(names, [part.data_column(i) for part in parts
+                         for i in range(len(part.columns))])
+
+
+def _keys(chunk: Chunk, positions: Sequence[int]) -> list:
+    """The join key of each row: the value, or a tuple of several."""
+    if len(positions) == 1:
+        return chunk.column_values(positions[0])
+    return list(zip(*(chunk.column_values(p) for p in positions),
+                    strict=True))
+
+
 class HashJoin(Operator):
     """Equi-join; builds a hash table on the right child, streams the left.
 
@@ -43,8 +67,11 @@ class HashJoin(Operator):
     * ``"semi"`` — emit each left row at most once if any match exists;
     * ``"anti"`` — emit each left row only if *no* match exists.
 
+    A key containing NULL matches nothing, as in SQL: inner and semi
+    joins drop the row, a left join pads it, an anti join keeps it.
     Semi/anti joins output the left schema only (they implement EXISTS /
-    NOT EXISTS subqueries, e.g. TPC-H Q4 and Q22).
+    NOT EXISTS subqueries, e.g. TPC-H Q4 and Q22).  Output is in left
+    order, and a left row's matches in the right child's order.
     """
 
     def __init__(self, left: Operator, right: Operator,
@@ -70,176 +97,67 @@ class HashJoin(Operator):
     def name(self) -> str:
         return f"HashJoin({self.join_type})"
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         """Probe the hash table one left batch at a time.
 
-        Single-key probes against a chunk read the key column once
-        (``column_values``) instead of building a key tuple per row, and
-        semi/anti joins narrow the chunk by selection vector — their
-        output stays columnar with zero row materialization.
+        Semi/anti joins narrow the batch by selection vector; inner and
+        left joins collect (left, right) position pairs and emit their
+        :func:`joined_chunk`.  A left join's miss pairs with the padding
+        row appended to the build side.
         """
-        table = self._build(ctx)
-        lpos = self.left_positions
-        pad = (None,) * len(self.right.schema)
+        right, table = self._build(ctx)
         join_type = self.join_type
+        names = self.schema.column_names
         get = table.get
-        single = len(lpos) == 1
-        lp0 = lpos[0]
+        pad = len(right) - 1 if join_type == "left" else None
         for batch in self.left.batches(ctx):
             ctx.charge_hash(len(batch))
-            is_chunk = isinstance(batch, Chunk)
-            keys = batch.column_values(lp0) if single and is_chunk else None
+            keys = _keys(batch, self.left_positions)
             if join_type in ("semi", "anti"):
-                if keys is not None:
-                    if join_type == "semi":
-                        sel = [i for i, k in enumerate(keys) if get((k,))]
-                    else:
-                        sel = [i for i, k in enumerate(keys) if not get((k,))]
-                    if sel:
-                        kept = batch if len(sel) == len(batch) \
-                            else batch.take(sel)
-                        ctx.charge_emit(len(kept))
-                        yield kept
-                    continue
-                if join_type == "semi":
-                    out = [row for row in batch
-                           if get(tuple(row[p] for p in lpos))]
-                else:
-                    out = [row for row in batch
-                           if not get(tuple(row[p] for p in lpos))]
-                if out:
-                    ctx.charge_emit(len(out))
-                    yield out
+                want = join_type == "semi"
+                sel = [i for i, k in enumerate(keys) if (k in table) is want]
+                if sel:
+                    kept = batch if len(sel) == len(batch) \
+                        else batch.take(sel)
+                    ctx.charge_emit(len(kept))
+                    yield kept
                 continue
-            out = []
-            if keys is not None:
-                pairs = zip(batch.to_rows(), keys, strict=False)
-                lookups = ((row, get((k,))) for row, k in pairs)
-            else:
-                lookups = ((row, get(tuple(row[p] for p in lpos)))
-                           for row in batch)
-            if join_type == "inner":
-                for row, matches in lookups:
-                    if matches:
-                        out += [row + match for match in matches]
-            else:  # left
-                for row, matches in lookups:
-                    if matches:
-                        out += [row + match for match in matches]
-                    else:
-                        out.append(row + pad)
-            if out:
-                ctx.charge_emit(len(out))
-                yield Chunk.from_rows(self.schema.column_names, out)
+            left_at: list[int] = []
+            right_at: list[int] = []
+            for i, k in enumerate(keys):
+                found = get(k)
+                if found:
+                    left_at += [i] * len(found)
+                    right_at += found
+                elif pad is not None:
+                    left_at.append(i)
+                    right_at.append(pad)
+            if left_at:
+                ctx.charge_emit(len(left_at))
+                yield joined_chunk(names, batch, left_at, right, right_at)
 
-    def _build(self, ctx: ExecutionContext) -> dict[tuple, list[Row]]:
-        """Materialize the right child into the join hash table."""
-        table: dict[tuple, list[Row]] = {}
-        rpos = self.right_positions
-        single = len(rpos) == 1
-        rp0 = rpos[0]
-        for batch in self.right.batches(ctx):
-            ctx.charge_hash(len(batch))
-            if single and isinstance(batch, Chunk):
-                for k, row in zip(batch.column_values(rp0),
-                                  batch.to_rows(), strict=False):
-                    table.setdefault((k,), []).append(row)
-            else:
-                for row in batch:
-                    table.setdefault(
-                        tuple(row[p] for p in rpos), []
-                    ).append(row)
-        return table
+    def _build(self, ctx: ExecutionContext) -> tuple[Chunk, dict]:
+        """The right child as one chunk, and each key's positions in it.
 
-
-class MergeJoin(Operator):
-    """Equi-join of two inputs already sorted on their join keys.
-
-    The operator trusts its inputs' ordering — the planner is responsible
-    for placing sorts (or key-ordered access paths such as an index scan
-    or an ordered Smooth Scan) underneath.
-    """
-
-    def __init__(self, left: Operator, right: Operator,
-                 left_key: str, right_key: str):
-        self.left = left
-        self.right = right
-        self.left_pos = left.schema.index_of(left_key)
-        self.right_pos = right.schema.index_of(right_key)
-        self.schema = _joined_schema(left.schema, right.schema)
-
-    def children(self) -> tuple[Operator, ...]:
-        return (self.left, self.right)
-
-    def name(self) -> str:
-        return "MergeJoin"
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        """Merge the children's row views, cut into chunks."""
-        return chunked(self.schema.column_names, self._merge(ctx))
-
-    def _merge(self, ctx: ExecutionContext) -> Iterator[Row]:
-        lpos, rpos = self.left_pos, self.right_pos
-        left_iter = self.left.rows(ctx)
-        right_iter = self.right.rows(ctx)
-        lrow = next(left_iter, None)
-        rrow = next(right_iter, None)
-        while lrow is not None and rrow is not None:
-            ctx.charge_compare()
-            lkey, rkey = lrow[lpos], rrow[rpos]
-            if lkey < rkey:
-                lrow = next(left_iter, None)
-            elif lkey > rkey:
-                rrow = next(right_iter, None)
-            else:
-                # Gather the full duplicate group on the right.
-                group = [rrow]
-                rrow = next(right_iter, None)
-                while rrow is not None and rrow[rpos] == lkey:
-                    group.append(rrow)
-                    rrow = next(right_iter, None)
-                while lrow is not None and lrow[lpos] == lkey:
-                    for match in group:
-                        ctx.charge_emit()
-                        yield lrow + match
-                    lrow = next(left_iter, None)
-
-
-class NestedLoopJoin(Operator):
-    """Block nested-loop join with an arbitrary predicate (small inputs)."""
-
-    def __init__(self, left: Operator, right: Operator,
-                 predicate: Predicate | None = None):
-        self.left = left
-        self.right = right
-        self.schema = _joined_schema(left.schema, right.schema)
-        self.predicate = predicate or TruePredicate()
-
-    def children(self) -> tuple[Operator, ...]:
-        return (self.left, self.right)
-
-    def name(self) -> str:
-        return "NestedLoopJoin"
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        """Join one left batch against the materialized inner per step.
-
-        Pairs are tested left-row-at-a-time so memory stays proportional
-        to the *matching* output, never the raw cross product.
+        Keys containing NULL are left out of the table, so nothing finds
+        them; a left join's build chunk ends in one all-NULL padding row.
         """
-        inner = [row for batch in self.right.batches(ctx) for row in batch]
-        matches = self.predicate.bind(self.schema)
-        for batch in self.left.batches(ctx):
-            ctx.charge_inspect(len(batch) * len(inner))
-            out = [
-                joined
-                for lrow in batch
-                for rrow in inner
-                if matches(joined := lrow + rrow)
-            ]
-            if out:
-                ctx.charge_emit(len(out))
-                yield out
+        names = self.right.schema.column_names
+        parts = list(self.right.batches(ctx))
+        right = Chunk.concat(parts) if parts \
+            else Chunk(names, [[] for _ in names])
+        ctx.charge_hash(len(right))
+        table: dict[object, list[int]] = {}
+        setdefault = table.setdefault
+        single = len(self.right_positions) == 1
+        for pos, k in enumerate(_keys(right, self.right_positions)):
+            if (k is None) if single else (None in k):
+                continue
+            setdefault(k, []).append(pos)
+        if self.join_type == "left":
+            right = Chunk.concat(
+                [right, Chunk.from_rows(names, [(None,) * len(names)])])
+        return right, table
 
 
 class IndexNestedLoopJoin(Operator):
@@ -276,74 +194,60 @@ class IndexNestedLoopJoin(Operator):
     def name(self) -> str:
         return f"IndexNestedLoopJoin({self.inner_table.name}, {self.inner_access})"
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         """Probe the inner index one outer batch at a time.
 
-        The inner rows a batch will fetch are read first, in one gather
-        out of the heap image at the positions the index holds for the
-        batch's keys (uncharged, as every payload read is); the probe
-        loop then charges lookup by lookup and fetch by fetch.
+        The probe loop runs key by key — each key's index leaf reads, then
+        its heap page requests — and collects (outer position, inner TID)
+        pairs; a TID is the inner row's position in the heap image, so
+        the batch's output is their :func:`joined_chunk`, and the
+        residual one mask over it.  A NULL key probes nothing.
         """
-        matches = self.residual.bind(self.schema)
         heap = self.inner_table.heap
         per_page = heap.tuples_per_page
-        opos = self.outer_pos
-        inner_key_pos = self.inner_table.schema.index_of(self.inner_column)
+        residual = self.residual.bind_chunk(self.schema)
+        names = self.schema.column_names
         smooth = self.inner_access == "smooth"
-        peek_tids = self.index.peek_tids
+        lookup = self.index.lookup
         for batch in self.outer.batches(ctx):
-            if not len(batch):
-                continue
-            inner_rows = heap.image().take(_np.concatenate(
-                [peek_tids(orow[opos]) for orow in batch])).to_rows()
-            taken = 0
-            out: list[Row] = []
-            for orow in batch:
-                key = orow[opos]
-                tids = list(self.index.lookup(ctx, key))
+            outer_at: list[int] = []
+            inner_at: list[int] = []
+            inspected = 0
+            for i, key in enumerate(batch.column_values(self.outer_pos)):
+                tids = list(lookup(ctx, key))
                 if not tids:
                     continue
-                irows = inner_rows[taken:taken + len(tids)]
-                taken += len(tids)
                 if smooth and len(tids) > 1:
-                    out.extend(self._probe_smooth(
-                        ctx, heap, orow, key, tids, irows, inner_key_pos,
-                        matches
-                    ))
+                    inspected += self._probe_smooth(ctx, heap, tids)
                 else:
-                    for tid, irow in zip(tids, irows, strict=True):
+                    for tid in tids:
                         ctx.get_page(heap, tid // per_page)
-                        ctx.charge_inspect()
-                        joined = orow + irow
-                        if matches(joined):
-                            ctx.charge_emit()
-                            out.append(joined)
-            if out:
-                yield out
+                    inspected += len(tids)
+                outer_at += [i] * len(tids)
+                inner_at += tids
+            ctx.charge_inspect(inspected)
+            if not inner_at:
+                continue
+            kept = residual(joined_chunk(names, batch, outer_at,
+                                         heap.image(), inner_at))
+            if kept is not None:
+                ctx.charge_emit(len(kept))
+                yield kept
 
-    def _probe_smooth(self, ctx: ExecutionContext, heap, orow: Row,
-                      key: object, tids, irows: list[Row],
-                      inner_key_pos: int, matches) -> Iterator[Row]:
+    @staticmethod
+    def _probe_smooth(ctx: ExecutionContext, heap, tids: list[int]) -> int:
         """Per-key morphing: fetch each page once, probe it entirely.
 
-        Probing a page entirely finds the key's rows on it, which are
-        ``irows`` (one per TID, and one key's TIDs are in slot order).
+        Returns the rows the page probes inspected.  Probing a page
+        entirely finds the key's rows on it, which are its TIDs — in page
+        order already, as one key's TIDs ascend in the index.
         """
         per_page = heap.tuples_per_page
         row_count = heap.row_count
-        on_page: dict[int, list[Row]] = {}
-        for tid, irow in zip(tids, irows, strict=True):
-            found = on_page.setdefault(tid // per_page, [])
-            # A NULL outer key probes every entry and equals no row.
-            if irow[inner_key_pos] == key:
-                found.append(irow)
-        from repro.exec.scans import _contiguous_runs  # shared helper
-        for run_start, run_len in _contiguous_runs(sorted(on_page)):
+        inspected = 0
+        pages = sorted({tid // per_page for tid in tids})
+        for run_start, run_len in _contiguous_runs(pages):
             for page_id in ctx.get_run(heap, run_start, run_len):
                 # Full, unless it is the heap's short last page.
-                ctx.charge_inspect(min(per_page, row_count - page_id * per_page))
-                for irow in on_page[page_id]:
-                    joined = orow + irow
-                    if matches(joined):
-                        ctx.charge_emit()
-                        yield joined
+                inspected += min(per_page, row_count - page_id * per_page)
+        return inspected

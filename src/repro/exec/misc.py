@@ -7,13 +7,12 @@ vectorized column implementation.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.context import ExecutionContext
 from repro.errors import PlanningError
 from repro.exec.expressions import Predicate, require_columns
-from repro.exec.iterator import Batch, Chunk, Operator, chunked
+from repro.exec.iterator import Chunk, Operator
 from repro.storage.types import Column, Row, Schema
 
 
@@ -32,19 +31,13 @@ class Filter(Operator):
     def name(self) -> str:
         return f"Filter({self.predicate!r})"
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         filter_chunk = self.predicate.bind_chunk(self.schema)
-        matches = self.predicate.bind(self.schema)
         for batch in self.child.batches(ctx):
             ctx.charge_inspect(len(batch))
-            if isinstance(batch, Chunk):
-                kept = filter_chunk(batch)
-                if kept is not None:
-                    yield kept
-            else:
-                kept_rows = [row for row in batch if matches(row)]
-                if kept_rows:
-                    yield kept_rows
+            kept = filter_chunk(batch)
+            if kept is not None:
+                yield kept
 
 
 class Project(Operator):
@@ -65,18 +58,11 @@ class Project(Operator):
     def name(self) -> str:
         return f"Project({', '.join(self.columns)})"
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         positions = self._positions
         names = self.schema.column_names
-        # One C-level pick per row; ``itemgetter`` of a single position
-        # returns the bare value, and a projected row is always a tuple.
-        pick = itemgetter(*positions) if len(positions) > 1 \
-            else lambda row, p=positions[0]: (row[p],)
         for batch in self.child.batches(ctx):
-            if isinstance(batch, Chunk):
-                yield batch.project(positions, names)
-            else:
-                yield list(map(pick, batch))
+            yield batch.project(positions, names)
 
 
 class MapProject(Operator):
@@ -100,13 +86,13 @@ class MapProject(Operator):
     def children(self) -> tuple[Operator, ...]:
         return (self.child,)
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         fn = self.fn
         vector = self.vector
         names = self.schema.column_names
         validate = self.schema.validate_row
         for batch in self.child.batches(ctx):
-            if vector is not None and isinstance(batch, Chunk):
+            if vector is not None:
                 columns = vector(batch)
                 if columns is not None:
                     # Arity is right by construction: one payload per
@@ -116,7 +102,7 @@ class MapProject(Operator):
             out = [fn(row) for row in batch]
             for row in out:
                 validate(row)
-            yield out
+            yield Chunk.from_rows(names, out)
 
 
 class Rename(Operator):
@@ -137,7 +123,7 @@ class Rename(Operator):
     def name(self) -> str:
         return f"Rename({self.mapping})"
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         return self.child.batches(ctx)
 
 
@@ -157,7 +143,7 @@ class Limit(Operator):
     def name(self) -> str:
         return f"Limit({self.n})"
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         remaining = self.n
         if remaining == 0:
             return
@@ -193,7 +179,7 @@ class RowCounter(Operator):
     def name(self) -> str:
         return self.child.name()
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         self.rows_seen = 0
         for batch in self.child.batches(ctx):
             self.rows_seen += len(batch)
@@ -204,37 +190,28 @@ class Materialize(Operator):
     """Run the child once, cache its output, replay it on re-execution.
 
     Used for join inputs that are consumed multiple times; replays charge
-    only emission CPU, modeling an in-memory temp table.
+    only emission CPU, modeling an in-memory temp table.  The cache is
+    the child's chunks, which a replay hands out again.
     """
 
     def __init__(self, child: Operator):
         self.child = child
         self.schema = child.schema
-        self._cache: list[Row] | None = None
         self._chunks: list[Chunk] | None = None
 
     def children(self) -> tuple[Operator, ...]:
         return (self.child,)
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        if self._cache is None:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
+        if self._chunks is None:
             # Materialize fully before yielding so a partially drained
             # first run — e.g. under a Limit — still leaves a complete
             # cache for re-execution.
-            self._cache = [
-                row for batch in self.child.batches(ctx) for row in batch
-            ]
+            self._chunks = list(self.child.batches(ctx))
         else:
-            ctx.charge_emit(len(self._cache))
-        if self._chunks is None:
-            # Transpose once per materialization; replays share the
-            # columnar payloads.
-            self._chunks = list(
-                chunked(self.schema.column_names, self._cache)
-            )
+            ctx.charge_emit(sum(map(len, self._chunks)))
         yield from self._chunks
 
     def invalidate(self) -> None:
         """Drop the cache (e.g. between measured runs)."""
-        self._cache = None
         self._chunks = None

@@ -25,14 +25,8 @@ from repro.exec.expressions import (
     TruePredicate,
     require_columns,
 )
-from repro.exec.iterator import Batch, DEFAULT_BATCH_SIZE, Operator
+from repro.exec.iterator import DEFAULT_BATCH_SIZE, Chunk, Operator
 from repro.storage.table import Table
-from repro.storage.types import Row
-
-#: Below this many candidate slots per page (on average, per run), the
-#: bitmap heap scan gathers rows directly instead of slicing columns.
-_SPARSE_SLOTS_PER_PAGE = 16
-
 
 class FullTableScan(Operator):
     """Sequential scan of every heap page, extent by extent (Eq. (10))."""
@@ -46,7 +40,7 @@ class FullTableScan(Operator):
     def name(self) -> str:
         return f"FullTableScan({self.table.name})"
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         """Columnar scan: one chunk per extent run of heap pages.
 
         The extent is one slice of the heap image, filtered with one mask
@@ -90,7 +84,7 @@ class IndexScan(Operator):
     def name(self) -> str:
         return f"IndexScan({self.table.name}.{self.column})"
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         """One random heap page request per index entry, in key order.
 
         Per entry ``index_entry``, the page request (a buffer hit, or the
@@ -160,7 +154,7 @@ class SortScan(Operator):
     def name(self) -> str:
         return f"SortScan({self.table.name}.{self.column})"
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         """Columnar bitmap heap scan: one chunk per near-sequential run.
 
         Phase 1 pulls the range as one array of TIDs, so collecting,
@@ -168,7 +162,7 @@ class SortScan(Operator):
         TID is a row's position in the heap image, so the sorted TIDs
         emit in physical (page, slot) order.  Phase 2 fetches a run of
         pages with results as one pool request, inspects its candidates
-        and emits a dense run as one selection vector over the heap
+        and emits it as one slice of, or selection vector over, the heap
         image.
         """
         tids = self.index.scan_tids(
@@ -179,57 +173,42 @@ class SortScan(Operator):
         if not len(tids):
             return
         heap = self.table.heap
-        filter_chunk = self.residual.bind_chunk(self.schema)
+        residual = (None if isinstance(self.residual, TruePredicate)
+                    else self.residual.bind_chunk(self.schema))
         positions = _np.sort(tids)
         ctx.charge_compare(_nlogn(len(positions)))
 
-        # Phase 2: group the sorted TIDs by page with one diff pass.
-        pages_arr = positions // heap.tuples_per_page
-        bounds = _np.flatnonzero(pages_arr[1:] != pages_arr[:-1]) + 1
-        starts = _np.concatenate(([0], bounds))
-        ends = _np.concatenate((bounds, [len(positions)]))
-        page_ids = pages_arr[starts].tolist()
-        spans = dict(zip(page_ids,
-                         zip(starts.tolist(), ends.tolist(), strict=False),
-                         strict=False))
-        matches = (None if isinstance(self.residual, TruePredicate)
-                   else self.residual.bind(self.schema))
+        # Phase 2: runs of adjacent pages with results, found with array
+        # operations over the sorted TIDs' pages: each run's page span,
+        # and the span [first, end) of its candidates in ``positions``.
+        pages = positions // heap.tuples_per_page
+        firsts = _np.flatnonzero(_np.diff(pages, prepend=-2) > 1)
+        ends = _np.append(firsts[1:], len(positions))
+        run_starts = pages[firsts]
+        run_lens = pages[ends - 1] - run_starts + 1
+        # A run whose candidates are several consecutive rows is a
+        # ``range`` of the image, as TIDs are distinct and sorted.
+        counts = ends - firsts
+        dense = (counts > 1) & (positions[ends - 1] - positions[firsts] + 1
+                                == counts)
         image = heap.image()
-        # Candidates per run: spans are contiguous in TID order.
-        runs = [(start, length, spans[start][0], spans[start + length - 1][1])
-                for start, length in _contiguous_runs(page_ids)]
-        # Sparse runs (few slots per page): gathering whole-page columns
-        # to select a handful of rows costs more than fetching the rows
-        # directly — every sparse run's rows in one gather, handed out
-        # run by run below.  Same charges, row batches.
-        sparse = [positions[first:end] for _, length, first, end in runs
-                  if end - first < length * _SPARSE_SLOTS_PER_PAGE]
-        sparse_rows: list[Row] = image.take(
-            _np.concatenate(sparse)).to_rows() if sparse else []
-        taken = 0
-        for run_start, run_len, first, end in runs:
-            ctx.get_run(heap, run_start, run_len)
-            ctx.charge_inspect(end - first)
-            if end - first < run_len * _SPARSE_SLOTS_PER_PAGE:
-                out = sparse_rows[taken:taken + end - first]
-                taken += end - first
-                if matches is not None:
-                    out = [row for row in out if matches(row)]
-                if out:
-                    ctx.charge_emit(len(out))
-                    yield out
-                continue
+        for run_start, run_len, first, end, lo, whole in zip(
+                run_starts.tolist(), run_lens.tolist(), firsts.tolist(),
+                ends.tolist(), positions[firsts].tolist(), dense.tolist()):
             # One batch per run (batch boundaries are simulated-clock
-            # state: Exchange interleaves on them): the run's candidates
-            # as positions in the heap image — a plain slice when every
-            # row of the run is one, as TIDs are distinct and sorted.
-            start, stop = int(positions[first]), int(positions[end - 1]) + 1
-            kept = filter_chunk(
-                image[start:stop] if stop - start == end - first
-                else image.take(positions[first:end]))
-            if kept is not None:
-                ctx.charge_emit(len(kept))
-                yield kept
+            # state: Exchange interleaves on them).
+            n = end - first
+            ctx.get_run(heap, run_start, run_len)
+            ctx.charge_inspect(n)
+            kept = image.take(range(lo, lo + n) if whole
+                              else positions[first:end])
+            if residual is not None:
+                kept = residual(kept)
+                if kept is None:
+                    continue
+                n = len(kept)
+            ctx.charge_emit(n)
+            yield kept
 
 
 def _contiguous_runs(page_ids: list[int]) -> Iterator[tuple[int, int]]:

@@ -16,8 +16,7 @@ import numpy as _np
 
 from repro.context import ExecutionContext
 from repro.errors import PlanningError
-from repro.exec.iterator import Batch, Chunk, DEFAULT_BATCH_SIZE, Operator
-from repro.storage.types import Row
+from repro.exec.iterator import DEFAULT_BATCH_SIZE, Chunk, Operator
 
 
 class Sort(Operator):
@@ -45,59 +44,40 @@ class Sort(Operator):
         )
         return f"Sort({order})"
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
+        """Concatenate the input, permute it once, hand it out in slices."""
         batches = list(self.child.batches(ctx))
-        if batches and all(isinstance(b, Chunk) for b in batches):
-            merged = Chunk.concat(batches)
-            perm = self._columnar_perm(merged)
-            if perm is not None:
-                n = len(merged)
-                if n > 1:
-                    ctx.charge_compare(n * max(1, (n - 1).bit_length()))
-                    self._charge_spill(ctx, n)
-                    merged = merged.take(perm)
-                for start in range(0, n, DEFAULT_BATCH_SIZE):
-                    yield merged[start:start + DEFAULT_BATCH_SIZE]
-                return
-        data = [row for batch in batches for row in batch]
-        data = self._sorted(ctx, data)
-        for start in range(0, len(data), DEFAULT_BATCH_SIZE):
-            yield data[start:start + DEFAULT_BATCH_SIZE]
-
-    def _columnar_perm(self, chunk: Chunk):
-        """Stable multi-key sort permutation via successive argsorts.
-
-        Returns ``None`` when ineligible — a descending key, or a key
-        column that is not array-backed — in which case the caller falls
-        back to the row sort.  Successive stable argsort passes applied
-        last-key-first produce exactly the permutation of the equivalent
-        chain of stable ``list.sort`` calls.
-        """
-        positions = []
-        for column, ascending in self.keys:
-            if not ascending:
-                return None
-            pos = self.schema.index_of(column)
-            if chunk.array(pos) is None:
-                return None
-            positions.append(pos)
-        perm = _np.arange(len(chunk))
-        for pos in reversed(positions):
-            col = chunk.array(pos)
-            perm = perm[_np.argsort(col[perm], kind="stable")]
-        return perm
-
-    def _sorted(self, ctx: ExecutionContext, data: list[Row]) -> list[Row]:
-        """Sort the materialized input in place, charging compare + spill."""
-        n = len(data)
+        if not batches:
+            return
+        merged = Chunk.concat(batches)
+        n = len(merged)
         if n > 1:
-            # Stable multi-key sort: apply keys last-to-first.
-            for column, ascending in reversed(self.keys):
-                idx = self.schema.index_of(column)
-                data.sort(key=lambda row: row[idx], reverse=not ascending)
             ctx.charge_compare(n * max(1, (n - 1).bit_length()))
             self._charge_spill(ctx, n)
-        return data
+            merged = merged.take(self._permutation(merged))
+        for start in range(0, n, DEFAULT_BATCH_SIZE):
+            yield merged[start:start + DEFAULT_BATCH_SIZE]
+
+    def _permutation(self, chunk: Chunk):
+        """The stable multi-key sort permutation of ``chunk``'s rows.
+
+        Keys apply last-first, each pass a stable sort of the permutation
+        so far: ``argsort`` for an ascending key over an array column, a
+        stable list sort of the key's values otherwise (descending keys
+        included — ``reverse`` keeps equal keys in order).
+        """
+        perm = _np.arange(len(chunk))
+        for column, ascending in reversed(self.keys):
+            pos = self.schema.index_of(column)
+            col = chunk.array(pos)
+            if ascending and col is not None:
+                perm = perm[_np.argsort(col[perm], kind="stable")]
+            else:
+                values = chunk.column_values(pos)
+                perm = sorted(perm.tolist(), key=values.__getitem__,
+                              reverse=not ascending)
+                perm = _np.asarray(perm, dtype=_np.intp)
+        return perm
 
     def _charge_spill(self, ctx: ExecutionContext, n_rows: int) -> None:
         """Charge external-sort I/O when the input exceeds work_mem."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.database import Database
-from repro.exec.iterator import Batch, Chunk, Operator
+from repro.exec.iterator import Chunk, Operator
 from repro.runtime import CostLedger
 from repro.storage.disk import DiskStats
 from repro.storage.types import Row
@@ -117,7 +117,7 @@ def measure(db: Database, plan: Operator, cold: bool = True,
     while batch is not None:
         if keep_rows:
             # Rowify at the boundary: internal batches stay columnar.
-            rows += batch.to_rows() if isinstance(batch, Chunk) else batch
+            rows += batch.to_rows()
         batch = run.next_batch()
     return run.result(rows if keep_rows else None)
 
@@ -178,9 +178,9 @@ class StreamingRun:
                 error=error,
             )
 
-    def next_batch(self) -> Batch | None:
-        """The next non-empty batch (a :class:`Chunk` or row list), or
-        ``None`` once the plan is done."""
+    def next_batch(self) -> Chunk | None:
+        """The next (non-empty) batch, or ``None`` once the plan is
+        done."""
         if self.closed or self.exhausted:
             return None
         tracer = self._runtime.tracer

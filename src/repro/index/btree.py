@@ -244,7 +244,13 @@ class BTreeIndex:
             ctx.buffer.get_page(self, pid)
 
     def lookup(self, ctx, key: object) -> Iterator[int]:
-        """Yield the TIDs of all entries equal to ``key`` (point probe)."""
+        """Yield the TIDs of all entries equal to ``key`` (point probe).
+
+        A NULL key equals no entry: it yields nothing and charges nothing
+        (it is not the unbounded range a ``None`` bound means to
+        :meth:`scan`)."""
+        if key is None:
+            return
         for pos, leaf_end in self._leaf_spans(ctx, key, key, True, True):
             for tid in self._tids[pos:leaf_end].tolist():
                 ctx.charge_index_entry()
@@ -254,8 +260,11 @@ class BTreeIndex:
         """The TIDs of the entries equal to ``key``; no charge.
 
         The TIDs :meth:`lookup` will yield, for a caller that gathers the
-        rows ahead of the probe loop that pays for them.
+        rows ahead of the probe loop that pays for them (none for a NULL
+        key).
         """
+        if key is None:
+            return self._tids[:0]
         return self.peek_range_tids(key, key, True, True)
 
     def peek_range_tids(self, lo: object | None, hi: object | None,

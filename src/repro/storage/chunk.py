@@ -41,6 +41,10 @@ ColumnData = Union[_np.ndarray, list]
 #: A boolean mask over a chunk's rows: ndarray of bool, or list of bool.
 Mask = Union[_np.ndarray, list]
 
+#: Up to this many selected rows, :meth:`Chunk.to_rows` reads values one
+#: by one instead of gathering whole columns.
+_FEW_ROWS = 4
+
 
 def _typed_column(values: Sequence) -> ColumnData:
     """Build one column: a typed array when exact, else an object list.
@@ -103,7 +107,8 @@ class Chunk:
     def __init__(self, names: Sequence[str], columns: Sequence[ColumnData],
                  sel=None):
         self.names = tuple(names)
-        self.columns = list(columns)
+        # Shared, never mutated: derived chunks reuse the one list.
+        self.columns = columns if type(columns) is list else list(columns)
         self.sel = sel
         if sel is not None:
             self._length = len(sel)
@@ -137,10 +142,20 @@ class Chunk:
 
     @staticmethod
     def concat(chunks: "Sequence[Chunk]") -> "Chunk":
-        """Concatenate chunks (same layout) into one compacted chunk."""
+        """Concatenate chunks of one layout into one chunk.
+
+        Parts over the same column payloads (say, selections of one heap
+        image) join their selections, and no payload moves; otherwise
+        the result is compacted."""
         if len(chunks) == 1:
             return chunks[0]
         first = chunks[0]
+        if all(c.columns is first.columns
+               or len(c.columns) == len(first.columns)
+               and all(a is b for a, b in zip(c.columns, first.columns))
+               for c in chunks[1:]):
+            return Chunk(first.names, first.columns, sel=_np.concatenate(
+                [c.positions() for c in chunks]))
         columns: list[ColumnData] = []
         for i in range(len(first.columns)):
             parts = [c.data_column(i) for c in chunks]
@@ -179,13 +194,27 @@ class Chunk:
         return self.to_rows()[item]
 
     def to_rows(self) -> list[Row]:
-        """Materialize (and cache) the logical rows as plain tuples."""
-        if self._rows is None:
-            cols = []
-            for i in range(len(self.columns)):
-                col = self.data_column(i)
-                cols.append(col.tolist() if _is_array(col) else col)
-            self._rows = list(zip(*cols, strict=False)) if cols else []
+        """Materialize (and cache) the logical rows as plain tuples.
+
+        A few selected rows are read value by value (``ndarray.item``
+        gives the built-in scalar ``tolist`` would); otherwise a ``range``
+        selection slices each column and any other gathers it."""
+        if self._rows is not None:
+            return self._rows
+        sel = self.sel
+        if type(sel) is not range and sel is not None \
+                and len(sel) <= _FEW_ROWS:
+            reads = [c.item if _is_array(c) else c.__getitem__
+                     for c in self.columns]
+            self._rows = [tuple([read(j) for read in reads]) for j in (
+                sel.tolist() if _is_array(sel) else sel)]
+            return self._rows
+        if type(sel) is range:
+            cols = [c[sel.start:sel.stop] for c in self.columns]
+        else:
+            cols = [self.data_column(i) for i in range(len(self.columns))]
+        self._rows = list(zip(*[c.tolist() if _is_array(c) else c
+                                for c in cols])) if cols else []
         return self._rows
 
     # -- columnar access ---------------------------------------------------
@@ -217,6 +246,17 @@ class Chunk:
         """Column ``i`` of the logical view as a plain Python list."""
         col = self.data_column(i)
         return col.tolist() if _is_array(col) else col
+
+    def positions(self) -> _np.ndarray:
+        """The physical rows of the logical view, in order, as an array."""
+        sel = self.sel
+        if type(sel) is _np.ndarray:
+            return sel
+        if sel is None:
+            return _np.arange(self._length)
+        if type(sel) is range:
+            return _np.arange(sel.start, sel.stop)
+        return _np.asarray(sel, dtype=_np.intp)
 
     # -- derivation (no data copies) ---------------------------------------
 
@@ -251,12 +291,13 @@ class Chunk:
     def project(self, positions: Sequence[int],
                 names: Sequence[str]) -> "Chunk":
         """A chunk of the given columns, sharing payloads and selection."""
-        chunk = Chunk(names, [self.columns[p] for p in positions],
-                      sel=self.sel)
-        for out_i, p in enumerate(positions):
-            cached = self._compact.get(p)
-            if cached is not None:
-                chunk._compact[out_i] = cached
+        columns = self.columns
+        chunk = Chunk(names, [columns[p] for p in positions], sel=self.sel)
+        if self._compact:
+            for out_i, p in enumerate(positions):
+                cached = self._compact.get(p)
+                if cached is not None:
+                    chunk._compact[out_i] = cached
         return chunk
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -389,18 +389,18 @@ BOUNDARY_STATEMENTS = {
     # 13 extent-sized Chunk batches, ~560 rows each
     "chunks": "SELECT /*+ force_path(full) */ c1, c2 FROM micro "
               "WHERE c2 < 30000",
-    # one 7,285-row Chunk (SortScan's dense branch: one batch per run)
+    # one 7,285-row Chunk (SortScan: one batch per run)
     "one-chunk": "SELECT /*+ force_path(sort) */ c1, c2 FROM micro "
                  "WHERE c2 < 30000",
     # Sort's output: Chunk batches of exactly DEFAULT_BATCH_SIZE rows
     "chunks-1024": "SELECT c1, c2 FROM micro WHERE c2 < 30000 ORDER BY c2",
-    # SortScan's sparse runs: ~46 row-list batches of 1-4 rows
+    # SortScan's sparse runs: ~46 batches of 1-4 rows
     "row-lists": "SELECT /*+ force_path(sort) */ c1, c2 FROM micro "
                  "WHERE c2 < 300",
-    # Sort over row-list input: one 74-row list, the operator's own
+    # Sort over those: one 74-row batch
     "sorted-list": "SELECT /*+ force_path(sort) */ c1, c2 FROM micro "
                    "WHERE c2 < 300 ORDER BY c2",
-    # IndexNestedLoopJoin: one short row list
+    # IndexNestedLoopJoin: one short batch
     "join": "SELECT c1, d2 FROM dim JOIN micro ON d1 = c1 WHERE d1 < 30",
     "explain": "EXPLAIN SELECT c1, c2 FROM micro WHERE c2 < 300",
     "empty": "SELECT c1, c2 FROM micro WHERE c2 < 0",
@@ -444,10 +444,8 @@ def _assert_same_rows(label, got, rows):
     assert got == rows
 
 
-def test_boundary_statements_put_both_batch_kinds_behind_the_cursor(
+def test_boundary_statements_put_their_batches_behind_the_cursor(
         boundary_db, boundary_expected):
-    from repro.exec.iterator import Chunk
-
     conn = boundary_db.connect()
 
     def batches(label):
@@ -458,12 +456,11 @@ def test_boundary_statements_put_both_batch_kinds_behind_the_cursor(
         return out
 
     assert len(batches("chunks")) > 10
-    assert all(isinstance(b, Chunk) for b in batches("chunks"))
     assert [len(b) for b in batches("one-chunk")] == [7285]
     assert [len(b) for b in batches("chunks-1024")][:-1] == [1024] * 7
     assert len(batches("row-lists")) > 10
-    for label in ("row-lists", "sorted-list", "join"):
-        assert all(isinstance(b, list) for b in batches(label))
+    assert [len(b) for b in batches("sorted-list")] == [74]
+    assert len(batches("join")) == 1
     assert boundary_expected["empty"][0] == []
     assert len(boundary_expected["explain"][0]) >= 3
 
@@ -575,7 +572,6 @@ def test_fetched_lists_never_alias_engine_state(
     fetch or the next execution.
     """
     from repro.api import session
-    from repro.exec.iterator import Chunk
 
     rows, _ = boundary_expected[label]
     sql = BOUNDARY_STATEMENTS[label]
@@ -586,8 +582,7 @@ def test_fetched_lists_never_alias_engine_state(
         def next_batch(self):
             batch = super().next_batch()
             if batch is not None:
-                produced.append(batch.to_rows() if isinstance(batch, Chunk)
-                                else batch)
+                produced.append(batch.to_rows())
             return batch
 
     monkeypatch.setattr(session, "StreamingRun", RecordedRun)

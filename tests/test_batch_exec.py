@@ -48,7 +48,7 @@ from repro.exec.expressions import (
     TruePredicate,
 )
 from repro.exec.iterator import DEFAULT_BATCH_SIZE, Operator, chunked
-from repro.exec.joins import HashJoin, MergeJoin, NestedLoopJoin
+from repro.exec.joins import HashJoin
 from repro.exec.misc import Filter, Limit, Materialize, Project, Rename
 from repro.exec.scans import FullTableScan, IndexScan, SortScan
 from repro.exec.sort import Sort
@@ -121,17 +121,6 @@ for _join_type in ("inner", "left", "semi", "anti"):
                {"c2": "d2"}),
         ["c2"], ["d2"], join_type=jt,
     )
-CASES["join/nlj"] = lambda t: NestedLoopJoin(
-    Project(FullTableScan(t, Between("c2", 0, 25)), ["c1"]),
-    Project(Filter(FullTableScan(t), InList("c3", (1, 2))), ["c3"]),
-    predicate=Comparison("c3", CompareOp.GT, 1),
-)
-CASES["join/merge"] = lambda t: MergeJoin(
-    Sort(Project(FullTableScan(t, Between("c2", 0, 80)), ["c2"]), ["c2"]),
-    Sort(Rename(Project(FullTableScan(t, Between("c2", 40, 120)), ["c2"]),
-                {"c2": "d2"}), ["d2"]),
-    "c2", "d2",
-)
 CASES["join/morphing"] = lambda t: MorphingIndexJoin(
     Rename(Project(FullTableScan(t, Between("c1", 0, 300)), ["c1"]),
            {"c1": "o_key"}),
@@ -213,8 +202,43 @@ def assert_matches_golden(small_table, case, costs=True):
     return rows
 
 
+#: Golden entries of deleted operators (the merge join and the block
+#: nested-loop join), kept so the frozen file stays as recorded.
+RETIRED = ("join/merge", "join/nlj")
+
+
 def test_golden_file_covers_exactly_the_grid():
-    assert sorted(GOLDEN) == sorted(CASES)
+    assert sorted(GOLDEN) == sorted([*CASES, *RETIRED])
+
+
+def _plan_tree(op):
+    yield op
+    for child in op.children():
+        yield from _plan_tree(child)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_operator_yields_only_nonempty_chunks(small_table, case):
+    """One batch type: every operator of every plan in the grid — not just
+    the root — hands its parent only non-empty ``Chunk`` batches."""
+    db, table = small_table
+    plan = CASES[case](table)
+    seen = []
+
+    def checked(op):
+        batches = op.batches
+
+        def wrapper(ctx):
+            for batch in batches(ctx):
+                assert type(batch) is Chunk and len(batch), op.name()
+                seen.append(op)
+                yield batch
+        return wrapper
+
+    for op in _plan_tree(plan):
+        op.batches = checked(op)
+    rows = plan.collect(db.cold_run())
+    assert bool(rows) == (plan in seen)
 
 
 # -- one protocol ----------------------------------------------------------
@@ -226,7 +250,8 @@ class _ListBatches(Operator):
         self._batches = batches
 
     def batches(self, ctx):
-        yield from self._batches
+        for rows in self._batches:
+            yield Chunk.from_rows(self.schema, rows)
 
 
 def test_operator_without_batches_raises_at_construction():
@@ -427,24 +452,28 @@ def test_scans_batch_equals_rows(small_table):
 
 
 def test_scan_fast_paths_yield_chunks(small_table):
-    """The columnar fast paths hand out Chunk batches, not row lists.
+    """The scans hand out selections of the heap image, built from no row.
 
-    Full scans always; SortScan on dense runs (its sparse runs gather
-    rows directly by design); SmoothScan whenever no auxiliary cache
-    consumes TIDs (eager trigger, unordered).  This pins the tentpole:
-    batches stay columnar from the heap pages to the operator boundary
+    Batches stay columnar from the heap pages to the operator boundary
     instead of being rowified in the scan.
     """
     db, table = small_table
+    image = table.heap.image()
     dense = KeyRange(0, 1000)  # every tuple qualifies: dense page runs
+    sparse = KeyRange(0, 20)   # a few slots per page
     for plan in (
         FullTableScan(table, Between("c2", 0, 650)),
         SortScan(table, "c2", dense),
+        SortScan(table, "c2", sparse),
         SmoothScan(table, "c2", dense),  # eager + unordered
+        SmoothScan(table, "c2", sparse, ordered=True),
     ):
         batches = list(plan.batches(db.cold_run()))
         assert batches, plan.name()
-        assert all(isinstance(b, Chunk) for b in batches), plan.name()
+        for batch in batches:
+            assert batch._rows is None, plan.name()
+            assert all(col is whole for col, whole in zip(
+                batch.columns, image.columns, strict=True)), plan.name()
 
 
 def test_pipeline_batch_equals_rows(small_table):
@@ -462,7 +491,7 @@ def test_limit_batch_equals_rows(small_table):
 
 def test_joins_batch_equals_rows(small_table):
     for case in ("join/hash-inner", "join/hash-left", "join/hash-semi",
-                 "join/hash-anti", "join/nlj", "join/merge"):
+                 "join/hash-anti"):
         assert_matches_golden(small_table, case)
 
 
@@ -474,7 +503,7 @@ def test_morphing_join_batch_equals_rows(small_table):
     assert_matches_golden(small_table, "join/morphing")
 
 
-# -- IndexScan and MergeJoin: the two bodies that used to be row-only ------
+# -- IndexScan: the body that used to be row-only -------------------------
 
 
 def test_index_scan_batches_key_order_and_residual(small_table):
@@ -562,45 +591,6 @@ def test_limit_over_index_scan_charges_frozen_shim_numbers(small_table):
     for n in (5, 1_500):
         rows = assert_matches_golden(small_table, f"shim/limit-index-{n}")
         assert len(rows) == n
-
-
-def _merge(db, left_keys, right_keys):
-    left = db.load_table("l", Schema.of_ints(["lk", "lv"]),
-                         [(k, i) for i, k in enumerate(left_keys)])
-    right = db.load_table("r", Schema.of_ints(["rk", "rv"]),
-                          [(k, -i) for i, k in enumerate(right_keys)])
-    plan = MergeJoin(FullTableScan(left), FullTableScan(right), "lk", "rk")
-    batches = list(plan.batches(db.cold_run()))
-    assert all(isinstance(b, Chunk) and len(b) for b in batches)
-    return [row for batch in batches for row in batch]
-
-
-def test_merge_join_batches_duplicates_on_both_sides(db):
-    rows = _merge(db, [1, 1, 2, 4, 4, 4], [0, 1, 1, 1, 3, 4, 4])
-    # Key 1: 2 x 3 pairs, key 4: 3 x 2; left-major within a group.
-    assert rows == [
-        (1, 0, 1, -1), (1, 0, 1, -2), (1, 0, 1, -3),
-        (1, 1, 1, -1), (1, 1, 1, -2), (1, 1, 1, -3),
-        (4, 3, 4, -5), (4, 3, 4, -6),
-        (4, 4, 4, -5), (4, 4, 4, -6),
-        (4, 5, 4, -5), (4, 5, 4, -6),
-    ]
-
-
-@pytest.mark.parametrize("left_keys, right_keys", [
-    ([], [1, 2]), ([1, 2], []), ([], []),
-], ids=["empty-left", "empty-right", "both-empty"])
-def test_merge_join_batches_empty_side(db, left_keys, right_keys):
-    assert _merge(db, left_keys, right_keys) == []
-
-
-def test_merge_join_flushes_at_batch_size(db):
-    # 40 x 40 duplicates of one key: 1600 output rows, two flushes.
-    left = db.load_table("l", Schema.of_ints(["lk"]), [(7,)] * 40)
-    right = db.load_table("r", Schema.of_ints(["rk"]), [(7,)] * 40)
-    plan = MergeJoin(FullTableScan(left), FullTableScan(right), "lk", "rk")
-    sizes = [len(b) for b in plan.batches(db.cold_run())]
-    assert sizes == [DEFAULT_BATCH_SIZE, 1_600 - DEFAULT_BATCH_SIZE]
 
 
 # -- Materialize and the buffer pool ---------------------------------------

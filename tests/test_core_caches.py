@@ -134,33 +134,33 @@ def test_result_cache_partition_of(rc):
 
 def test_result_cache_insert_take(rc):
     tid = 101
-    rc.insert(5, tid, ("row",))
-    assert rc.take(5, tid) == ("row",)
-    assert rc.take(5, 909) is None
+    rc.insert(5, tid)
+    assert rc.take(5, tid) is True
+    assert rc.take(5, 909) is False
     assert rc.stats.hits == 1
     assert rc.stats.probes == 2
 
 
 def test_result_cache_advance_bulk_evicts(rc):
-    rc.insert(5, 0, ("a",))
-    rc.insert(15, 1, ("b",))
-    rc.insert(35, 2, ("c",))
+    rc.insert(5, 0)
+    rc.insert(15, 1)
+    rc.insert(35, 2)
     assert rc.entries == 3
     evicted = rc.advance(20)  # partitions below 20 fully passed
     assert evicted == 2
     assert rc.entries == 1
-    assert rc.take(35, 2) == ("c",)
+    assert rc.take(35, 2) is True
 
 
 def test_result_cache_advance_keeps_current_key_partition(rc):
-    rc.insert(10, 0, ("edge",))  # partition 1 ([10, 20))
+    rc.insert(10, 0)  # partition 1 ([10, 20))
     rc.advance(10)
-    assert rc.take(10, 0) == ("edge",)
+    assert rc.take(10, 0) is True
 
 
 def test_result_cache_peak_tracking(rc):
     for i in range(5):
-        rc.insert(5, i, (i,))
+        rc.insert(5, i)
     rc.advance(50)
     assert rc.stats.peak_entries == 5
     assert rc.stats.peak_bytes == 5 * 64
@@ -168,7 +168,7 @@ def test_result_cache_peak_tracking(rc):
 
 
 def test_result_cache_hit_rate(rc):
-    rc.insert(5, 0, ("a",))
+    rc.insert(5, 0)
     rc.take(5, 0)
     rc.take(5, 1)
     assert rc.stats.hit_rate == pytest.approx(0.5)
@@ -181,20 +181,19 @@ def test_result_cache_spill_and_unspill():
     # Fill the far partition (keys >= 100) past the limit while probing
     # near the low one.
     for i in range(5):
-        cache.insert(200, 100 + i, (i,), disk=disk)
+        cache.insert(200, 100 + i, disk=disk)
     assert cache.stats.spills >= 1
     assert disk.stats.requests > 0
     # Probing the spilled partition reads it back.
-    row = cache.take(200, 100, disk=disk)
-    assert row == (0,)
+    assert cache.take(200, 100, disk=disk) is True
     assert cache.stats.unspills == 1
 
 
 def test_result_cache_no_separators_single_partition():
     cache = ResultCache(separators=[], bytes_per_entry=10)
-    cache.insert(1, 0, ("x",))
+    cache.insert(1, 0)
     assert cache.num_partitions == 1
-    assert cache.take(999, 0) == ("x",)
+    assert cache.take(999, 0) is True
 
 
 def test_page_id_cache_rejects_marks_on_empty_table():
@@ -214,11 +213,11 @@ def test_result_cache_advance_counts_spilled_evictions():
     cache = ResultCache(separators=[100, 200, 300], bytes_per_entry=1000,
                         memory_limit_bytes=3000, page_bytes=8192)
     for i in range(5):  # partition [200, 300): spills past the limit
-        cache.insert(250, 100 + i, (i,), disk=disk)
+        cache.insert(250, 100 + i, disk=disk)
     assert cache.stats.spills >= 1
     spilled_entries = 5 - cache.entries
     assert spilled_entries > 0
-    cache.insert(50, 0, ("low",), disk=disk)
+    cache.insert(50, 0, disk=disk)
     in_memory = cache.entries
     evicted = cache.advance(300)  # passes every separator
     assert evicted == in_memory + spilled_entries
@@ -231,14 +230,14 @@ def test_result_cache_advance_is_incremental():
     # partition is evicted, re-advancing with the same key is a no-op
     # and later separators are still honored.
     cache = ResultCache(separators=[10, 20, 30], bytes_per_entry=64)
-    cache.insert(5, 0, ("a",))
-    cache.insert(15, 1, ("b",))
-    cache.insert(35, 2, ("c",))
+    cache.insert(5, 0)
+    cache.insert(15, 1)
+    cache.insert(35, 2)
     assert cache.advance(12) == 1     # partition [.., 10) dropped
     assert cache.advance(12) == 0     # same key again: nothing new
     assert cache.advance(5) == 0      # keys never move backwards in a scan
     assert cache.advance(30) == 1     # partitions [10,20) and [20,30)
-    assert cache.take(35, 2) == ("c",)
+    assert cache.take(35, 2) is True
 
 
 def test_result_cache_unspill_charges_read_not_spill():
@@ -248,7 +247,7 @@ def test_result_cache_unspill_charges_read_not_spill():
     cache = ResultCache(separators=[100], bytes_per_entry=1000,
                         memory_limit_bytes=3000, page_bytes=8192)
     for i in range(5):
-        cache.insert(200, 100 + i, (i,), disk=disk)
+        cache.insert(200, 100 + i, disk=disk)
     assert cache.stats.spills == 1
     spill_pages = cache.stats.spill_pages_written
     assert spill_pages >= 1
@@ -272,8 +271,8 @@ def test_result_cache_insert_below_advanced_position_raises():
     cache = ResultCache(separators=[10, 20, 30], bytes_per_entry=64)
     cache.advance(15)  # partitions below 10 are gone
     with pytest.raises(ExecutionError):
-        cache.insert(5, 0, ("late",))
-    cache.insert(15, 1, ("ok",))  # current partition still fine
+        cache.insert(5, 0)
+    cache.insert(15, 1)  # current partition still fine
 
 
 def test_result_cache_insert_into_spilled_partition_counts_on_advance():
@@ -281,8 +280,8 @@ def test_result_cache_insert_into_spilled_partition_counts_on_advance():
     cache = ResultCache(separators=[100, 400], bytes_per_entry=1000,
                         memory_limit_bytes=3000, page_bytes=8192)
     for i in range(5):  # partition [100, 400): spills past the limit
-        cache.insert(200, 100 + i, (i,), disk=disk)
+        cache.insert(200, 100 + i, disk=disk)
     assert cache.stats.spills == 1
     # A new insert lands in the overflow file, and advance still counts it.
-    cache.insert(300, 200, ("late",), disk=disk)
+    cache.insert(300, 200, disk=disk)
     assert cache.advance(400) == 6

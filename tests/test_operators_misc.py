@@ -55,24 +55,25 @@ def test_project_reorders(base):
 
 
 def test_project_row_list_batches(base):
-    """A child that emits row lists (sparse scan runs, joins): one pick
-    per row; a one-column projection still yields 1-tuples."""
-    from repro.exec.iterator import Operator
+    """A child whose batches are built from row lists (``from_rows``, as
+    a per-tuple producer's are): a one-column projection still yields
+    1-tuples, and nothing charges."""
+    from repro.exec.iterator import Chunk, Operator
 
     db, scan = base
 
-    class RowLists(Operator):
+    class FromRows(Operator):
         schema = scan.schema
 
         def batches(self, ctx):
-            yield [(1, 2), (3, 4)]
-            yield [(5, 6)]
+            yield Chunk.from_rows(self.schema, [(1, 2), (3, 4)])
+            yield Chunk.from_rows(self.schema, [(5, 6)])
 
     ctx = db.cold_run()
-    assert list(Project(RowLists(), ["b", "a"]).batches(ctx)) == [
-        [(2, 1), (4, 3)], [(6, 5)]]
-    assert list(Project(RowLists(), ["b"]).batches(ctx)) == [
-        [(2,), (4,)], [(6,)]]
+    assert [b.to_rows() for b in Project(FromRows(), ["b", "a"]).batches(
+        ctx)] == [[(2, 1), (4, 3)], [(6, 5)]]
+    assert [b.to_rows() for b in Project(FromRows(), ["b"]).batches(
+        ctx)] == [[(2,), (4,)], [(6,)]]
     assert (ctx.clock.io_ms, ctx.clock.cpu_ms) == (0.0, 0.0)
 
 
@@ -261,7 +262,8 @@ ROW_LIST_FILTER_GOLDEN = {
 
 @pytest.mark.parametrize("access", ["classic", "smooth"])
 @pytest.mark.parametrize("name", sorted(ROW_LIST_FILTERS))
-def test_filter_over_inlj_row_lists(part_items, observe_plan, name, access):
+def test_filter_over_inlj_position_pairs(part_items, observe_plan, name,
+                                          access):
     db, part, item = part_items
     predicate, by_hand = ROW_LIST_FILTERS[name]
     plan = Filter(IndexNestedLoopJoin(FullTableScan(part), item,

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.database import Database
 from repro.exec.aggregates import AggSpec, HashAggregate
 from repro.exec.expressions import KeyRange
-from repro.exec.joins import HashJoin, MergeJoin
+from repro.exec.joins import HashJoin
 from repro.exec.scans import FullTableScan
 from repro.exec.sort import Sort
 from repro.exec.stats import measure
@@ -57,17 +57,15 @@ def test_hash_join_matches_python(left, right):
 
 @SETTINGS
 @given(left=pairs, right=pairs)
-def test_merge_join_matches_hash_join(left, right):
+def test_hash_join_keeps_nested_loop_order(left, right):
+    """Left order first, then the right child's order: the rows of a
+    plain nested loop, in its order."""
     db = Database()
     lt = load(db, "l", ["lk", "lv"], left)
     rt = load(db, "r", ["rk", "rv"], right)
-    hash_rows = sorted(measure(db, HashJoin(
-        FullTableScan(lt), FullTableScan(rt), ["lk"], ["rk"])).rows)
-    merge_rows = sorted(measure(db, MergeJoin(
-        Sort(FullTableScan(lt), ["lk"]),
-        Sort(FullTableScan(rt), ["rk"]),
-        "lk", "rk")).rows)
-    assert merge_rows == hash_rows
+    got = measure(db, HashJoin(
+        FullTableScan(lt), FullTableScan(rt), ["lk"], ["rk"])).rows
+    assert got == [lr + rr for lr in left for rr in right if lr[0] == rr[0]]
 
 
 @SETTINGS
