@@ -25,7 +25,8 @@ from repro.errors import PlanningError
 from repro.exec.aggregates import AggSpec
 from repro.exec.expressions import Predicate, conjunction
 from repro.optimizer.logical import JoinSpec, MapSpec, OrderItem, QuerySpec
-from repro.storage.types import Row, Schema
+from repro.storage.chunk import Chunk, ColumnData
+from repro.storage.types import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.result import QueryResult
@@ -101,8 +102,14 @@ class Query:
         """Project the final output down to ``columns``, in order."""
         return self._with(select=tuple(columns))
 
-    def map(self, schema: Schema, fn: Callable[[Row], Row]) -> "Query":
-        """Append a computed projection (post-aggregation MapProject)."""
+    def map(self, schema: Schema,
+            fn: Callable[[Chunk], Sequence[ColumnData]]) -> "Query":
+        """Append a computed projection (post-aggregation MapProject).
+
+        ``fn`` maps a chunk to one column per field of ``schema``, each
+        ``len(chunk)`` values long — an ndarray or a list; build it from
+        :mod:`repro.exec.values` (``compute_all`` of column nodes).
+        """
         return self._with(maps=self.spec.maps + (MapSpec(schema, fn),))
 
     def order_by(self, *keys: str | tuple[str, bool]) -> "Query":

@@ -1,6 +1,6 @@
 """Physical execution engine: expressions, operators, measurement."""
 
-from repro.exec.aggregates import AggSpec, HashAggregate, scalar_aggregate
+from repro.exec.aggregates import AggSpec, HashAggregate
 from repro.exec.expressions import (
     And,
     Between,
@@ -13,7 +13,6 @@ from repro.exec.expressions import (
     Or,
     Predicate,
     TruePredicate,
-    column_getter,
     conjunction,
     extract_range,
 )
@@ -80,10 +79,8 @@ __all__ = [
     "Sort",
     "SortScan",
     "TruePredicate",
-    "column_getter",
     "conjunction",
     "explain",
     "extract_range",
     "measure",
-    "scalar_aggregate",
 ]

@@ -683,12 +683,6 @@ def conjunction(parts: Iterable[Predicate]) -> Predicate:
     return And(flat)
 
 
-def column_getter(schema: Schema, column: str) -> Callable[[Row], object]:
-    """A fast ``row -> value`` accessor for one column."""
-    idx = schema.index_of(column)
-    return lambda row: row[idx]
-
-
 def require_columns(schema: Schema, predicate: Predicate) -> None:
     """Raise PlanningError if the predicate references unknown columns."""
     missing = [c for c in predicate.columns() if not schema.has_column(c)]

@@ -15,9 +15,8 @@ one batch at a time and may stop early.
 
 :meth:`Operator.rows` is not a second protocol but a final view over the
 first — it flattens ``batches()`` into row tuples for callers that want
-them, and no operator overrides it.  Operators whose algorithm is
-inherently per-tuple (an aggregate's row-at-a-time fallback) run that loop
-inside ``batches()`` and cut its output with :func:`chunked`.
+them, and no operator overrides it.  Operators that build their output
+row by row (an aggregate's groups) cut it with :func:`chunked`.
 
 Batch contract:
 

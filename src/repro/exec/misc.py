@@ -1,19 +1,19 @@
 """Small plumbing operators: Filter, Project, MapProject, Limit, Materialize.
 
 Each consumes child chunks whole — filters narrow by selection vector,
-projections share column payloads, and row-function maps take an optional
-vectorized column implementation.
+projections share column payloads, and maps compute whole columns.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.context import ExecutionContext
-from repro.errors import PlanningError
+from repro.errors import ExecutionError, PlanningError
 from repro.exec.expressions import Predicate, require_columns
 from repro.exec.iterator import Chunk, Operator
-from repro.storage.types import Column, Row, Schema
+from repro.storage.chunk import ColumnData
+from repro.storage.types import Column, Schema
 
 
 class Filter(Operator):
@@ -66,43 +66,39 @@ class Project(Operator):
 
 
 class MapProject(Operator):
-    """Compute derived columns with an arbitrary row function.
+    """Compute derived columns with a chunk function.
 
-    The caller supplies the output schema explicitly — the executor cannot
-    infer types from a Python callable.  An optional ``vector``
-    implementation (``chunk -> column payloads``) lets the columnar path
-    compute every output column with whole-array operations; it must be
-    value-equivalent to mapping ``fn`` row-wise.
+    ``fn`` maps each child chunk to one column payload per output column
+    (``ColumnData``, ``len(chunk)`` values each); the values of
+    :mod:`repro.exec.values` are such functions, and
+    :func:`~repro.exec.values.compute_all` turns several into one.  The
+    caller supplies the output schema explicitly — the executor cannot
+    infer types from a Python callable.
     """
 
     def __init__(self, child: Operator, out_schema: Schema,
-                 fn: Callable[[Row], Row],
-                 vector: Optional[Callable[[Chunk], Sequence]] = None):
+                 fn: Callable[[Chunk], Sequence[ColumnData]]):
         self.child = child
         self.schema = out_schema
         self.fn = fn
-        self.vector = vector
 
     def children(self) -> tuple[Operator, ...]:
         return (self.child,)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         fn = self.fn
-        vector = self.vector
         names = self.schema.column_names
-        validate = self.schema.validate_row
         for batch in self.child.batches(ctx):
-            if vector is not None:
-                columns = vector(batch)
-                if columns is not None:
-                    # Arity is right by construction: one payload per
-                    # output column, all of the chunk's view length.
-                    yield Chunk.from_columns(names, columns)
-                    continue
-            out = [fn(row) for row in batch]
-            for row in out:
-                validate(row)
-            yield Chunk.from_rows(names, out)
+            columns = list(fn(batch))
+            n = len(batch)
+            if len(columns) != len(names) \
+                    or any(len(c) != n for c in columns):
+                raise ExecutionError(
+                    f"map gave {len(columns)} columns of lengths "
+                    f"{[len(c) for c in columns]} for a {n}-row batch; "
+                    f"its schema has {len(names)} columns"
+                )
+            yield Chunk.from_columns(names, columns)
 
 
 class Rename(Operator):

@@ -33,10 +33,11 @@ from repro.database import Database
 from repro.exec.stats import RunResult
 from repro.optimizer.advisor import IndexAdvisor, WorkloadQuery
 from repro.optimizer.statistics import StatisticsCatalog
+from repro.sql import compile_statement
 from repro.workloads.tpch.generator import TpchTables, generate_tpch
 from repro.workloads.tpch.queries import (
     FIGURE1_QUERIES,
-    FLUENT_QUERIES,
+    SQL_QUERIES,
     TpchPlanBuilder,
     build_query,
     mode_options,
@@ -211,18 +212,19 @@ def run_tpch_query(setup: Fig1Setup, builder: TpchPlanBuilder,
                    name: str) -> "RunResult":
     """Measure one query cold (shared by the Figure 1 and 4 drivers).
 
-    Queries with a declarative definition run through the public
-    ``Database.execute`` facade (fluent query → ``plan_query`` → batch
-    engine) — the same code path applications use; the rest keep their
-    hand-built operator trees.  Both routes follow ``builder.mode`` and
-    lower to identical physical plans, so they are
-    measurement-equivalent.
+    Queries with SQL text run through the public ``Database.execute``
+    facade (SQL → bound spec → ``plan_query`` → batch engine) — the same
+    code path applications use; the rest keep their hand-built operator
+    trees.  Both routes follow ``builder.mode`` and lower to identical
+    physical plans, so they are measurement-equivalent.
     """
-    fluent = FLUENT_QUERIES.get(name)
-    if fluent is not None:
+    text = SQL_QUERIES.get(name)
+    if text is not None:
+        bound = compile_statement(setup.db, text)
         return setup.db.execute(
-            fluent(setup.db), cold=True, keep_rows=False,
-            options=mode_options(builder.mode), catalog=setup.catalog,
+            bound.spec, cold=True, keep_rows=False,
+            options=bound.planner_options(mode_options(builder.mode)),
+            catalog=setup.catalog,
         ).run
     plan = build_query(name, builder)
     return run_cold(setup.db, f"{builder.mode}:{name}", plan).result

@@ -256,17 +256,6 @@ class BTreeIndex:
                 ctx.charge_index_entry()
                 yield tid
 
-    def peek_tids(self, key: object):
-        """The TIDs of the entries equal to ``key``; no charge.
-
-        The TIDs :meth:`lookup` will yield, for a caller that gathers the
-        rows ahead of the probe loop that pays for them (none for a NULL
-        key).
-        """
-        if key is None:
-            return self._tids[:0]
-        return self.peek_range_tids(key, key, True, True)
-
     def peek_range_tids(self, lo: object | None, hi: object | None,
                         lo_inclusive: bool = True,
                         hi_inclusive: bool = False):

@@ -16,12 +16,13 @@ and branched freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import PlanningError
 from repro.exec.aggregates import AggSpec
 from repro.exec.expressions import Predicate, TruePredicate
-from repro.storage.types import Row, Schema
+from repro.storage.chunk import Chunk, ColumnData
+from repro.storage.types import Schema
 
 #: Join semantics the executor supports (HashJoin's ``join_type`` values).
 JOIN_KINDS = ("inner", "left", "semi", "anti")
@@ -61,15 +62,13 @@ class OrderItem:
 class MapSpec:
     """A computed projection applied after aggregation (MapProject).
 
-    ``vector``, when present, is the columnar counterpart of ``fn``: it
-    maps a chunk to the full tuple of output columns and must be
-    value-equivalent row-for-row (returning ``None`` at runtime falls
-    back to ``fn``).
+    ``fn`` maps a chunk to its output columns: one ``ColumnData`` per
+    column of ``schema``, ``len(chunk)`` values each (see
+    :mod:`repro.exec.values`).
     """
 
     schema: Schema
-    fn: Callable[[Row], Row]
-    vector: Callable | None = None
+    fn: Callable[[Chunk], Sequence[ColumnData]]
 
 
 @dataclass(frozen=True)

@@ -338,7 +338,7 @@ class Planner:
             node = self._node(agg, est_rows=est_rows, children=(node,))
 
         for m in spec.maps:
-            op = MapProject(node.operator, m.schema, m.fn, vector=m.vector)
+            op = MapProject(node.operator, m.schema, m.fn)
             node = self._node(op, est_rows=est_rows, children=(node,))
 
         if spec.order_by and not (ordered and scan_order is not None):

@@ -474,7 +474,15 @@ class ServerSession:
 
     def _fetch_frame(self, rid: object, cid: int, n: int) -> dict:
         state = self._cursors[cid]
-        rows = state.cursor.fetchmany(n)
+        try:
+            rows = state.cursor.fetchmany(n)
+        except BaseException:
+            # A failed pull ends the statement: no cursor stays
+            # registered and no admission slot stays held.
+            self._cursors.pop(cid, None)
+            state.cursor.close()
+            self._release(state)
+            raise
         # A short read is the end of the result: an exact-boundary
         # result takes one extra (empty) fetch to discover `done`.
         done = len(rows) < n

@@ -5,13 +5,15 @@ table and column reference against :attr:`Database.tables` (unknown names
 raise position-annotated errors that *list the known names*), lowers the
 WHERE tree onto the existing :mod:`~repro.exec.expressions` predicate
 classes, turns ``EXISTS`` / ``NOT EXISTS`` subqueries into semi/anti
-:class:`~repro.optimizer.logical.JoinSpec` entries, compiles computed
-select items into aggregate ``value`` callables and post-aggregation
-:class:`~repro.optimizer.logical.MapSpec` projections, and maps planner
-hints onto :class:`~repro.optimizer.planner.PlannerOptions`.
+:class:`~repro.optimizer.logical.JoinSpec` entries, compiles each
+computed value once into a chunk function (:mod:`repro.exec.values`) —
+an aggregate's ``value`` or a column of a post-aggregation
+:class:`~repro.optimizer.logical.MapSpec` — and maps planner hints onto
+:class:`~repro.optimizer.planner.PlannerOptions`.
 
-Two canonicalizations make SQL and the fluent API *measurement-identical*
-rather than merely result-identical:
+Two canonicalizations make SQL *measurement-identical* to the same query
+built through the fluent API or wired by hand, rather than merely
+result-identical:
 
 * a lower and an upper bound on the same column (``x >= a AND x < b``)
   merge into one :class:`~repro.exec.expressions.Between` — the form the
@@ -24,13 +26,11 @@ rather than merely result-identical:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
-
-import numpy as _np
+from typing import TYPE_CHECKING
 
 from repro.errors import SqlError, StorageError
+from repro.exec import values
 from repro.exec.aggregates import AggSpec, aggregate_output_columns
 from repro.exec.expressions import (
     Between,
@@ -56,7 +56,7 @@ from repro.optimizer.params import (
 from repro.optimizer.planner import FORCEABLE_PATHS, PlannerOptions
 from repro.sql import ast
 from repro.sql.lexer import error_at, normalize_statement
-from repro.storage.types import Column, ColumnType, Row, Schema
+from repro.storage.types import Column, ColumnType, Schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.database import Database
@@ -70,89 +70,6 @@ _FLIPPED = {
     CompareOp.LT: CompareOp.GT, CompareOp.LE: CompareOp.GE,
     CompareOp.GT: CompareOp.LT, CompareOp.GE: CompareOp.LE,
 }
-_ARITH = {"+": operator.add, "-": operator.sub,
-          "*": operator.mul, "/": operator.truediv}
-
-#: int64 -> float64 conversion is exact below this, so numpy's
-#: convert-then-divide matches Python's correctly-rounded int division.
-_SAFE_DIV = 2 ** 53
-_INT64_MAX = 2 ** 63
-
-
-def _abs_bound(v) -> int:
-    """An upper bound on |v| as an exact Python int (arrays or scalars)."""
-    if isinstance(v, _np.ndarray):
-        if not len(v):
-            return 0
-        return max(int(v.max()), -int(v.min()))
-    return abs(v)
-
-
-def _vec_neg(a):
-    """Exact columnar negation; None on fallback."""
-    if a is None:
-        return None
-    if isinstance(a, _np.ndarray) and a.dtype == _np.int64 \
-            and len(a) and int(a.min()) == -_INT64_MAX:
-        return None  # -int64.min would wrap silently
-    return -a
-
-
-def _vec_arith(op: str, a, b):
-    """Columnar ``a op b`` that is bitwise equal to the Python row op.
-
-    Operands are float64/int64 ndarrays or exact Python scalars; returns
-    None whenever numpy semantics could diverge from Python's — int64
-    overflow (Python ints are unbounded), large-int division (Python
-    divides exactly before rounding), or division by zero (Python raises,
-    numpy yields inf) — so the caller can fall back to the row path.
-    """
-    if a is None or b is None:
-        return None
-    a_arr = isinstance(a, _np.ndarray)
-    b_arr = isinstance(b, _np.ndarray)
-    if not a_arr and not b_arr:
-        return _ARITH[op](a, b)  # pure Python: exact by definition
-    a_int = a.dtype == _np.int64 if a_arr else type(a) is int
-    b_int = b.dtype == _np.int64 if b_arr else type(b) is int
-    if a_int and b_int:
-        am, bm = _abs_bound(a), _abs_bound(b)
-        if op == "/":
-            if am >= _SAFE_DIV or bm >= _SAFE_DIV:
-                return None
-        elif op == "*":
-            if am * bm >= _INT64_MAX:
-                return None
-        elif am + bm >= _INT64_MAX:
-            return None
-    if op == "/":
-        if (b_arr and bool((b == 0).any())) or (not b_arr and b == 0):
-            return None  # let the row path raise ZeroDivisionError
-    try:
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        return _np.true_divide(a, b)
-    except OverflowError:  # a Python scalar outside the array dtype
-        return None
-
-
-def _vec_as_array(v, n: int):
-    """Broadcast a scalar vector result to a length-``n`` array."""
-    if v is None or isinstance(v, _np.ndarray):
-        return v
-    if type(v) is int:
-        try:
-            return _np.full(n, v, dtype=_np.int64)
-        except OverflowError:
-            return None
-    if type(v) is float:
-        return _np.full(n, v, dtype=_np.float64)
-    return None
-
 #: Hints the binder understands, with the PlannerOptions field each sets.
 VALID_HINTS = ("force_path", "no_inlj", "no_index", "no_sort_scan", "smooth")
 
@@ -799,43 +716,18 @@ class Binder:
 
         # At least one computed item: everything goes through one map.
         agg_scope = [("", agg_schema)]
-        getters: list[Callable[[Row], object]] = []
-        vec_cols: list = []
+        nodes: list[values.Node] = []
         columns: list[Column] = []
         for entry in bound:
             if entry[0] in ("group", "agg"):
                 pos = agg_schema.index_of(entry[1])
-                getters.append(lambda r, _p=pos: r[_p])
-                vec_cols.append(lambda chunk, _p=pos: chunk.data_column(_p))
+                nodes.append(values.column(pos))
                 columns.append(agg_schema.columns[pos])
             else:
-                fn, ctype = self._compile_value(entry[2], agg_scope)
-                getters.append(fn)
-                vec_cols.append(
-                    self._compile_vector_array(entry[2], agg_scope)
-                )
+                node, ctype = self._compile(entry[2], agg_scope)
+                nodes.append(node)
                 columns.append(Column(entry[1], ctype))
-        if len(getters) == 1:
-            only = getters[0]
-            map_fn: Callable[[Row], Row] = lambda r: (only(r),)  # noqa: E731
-        else:
-            fns = tuple(getters)
-            map_fn = lambda r: tuple(f(r) for f in fns)  # noqa: E731
-        map_vec = None
-        if all(v is not None for v in vec_cols):
-            # All-or-nothing: one row-path column would force rowifying
-            # the chunk anyway, losing the point of the columnar map.
-            col_fns = tuple(vec_cols)
-
-            def map_vec(chunk, _fns=col_fns):
-                out = []
-                for f in _fns:
-                    col = f(chunk)
-                    if col is None:
-                        return None
-                    out.append(col)
-                return out
-        maps = (MapSpec(Schema(columns), map_fn, vector=map_vec),)
+        maps = (MapSpec(Schema(columns), values.compute_all(nodes)),)
         return tuple(aggs), (), maps
 
     def _check_dup_output(self, name: str, bound: list[tuple],
@@ -865,15 +757,14 @@ class Binder:
             self._check_agg_input(func, input_schema.columns[pos].ctype,
                                   call)
             return AggSpec(func, alias or f"{func}_{column}", column=column)
-        fn, ctype = self._compile_value(call.arg, visible)
+        node, ctype = self._compile(call.arg, visible)
         self._check_agg_input(func, ctype, call)
         if func in ("sum", "avg"):
             # Parameters in the argument have no bind-time type; defer
             # the numeric check to bind_params (value arrival).
             self._numeric_params.update(_param_indices(call.arg))
-        vector = self._compile_vector_array(call.arg, visible)
-        return AggSpec(func, alias or f"{func}_{ordinal}", value=fn,
-                       vector=vector)
+        return AggSpec(func, alias or f"{func}_{ordinal}",
+                       value=values.compute(node))
 
     def _check_agg_input(self, func: str, ctype: ColumnType,
                          call: ast.FuncCall) -> None:
@@ -891,6 +782,10 @@ class Binder:
         if isinstance(expr, ast.FuncCall):
             spec = self._agg_spec(expr, None, input_schema, visible,
                                   len(aggs))
+            if any(a.output == spec.output for a in aggs):
+                # A hidden input of the map: ``count(*) * count(*)``
+                # needs two names.
+                spec = replace(spec, output=f"{spec.output}_{len(aggs)}")
             aggs.append(spec)
             return ast.ColumnRef(expr.line, expr.col, spec.output)
         if isinstance(expr, ast.Arith):
@@ -914,105 +809,47 @@ class Binder:
 
     # -- scalar expression compilation ---------------------------------------
 
-    def _compile_value(self, expr: ast.Expr,
-                       scope: list[tuple[str, Schema]]
-                       ) -> tuple[Callable[[Row], object], ColumnType]:
-        """Compile a value expression to ``row -> value`` over ``scope``."""
+    def _compile(self, expr: ast.Expr, scope: list[tuple[str, Schema]]
+                 ) -> tuple[values.Node, ColumnType]:
+        """Compile a value expression to a chunk function over ``scope``."""
         schema = _joined_schema(scope)
         if isinstance(expr, ast.Literal):
             value = expr.value
             ctype = (ColumnType.FLOAT if isinstance(value, float)
                      else ColumnType.INT if isinstance(value, int)
                      else ColumnType.CHAR)
-            return (lambda row: value), ctype
+            return values.constant(value), ctype
         if isinstance(expr, ast.ParamRef):
-            # Late-bound: the closure reads the statement's parameter
-            # slots, so re-executions with new values need no recompile.
+            # Late-bound: the node reads the statement's parameter slots,
+            # so re-executions with new values need no recompile.
             box = self._box
             index = expr.index
-            return (lambda row: box.values[index]), ColumnType.FLOAT
+            return (lambda chunk: box.values[index]), ColumnType.FLOAT
         if isinstance(expr, ast.ColumnRef):
-            name = self._resolve(expr, scope)
-            pos = schema.index_of(name)
-            return (lambda row: row[pos]), schema.columns[pos].ctype
+            pos = schema.index_of(self._resolve(expr, scope))
+            return values.column(pos), schema.columns[pos].ctype
         if isinstance(expr, ast.Negate):
-            fn, ctype = self._compile_value(expr.operand, scope)
-            return (lambda row: -fn(row)), ctype
+            node, ctype = self._compile(expr.operand, scope)
+            return values.negate(node), ctype
         if isinstance(expr, ast.Arith):
-            left, _lt = self._compile_value(expr.left, scope)
-            right, _rt = self._compile_value(expr.right, scope)
-            op = _ARITH[expr.op]
-            return (lambda row: op(left(row), right(row))), ColumnType.FLOAT
+            left, _lt = self._compile(expr.left, scope)
+            right, _rt = self._compile(expr.right, scope)
+            return values.arith(expr.op, left, right), ColumnType.FLOAT
         if isinstance(expr, ast.Case):
             condition = self._lower_bool(expr.condition, scope)
             if predicate_markers(condition):
-                # The condition is compiled to a row predicate *now*; a
-                # marker would be compared against rows at runtime.
+                # The condition is bound to the schema *now*; a marker
+                # would be compared against rows at runtime.
                 raise self._error(
                     "parameters inside CASE conditions are not "
                     "supported", expr,
                 )
-            matches = condition.bind(schema)
-            then, t_type = self._compile_value(expr.then, scope)
-            otherwise, _o = self._compile_value(expr.otherwise, scope)
-            return (
-                lambda row: then(row) if matches(row) else otherwise(row)
-            ), t_type
+            then, t_type = self._compile(expr.then, scope)
+            otherwise, _o = self._compile(expr.otherwise, scope)
+            return values.case(condition, schema, then, otherwise), t_type
         if isinstance(expr, ast.FuncCall):
             raise self._error("aggregates cannot be nested here", expr)
         raise self._error("unsupported expression", expr)
-
-    def _compile_vector(self, expr: ast.Expr,
-                        scope: list[tuple[str, Schema]]):
-        """Columnar counterpart of :meth:`_compile_value`.
-
-        Compiles to ``chunk -> ndarray | scalar | None``; returns None at
-        compile time when the expression shape cannot be vectorized
-        (CASE, string literals), while the compiled callable returns None
-        at runtime when a batch cannot be handled exactly (object column,
-        overflow risk, division by zero).  Callers must never use the
-        vector *instead of* checking the row result: it is an exact
-        accelerator or absent, nothing in between.
-        """
-        schema = _joined_schema(scope)
-        if isinstance(expr, ast.Literal):
-            value = expr.value
-            if type(value) not in (int, float):
-                return None
-            return lambda chunk: value
-        if isinstance(expr, ast.ParamRef):
-            box = self._box
-            index = expr.index
-
-            def from_param(chunk):
-                value = box.values[index]
-                return value if type(value) in (int, float) else None
-            return from_param
-        if isinstance(expr, ast.ColumnRef):
-            name = self._resolve(expr, scope)
-            pos = schema.index_of(name)
-            return lambda chunk: chunk.array(pos)
-        if isinstance(expr, ast.Negate):
-            inner = self._compile_vector(expr.operand, scope)
-            if inner is None:
-                return None
-            return lambda chunk: _vec_neg(inner(chunk))
-        if isinstance(expr, ast.Arith):
-            left = self._compile_vector(expr.left, scope)
-            right = self._compile_vector(expr.right, scope)
-            if left is None or right is None:
-                return None
-            op = expr.op
-            return lambda chunk: _vec_arith(op, left(chunk), right(chunk))
-        return None  # CASE / FuncCall: row path only
-
-    def _compile_vector_array(self, expr: ast.Expr,
-                              scope: list[tuple[str, Schema]]):
-        """Like :meth:`_compile_vector`, but always yields an ndarray."""
-        inner = self._compile_vector(expr, scope)
-        if inner is None:
-            return None
-        return lambda chunk: _vec_as_array(inner(chunk), len(chunk))
 
     # -- ORDER BY -------------------------------------------------------------
 

@@ -46,7 +46,7 @@ Mask = Union[_np.ndarray, list]
 _FEW_ROWS = 4
 
 
-def _typed_column(values: Sequence) -> ColumnData:
+def typed_column(values: Sequence) -> ColumnData:
     """Build one column: a typed array when exact, else an object list.
 
     Only values that round-trip bitwise take the array path: ``int``
@@ -80,9 +80,9 @@ def extend_column(col: ColumnData, values: list) -> ColumnData:
     The old part is never re-typed from its values: an array stays an
     array when the new values type to the same dtype, and otherwise both
     halves fall back to one object list, exactly as
-    :func:`_typed_column` over all the values would decide.
+    :func:`typed_column` over all the values would decide.
     """
-    tail = _typed_column(values)
+    tail = typed_column(values)
     if not len(col):
         return tail
     if _is_array(col) and _is_array(tail) and col.dtype == tail.dtype:
@@ -130,7 +130,7 @@ class Chunk:
         if not rows:
             return cls(names, [[] for _ in names])
         transposed = list(zip(*rows, strict=False))
-        chunk = cls(names, [_typed_column(col) for col in transposed])
+        chunk = cls(names, [typed_column(col) for col in transposed])
         chunk._rows = rows  # already materialized; reuse on to_rows()
         return chunk
 
@@ -386,7 +386,7 @@ def mask_isin(col: ColumnData, values: Sequence) -> Mask:
     an int64 column against a value past int64 (or a float) would compare
     as float64, where distinct integers can collide."""
     if _is_array(col) and values:
-        probe = _typed_column(values)
+        probe = typed_column(values)
         if _is_array(probe) and probe.dtype == col.dtype:
             return _np.isin(col, probe)
     vset = frozenset(values)

@@ -1,8 +1,10 @@
 """The 19 TPC-H queries of Figure 1 as physical plan builders.
 
-Queries are expressed directly as operator trees (this library has no SQL
-front end; access-path behaviour depends on plan structure, not parsing).
-Each query function takes a :class:`TpchPlanBuilder`, which decides the
+Queries are expressed directly as operator trees (access-path behaviour
+depends on plan structure, not parsing); Q1, Q6 and Q14 are also
+:data:`SQL_QUERIES` text.  Computed values are chunk functions built from
+:mod:`repro.exec.values`, the kernel SQL expressions compile to.  Each
+query function takes a :class:`TpchPlanBuilder`, which decides the
 access paths according to its mode:
 
 * ``"original"`` — no secondary-index usage: full scans + hash joins
@@ -23,7 +25,7 @@ of study — unchanged.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.database import Database
 from repro.errors import PlanningError
@@ -46,14 +48,20 @@ from repro.exec.joins import HashJoin, IndexNestedLoopJoin
 from repro.exec.misc import Filter, Limit, MapProject, Rename
 from repro.exec.scans import FullTableScan
 from repro.exec.sort import Sort
+from repro.exec.values import (
+    Node,
+    arith,
+    case,
+    column,
+    compute,
+    compute_all,
+    constant,
+)
 from repro.optimizer.cardinality import estimate_cardinality
 from repro.optimizer.planner import Planner, PlannerOptions
 from repro.optimizer.statistics import StatisticsCatalog
 from repro.storage.types import Column, ColumnType, Schema
 from repro.workloads.tpch.schema import date
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.query import Query
 
 _MODES = ("original", "tuned", "smooth")
 
@@ -155,16 +163,50 @@ class TpchPlanBuilder:
 QueryBuilder = Callable[[TpchPlanBuilder], Operator]
 
 
-def _sum_expr(schema: Schema, output: str, fn) -> AggSpec:
-    """A sum over a computed row expression."""
-    return AggSpec("sum", output, value=fn)
+def _col(schema: Schema, name: str) -> Node:
+    return column(schema.index_of(name))
+
+
+def _mul(schema: Schema, a: str, b: str) -> Node:
+    """``a * b`` over two columns."""
+    return arith("*", _col(schema, a), _col(schema, b))
+
+
+def _disc_price(schema: Schema) -> Node:
+    """``l_extendedprice * (1 - l_discount)``."""
+    return arith("*", _col(schema, "l_extendedprice"),
+                 arith("-", constant(1), _col(schema, "l_discount")))
+
+
+def _sum_expr(output: str, node: Node) -> AggSpec:
+    """A sum over a computed value."""
+    return AggSpec("sum", output, value=compute(node))
 
 
 def _revenue(schema: Schema, output: str = "revenue") -> AggSpec:
     """``sum(l_extendedprice * (1 - l_discount))``."""
-    pe = schema.index_of("l_extendedprice")
-    pd = schema.index_of("l_discount")
-    return AggSpec("sum", output, value=lambda r: r[pe] * (1.0 - r[pd]))
+    return _sum_expr(output, _disc_price(schema))
+
+
+def _share(schema: Schema, scale: float | None, part: str,
+           whole: str) -> Node:
+    """``[scale *] part / whole``, or ``0.0`` where ``whole`` is zero."""
+    num = _col(schema, part)
+    if scale is not None:
+        num = arith("*", constant(scale), num)
+    return case(Comparison(whole, CompareOp.NE, 0.0), schema,
+                arith("/", num, _col(schema, whole)), constant(0.0))
+
+
+def _with_year(child: Operator, date_column: str, name: str) -> Operator:
+    """``child`` plus an INT column ``1992 + date_column // 365``."""
+    s = child.schema
+    year = arith("+", constant(1992),
+                 arith("//", _col(s, date_column), constant(365)))
+    passed = [column(i) for i in range(len(s.columns))]
+    return MapProject(child,
+                      Schema(list(s.columns) + [Column(name, ColumnType.INT)]),
+                      compute_all(passed + [year]))
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +218,13 @@ def q1(b: TpchPlanBuilder) -> Operator:
     pred = Comparison("l_shipdate", CompareOp.LE, date(1998, 9, 2))
     scan = b.scan("lineitem", pred)
     s = scan.schema
-    pe, pd, pt = (s.index_of("l_extendedprice"), s.index_of("l_discount"),
-                  s.index_of("l_tax"))
+    charge = arith("*", _disc_price(s),
+                   arith("+", constant(1), _col(s, "l_tax")))
     agg = HashAggregate(scan, ["l_returnflag", "l_linestatus"], [
         AggSpec("sum", "sum_qty", column="l_quantity"),
         AggSpec("sum", "sum_base_price", column="l_extendedprice"),
-        _sum_expr(s, "sum_disc_price", lambda r: r[pe] * (1 - r[pd])),
-        _sum_expr(s, "sum_charge",
-                  lambda r: r[pe] * (1 - r[pd]) * (1 + r[pt])),
+        _sum_expr("sum_disc_price", _disc_price(s)),
+        _sum_expr("sum_charge", charge),
         AggSpec("avg", "avg_qty", column="l_quantity"),
         AggSpec("avg", "avg_price", column="l_extendedprice"),
         AggSpec("avg", "avg_disc", column="l_discount"),
@@ -289,10 +330,9 @@ def q6(b: TpchPlanBuilder) -> Operator:
         Comparison("l_quantity", CompareOp.LT, 24),
     ])
     scan = b.scan("lineitem", pred)
-    s = scan.schema
-    pe, pd = s.index_of("l_extendedprice"), s.index_of("l_discount")
     return HashAggregate(scan, [], [
-        _sum_expr(s, "revenue", lambda r: r[pe] * r[pd]),
+        _sum_expr("revenue", _mul(scan.schema, "l_extendedprice",
+                                  "l_discount")),
     ])
 
 
@@ -319,11 +359,7 @@ def q7(b: TpchPlanBuilder) -> Operator:
     j2 = HashJoin(j1, n2, ["c_nationkey"], ["n2_nationkey"])
     cross = Filter(j2, Not(ColumnComparison("supp_nation", CompareOp.EQ,
                                             "cust_nation")))
-    s = cross.schema
-    sd = s.index_of("l_shipdate")
-    year_schema = Schema(list(s.columns) + [Column("l_year", ColumnType.INT)])
-    with_year = MapProject(cross, year_schema,
-                           lambda r: r + (1992 + r[sd] // 365,))
+    with_year = _with_year(cross, "l_shipdate", "l_year")
     agg = HashAggregate(with_year, ["supp_nation", "cust_nation", "l_year"],
                         [_revenue(with_year.schema, "volume")])
     return Sort(agg, ["supp_nation", "cust_nation", "l_year"])
@@ -354,26 +390,19 @@ def q8(b: TpchPlanBuilder) -> Operator:
                 "n_regionkey": "sn_regionkey"}),
         ["s_nationkey"], ["sn_nationkey"],
     )
-    s = supp_nat.schema
-    od = s.index_of("o_orderdate")
-    pe, pd = s.index_of("l_extendedprice"), s.index_of("l_discount")
-    sn = s.index_of("supp_nation")
-    year_schema = Schema(list(s.columns) + [Column("o_year", ColumnType.INT)])
-    with_year = MapProject(supp_nat, year_schema,
-                           lambda r: r + (1992 + r[od] // 365,))
+    with_year = _with_year(supp_nat, "o_orderdate", "o_year")
+    s = with_year.schema
     agg = HashAggregate(with_year, ["o_year"], [
-        _sum_expr(with_year.schema, "brazil_volume",
-                  lambda r: r[pe] * (1 - r[pd])
-                  if r[sn] == "BRAZIL" else 0.0),
-        _sum_expr(with_year.schema, "total_volume",
-                  lambda r: r[pe] * (1 - r[pd])),
+        _sum_expr("brazil_volume", case(
+            Comparison("supp_nation", CompareOp.EQ, "BRAZIL"), s,
+            _disc_price(s), constant(0.0))),
+        _revenue(s, "total_volume"),
     ])
     share_schema = Schema([Column("o_year", ColumnType.INT),
                            Column("mkt_share", ColumnType.FLOAT)])
-    share = MapProject(
-        agg, share_schema,
-        lambda r: (r[0], (r[1] / r[2]) if r[2] else 0.0),
-    )
+    share = MapProject(agg, share_schema, compute_all([
+        column(0), _share(agg.schema, None, "brazil_volume", "total_volume"),
+    ]))
     return Sort(share, ["o_year"])
 
 
@@ -388,16 +417,11 @@ def q9(b: TpchPlanBuilder) -> Operator:
     orders = b.join_to(supp, b.estimate("part", part_pred) * 30,
                        "orders", "l_orderkey", "o_orderkey")
     nat = HashJoin(orders, b.scan("nation"), ["s_nationkey"], ["n_nationkey"])
-    s = nat.schema
-    od = s.index_of("o_orderdate")
-    pe, pd = s.index_of("l_extendedprice"), s.index_of("l_discount")
-    pc, pq = s.index_of("ps_supplycost"), s.index_of("l_quantity")
-    year_schema = Schema(list(s.columns) + [Column("o_year", ColumnType.INT)])
-    with_year = MapProject(nat, year_schema,
-                           lambda r: r + (1992 + r[od] // 365,))
+    with_year = _with_year(nat, "o_orderdate", "o_year")
+    s = with_year.schema
     agg = HashAggregate(with_year, ["n_name", "o_year"], [
-        _sum_expr(with_year.schema, "sum_profit",
-                  lambda r: r[pe] * (1 - r[pd]) - r[pc] * r[pq]),
+        _sum_expr("sum_profit", arith(
+            "-", _disc_price(s), _mul(s, "ps_supplycost", "l_quantity"))),
     ])
     return Sort(agg, [("n_name", True), ("o_year", False)])
 
@@ -427,10 +451,8 @@ def q11(b: TpchPlanBuilder) -> Operator:
         supp, b.scan("nation", Comparison("n_name", CompareOp.EQ, "GERMANY")),
         ["s_nationkey"], ["n_nationkey"],
     )
-    s = nat.schema
-    pc, pq = s.index_of("ps_supplycost"), s.index_of("ps_availqty")
     agg = HashAggregate(nat, ["ps_partkey"], [
-        _sum_expr(s, "value", lambda r: r[pc] * r[pq]),
+        _sum_expr("value", _mul(nat.schema, "ps_supplycost", "ps_availqty")),
     ])
     return Limit(Sort(agg, [("value", False)]), 100)
 
@@ -453,13 +475,13 @@ def q12(b: TpchPlanBuilder) -> Operator:
     line = b.scan("lineitem", line_pred)
     joined = b.join_to(line, b.estimate("lineitem", line_pred),
                        "orders", "l_orderkey", "o_orderkey")
+    high = InList("o_orderpriority", ("1-URGENT", "2-HIGH"))
     s = joined.schema
-    po = s.index_of("o_orderpriority")
     agg = HashAggregate(joined, ["l_shipmode"], [
-        _sum_expr(s, "high_line_count",
-                  lambda r: 1 if r[po] in ("1-URGENT", "2-HIGH") else 0),
-        _sum_expr(s, "low_line_count",
-                  lambda r: 0 if r[po] in ("1-URGENT", "2-HIGH") else 1),
+        _sum_expr("high_line_count",
+                  case(high, s, constant(1), constant(0))),
+        _sum_expr("low_line_count",
+                  case(high, s, constant(0), constant(1))),
     ])
     return Sort(agg, ["l_shipmode"])
 
@@ -485,19 +507,16 @@ def q14(b: TpchPlanBuilder) -> Operator:
     joined = b.join_to(line, b.estimate("lineitem", pred),
                        "part", "l_partkey", "p_partkey")
     s = joined.schema
-    pe, pd = s.index_of("l_extendedprice"), s.index_of("l_discount")
-    pt = s.index_of("p_type")
     agg = HashAggregate(joined, [], [
-        _sum_expr(s, "promo_revenue",
-                  lambda r: r[pe] * (1 - r[pd])
-                  if r[pt].startswith("PROMO") else 0.0),
-        _sum_expr(s, "total_revenue", lambda r: r[pe] * (1 - r[pd])),
+        _sum_expr("promo_revenue", case(
+            StringMatch("p_type", "prefix", "PROMO"), s,
+            _disc_price(s), constant(0.0))),
+        _revenue(s, "total_revenue"),
     ])
     out_schema = Schema([Column("promo_pct", ColumnType.FLOAT)])
-    return MapProject(
-        agg, out_schema,
-        lambda r: ((100.0 * r[0] / r[1]) if r[1] else 0.0,),
-    )
+    return MapProject(agg, out_schema, compute_all([
+        _share(agg.schema, 100.0, "promo_revenue", "total_revenue"),
+    ]))
 
 
 def q16(b: TpchPlanBuilder) -> Operator:
@@ -635,96 +654,19 @@ def build_query(name: str, builder: TpchPlanBuilder) -> Operator:
 
 
 # ---------------------------------------------------------------------------
-# Declarative (fluent) definitions
-# ---------------------------------------------------------------------------
-#
-# The queries whose shapes the fluent API can express exactly are also
-# defined declaratively; the Figure 1/4 drivers run these through
-# ``Database.execute`` + ``Planner.plan_query`` — the same code path
-# applications use — while the rest keep their raw operator trees above.
-# ``plan_query`` under :func:`mode_options` lowers each of these to the
-# identical physical plan the hand-built tree produces, so measurements
-# are unchanged; what's gained is the decision trail and explain().
-
-def fluent_q1(db: Database) -> "Query":
-    """Q1 as a declarative query (scan → group/aggregate → sort)."""
-    s = db.table("lineitem").schema
-    pe, pd, pt = (s.index_of("l_extendedprice"), s.index_of("l_discount"),
-                  s.index_of("l_tax"))
-    return (
-        db.query("lineitem")
-        .where(Comparison("l_shipdate", CompareOp.LE, date(1998, 9, 2)))
-        .group_by("l_returnflag", "l_linestatus")
-        .aggregate(
-            AggSpec("sum", "sum_qty", column="l_quantity"),
-            AggSpec("sum", "sum_base_price", column="l_extendedprice"),
-            AggSpec("sum", "sum_disc_price",
-                    value=lambda r: r[pe] * (1 - r[pd])),
-            AggSpec("sum", "sum_charge",
-                    value=lambda r: r[pe] * (1 - r[pd]) * (1 + r[pt])),
-            AggSpec("avg", "avg_qty", column="l_quantity"),
-            AggSpec("avg", "avg_price", column="l_extendedprice"),
-            AggSpec("avg", "avg_disc", column="l_discount"),
-            AggSpec("count", "count_order"),
-        )
-        .order_by("l_returnflag", "l_linestatus")
-    )
-
-
-def fluent_q6(db: Database) -> "Query":
-    """Q6 as a declarative query (scan → scalar aggregate)."""
-    s = db.table("lineitem").schema
-    pe, pd = s.index_of("l_extendedprice"), s.index_of("l_discount")
-    return (
-        db.query("lineitem")
-        .where(
-            Between("l_shipdate", date(1994, 1, 1), date(1995, 1, 1)),
-            Between("l_discount", 0.05, 0.07, hi_inclusive=True),
-            Comparison("l_quantity", CompareOp.LT, 24),
-        )
-        .aggregate(AggSpec("sum", "revenue",
-                           value=lambda r: r[pe] * r[pd]))
-    )
-
-
-def fluent_q14(db: Database) -> "Query":
-    """Q14 as a declarative query (join → scalar aggregates → map)."""
-    line = db.table("lineitem").schema
-    part = db.table("part").schema
-    joined = Schema(list(line.columns) + list(part.columns))
-    pe, pd = joined.index_of("l_extendedprice"), joined.index_of("l_discount")
-    pt = joined.index_of("p_type")
-    return (
-        db.query("lineitem")
-        .where(Between("l_shipdate", date(1995, 9, 1), date(1995, 10, 1)))
-        .join("part", on=("l_partkey", "p_partkey"))
-        .aggregate(
-            AggSpec("sum", "promo_revenue",
-                    value=lambda r: r[pe] * (1 - r[pd])
-                    if r[pt].startswith("PROMO") else 0.0),
-            AggSpec("sum", "total_revenue",
-                    value=lambda r: r[pe] * (1 - r[pd])),
-        )
-        .map(Schema([Column("promo_pct", ColumnType.FLOAT)]),
-             lambda r: ((100.0 * r[0] / r[1]) if r[1] else 0.0,))
-    )
-
-
-#: Queries the Figure 1/4 drivers run through the declarative API.
-FLUENT_QUERIES = {"Q1": fluent_q1, "Q6": fluent_q6, "Q14": fluent_q14}
-
-
-# ---------------------------------------------------------------------------
 # SQL definitions
 # ---------------------------------------------------------------------------
 #
-# The same queries as SQL text, entering through a connection — the
-# lexer → parser → binder pipeline.  Binding lowers each onto a QuerySpec
-# whose physical plan is measurement-identical to the FLUENT_QUERIES
-# counterpart under every mode (asserted by tests/test_sql_tpch.py):
-# bound ranges merge into the same Between predicates, aggregate
-# expressions compile into the same value callables, and Q14's
-# promo-share arithmetic becomes the same post-aggregation MapProject.
+# Q1, Q6 and Q14 as SQL text, entering through a connection — the
+# lexer → parser → binder pipeline.  The Figure 1/4 drivers run these
+# through ``Database.execute`` + ``Planner.plan_query``, the code path
+# applications use, and the rest as the operator trees above.  Under
+# :func:`mode_options` each lowers to the physical plan its hand-built
+# tree wires, so rows and every ledger count match (asserted by
+# tests/test_sql_tpch.py): bound ranges merge into the same Between
+# predicates, aggregate expressions compile into the same column
+# functions, and Q14's promo-share arithmetic becomes a post-aggregation
+# MapProject.
 
 SQL_QUERIES: dict[str, str] = {
     "Q1": """

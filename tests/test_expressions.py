@@ -16,7 +16,6 @@ from repro.exec.expressions import (
     Or,
     StringMatch,
     TruePredicate,
-    column_getter,
     conjunction,
     extract_range,
     require_columns,
@@ -251,11 +250,6 @@ def test_require_columns():
     require_columns(SCHEMA, Comparison("a", CompareOp.EQ, 1))
     with pytest.raises(PlanningError):
         require_columns(SCHEMA, Comparison("z", CompareOp.EQ, 1))
-
-
-def test_column_getter():
-    get_b = column_getter(SCHEMA, "b")
-    assert get_b((1, 2, 3)) == 2
 
 
 @settings(max_examples=100, deadline=None)

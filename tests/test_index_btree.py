@@ -85,7 +85,8 @@ def test_tid_views_are_read_only(ctx_and_index):
     def assert_read_only():
         for view in (index.scan_tids(ctx, 10, 20),
                      next(index.scan_leaf_tids(ctx, 10, 20)),
-                     index.peek_range_tids(10, 20), index.peek_tids(15)):
+                     index.peek_range_tids(10, 20),
+                     index.peek_range_tids(15, 15, True, True)):
             with pytest.raises(ValueError, match="read-only"):
                 view[0] = 0
             with pytest.raises(ValueError, match="read-only"):
@@ -94,7 +95,7 @@ def test_tid_views_are_read_only(ctx_and_index):
     assert_read_only()
     assert table.insert((2_000, 15)) == 2_000
     assert_read_only()
-    assert index.peek_tids(15).tolist()[-1] == 2_000
+    assert index.peek_range_tids(15, 15, True, True).tolist()[-1] == 2_000
 
 
 def test_scan_charges_descent_and_leaf_io(ctx_and_index):

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.errors import PlanningError
-from repro.exec.aggregates import AggSpec, HashAggregate, scalar_aggregate
+from repro.exec.aggregates import AggSpec, HashAggregate
+from repro.exec.misc import MapProject
 from repro.exec.scans import FullTableScan
 from repro.exec.stats import measure
-from repro.storage.types import Schema
+from repro.exec.values import arith, column, compute, constant
+from repro.storage.types import Column, ColumnType, Schema
 
 
 @pytest.fixture()
@@ -44,14 +46,15 @@ def test_min_max_avg(agg_db):
 def test_value_callable(agg_db):
     db, scan = agg_db
     agg = HashAggregate(scan, [], [
-        AggSpec("sum", "double", value=lambda r: r[1] * 2),
+        AggSpec("sum", "double",
+                value=compute(arith("*", column(1), constant(2)))),
     ])
     assert measure(db, agg).rows == [(2 * sum(range(12)),)]
 
 
 def test_scalar_aggregate_on_empty_input(db):
     table = db.load_table("e", Schema.of_ints(["a"]), [])
-    agg = scalar_aggregate(FullTableScan(table), [
+    agg = HashAggregate(FullTableScan(table), [], [
         AggSpec("count", "n"),
         AggSpec("sum", "s", column="a"),
         AggSpec("min", "lo", column="a"),
@@ -70,16 +73,15 @@ def test_group_by_empty_input_yields_no_groups(db):
 
 
 def test_nulls_skipped(db):
-    from repro.exec.misc import MapProject
-    from repro.storage.types import Column, ColumnType
     table = db.load_table("t", Schema.of_ints(["a"]),
                           [(1,), (2,), (3,), (4,)])
     nullify = MapProject(
         FullTableScan(table),
         Schema([Column("a", ColumnType.INT)]),
-        lambda r: (None,) if r[0] % 2 == 0 else r,
+        lambda chunk: [[None if v % 2 == 0 else v
+                        for v in chunk.column_values(0)]],
     )
-    agg = scalar_aggregate(nullify, [
+    agg = HashAggregate(nullify, [], [
         AggSpec("count", "n", column="a"),
         AggSpec("sum", "s", column="a"),
     ])
@@ -89,15 +91,13 @@ def test_nulls_skipped(db):
 
 
 def test_count_star_counts_nulls(db):
-    from repro.exec.misc import MapProject
-    from repro.storage.types import Column, ColumnType
     table = db.load_table("t", Schema.of_ints(["a"]), [(1,), (2,)])
     nullify = MapProject(
         FullTableScan(table),
         Schema([Column("a", ColumnType.INT)]),
-        lambda r: (None,),
+        lambda chunk: [[None] * len(chunk)],
     )
-    agg = scalar_aggregate(nullify, [AggSpec("count", "n")])
+    agg = HashAggregate(nullify, [], [AggSpec("count", "n")])
     assert measure(db, agg).rows[0] == (2,)
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.errors import PlanningError, StorageError
+from repro.errors import ExecutionError, PlanningError, StorageError
 from repro.exec.expressions import (
     And,
     Between,
@@ -20,6 +20,7 @@ from repro.exec.misc import Filter, Limit, MapProject, Materialize, Project, Ren
 from repro.exec.scans import FullTableScan
 from repro.exec.sort import Sort
 from repro.exec.stats import measure
+from repro.exec.values import arith, column, compute_all
 from repro.exec.iterator import explain
 from repro.storage.types import Column, ColumnType, Schema
 
@@ -88,9 +89,21 @@ def test_project_requires_columns(base):
 def test_map_project(base):
     db, scan = base
     out = Schema([Column("total", ColumnType.INT)])
-    mp = MapProject(scan, out, lambda r: (r[0] + r[1],))
+    mp = MapProject(scan, out, compute_all([arith("+", column(0), column(1))]))
     rows = measure(db, mp).rows
     assert rows[3] == (3 + (21 % 10),)
+
+
+def test_map_project_checks_arity_and_length_per_batch(base):
+    db, scan = base
+    out = Schema([Column("a", ColumnType.INT), Column("b", ColumnType.INT)])
+    narrow = MapProject(scan, out, lambda chunk: [chunk.data_column(0)])
+    with pytest.raises(ExecutionError, match="2 columns"):
+        measure(db, narrow)
+    short = MapProject(scan, Schema([Column("a", ColumnType.INT)]),
+                       lambda chunk: [chunk.column_values(0)[1:]])
+    with pytest.raises(ExecutionError, match="-row batch"):
+        measure(db, short)
 
 
 def test_rename(base):

@@ -348,6 +348,41 @@ def test_closed_cursor_fetch_is_an_interface_error(db):
     assert response["code"] == protocol.ERR_INTERFACE
 
 
+DIV_ZERO = ("SELECT c1, sum(c2 / 0) AS s FROM micro "
+            "WHERE c2 >= :lo AND c2 < :hi GROUP BY c1")
+
+
+def test_a_failing_pull_releases_its_slot_and_its_cursor(db):
+    """A pull that raises (division by zero inside the aggregate) is an
+    error frame on ``query`` and on ``execute`` + ``fetch`` alike; the
+    admission slot comes back, no cursor stays registered or live, and
+    the session runs its next statement."""
+    front = make_front(db)
+    session = front.session()
+    params = {"lo": 0, "hi": 100}
+    failed = one(session.handle({"op": "query", "id": 1, "sql": DIV_ZERO,
+                                 "params": params}))
+    assert failed["op"] == "error"
+    assert "division by zero" in failed["message"]
+    assert front.inflight == 0
+    executing = one(session.handle({"op": "execute", "id": 2,
+                                    "sql": DIV_ZERO, "params": params}))
+    assert front.inflight == 1
+    failed = one(session.handle({"op": "fetch", "id": 3,
+                                 "cursor": executing["cursor"]}))
+    assert failed["op"] == "error"
+    assert "division by zero" in failed["message"]
+    assert front.inflight == 0
+    assert session.conn.open_cursors == ()
+    gone = one(session.handle({"op": "fetch", "id": 4,
+                               "cursor": executing["cursor"]}))
+    assert gone["code"] == protocol.ERR_CURSOR_MISSING
+    frames = session.handle({"op": "query", "id": 5, "sql": SQL,
+                             "params": params})
+    assert frames[-1]["done"] and frames[-1]["summary"]["rows"] > 0
+    assert front.inflight == 0
+
+
 def test_stats_frame_carries_telemetry_and_plan_cache_gauges(db):
     db.tracer.enable()
     front = make_front(db)

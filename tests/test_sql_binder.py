@@ -6,6 +6,8 @@ these tests compare bound specs (and, where cheap, executed results)
 against their hand-built fluent equivalents.
 """
 
+import sqlite3
+
 import pytest
 
 from repro.database import Database
@@ -23,6 +25,7 @@ from repro.exec.expressions import (
     TruePredicate,
 )
 from repro.sql import compile_statement
+from repro.storage.chunk import Chunk
 from repro.storage.types import Column, ColumnType, Schema
 
 
@@ -322,7 +325,8 @@ def test_aggregates_simple_and_computed(shop):
     assert n == AggSpec("count", "n")
     assert total == AggSpec("sum", "total", column="c_id")
     assert doubled.func == "sum" and doubled.value is not None
-    assert doubled.value((7, 0, "x")) == 14
+    chunk = Chunk.from_rows(("c_id", "c_nation", "c_name"), [(7, 0, "x")])
+    assert doubled.value(chunk).tolist() == [14]
 
 
 def test_aggregate_reordered_items_project(shop):
@@ -348,6 +352,50 @@ def test_composite_select_item_becomes_map(shop):
 def test_scalar_aggregate_without_group(shop):
     result = shop.connect().run("SELECT count(*) AS n, max(o_total) AS m FROM ord")
     assert result.rows == [(400, 89)]
+
+
+def sqlite_shop(db):
+    """The shop's rows in stdlib sqlite3, the outside witness."""
+    witness = sqlite3.connect(":memory:")
+    for name in ("cust", "ord"):
+        table = db.table(name)
+        columns = ", ".join(table.schema.column_names)
+        witness.execute(f"CREATE TABLE {name} ({columns})")
+        rows = [table.heap.row(pos) for pos in range(table.row_count)]
+        witness.executemany(
+            f"INSERT INTO {name} VALUES "
+            f"({', '.join('?' * len(table.schema.column_names))})", rows)
+    return witness
+
+
+def assert_matches_sqlite(db, sql, witness_sql=None):
+    got = sorted(db.connect().run(sql).rows)
+    want = sorted(sqlite_shop(db).execute(witness_sql or sql).fetchall())
+    assert len(got) == len(want)
+    for g_row, w_row in zip(got, want, strict=True):
+        assert g_row == pytest.approx(w_row), (g_row, w_row)
+    return got
+
+
+def test_arithmetic_over_a_left_join_null_pad_is_null(shop):
+    """Customers with no orders carry NULL o_total: ``o_total * 2`` is
+    NULL there, and every aggregate skips it."""
+    got = assert_matches_sqlite(shop, """
+        SELECT c_nation, sum(o_total * 2) AS s, avg(o_total * 2) AS a,
+               min(o_total * 2) AS lo, max(o_total * 2) AS hi,
+               count(o_total * 2) AS n, count(*) AS rows_in
+        FROM cust LEFT JOIN ord ON c_id = o_cust GROUP BY c_nation
+    """)
+    assert all(n < rows_in for *_rest, n, rows_in in got)
+
+
+def test_a_null_case_condition_takes_else(shop):
+    assert_matches_sqlite(shop, """
+        SELECT c_nation,
+               sum(CASE WHEN o_total > 3 THEN 1.0 ELSE 0.0 END) AS s,
+               sum(CASE WHEN NOT o_total > 3 THEN 1.0 ELSE 0.0 END) AS t
+        FROM cust LEFT JOIN ord ON c_id = o_cust GROUP BY c_nation
+    """)
 
 
 def test_duplicate_output_columns_rejected(shop):
