@@ -9,7 +9,6 @@ from repro.exec.expressions import (
     InList,
     KeyRange,
     Not,
-    NullRejecting,
     Or,
     Predicate,
     TruePredicate,
@@ -64,7 +63,6 @@ __all__ = [
     "MapProject",
     "Materialize",
     "Not",
-    "NullRejecting",
     "Operator",
     "Or",
     "Predicate",

@@ -1,24 +1,30 @@
 """Predicates and key ranges.
 
-A predicate compiles two ways, one per shape of input:
+A predicate compiles one way, :meth:`Predicate.compile`: a
+``chunk -> (true, unknown)`` kernel over the chunk's logical rows (a
+:class:`~repro.storage.chunk.Chunk`, selection applied).  That is SQL's
+three-valued logic as two boolean masks — a row in ``true`` is TRUE, a
+row in ``unknown`` is UNKNOWN, any other row is FALSE — with ``None``
+for the free cases: ``true is None`` when every row is TRUE, ``unknown is
+None`` when no row is UNKNOWN.
 
-* :meth:`Predicate.bind` — a plain ``row -> bool`` closure with column
-  positions resolved once.  It checks one tuple at a time, and is the
-  reference the columnar forms are held to; the default
-  :meth:`~Predicate.bind_mask` evaluates it row-wise (what
-  :class:`NullRejecting`'s three-valued logic rides).
-* :meth:`Predicate.bind_mask` / :meth:`Predicate.bind_chunk` — the
-  columnar forms over a :class:`~repro.storage.chunk.Chunk`: one array
-  comparison produces a boolean mask over a whole run of pages, and
-  ``bind_chunk`` narrows the chunk by selection vector without touching a
-  single row tuple.  Every operator checks rows this way — a batch is a
-  chunk — including the per-probe readers (Mode 0 and Switch Scan's
-  index phase read one mask per index leaf) and join residuals (one
-  mask over the joined chunk).
+* **A NULL is UNKNOWN.**  A leaf is UNKNOWN exactly where a value it
+  reads is NULL, and a NULL never reaches a Python comparison.  On an
+  int64/float64 array (which cannot hold NULL) a leaf is one array
+  comparison and ``unknown`` is ``None``; on an object column it tests
+  the values and finds the NULLs in the same pass.
+* **Kleene connectives.**  ``AND`` is FALSE where a part is FALSE, else
+  UNKNOWN where a part is UNKNOWN; ``OR`` is TRUE where a part is TRUE,
+  else UNKNOWN where a part is UNKNOWN; ``NOT`` swaps TRUE and FALSE and
+  keeps UNKNOWN.  ``x IN (.., NULL)`` is UNKNOWN where it is not TRUE.
 
-Conjunctions and disjunctions bind to one plain loop over their parts
-(:func:`_all_of` / :func:`_any_of`), which is what keeps the per-tuple
-form cheap.
+Every consumer keeps the TRUE rows: WHERE and join residuals through
+:meth:`Predicate.bind_mask` / :meth:`Predicate.bind_chunk` (the latter
+narrows a chunk by selection vector without touching a row tuple), and
+``CASE`` takes THEN on TRUE.  Both derive from the one kernel, so every
+access path — full, index, sort, switch, and Smooth Scan's per-leaf
+probes and region masks — keeps the same rows for one WHERE clause,
+NULLs included.
 
 :func:`extract_range` splits a predicate into the key range an index can
 serve plus the residual part that must be re-checked per tuple — the
@@ -36,21 +42,15 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.errors import PlanningError
-from repro.storage.chunk import (
-    Chunk,
-    Mask,
-    mask_and,
-    mask_any,
-    mask_from_bools,
-    mask_isin,
-    mask_not,
-    mask_or,
-    object_mask,
-)
-from repro.storage.types import Row, Schema
+import numpy as _np
 
-RowPredicate = Callable[[Row], bool]
+from repro.errors import PlanningError
+from repro.storage.chunk import Chunk, Mask, mask_and, mask_or, typed_column
+from repro.storage.types import Schema
+
+#: ``chunk -> (true, unknown)``: the TRUE rows (``None``: all of them)
+#: and the UNKNOWN rows (``None``: none of them); the rest are FALSE.
+Kernel = Callable[[Chunk], "tuple[Optional[Mask], Optional[Mask]]"]
 
 #: ``chunk -> mask | None`` over the chunk's logical rows; ``None`` means
 #: "every row qualifies" (the free all-pass case).
@@ -60,31 +60,40 @@ MaskPredicate = Callable[[Chunk], Optional[Mask]]
 #: selection vector; ``None`` means no row qualified.
 ChunkFilter = Callable[[Chunk], Optional[Chunk]]
 
-
-def _all_of(bound: Sequence[RowPredicate]) -> RowPredicate:
-    """``row -> every part holds``, as one loop (no generator per row)."""
-    bound = tuple(bound)
-
-    def all_of(row: Row) -> bool:
-        for f in bound:
-            if not f(row):
-                return False
-        return True
-
-    return all_of
+#: The code a leaf's one pass gives a row with a NULL operand.
+_NULL = 2
 
 
-def _any_of(bound: Sequence[RowPredicate]) -> RowPredicate:
-    """``row -> some part holds``, as one loop (no generator per row)."""
-    bound = tuple(bound)
+def _verdict(codes: Iterable, n: int) -> tuple[Mask, Optional[Mask]]:
+    """``(true, unknown)`` from one pass of per-row codes: ``False``,
+    ``True``, or :data:`_NULL` for a row that read a NULL."""
+    codes = _np.fromiter(codes, dtype=_np.int8, count=n)
+    unknown = codes == _NULL
+    if unknown.any():
+        return codes == 1, unknown
+    return codes.view(bool), None
 
-    def any_of(row: Row) -> bool:
-        for f in bound:
-            if f(row):
-                return True
-        return False
 
-    return any_of
+def _not_false(true: Optional[Mask], unknown: Optional[Mask]):
+    """The rows that are TRUE or UNKNOWN (``None``: every row)."""
+    return true if true is None or unknown is None else true | unknown
+
+
+def _split(true: Optional[Mask], not_false: Optional[Mask]):
+    """``(true, unknown)`` from the TRUE and the not-FALSE rows."""
+    if true is None:
+        return None, None
+    unknown = ~true if not_false is None else not_false & ~true
+    return true, (unknown if unknown.any() else None)
+
+
+def _all_true(chunk: Chunk):
+    return None, None
+
+
+def _all_unknown(chunk: Chunk):
+    n = len(chunk)
+    return _np.zeros(n, dtype=bool), _np.ones(n, dtype=bool)
 
 
 def _scalar_vectorizable(value: object) -> bool:
@@ -105,53 +114,46 @@ class CompareOp(enum.Enum):
     @property
     def fn(self) -> Callable[[object, object], bool]:
         """The Python comparison implementing this operator."""
-        return {
-            CompareOp.EQ: operator.eq,
-            CompareOp.NE: operator.ne,
-            CompareOp.LT: operator.lt,
-            CompareOp.LE: operator.le,
-            CompareOp.GT: operator.gt,
-            CompareOp.GE: operator.ge,
-        }[self]
+        return _COMPARE_FNS[self]
+
+
+_COMPARE_FNS = {
+    CompareOp.EQ: operator.eq,
+    CompareOp.NE: operator.ne,
+    CompareOp.LT: operator.lt,
+    CompareOp.LE: operator.le,
+    CompareOp.GT: operator.gt,
+    CompareOp.GE: operator.ge,
+}
 
 
 class Predicate(ABC):
-    """A boolean expression over one row."""
+    """A three-valued boolean expression over one row."""
 
     @abstractmethod
-    def bind(self, schema: Schema) -> RowPredicate:
-        """Compile to a ``row -> bool`` closure for ``schema``."""
+    def compile(self, schema: Schema) -> Kernel:
+        """Compile to a ``chunk -> (true, unknown)`` kernel for ``schema``."""
 
     def bind_mask(self, schema: Schema) -> MaskPredicate:
-        """Compile to a columnar ``chunk -> mask | None`` evaluator.
+        """Compile to ``chunk -> mask | None``: the TRUE rows.
 
         The mask covers the chunk's *logical* rows (selection applied);
-        ``None`` means every row qualifies.  The default evaluates
-        :meth:`bind` row-wise over the chunk's row view — exact for any
-        predicate (this is what :class:`NullRejecting` rides, keeping its
-        three-valued-logic semantics byte-for-byte) — while leaf
-        predicates override it with whole-column array comparisons.
+        ``None`` means every row qualifies.
         """
-        fn = self.bind(schema)
-
-        def mask_of(chunk: Chunk) -> Mask:
-            return mask_from_bools(
-                (fn(row) for row in chunk.to_rows()), len(chunk)
-            )
-
-        return mask_of
+        kernel = self.compile(schema)
+        return lambda chunk: kernel(chunk)[0]
 
     def bind_chunk(self, schema: Schema) -> ChunkFilter:
-        """Compile to a ``chunk -> chunk | None`` columnar filter.
+        """Compile to a ``chunk -> chunk | None`` filter on the TRUE rows.
 
         Narrows by selection vector — qualifying rows are never copied,
         an all-pass mask returns the input chunk itself, and ``None``
         signals an empty result (the batch contract forbids yielding it).
         """
-        mask_of = self.bind_mask(schema)
+        kernel = self.compile(schema)
 
         def filter_chunk(chunk: Chunk) -> Chunk | None:
-            mask = mask_of(chunk)
+            mask = kernel(chunk)[0]
             if mask is None:
                 return chunk
             return chunk.filter(mask)
@@ -173,11 +175,8 @@ class Predicate(ABC):
 class TruePredicate(Predicate):
     """Matches every row (the default when no filter is given)."""
 
-    def bind(self, schema: Schema) -> RowPredicate:
-        return lambda row: True
-
-    def bind_mask(self, schema: Schema) -> MaskPredicate:
-        return lambda chunk: None
+    def compile(self, schema: Schema) -> Kernel:
+        return _all_true
 
     def columns(self) -> set[str]:
         return set()
@@ -188,33 +187,29 @@ class TruePredicate(Predicate):
 
 @dataclass(frozen=True)
 class Comparison(Predicate):
-    """``column <op> value``."""
+    """``column <op> value``; a NULL ``value`` is UNKNOWN for every row."""
 
     column: str
     op: CompareOp
     value: object
 
-    def bind(self, schema: Schema) -> RowPredicate:
+    def compile(self, schema: Schema) -> Kernel:
         idx = schema.index_of(self.column)
         fn = self.op.fn
         value = self.value
-        return lambda row: fn(row[idx], value)
-
-    def bind_mask(self, schema: Schema) -> MaskPredicate:
-        idx = schema.index_of(self.column)
-        fn = self.op.fn
-        value = self.value
+        if value is None:
+            return _all_unknown
         vectorizable = _scalar_vectorizable(value)
 
-        def mask_of(chunk: Chunk) -> Mask:
+        def kernel(chunk: Chunk):
             arr = chunk.array(idx) if vectorizable else None
             if arr is not None:
-                return fn(arr, value)
-            return object_mask(
-                chunk.column_values(idx), lambda v: fn(v, value)
-            )
+                return fn(arr, value), None
+            values = chunk.column_values(idx)
+            return _verdict((_NULL if v is None else fn(v, value)
+                             for v in values), len(values))
 
-        return mask_of
+        return kernel
 
     def columns(self) -> set[str]:
         return {self.column}
@@ -233,30 +228,30 @@ class Between(Predicate):
     lo_inclusive: bool = True
     hi_inclusive: bool = False
 
-    def bind(self, schema: Schema) -> RowPredicate:
-        idx = schema.index_of(self.column)
+    def compile(self, schema: Schema) -> Kernel:
         lo, hi = self.lo, self.hi
-        lo_ok = operator.ge if self.lo_inclusive else operator.gt
-        hi_ok = operator.le if self.hi_inclusive else operator.lt
-        return lambda row: lo_ok(row[idx], lo) and hi_ok(row[idx], hi)
-
-    def bind_mask(self, schema: Schema) -> MaskPredicate:
+        if lo is None or hi is None:  # a NULL bound: UNKNOWN unless FALSE
+            return And([
+                Comparison(self.column, CompareOp.GE if self.lo_inclusive
+                           else CompareOp.GT, lo),
+                Comparison(self.column, CompareOp.LE if self.hi_inclusive
+                           else CompareOp.LT, hi),
+            ]).compile(schema)
         idx = schema.index_of(self.column)
-        lo, hi = self.lo, self.hi
         lo_ok = operator.ge if self.lo_inclusive else operator.gt
         hi_ok = operator.le if self.hi_inclusive else operator.lt
         vectorizable = _scalar_vectorizable(lo) and _scalar_vectorizable(hi)
 
-        def mask_of(chunk: Chunk) -> Mask:
+        def kernel(chunk: Chunk):
             arr = chunk.array(idx) if vectorizable else None
             if arr is not None:
-                return lo_ok(arr, lo) & hi_ok(arr, hi)
-            return object_mask(
-                chunk.column_values(idx),
-                lambda v: lo_ok(v, lo) and hi_ok(v, hi),
-            )
+                return lo_ok(arr, lo) & hi_ok(arr, hi), None
+            values = chunk.column_values(idx)
+            return _verdict((_NULL if v is None
+                             else lo_ok(v, lo) and hi_ok(v, hi)
+                             for v in values), len(values))
 
-        return mask_of
+        return kernel
 
     def columns(self) -> set[str]:
         return {self.column}
@@ -272,20 +267,35 @@ class Between(Predicate):
 
 @dataclass(frozen=True)
 class InList(Predicate):
-    """``column IN (values)``."""
+    """``column IN (values)``; a listed NULL makes a miss UNKNOWN."""
 
     column: str
     values: tuple
 
-    def bind(self, schema: Schema) -> RowPredicate:
+    def compile(self, schema: Schema) -> Kernel:
         idx = schema.index_of(self.column)
-        values = frozenset(self.values)
-        return lambda row: row[idx] in values
+        listed = tuple(v for v in self.values if v is not None)
+        null_listed = len(listed) < len(self.values)
+        # Array membership only where the values type to the column's
+        # own dtype: an int64 column against a value past int64 (or a
+        # float) would compare as float64, where distinct integers can
+        # collide.
+        probe = typed_column(listed)
+        members = frozenset(listed)
 
-    def bind_mask(self, schema: Schema) -> MaskPredicate:
-        idx = schema.index_of(self.column)
-        values = tuple(self.values)
-        return lambda chunk: mask_isin(chunk.data_column(idx), values)
+        def kernel(chunk: Chunk):
+            col = chunk.data_column(idx)
+            if isinstance(col, _np.ndarray) and isinstance(
+                    probe, _np.ndarray) and probe.dtype == col.dtype:
+                true, unknown = _np.isin(col, probe), None
+            else:
+                values = chunk.column_values(idx)
+                true, unknown = _verdict((_NULL if v is None
+                                          else v in members
+                                          for v in values), len(values))
+            return (true, ~true) if null_listed else (true, unknown)
+
+        return kernel
 
     def columns(self) -> set[str]:
         return {self.column}
@@ -296,26 +306,29 @@ class InList(Predicate):
 
 
 class And(Predicate):
-    """Conjunction of predicates."""
+    """Conjunction of predicates: FALSE wins, then UNKNOWN."""
 
     def __init__(self, parts: Sequence[Predicate]):
         self.parts = tuple(parts)
 
-    def bind(self, schema: Schema) -> RowPredicate:
-        return _all_of([p.bind(schema) for p in self.parts])
+    def compile(self, schema: Schema) -> Kernel:
+        parts = [p.compile(schema) for p in self.parts]
 
-    def bind_mask(self, schema: Schema) -> MaskPredicate:
-        bound = [p.bind_mask(schema) for p in self.parts]
+        def kernel(chunk: Chunk):
+            true = unknown = None
+            for part in parts:
+                t, u = part(chunk)
+                if unknown is None and u is None:
+                    true = mask_and(true, t)
+                else:
+                    true, unknown = _split(mask_and(true, t), mask_and(
+                        _not_false(true, unknown), _not_false(t, u)))
+                if unknown is None and true is not None \
+                        and not true.any():
+                    break  # every row is FALSE
+            return true, unknown
 
-        def mask_of(chunk: Chunk) -> Mask | None:
-            mask: Mask | None = None
-            for f in bound:
-                mask = mask_and(mask, f(chunk))
-                if mask is not None and not mask_any(mask):
-                    return mask
-            return mask
-
-        return mask_of
+        return kernel
 
     def columns(self) -> set[str]:
         return set().union(*(p.columns() for p in self.parts)) if self.parts else set()
@@ -325,31 +338,30 @@ class And(Predicate):
 
 
 class Or(Predicate):
-    """Disjunction of predicates."""
+    """Disjunction of predicates: TRUE wins, then UNKNOWN."""
 
     def __init__(self, parts: Sequence[Predicate]):
         self.parts = tuple(parts)
 
-    def bind(self, schema: Schema) -> RowPredicate:
-        return _any_of([p.bind(schema) for p in self.parts])
+    def compile(self, schema: Schema) -> Kernel:
+        if not self.parts:  # the empty disjunction holds for no row
+            return lambda chunk: (_np.zeros(len(chunk), dtype=bool), None)
+        first, *rest = [p.compile(schema) for p in self.parts]
 
-    def bind_mask(self, schema: Schema) -> MaskPredicate:
-        bound = [p.bind_mask(schema) for p in self.parts]
-        if not bound:  # the empty disjunction holds for no row
-            return lambda chunk: mask_not(None, len(chunk))
+        def kernel(chunk: Chunk):
+            true, unknown = first(chunk)
+            for part in rest:
+                if true is None:
+                    break  # every row is TRUE
+                t, u = part(chunk)
+                if unknown is None and u is None:
+                    true = mask_or(true, t)
+                else:
+                    true, unknown = _split(mask_or(true, t), mask_or(
+                        _not_false(true, unknown), _not_false(t, u)))
+            return true, unknown
 
-        def mask_of(chunk: Chunk) -> Mask | None:
-            mask: Mask | None = None
-            first = True
-            for f in bound:
-                part = f(chunk)
-                if part is None:
-                    return None
-                mask = part if first else mask_or(mask, part)
-                first = False
-            return mask
-
-        return mask_of
+        return kernel
 
     def columns(self) -> set[str]:
         return set().union(*(p.columns() for p in self.parts)) if self.parts else set()
@@ -358,68 +370,22 @@ class Or(Predicate):
         return "(" + " OR ".join(map(repr, self.parts)) + ")"
 
 
-class NullRejecting(Predicate):
-    """WHERE semantics over nullable rows: referenced NULLs fail the row.
-
-    Wraps a predicate so that an atom touching ``None`` (e.g. the
-    null-padded output of a left join) counts as not matching —
-    approximating SQL's three-valued logic with explicit column checks,
-    so genuine type errors in the predicate still surface loudly.  The
-    UNKNOWN handling distributes through conjunctions and disjunctions
-    (``TRUE OR UNKNOWN`` keeps the row; ``TRUE AND UNKNOWN`` drops it)
-    and through negations via De Morgan (``NOT (FALSE AND UNKNOWN)``
-    keeps the row).  Only the planner places this, and only above outer
-    joins; everywhere else predicates stay unwrapped so their
-    specialized fast paths keep applying.
-    """
-
-    def __init__(self, part: Predicate):
-        self.part = part
-
-    def bind(self, schema: Schema) -> RowPredicate:
-        part = self.part
-        if isinstance(part, Not):
-            inner = part.part
-            if isinstance(inner, And):
-                part = Or([Not(p) for p in inner.parts])
-            elif isinstance(inner, Or):
-                part = And([Not(p) for p in inner.parts])
-            elif isinstance(inner, Not):
-                return NullRejecting(inner.part).bind(schema)
-        if isinstance(part, (And, Or)):
-            bound = [NullRejecting(p).bind(schema) for p in part.parts]
-            return (_all_of if isinstance(part, And) else _any_of)(bound)
-        fn = part.bind(schema)
-        positions = sorted(schema.index_of(c) for c in part.columns())
-
-        def null_safe(row: Row) -> bool:
-            for pos in positions:
-                if row[pos] is None:
-                    return False
-            return fn(row)
-
-        return null_safe
-
-    def columns(self) -> set[str]:
-        return self.part.columns()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return repr(self.part)
-
-
 class Not(Predicate):
-    """Negation of a predicate."""
+    """Negation of a predicate: NOT UNKNOWN is UNKNOWN."""
 
     def __init__(self, part: Predicate):
         self.part = part
 
-    def bind(self, schema: Schema) -> RowPredicate:
-        bound = self.part.bind(schema)
-        return lambda row: not bound(row)
+    def compile(self, schema: Schema) -> Kernel:
+        inner = self.part.compile(schema)
 
-    def bind_mask(self, schema: Schema) -> MaskPredicate:
-        bound = self.part.bind_mask(schema)
-        return lambda chunk: mask_not(bound(chunk), len(chunk))
+        def kernel(chunk: Chunk):
+            true, unknown = inner(chunk)
+            if true is None:
+                return _np.zeros(len(chunk), dtype=bool), None
+            return ~_not_false(true, unknown), unknown
+
+        return kernel
 
     def columns(self) -> set[str]:
         return self.part.columns()
@@ -447,25 +413,25 @@ class StringMatch(Predicate):
                 f"got {self.kind!r}"
             )
 
-    def bind(self, schema: Schema) -> RowPredicate:
+    def compile(self, schema: Schema) -> Kernel:
         idx = schema.index_of(self.column)
         value = self.value
-        if self.kind == "prefix":
-            return lambda row: row[idx].startswith(value)
-        if self.kind == "suffix":
-            return lambda row: row[idx].endswith(value)
-        return lambda row: value in row[idx]
+        kind = self.kind
 
-    def bind_mask(self, schema: Schema) -> MaskPredicate:
-        idx = schema.index_of(self.column)
-        value = self.value
-        if self.kind == "prefix":
-            test = lambda v: v.startswith(value)  # noqa: E731
-        elif self.kind == "suffix":
-            test = lambda v: v.endswith(value)  # noqa: E731
-        else:
-            test = lambda v: value in v  # noqa: E731
-        return lambda chunk: object_mask(chunk.column_values(idx), test)
+        def kernel(chunk: Chunk):
+            values = chunk.column_values(idx)
+            if kind == "prefix":
+                codes = (_NULL if v is None else v.startswith(value)
+                         for v in values)
+            elif kind == "suffix":
+                codes = (_NULL if v is None else v.endswith(value)
+                         for v in values)
+            else:
+                codes = (_NULL if v is None else value in v
+                         for v in values)
+            return _verdict(codes, len(values))
+
+        return kernel
 
     def columns(self) -> set[str]:
         return {self.column}
@@ -492,29 +458,23 @@ class ColumnComparison(Predicate):
     op: CompareOp
     right: str
 
-    def bind(self, schema: Schema) -> RowPredicate:
-        li = schema.index_of(self.left)
-        ri = schema.index_of(self.right)
-        fn = self.op.fn
-        return lambda row: fn(row[li], row[ri])
-
-    def bind_mask(self, schema: Schema) -> MaskPredicate:
+    def compile(self, schema: Schema) -> Kernel:
         li = schema.index_of(self.left)
         ri = schema.index_of(self.right)
         fn = self.op.fn
 
-        def mask_of(chunk: Chunk) -> Mask:
+        def kernel(chunk: Chunk):
             left = chunk.array(li)
             right = chunk.array(ri)
             if left is not None and right is not None:
-                return fn(left, right)
+                return fn(left, right), None
             lvals = chunk.column_values(li)
             rvals = chunk.column_values(ri)
-            return mask_from_bools(
-                (fn(a, b) for a, b in zip(lvals, rvals, strict=False)), len(lvals)
-            )
+            return _verdict((_NULL if a is None or b is None else fn(a, b)
+                             for a, b in zip(lvals, rvals, strict=True)),
+                            len(lvals))
 
-        return mask_of
+        return kernel
 
     def columns(self) -> set[str]:
         return {self.left, self.right}

@@ -30,12 +30,11 @@ from typing import Callable, Sequence
 import numpy as _np
 
 from repro.errors import ExecutionError
-from repro.exec.expressions import NullRejecting, Predicate
+from repro.exec.expressions import Predicate
 from repro.storage.chunk import (
     Chunk,
     ColumnData,
     mask_nonzero,
-    mask_not,
     typed_column,
 )
 from repro.storage.types import Schema
@@ -176,11 +175,13 @@ def case(condition: Predicate, schema: Schema, then: Node,
          otherwise: Node) -> Node:
     """``CASE WHEN condition THEN then ELSE otherwise END`` over ``schema``.
 
-    A row whose condition reads a NULL takes ELSE.  Each branch is
-    computed over only the rows that take it, so a branch never sees —
-    and never fails on — a row the condition sent the other way.
+    A row takes THEN where the condition is TRUE and ELSE where it is
+    FALSE or UNKNOWN (a NULL it reads, through the predicate's one
+    three-valued kernel — so ``NOT`` over a NULL takes ELSE too).  Each
+    branch is computed over only the rows that take it, so a branch never
+    sees — and never fails on — a row the condition sent the other way.
     """
-    mask_of = NullRejecting(condition).bind_mask(schema)
+    mask_of = condition.bind_mask(schema)
 
     def run(chunk: Chunk) -> object:
         n = len(chunk)
@@ -192,7 +193,7 @@ def case(condition: Predicate, schema: Schema, then: Node,
             return then(chunk)
         if not len(hit):
             return otherwise(chunk)
-        miss = mask_nonzero(mask_not(mask, n))
+        miss = mask_nonzero(~mask)
         a = _as_column(then(chunk.take(hit)), len(hit))
         b = _as_column(otherwise(chunk.take(miss)), len(miss))
         if isinstance(a, _np.ndarray) and isinstance(b, _np.ndarray) \

@@ -11,15 +11,20 @@ re-lexing, no re-parsing, no re-binding — which the planner then lowers
 Two substitution channels exist because bound statements hold two kinds
 of compiled artifacts:
 
-* **structural** — predicates are immutable trees, so markers inside
+* **structural** — predicates are immutable ``And`` / ``Or`` / ``Not``
+  trees, so markers inside
   :class:`~repro.exec.expressions.Comparison` / ``Between`` / ``InList``
   (and the spec's ``LIMIT``) are replaced by rebuilding the affected
   nodes.  The planner then sees exactly the predicate a literal statement
-  would have produced — measurement-identical by construction.
+  would have produced — measurement-identical by construction.  These
+  values become key-range bounds, where ``None`` means "unbounded", so a
+  NULL here is refused with :class:`~repro.errors.SqlError` naming the
+  parameter, as a bad ``LIMIT`` is.
 * **slot-based** — value callables compiled by the binder (aggregate
-  arguments, computed select items) are closures; they read parameters
-  from a shared :class:`ParamBox` the binder threaded through at compile
-  time, which :func:`resolve_params` fills at execute time.
+  arguments, computed select items) are chunk functions; they read
+  parameters from a shared :class:`ParamBox` the binder threaded through
+  at compile time, which :func:`resolve_params` fills at execute time.
+  A NULL here is a value like any other: arithmetic over it is NULL.
 
 The box is per-bound-statement, so interleaving *streaming* executions of
 one prepared statement with different parameters would overwrite the
@@ -39,7 +44,6 @@ from repro.exec.expressions import (
     Comparison,
     InList,
     Not,
-    NullRejecting,
     Or,
     Predicate,
 )
@@ -66,7 +70,7 @@ class ParamBox:
     """The mutable parameter slots compiled value callables read from.
 
     One box per bound statement; :func:`resolve_params` output is written
-    here before each execution so ``lambda row: box.values[i]`` closures
+    here before each execution so ``lambda chunk: box.values[i]`` nodes
     see the current binding.
     """
 
@@ -137,30 +141,47 @@ def resolve_params(param_names: Sequence[str | None],
     return values
 
 
+def _value_of(marker: ParamMarker, values: Sequence[object]) -> object:
+    """The value bound to ``marker`` in a predicate; never NULL.
+
+    A key range reads ``None`` as "unbounded", so a NULL bound would turn
+    ``x >= :lo`` into a full range instead of SQL's no rows: refuse it.
+    """
+    value = values[marker.index]
+    if value is None:
+        raise SqlError(
+            f"parameter {marker!r} is NULL in a WHERE predicate; a "
+            "comparison with NULL is never true — pass a value"
+        )
+    return value
+
+
 def substitute_predicate(predicate: Predicate,
                          values: Sequence[object]) -> Predicate:
     """Replace every :class:`ParamMarker` in ``predicate`` with its value.
 
     Returns the original object when nothing changed, so unparameterized
     statements pay nothing and object identity stays stable for caches.
+    A NULL value raises :class:`~repro.errors.SqlError` (see
+    :func:`_value_of`).
     """
     if isinstance(predicate, Comparison):
         if isinstance(predicate.value, ParamMarker):
             return replace(predicate,
-                           value=values[predicate.value.index])
+                           value=_value_of(predicate.value, values))
         return predicate
     if isinstance(predicate, Between):
         lo, hi = predicate.lo, predicate.hi
         changed = False
         if isinstance(lo, ParamMarker):
-            lo, changed = values[lo.index], True
+            lo, changed = _value_of(lo, values), True
         if isinstance(hi, ParamMarker):
-            hi, changed = values[hi.index], True
+            hi, changed = _value_of(hi, values), True
         return replace(predicate, lo=lo, hi=hi) if changed else predicate
     if isinstance(predicate, InList):
         if any(isinstance(v, ParamMarker) for v in predicate.values):
             return replace(predicate, values=tuple(
-                values[v.index] if isinstance(v, ParamMarker) else v
+                _value_of(v, values) if isinstance(v, ParamMarker) else v
                 for v in predicate.values
             ))
         return predicate
@@ -172,9 +193,6 @@ def substitute_predicate(predicate: Predicate,
     if isinstance(predicate, Not):
         part = substitute_predicate(predicate.part, values)
         return predicate if part is predicate.part else Not(part)
-    if isinstance(predicate, NullRejecting):
-        part = substitute_predicate(predicate.part, values)
-        return predicate if part is predicate.part else NullRejecting(part)
     return predicate
 
 
@@ -215,7 +233,7 @@ def predicate_markers(predicate: Predicate) -> list[ParamMarker]:
         elif isinstance(part, (And, Or)):
             for p in part.parts:
                 walk(p)
-        elif isinstance(part, (Not, NullRejecting)):
+        elif isinstance(part, Not):
             walk(part.part)
 
     walk(predicate)

@@ -33,7 +33,6 @@ from repro.exec.aggregates import HashAggregate
 from repro.exec.expressions import (
     And,
     KeyRange,
-    NullRejecting,
     Predicate,
     TruePredicate,
     conjunction,
@@ -714,9 +713,10 @@ class Planner:
         applied as soon as every referenced column is in scope.  Pushing
         below a join preserves WHERE semantics for inner joins and *is*
         the semantics for semi/anti joins (EXISTS with the predicate);
-        below the nullable side of a left join it would turn dropped
-        rows into null-padded ones, so those conjuncts stay residual
-        and are evaluated post-join with NULL-rejecting semantics.
+        below the inner side of a left join it would turn dropped
+        rows into null-padded ones, so those conjuncts stay residual and
+        are evaluated post-join, where a NULL pad reads as UNKNOWN and
+        the WHERE drops the row, as SQL's three-valued logic does.
         """
         conjuncts = _flatten_conjuncts(spec.predicate)
         pushable = {spec.table} | {
@@ -780,7 +780,6 @@ class Planner:
         """
         remaining = list(spec.joins)
         reorderable = all(j.how == "inner" for j in remaining)
-        nullable = False  # becomes True once a left join is lowered
         pin_queue = list(recipe.joins) if recipe is not None else []
         while remaining:
             schema = node.operator.schema
@@ -818,9 +817,8 @@ class Planner:
                 node, est_rows, join, pushed[join.table],
                 pin=join_pin, pins_out=pins_out,
             )
-            nullable = nullable or join.how == "left"
             node, est_rows, cross = self._apply_ready_filters(
-                spec, node, est_rows, cross, nullable
+                spec, node, est_rows, cross
             )
         return node, est_rows, cross
 
@@ -941,13 +939,13 @@ class Planner:
         )
 
     def _apply_ready_filters(self, spec: QuerySpec, node: PlanNode,
-                             est_rows: int, cross: list[Predicate],
-                             nullable: bool
+                             est_rows: int, cross: list[Predicate]
                              ) -> tuple[PlanNode, int, list[Predicate]]:
         """Attach cross-table residuals whose columns are now in scope.
 
-        ``nullable`` says a left join has been lowered below this point,
-        i.e. null-padded rows may reach the filter.
+        Null-padded rows of a left join below may reach the filter: a
+        residual that reads a pad is UNKNOWN there, and the filter keeps
+        only TRUE rows.
         """
         schema = node.operator.schema
         ready = [
@@ -972,9 +970,6 @@ class Planner:
             )
             sel *= card_est.estimate_selectivity(self.catalog, owner, part)
         est_rows = max(0, round(est_rows * sel))
-        if nullable:
-            # Left-join output is null-padded; WHERE drops UNKNOWN rows.
-            predicate = NullRejecting(predicate)
         op = Filter(node.operator, predicate)
         node = self._node(op, est_rows=est_rows, children=(node,))
         return node, est_rows, [p for p in cross if p not in ready]

@@ -159,9 +159,13 @@ class StatisticsCatalog:
                       buckets: int) -> ColumnStats:
         """Statistics of one column's (sampled) values, array or list.
 
-        An array column is bucketed with the list path's own float64
-        expression, element-wise, so both give identical histograms.
+        Min, max, ndv and the histogram describe the non-NULL values (an
+        array holds none); ``row_count`` counts every row.  An array
+        column is bucketed with the list path's own float64 expression,
+        element-wise, so both give identical histograms.
         """
+        if not isinstance(values, _np.ndarray):
+            values = [v for v in values if v is not None]
         if not len(values):
             return ColumnStats(column=name, row_count=row_count,
                                min_value=None, max_value=None, ndv=0)

@@ -6,13 +6,13 @@ columns ``float64``) or a plain Python list — an *object column*.  Which
 one is decided by the data, not the platform: CHAR columns, NULL-bearing
 columns, computed values, and anything whose values do not round-trip
 through a fixed-width array (e.g. integers outside the ``int64`` range)
-are object columns, and every mask helper below accepts both kinds.  An
-optional *selection vector* names the positions that are logically
-present, so a filter can narrow a chunk without copying column data — and
-a scan can hand out a batch as *positions* over the heap's one table-wide
-chunk (:meth:`~repro.storage.heap.HeapFile.image`): the payload of a
-column moves once, at the first consumer that reads it, and the columns
-nobody reads never move.
+are object columns.  An optional *selection vector* names the positions
+that are logically present, so a filter can narrow a chunk by a boolean
+mask without copying column data — and a scan can hand out a batch as
+*positions* over the heap's one table-wide chunk
+(:meth:`~repro.storage.heap.HeapFile.image`): the payload of a column
+moves once, at the first consumer that reads it, and the columns nobody
+reads never move.
 
 Chunks are row-compatible by construction: they implement the read-only
 sequence protocol over rows (``len``, iteration, indexing, slicing), and
@@ -29,7 +29,7 @@ execution invisible to the cost model.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as _np
 
@@ -38,8 +38,8 @@ from repro.storage.types import Row, Schema
 #: A column payload: an array (numeric) or a plain list (object column).
 ColumnData = Union[_np.ndarray, list]
 
-#: A boolean mask over a chunk's rows: ndarray of bool, or list of bool.
-Mask = Union[_np.ndarray, list]
+#: A boolean mask over a chunk's logical rows.
+Mask = _np.ndarray
 
 #: Up to this many selected rows, :meth:`Chunk.to_rows` reads values one
 #: by one instead of gathering whole columns.
@@ -308,7 +308,7 @@ class Chunk:
                 f"[{kinds}]{'' if self.sel is None else ', sel'})")
 
 
-# -- mask helpers (array- and list-compatible) ----------------------------
+# -- mask helpers ----------------------------------------------------------
 
 
 def mask_and(a: Mask | None, b: Mask | None) -> Mask | None:
@@ -317,78 +317,26 @@ def mask_and(a: Mask | None, b: Mask | None) -> Mask | None:
         return b
     if b is None:
         return a
-    if _is_array(a) and _is_array(b):
-        return a & b
-    a_list = a.tolist() if _is_array(a) else a
-    b_list = b.tolist() if _is_array(b) else b
-    return [x and y for x, y in zip(a_list, b_list, strict=False)]
+    return a & b
 
 
 def mask_or(a: Mask | None, b: Mask | None) -> Mask | None:
     """Disjunction of two masks; ``None`` means all-true."""
     if a is None or b is None:
         return None
-    if _is_array(a) and _is_array(b):
-        return a | b
-    a_list = a.tolist() if _is_array(a) else a
-    b_list = b.tolist() if _is_array(b) else b
-    return [x or y for x, y in zip(a_list, b_list, strict=False)]
-
-
-def mask_not(m: Mask | None, n: int) -> Mask:
-    """Negation of a mask over ``n`` rows (``None`` means all-true)."""
-    if m is None:
-        return _np.zeros(n, dtype=bool)
-    if _is_array(m):
-        return ~m
-    return [not x for x in m]
-
-
-def mask_any(m: Mask | None) -> bool:
-    """True when at least one row passes (``None`` means all-true)."""
-    if m is None:
-        return True
-    if _is_array(m):
-        return bool(m.any())
-    return any(m)
+    return a | b
 
 
 def mask_all(m: Mask | None) -> bool:
     """True when every row passes (``None`` means all-true)."""
-    if m is None:
-        return True
-    if _is_array(m):
-        return bool(m.all())
-    return all(m)
+    return m is None or bool(m.all())
 
 
-def mask_nonzero(m: Mask) -> "Sequence[int]":
-    """Ascending positions a mask passes (ndarray or list)."""
-    if _is_array(m):
-        return _np.nonzero(m)[0]
-    return [i for i, x in enumerate(m) if x]
+def mask_nonzero(m: Mask) -> _np.ndarray:
+    """Ascending positions a mask passes."""
+    return _np.nonzero(m)[0]
 
 
 def mask_from_bools(values: Iterable[bool], n: int) -> Mask:
     """Materialize an iterable of booleans as a mask of length ``n``."""
     return _np.fromiter(values, dtype=bool, count=n)
-
-
-def object_mask(col: Sequence, test: Callable[[object], bool]) -> Mask:
-    """Row-wise mask over an object column."""
-    return mask_from_bools((test(v) for v in col), len(col))
-
-
-def mask_isin(col: ColumnData, values: Sequence) -> Mask:
-    """Membership mask: ``col[i] in values`` per row.
-
-    Array membership only where the values type to the column's own dtype:
-    an int64 column against a value past int64 (or a float) would compare
-    as float64, where distinct integers can collide."""
-    if _is_array(col) and values:
-        probe = typed_column(values)
-        if _is_array(probe) and probe.dtype == col.dtype:
-            return _np.isin(col, probe)
-    vset = frozenset(values)
-    return object_mask(col.tolist() if _is_array(col) else col,
-                       lambda v: v in vset)

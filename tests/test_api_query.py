@@ -479,11 +479,11 @@ def test_shared_column_resolves_to_visible_side_of_semi_join():
 
 
 def test_zero_column_predicate_pushes_to_base(sales_db):
-    from repro.exec.expressions import Predicate
+    from repro.exec.expressions import Not, Predicate, TruePredicate
 
     class ConstFalse(Predicate):
-        def bind(self, schema):
-            return lambda row: False
+        def compile(self, schema):
+            return Not(TruePredicate()).compile(schema)
 
         def columns(self):
             return set()

@@ -14,6 +14,7 @@ non-eager triggers.
 
 import hashlib
 import json
+import sqlite3
 from pathlib import Path
 
 import pytest
@@ -42,7 +43,6 @@ from repro.exec.expressions import (
     InList,
     KeyRange,
     Not,
-    NullRejecting,
     Or,
     StringMatch,
     TruePredicate,
@@ -52,9 +52,12 @@ from repro.exec.joins import HashJoin
 from repro.exec.misc import Filter, Limit, Materialize, Project, Rename
 from repro.exec.scans import FullTableScan, IndexScan, SortScan
 from repro.exec.sort import Sort
+from repro.exec import values
 from repro.storage.chunk import Chunk
 from repro.storage.disk import KINDS
 from repro.storage.types import Column, ColumnType, Schema
+
+from kleene import truth
 
 ALL_POLICIES = [GreedyPolicy(), SelectivityIncreasePolicy(), ElasticPolicy()]
 TRIGGERS = {
@@ -313,11 +316,24 @@ MORE_PREDICATES = [
         Not(InList("c3", (1, 2)))]),
 ]
 
-#: What a NULL-padded row may meet unwrapped: equality and membership.
-NULL_SAFE_PREDICATES = [
-    Comparison("f", CompareOp.EQ, None),
-    Comparison("b", CompareOp.NE, 0),
+#: NULL where the rules bite: ``NOT`` over a NULL at the top, a listed
+#: NULL, a NULL constant, a NULL bound, and connectives mixing NULL parts.
+NULL_PREDICATES = [
+    Not(Comparison("f", CompareOp.LT, 0.5)),
+    Not(Not(StringMatch("s", "contains", "a"))),
+    Not(InList("c3", (1, 2))),
+    Not(ColumnComparison("c2", CompareOp.LT, "c3")),
+    Not(Between("f", -1, 1)),
     InList("s", ("a", None)),
+    Not(InList("c3", (1, None))),
+    Comparison("f", CompareOp.EQ, None),
+    Not(Comparison("b", CompareOp.NE, None)),
+    Between("c2", 100, None, hi_inclusive=True),
+    Not(Between("c2", None, 500)),
+    Not(And([Comparison("c2", CompareOp.GE, 500),
+             StringMatch("s", "prefix", "a")])),
+    Or([Comparison("f", CompareOp.GT, 1.0), Not(Comparison("c3", CompareOp.EQ, 4))]),
+    Not(Or([Comparison("b", CompareOp.NE, 0), Comparison("c2", CompareOp.LT, 300)])),
 ]
 
 PREDICATE_SCHEMA = Schema([
@@ -333,41 +349,116 @@ _row = st.tuples(
     st.integers(-3, 3) | st.integers(BIG - 2, BIG + 2),
 )
 
+_SQL_OPS = {CompareOp.NE: "<>"}
 
-def _selected(chunk, predicate):
-    """The rows ``bind``, ``bind_mask`` and ``bind_chunk`` each keep."""
-    rows = chunk.to_rows()
-    matches = predicate.bind(PREDICATE_SCHEMA)
-    by_bind = [row for row in rows if matches(row)]
-    mask = predicate.bind_mask(PREDICATE_SCHEMA)(chunk)
-    assert mask is None or len(mask) == len(rows)
-    by_mask = rows if mask is None else [
-        row for row, keep in zip(rows, mask, strict=True) if keep]
-    kept = predicate.bind_chunk(PREDICATE_SCHEMA)(chunk)
-    by_chunk = [] if kept is None else kept.to_rows()
-    return by_bind, by_mask, by_chunk
+
+def _sql(predicate):
+    """``predicate`` as sqlite3 WHERE text (GLOB: case-sensitive LIKE)."""
+    def lit(v):
+        return "NULL" if v is None else repr(v)
+
+    if isinstance(predicate, TruePredicate):
+        return "1"
+    if isinstance(predicate, Comparison):
+        op = _SQL_OPS.get(predicate.op, predicate.op.value)
+        return f"{predicate.column} {op} {lit(predicate.value)}"
+    if isinstance(predicate, ColumnComparison):
+        op = _SQL_OPS.get(predicate.op, predicate.op.value)
+        return f"{predicate.left} {op} {predicate.right}"
+    if isinstance(predicate, Between):
+        lo = ">=" if predicate.lo_inclusive else ">"
+        hi = "<=" if predicate.hi_inclusive else "<"
+        c = predicate.column
+        return (f"({c} {lo} {lit(predicate.lo)} AND "
+                f"{c} {hi} {lit(predicate.hi)})")
+    if isinstance(predicate, InList):
+        items = ", ".join(lit(v) for v in predicate.values)
+        return f"{predicate.column} IN ({items})"
+    if isinstance(predicate, StringMatch):
+        pattern = {"prefix": "{}*", "suffix": "*{}",
+                   "contains": "*{}*"}[predicate.kind]
+        return f"{predicate.column} GLOB '{pattern.format(predicate.value)}'"
+    if isinstance(predicate, (And, Or)):
+        if not predicate.parts:
+            return "1" if isinstance(predicate, And) else "0"
+        joiner = " AND " if isinstance(predicate, And) else " OR "
+        return "(" + joiner.join(_sql(p) for p in predicate.parts) + ")"
+    assert isinstance(predicate, Not)
+    return f"NOT ({_sql(predicate.part)})"
+
+
+def _verdicts(predicate, view):
+    """Per row of ``view``: what the compiled kernel says (True / False /
+    None for UNKNOWN), with its two masks checked for shape."""
+    true, unknown = predicate.compile(PREDICATE_SCHEMA)(view)
+    n = len(view)
+    assert true is None or len(true) == n
+    assert unknown is None or len(unknown) == n
+    assert true is not None or unknown is None
+    out = []
+    for i in range(n):
+        is_true = true is None or bool(true[i])
+        is_unknown = unknown is not None and bool(unknown[i])
+        assert not (is_true and is_unknown)
+        out.append(True if is_true else None if is_unknown else False)
+    return out
 
 
 @settings(max_examples=80, deadline=None)
-@given(rows=st.lists(st.tuples(_row, st.booleans()), max_size=40),
-       padded=st.booleans(), every=st.integers(1, 3))
-def test_columnar_forms_select_what_bind_selects(rows, padded, every):
-    """``bind_mask`` and ``bind_chunk`` keep exactly the rows ``bind``
-    keeps, for every predicate class, over a chunk and a selection of it;
-    NULL-padded rows (a left join's misses) meet ``NullRejecting``."""
-    predicates = PREDICATES + MORE_PREDICATES
-    if padded:
-        rows = [row[:3] + (None,) * 3 if pad else row for row, pad in rows]
-        predicates = [NullRejecting(p) for p in predicates] \
-            + NULL_SAFE_PREDICATES
+@given(rows=st.lists(st.tuples(_row, st.frozensets(st.integers(1, 5))),
+                     max_size=40),
+       nulls=st.booleans(), every=st.integers(1, 3))
+def test_the_kernel_is_kleene_logic(rows, nulls, every):
+    """Every predicate class compiles to SQL's three-valued logic: the
+    kernel's TRUE and UNKNOWN rows are the plain-Python evaluator's
+    (``tests/kleene.py``), over a chunk and a selection of it;
+    ``bind_mask`` / ``bind_chunk`` keep the TRUE rows and ``CASE`` takes
+    THEN on exactly those.  With NULLs, sqlite3 witnesses the WHERE and
+    the CASE for every predicate that fits its 64-bit integers."""
+    if nulls:
+        rows = [tuple(None if i in gone else v for i, v in enumerate(row))
+                for row, gone in rows]
     else:
-        rows = [row for row, _pad in rows]
+        rows = [row for row, _gone in rows]
     chunk = Chunk.from_rows(PREDICATE_SCHEMA, rows)
+    witness = None
+    if nulls:
+        witness = sqlite3.connect(":memory:")
+        witness.execute("CREATE TABLE p (k, c1, c2, c3, f, s)")
     for view in (chunk, chunk.take(list(range(0, len(rows), every)))):
-        for predicate in predicates:
-            by_bind, by_mask, by_chunk = _selected(view, predicate)
-            assert by_mask == by_bind, predicate
-            assert by_chunk == by_bind, predicate
+        view_rows = view.to_rows()
+        if witness is not None:
+            witness.execute("DELETE FROM p")
+            witness.executemany("INSERT INTO p VALUES (?, ?, ?, ?, ?, ?)",
+                                [(k,) + row[:5]
+                                 for k, row in enumerate(view_rows)])
+        for predicate in PREDICATES + MORE_PREDICATES + NULL_PREDICATES:
+            want = [truth(predicate, PREDICATE_SCHEMA, row)
+                    for row in view_rows]
+            assert _verdicts(predicate, view) == want, predicate
+            kept = [row for row, t in zip(view_rows, want, strict=True)
+                    if t is True]
+            mask = predicate.bind_mask(PREDICATE_SCHEMA)(view)
+            by_mask = view_rows if mask is None else [
+                row for row, keep in zip(view_rows, mask, strict=True)
+                if keep]
+            assert by_mask == kept, predicate
+            filtered = predicate.bind_chunk(PREDICATE_SCHEMA)(view)
+            assert ([] if filtered is None else filtered.to_rows()) \
+                == kept, predicate
+            case_of = values.case(predicate, PREDICATE_SCHEMA,
+                                  values.constant(1), values.constant(0))
+            then = [1 if t is True else 0 for t in want]
+            assert list(values.compute(case_of)(view)) == then, predicate
+            if witness is None or "b" in predicate.columns():
+                continue
+            text = _sql(predicate)
+            assert [k for (k,) in witness.execute(
+                f"SELECT k FROM p WHERE {text} ORDER BY k")] == [
+                k for k, t in enumerate(want) if t is True], text
+            assert [v for (v,) in witness.execute(
+                f"SELECT CASE WHEN {text} THEN 1 ELSE 0 END FROM p "
+                "ORDER BY k")] == then, text
 
 
 # -- SmoothScan: the full configuration grid -----------------------------
@@ -532,7 +623,6 @@ class _PerTidIndexScan(IndexScan):
 
     def _fetch_by_tid(self, ctx):
         heap = self.table.heap
-        matches = self.residual.bind(self.schema)
         rng = self.key_range
         for _key, tid in self.index.scan(
             ctx, lo=rng.lo, hi=rng.hi,
@@ -541,7 +631,7 @@ class _PerTidIndexScan(IndexScan):
             ctx.get_page(heap, tid // heap.tuples_per_page)
             ctx.charge_inspect()
             row = heap.row(tid)
-            if matches(row):
+            if truth(self.residual, self.schema, row) is True:
                 ctx.charge_emit()
                 yield row
 

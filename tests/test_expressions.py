@@ -20,13 +20,25 @@ from repro.exec.expressions import (
     extract_range,
     require_columns,
 )
+from repro.storage.chunk import Chunk
 from repro.storage.types import Schema
+
+from kleene import truth
 
 SCHEMA = Schema.of_ints(["a", "b", "c"])
 
 
-def bind(pred):
-    return pred.bind(SCHEMA)
+def verdict(pred, row, schema=SCHEMA):
+    """The compiled kernel on a one-row chunk: True, False or None."""
+    true, unknown = pred.compile(schema)(Chunk.from_rows(schema, [row]))
+    if true is None or true[0]:
+        return True
+    return None if unknown is not None and unknown[0] else False
+
+
+def bind(pred, schema=SCHEMA):
+    """``row -> bool``: does a WHERE on ``pred`` keep ``row``?"""
+    return lambda row: verdict(pred, row, schema) is True
 
 
 def test_true_predicate():
@@ -66,13 +78,33 @@ def test_and_or_not_composition():
     assert bind(Not(Comparison("a", CompareOp.EQ, 1)))((2, 0, 0))
 
 
+def test_a_null_is_unknown_and_not_keeps_it():
+    """A leaf reading a NULL is UNKNOWN, never FALSE, so ``NOT`` over it
+    keeps no row; the connectives are Kleene's."""
+    row = (None, 2, 3)
+    a_is_1 = Comparison("a", CompareOp.EQ, 1)
+    b_is_2 = Comparison("b", CompareOp.EQ, 2)
+    for leaf in (a_is_1, Comparison("a", CompareOp.NE, 1),
+                 Between("a", 0, 9), InList("a", (1, 2)),
+                 ColumnComparison("a", CompareOp.LT, "b"),
+                 Comparison("b", CompareOp.EQ, None)):
+        assert verdict(leaf, row) is None, leaf
+        assert verdict(Not(leaf), row) is None, leaf
+    assert verdict(And([a_is_1, b_is_2]), row) is None
+    assert verdict(And([a_is_1, Not(b_is_2)]), row) is False
+    assert verdict(Or([a_is_1, b_is_2]), row) is True
+    assert verdict(Or([a_is_1, Not(b_is_2)]), row) is None
+    assert verdict(InList("b", (7, None)), row) is None
+    assert verdict(InList("b", (2, None)), row) is True
+
+
 def test_string_match_kinds():
     row = ("PROMO BRUSHED TIN",)
 
     def match(kind, value):
         from repro.storage.types import Column, ColumnType
         s = Schema([Column("s", ColumnType.CHAR, 25)])
-        return StringMatch("s", kind, value).bind(s)(row)
+        return bind(StringMatch("s", kind, value), s)(row)
 
     assert match("prefix", "PROMO")
     assert match("suffix", "TIN")
@@ -184,7 +216,7 @@ def test_extract_range_in_list_respects_rows():
     rng, residual = extract_range(pred, "b")
     matched = [
         r for r in rows
-        if rng.contains(r[1]) and residual.bind(schema)(r)
+        if rng.contains(r[1]) and truth(residual, schema, r)
     ]
     assert matched == [r for r in rows if r[1] in (2, 5)]
 
@@ -223,7 +255,7 @@ def test_key_range_predicate_round_trips(lo, hi, lo_inclusive, hi_inclusive):
         if hi is None:
             rng = KeyRange(lo, None, lo_inclusive=lo_inclusive)
         assert extract_range(predicate, "b") == (rng, TruePredicate())
-    matches = predicate.bind(SCHEMA)
+    matches = bind(predicate)
     for key in range(12):
         assert matches((0, key, 0)) == rng.contains(key)
 
@@ -266,8 +298,6 @@ def test_property_extract_range_equivalence(rows, lo, hi, other):
         Comparison("a", CompareOp.GE, other),
     ])
     rng, residual = extract_range(pred, "b")
-    bound_orig = pred.bind(SCHEMA)
-    bound_res = residual.bind(SCHEMA)
     for row in rows:
-        recombined = rng.contains(row[1]) and bound_res(row)
-        assert recombined == bound_orig(row)
+        recombined = rng.contains(row[1]) and truth(residual, SCHEMA, row)
+        assert recombined == truth(pred, SCHEMA, row)

@@ -12,7 +12,6 @@ from repro.exec.expressions import (
     CompareOp,
     InList,
     Not,
-    NullRejecting,
     Or,
 )
 from repro.exec.joins import HashJoin, IndexNestedLoopJoin
@@ -241,11 +240,11 @@ ROW_LIST_FILTERS = {
                                  (3, ("LG CASE", "LG BOX"), 20, 15))),
     ),
     "null-rejecting": (
-        NullRejecting(Or([
+        Or([
             Comparison("l_discount", CompareOp.LT, 3),
             Not(Or([Comparison("l_discount", CompareOp.GE, 8),
                     Comparison("p_brand", CompareOp.NE, 0)])),
-        ])),
+        ]),
         lambda r: r[7] is not None and (
             r[7] < 3 or (r[7] < 8 and r[1] == 0)),
     ),

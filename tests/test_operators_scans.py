@@ -6,6 +6,8 @@ from repro.exec.expressions import Between, KeyRange
 from repro.exec.scans import FullTableScan, IndexScan, SortScan, _contiguous_runs
 from repro.exec.stats import measure
 
+from kleene import truth
+
 
 def paths(table, lo, hi):
     return {
@@ -262,7 +264,7 @@ def test_sort_scan_extent_gather_keeps_rows_batches_and_charges(
     lo, hi = plan.key_range.lo, plan.key_range.hi
     wanted = [r for r in measure(db, FullTableScan(plan.table)).rows
               if (lo is None or r[1] >= lo) and (hi is None or r[1] < hi)
-              and plan.residual.bind(plan.schema)(r)]
+              and truth(plan.residual, plan.schema, r) is True]
     assert rows == wanted
 
 
@@ -521,10 +523,9 @@ def test_index_scan_block_walk_keeps_rows_batches_and_charges(
     while not isinstance(scans[0], IndexScan):
         scans = [c for op in scans for c in op.children()]
     lo, hi = scans[0].key_range.lo, scans[0].key_range.hi
-    matches = scans[0].residual.bind(scans[0].schema)
     wanted = [r for r in measure(db, FullTableScan(db.table("banded"))).rows
               if (lo is None or r[1] >= lo) and (hi is None or r[1] < hi)
-              and matches(r)]
+              and truth(scans[0].residual, scans[0].schema, r) is True]
     if len(scans) == 1:
         # Key order, physical order within a key: a prefix under Limit.
         wanted.sort(key=lambda r: (r[1], r[0]))

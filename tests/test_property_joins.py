@@ -18,6 +18,8 @@ from repro.exec.scans import FullTableScan
 from repro.exec.stats import measure
 from repro.storage.types import Column, ColumnType, Schema
 
+from kleene import where
+
 SETTINGS = settings(
     max_examples=40,
     deadline=None,
@@ -112,9 +114,8 @@ def test_index_joins_are_a_nested_loop(outer, inner, threshold):
                                              ("s", "is_", [3], [1])):
         for residual in (TruePredicate(),
                          Comparison("iv", CompareOp.GE, threshold)):
-            kept = residual.bind(Schema(LEFT.columns + INNER.columns))
-            want = [row for row in nested_loop(outer, inner, lpos, rpos,
-                                               "inner", 0) if kept(row)]
+            want = where(residual, Schema(LEFT.columns + INNER.columns),
+                         nested_loop(outer, inner, lpos, rpos, "inner", 0))
             for access in ("classic", "smooth"):
                 join = IndexNestedLoopJoin(
                     FullTableScan(ot), it, inner_key, outer_key,

@@ -383,6 +383,31 @@ def test_a_failing_pull_releases_its_slot_and_its_cursor(db):
     assert front.inflight == 0
 
 
+def test_a_null_predicate_parameter_is_an_error_frame(db):
+    """A NULL bound into a WHERE predicate is refused by name, on
+    ``query`` and on a prepared ``execute`` alike: an error frame, the
+    admission slot back, and the session runs its next statement."""
+    front = make_front(db)
+    session = front.session()
+    null_lo = {"lo": None, "hi": 100}
+    failed = one(session.handle({"op": "query", "id": 1, "sql": SQL,
+                                 "params": null_lo}))
+    assert (failed["op"], failed["code"]) == ("error", "sql_error")
+    assert ":lo is NULL" in failed["message"]
+    assert front.inflight == 0
+    prepared = one(session.handle({"op": "prepare", "id": 2, "sql": SQL}))
+    failed = one(session.handle(
+        {"op": "execute", "id": 3, "statement": prepared["statement"],
+         "params": null_lo}))
+    assert (failed["op"], failed["code"]) == ("error", "sql_error")
+    assert front.inflight == 0
+    assert session.conn.open_cursors == ()
+    frames = session.handle({"op": "query", "id": 4, "sql": SQL,
+                             "params": {"lo": 0, "hi": 100}})
+    assert frames[-1]["done"] and frames[-1]["summary"]["rows"] > 0
+    assert front.inflight == 0
+
+
 def test_stats_frame_carries_telemetry_and_plan_cache_gauges(db):
     db.tracer.enable()
     front = make_front(db)

@@ -23,6 +23,8 @@ from repro.exec.misc import Limit
 from repro.exec.scans import FullTableScan
 from repro.exec.stats import measure
 
+from kleene import truth, where
+
 ALL_POLICIES = [GreedyPolicy(), SelectivityIncreasePolicy(), ElasticPolicy()]
 
 
@@ -339,9 +341,8 @@ def test_smooth_flush_boundaries_and_charges_unchanged(
     scan = plan.child if isinstance(plan, Limit) else plan
     wanted = FullTableScan(table, Between("c2", scan.key_range.lo,
                                           scan.key_range.hi))
-    qualifying = sorted(
-        r for r in measure(db, wanted).rows
-        if scan.residual.bind(scan.schema)(r))
+    qualifying = sorted(where(scan.residual, scan.schema,
+                              measure(db, wanted).rows))
     if scan is plan:
         assert sorted(rows) == qualifying
     else:  # a prefix of the scan's output: distinct qualifying rows
@@ -393,8 +394,6 @@ class MaskEachRun:
 def _small_scan_cases():
     from hypothesis import strategies as st
 
-    from repro.exec.expressions import NullRejecting
-
     @st.composite
     def cases(draw):
         strings = draw(st.booleans())
@@ -415,7 +414,7 @@ def _small_scan_cases():
                              draw(st.none() | st.just(hi)),
                              draw(st.booleans()), draw(st.booleans()))
         residual = draw(st.none() | st.builds(
-            lambda lo, span: NullRejecting(Between("r", lo, lo + span)),
+            lambda lo, span: Between("r", lo, lo + span),
             st.integers(0, 9), st.integers(0, 9)))
         return dict(
             strings=strings, rows=rows, key_range=key_range,
@@ -489,7 +488,7 @@ def test_property_a_cut_is_what_masking_the_run_gives():
         # ... and the reference is right: the rows a row-at-a-time filter keeps.
         in_range = case["key_range"].contains
         passes = (lambda row: True) if case["residual"] is None \
-            else case["residual"].bind(table.schema)
+            else (lambda row: truth(case["residual"], table.schema, row) is True)
         assert sorted(row for batch in got[0] for row in batch) == sorted(
             row for row in ((i, k, r) for i, (k, r) in
                             enumerate(case["rows"]))

@@ -31,6 +31,8 @@ from repro.exec.scans import FullTableScan
 from repro.exec.stats import measure
 from repro.storage.types import Column, ColumnType, Schema
 
+from kleene import where
+
 _INNER = Schema([Column("i_id"), Column("i_key"), Column("i_val"),
                  Column("i_tag", ColumnType.CHAR, 8)])
 _OUTER = Schema([Column("o_id"), Column("o_key"), Column("o_val")])
@@ -208,8 +210,7 @@ def test_sparse_reader_keeps_rows_batches_and_charges(case, observe_plan):
     else:
         wanted = measure(db, FullTableScan(plan.table, Between(
             "i_key", plan.key_range.lo, plan.key_range.hi))).rows
-    keep = plan.residual.bind(plan.schema)
-    wanted = [r for r in wanted if keep(r)]
+    wanted = where(plan.residual, plan.schema, wanted)
     assert sorted(rows) == sorted(wanted)
     if getattr(plan, "ordered", False):
         assert [r[1] for r in rows] == sorted(r[1] for r in rows)
