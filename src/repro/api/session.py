@@ -27,9 +27,13 @@ The pieces behind the surface:
 * Cursors stream: ``fetchone``/``fetchmany`` pull operator batches
   incrementally through :class:`~repro.exec.stats.StreamingRun`;
   ``arraysize`` sets how many rows a default ``fetchmany()`` returns.
-  The buffer is **batch-granular**: the cursor holds the row list of
-  the one batch it pulled last plus a head offset, and every fetch is a
-  slice of it (topped up from the next batches) — no per-row queue.
+  The buffer is **one fetch's joined chunk**: a fetch that needs more
+  rows than the buffer holds makes one ``pull`` for the difference
+  (one attribution window however many batches it takes), joins what
+  is left of the buffer and the pulled batches with ``Chunk.concat``
+  (selections over one heap image stay a selection, adjacent extents
+  one slice), and the cursor keeps that chunk plus a head offset —
+  no per-row queue.  Each fetch rowifies only the slice it hands out.
   **The caller owns every list a fetch returns**: it is always a fresh
   list, never the buffered one (which may be a chunk's cached rows or a
   producing operator's own list), so mutating a result cannot reach
@@ -335,8 +339,9 @@ class Cursor:
     right after ``execute``; ``rowcount`` stays ``-1`` until the result
     is fully drained (streaming cursors cannot know it earlier).
 
-    Between fetches the cursor buffers exactly one batch: ``_batch`` is
-    the last batch pulled, as it arrived (read-only here — it stays its
+    Between fetches the cursor buffers one chunk: ``_batch`` is what the
+    last fetch pulled joined with what was left before it (or the one
+    batch pulled, as it arrived — read-only here, it stays its
     producer's), and ``_head`` the offset of the first row not yet
     handed out.  Fetches slice it and build rows for the slice alone, so
     what they return is always a new list the caller may keep and mutate,
@@ -353,7 +358,7 @@ class Cursor:
         self._closed = False
         self._run: StreamingRun | None = None
         self._planned: PlannedQuery | None = None
-        self._batch = _NO_BATCH       # last pulled batch (or EXPLAIN lines)
+        self._batch = _NO_BATCH       # the pulled rows (or EXPLAIN lines)
         self._head = 0                # first row of it not yet fetched
 
     # -- execution -----------------------------------------------------------
@@ -411,8 +416,7 @@ class Cursor:
             run = self._run
             if run is None:         # EXPLAIN: runs nothing
                 continue
-            while run.next_batch() is not None:
-                pass
+            run.pull()
             total += run.rows_produced
         self._reset_result(rowcount=total)
         return self
@@ -430,8 +434,8 @@ class Cursor:
         Batches are pulled from the operator tree only as needed — a
         ``LIMIT``-less scan fetched 10 rows at a time never materializes
         the full result set in the cursor.  The returned list is the
-        caller's: a slice of the buffered batch, extended by slices of
-        the following ones when the batch runs out first.
+        caller's: one slice of the buffer, after one pull tops it up when
+        it holds fewer than ``size`` rows.
         """
         self._check_fetchable()
         if size is None:
@@ -440,9 +444,8 @@ class Cursor:
             raise InterfaceError(
                 f"fetchmany size must be positive, got {size}"
             )
+        self._fill(size)
         out = self._take(size)
-        while len(out) < size and self._pull():
-            out += self._take(size - len(out))
         self._maybe_finish()
         return out
 
@@ -451,9 +454,8 @@ class Cursor:
 
         Like :meth:`fetchmany`, returns a list the caller owns."""
         self._check_fetchable()
+        self._fill(None)
         out = self._take(None)
-        while self._pull():
-            out += self._take(None)
         self._batch, self._head = _NO_BATCH, 0
         self._maybe_finish()
         return out
@@ -560,27 +562,30 @@ class Cursor:
                 "no statement has been executed on this cursor"
             )
 
-    def _pull(self) -> bool:
-        """Buffer the next operator batch; False when done.
+    def _fill(self, size: int | None) -> None:
+        """Make the buffer hold ``size`` rows (every row left when None)
+        with one pull, if it holds fewer and the run is not done.
 
-        Replaces the buffered batch, so callers take what is left of the
-        old one first.
+        What is left of the old buffer leads the pulled batches into one
+        joined chunk, so a fetch rowifies once.  The buffer is empty
+        while the pull runs: a pull that raises leaves nothing to fetch.
         """
-        if self._run is None:
-            return False
-        batch = self._run.next_batch()
-        if batch is None:
-            return False
-        self._batch, self._head = batch, 0
-        return True
+        left = len(self._batch) - self._head
+        if self._run is None or (size is not None and left >= size):
+            return
+        parts = [self._batch[self._head:]] if left else []
+        self._batch, self._head = _NO_BATCH, 0
+        parts += self._run.pull(None if size is None else size - left)
+        if parts:
+            self._batch = Chunk.concat(parts)
 
     def _take(self, size: int | None) -> list[Row]:
-        """The next ``size`` rows of the buffered batch (all that is left
-        of it when fewer, or when ``size`` is None), as a new list.
+        """The next ``size`` rows of the buffer (all that is left of it
+        when fewer, or when ``size`` is None), as a new list.
 
         Rowify here, at the API boundary, and only the slice handed out
-        — batches arrive columnar.  A fetch of the whole batch rowifies
-        the batch itself, and hands out a copy of its row list.
+        — batches arrive columnar.  A fetch of the whole buffer rowifies
+        the buffered chunk itself, and hands out a copy of its row list.
         """
         batch, head = self._batch, self._head
         stop = len(batch)

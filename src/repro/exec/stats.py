@@ -5,8 +5,8 @@ query execution: rows produced, simulated execution time split into CPU and
 blocking I/O wait (Figure 4's bar segments), and the I/O request / volume
 accounting of Table II.  Measurement is ledger-based: every
 :class:`StreamingRun` owns a private :class:`~repro.runtime.CostLedger`
-and wraps each batch pull in a runtime attribution window, so any number
-of interleaved runs on one database report correct isolated costs.
+and wraps each pull in a runtime attribution window, so any number of
+interleaved runs on one database report correct isolated costs.
 :func:`measure` wraps an operator execution in a streaming run drained to
 completion.
 
@@ -112,14 +112,10 @@ def measure(db: Database, plan: Operator, cold: bool = True,
     # Ledger attribution lives only there, so one-shot and streaming
     # executions can never diverge in what they measure.
     run = StreamingRun(db, plan, cold=cold)
-    rows: list[Row] = []
-    batch = run.next_batch()
-    while batch is not None:
-        if keep_rows:
-            # Rowify at the boundary: internal batches stay columnar.
-            rows += batch.to_rows()
-        batch = run.next_batch()
-    return run.result(rows if keep_rows else None)
+    batches = run.pull()
+    rows = Chunk.concat(batches).to_rows()[:] if keep_rows and batches \
+        else None
+    return run.result(rows)
 
 
 class StreamingRun:
@@ -127,19 +123,22 @@ class StreamingRun:
 
     The engine of :class:`~repro.api.session.Cursor` streaming: where
     :func:`measure` drains a plan to completion in one call,
-    ``StreamingRun`` hands out operator batches one at a time
-    (``fetchmany`` pulls only what it needs — no full materialization)
-    and can report the simulated cost of the run *so far* at any point.
-    Per-batch charges are identical to :func:`measure`'s — both drive
-    the same ``batches()`` protocol — so a fully-drained streaming run
-    is measurement-identical to a one-shot one.
+    ``StreamingRun`` hands out operator batches as they are asked for —
+    :meth:`pull` advances the plan until its batches hold a number of
+    rows (a cursor fetch's worth; no full materialization), and
+    :meth:`next_batch` is ``pull(1)`` for drivers that interleave runs a
+    batch at a time — and can report the simulated cost of the run *so
+    far* at any point.  Charges are identical to :func:`measure`'s —
+    both drive the same ``batches()`` protocol — so a fully-drained
+    streaming run is measurement-identical to a one-shot one, however
+    its pulls were sized.
 
     Costs are accounted in a private :class:`~repro.runtime.CostLedger`:
-    every batch pull opens an attribution window on the shared runtime,
-    so any number of runs may interleave on one database — they contend
-    on the shared disk head and buffer pool (as concurrent queries
-    should) while each ledger records only its own query's charges.
-    Starting a *cold* run (``cold=True`` here, ``Database.cold_run()``,
+    every pull opens one attribution window on the shared runtime, so
+    any number of runs may interleave on one database — they contend on
+    the shared disk head and buffer pool (as concurrent queries should)
+    while each ledger records only its own query's charges.  Starting a
+    *cold* run (``cold=True`` here, ``Database.cold_run()``,
     ``execute(cold=True)``) while another run is live raises
     :class:`~repro.errors.ExecutionError` instead of silently resetting
     the caches under the draining cursor.
@@ -161,7 +160,7 @@ class StreamingRun:
         # Open the telemetry query span (-1 while tracing is off); any
         # statement context the session layer noted attaches here.
         # repro: allow[RPL103] -- cross-method span: _finish_span() closes
-        # it from next_batch()/close(), whichever ends the run
+        # it from pull()/close(), whichever ends the run
         self._query_id = self._runtime.tracer.begin_query(cold)
         self._span_closed = False
 
@@ -178,19 +177,37 @@ class StreamingRun:
                 error=error,
             )
 
-    def next_batch(self) -> Chunk | None:
-        """The next (non-empty) batch, or ``None`` once the plan is
-        done."""
+    def pull(self, rows: int | None = None) -> list[Chunk]:
+        """The next batches, until they hold at least ``rows`` rows (all
+        that are left when ``None``); fewer only once the plan is done,
+        and ``[]`` after that.
+
+        Every generator advance of one pull runs inside one attribution
+        window: charges are counts, so a window around many batches
+        folds exactly what one window per batch would.  A plan that
+        raises mid-pull closes the run, with ``rows_produced`` counting
+        the batches pulled before the error.
+        """
         if self.closed or self.exhausted:
-            return None
+            return []
         tracer = self._runtime.tracer
         if tracer.enabled:
             # Operators emitting mid-pull (morph events) attribute here.
             tracer.current_query_id = self._query_id
+        batches: list[Chunk] = []
+        need = rows
         try:
             self._runtime.begin_attribution(self.ledger)
             try:
-                batch = next(self._batches, None)
+                for batch in self._batches:
+                    batches.append(batch)
+                    self.rows_produced += len(batch)
+                    if need is not None:
+                        need -= len(batch)
+                        if need <= 0:
+                            break
+                else:
+                    self.exhausted = True
             finally:
                 self._runtime.end_attribution()
         except BaseException as exc:
@@ -201,13 +218,17 @@ class StreamingRun:
             self.closed = True
             self._finish_span(partial=True, error=type(exc).__name__)
             raise
-        if batch is None:
-            self.exhausted = True
+        if self.exhausted:
             self._runtime.unregister_stream(self)
             self._finish_span(partial=False)
-            return None
-        self.rows_produced += len(batch)
-        return batch
+        return batches
+
+    def next_batch(self) -> Chunk | None:
+        """The next (non-empty) batch, or ``None`` once the plan is
+        done: ``pull(1)``, for drivers that interleave runs a batch at
+        a time."""
+        batches = self.pull(1)
+        return batches[0] if batches else None
 
     def result(self, rows: list[Row] | None = None) -> RunResult:
         """The measurement up to now (partial unless ``exhausted``).
@@ -225,7 +246,7 @@ class StreamingRun:
         return run
 
     def close(self) -> None:
-        """Abandon the run; further ``next_batch`` calls return None.
+        """Abandon the run; further pulls return nothing.
 
         Generator cleanup (operator ``finally`` blocks) is attributed
         to this run's ledger, like every other charge it caused.

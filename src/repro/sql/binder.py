@@ -95,7 +95,7 @@ class BoundStatement:
     #: Slots feeding sum()/avg() arguments: a string there would only
     #: surface as a raw TypeError deep inside the aggregate, so these
     #: are checked when values arrive (the literal twin is rejected at
-    #: bind time by _check_agg_input).
+    #: bind time by _check_agg_input); NULL passes as a NULL value.
     numeric_params: frozenset[int] = frozenset()
 
     @property
@@ -114,8 +114,9 @@ class BoundStatement:
         values = resolve_params(self.param_names, params)
         for i in sorted(self.numeric_params):
             value = values[i]
-            if isinstance(value, bool) \
-                    or not isinstance(value, (int, float)):
+            # NULL is a NULL value there, as in max() and count().
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, (int, float))):
                 name = self.param_names[i]
                 label = f":{name}" if name else f"parameter {i + 1}"
                 raise SqlError(

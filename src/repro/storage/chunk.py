@@ -145,8 +145,10 @@ class Chunk:
         """Concatenate chunks of one layout into one chunk.
 
         Parts over the same column payloads (say, selections of one heap
-        image) join their selections, and no payload moves; otherwise
-        the result is compacted."""
+        image) join their selections, and no payload moves: contiguous
+        ``range`` parts join into one ``range``, so adjacent extents
+        still read as one slice.  Otherwise the result is compacted.  Rows
+        every part already built are kept, not built again."""
         if len(chunks) == 1:
             return chunks[0]
         first = chunks[0]
@@ -154,19 +156,23 @@ class Chunk:
                or len(c.columns) == len(first.columns)
                and all(a is b for a, b in zip(c.columns, first.columns))
                for c in chunks[1:]):
-            return Chunk(first.names, first.columns, sel=_np.concatenate(
-                [c.positions() for c in chunks]))
-        columns: list[ColumnData] = []
-        for i in range(len(first.columns)):
-            parts = [c.data_column(i) for c in chunks]
-            if all(_is_array(p) for p in parts):
-                columns.append(_np.concatenate(parts))
-            else:
-                merged: list = []
-                for p in parts:
-                    merged.extend(p.tolist() if _is_array(p) else p)
-                columns.append(merged)
-        return Chunk(first.names, columns)
+            out = Chunk(first.names, first.columns,
+                        sel=_joined_selection(chunks))
+        else:
+            columns: list[ColumnData] = []
+            for i in range(len(first.columns)):
+                parts = [c.data_column(i) for c in chunks]
+                if all(_is_array(p) for p in parts):
+                    columns.append(_np.concatenate(parts))
+                else:
+                    merged: list = []
+                    for p in parts:
+                        merged.extend(p.tolist() if _is_array(p) else p)
+                    columns.append(merged)
+            out = Chunk(first.names, columns)
+        if all(c._rows is not None for c in chunks):
+            out._rows = [row for c in chunks for row in c._rows]
+        return out
 
     # -- the row-compat sequence protocol ----------------------------------
 
@@ -306,6 +312,17 @@ class Chunk:
         )
         return (f"Chunk({len(self)} rows x {len(self.columns)} cols "
                 f"[{kinds}]{'' if self.sel is None else ', sel'})")
+
+
+def _joined_selection(chunks: "Sequence[Chunk]"):
+    """The selections of ``chunks`` (over one payload) back to back: one
+    ``range`` when each part is a ``range`` starting where the last one
+    stopped, else one position array."""
+    sels = [c.sel for c in chunks]
+    if all(type(sel) is range for sel in sels) and all(
+            a.stop == b.start for a, b in zip(sels, sels[1:])):
+        return range(sels[0].start, sels[-1].stop)
+    return _np.concatenate([c.positions() for c in chunks])
 
 
 # -- mask helpers ----------------------------------------------------------

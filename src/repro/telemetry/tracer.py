@@ -102,8 +102,8 @@ class Tracer:
         self.metrics = MetricsRegistry()
         self._seq = 0
         self._next_query = 0
-        #: The span whose batch is currently being pulled (set by
-        #: StreamingRun.next_batch); lets operators deep in the tree —
+        #: The span whose batches are currently being pulled (set by
+        #: StreamingRun.pull); lets operators deep in the tree —
         #: Smooth Scan's morph events — attribute to the right query.
         self.current_query_id = -1
         #: Statement context noted by the session layer, consumed by the

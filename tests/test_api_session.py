@@ -579,11 +579,10 @@ def test_fetched_lists_never_alias_engine_state(
     produced = []       # every row list the engine put behind the cursor
 
     class RecordedRun(session.StreamingRun):
-        def next_batch(self):
-            batch = super().next_batch()
-            if batch is not None:
-                produced.append(batch.to_rows())
-            return batch
+        def pull(self, rows=None):
+            batches = super().pull(rows)
+            produced.extend(batch.to_rows() for batch in batches)
+            return batches
 
     monkeypatch.setattr(session, "StreamingRun", RecordedRun)
     conn.execute(sql).fetchall()

@@ -7,7 +7,8 @@ a comparison that reads a NULL is UNKNOWN, ``NOT`` keeps UNKNOWN, and the
 WHERE keeps only TRUE rows.  The same rules hold above a LEFT JOIN's NULL
 pads and inside a ``CASE``, after ``analyze()`` collected statistics over
 the NULL-bearing column, and for bind parameters: a NULL bound into a
-predicate is refused by name, while a NULL in arithmetic stays a value.
+predicate is refused by name, while a NULL in arithmetic (inside
+``sum()`` / ``avg()`` too) stays a value.
 """
 
 import sqlite3
@@ -153,3 +154,42 @@ def test_a_null_parameter_in_arithmetic_is_a_null_value(orders):
         "FROM ord WHERE o_cust < :hi GROUP BY o_cust",
         {"k": None, "hi": 3}).rows
     assert rows and all(s is None and n == 0 for _cust, s, n in rows)
+
+
+@pytest.fixture(scope="module")
+def ord_witness():
+    conn = sqlite3.connect(":memory:")
+    conn.execute("CREATE TABLE ord (o_id, o_cust, o_total)")
+    conn.executemany("INSERT INTO ord VALUES (?, ?, ?)", ORD_ROWS)
+    return conn
+
+
+SUM_AVG = ("SELECT o_cust, {sum}(o_total + :k) AS s, avg(o_total + :k) AS m "
+           "FROM ord WHERE o_cust < :hi GROUP BY o_cust")
+
+
+@pytest.mark.parametrize("k", [None, 2, 0.5])
+def test_a_null_parameter_inside_sum_and_avg_is_a_null_value(
+        orders, ord_witness, k):
+    """sum()/avg() of an expression over a NULL parameter: every value is
+    NULL, so avg is NULL and sum is the engine's empty sum, 0.0 — sqlite's
+    ``total`` (its ``sum`` would be NULL; the engine's sum starts from
+    0.0 everywhere, see ``tests/test_property_values.py``)."""
+    params = {"k": k, "hi": 3}
+    conn = orders.connect()
+    got = conn.run(SUM_AVG.format(sum="sum"), params).rows
+    want = ord_witness.execute(SUM_AVG.format(sum="total"), params).fetchall()
+    assert _sorted(got) == _sorted(want) and len(got) == 3
+    if k is None:
+        assert all(s == 0.0 and m is None for _cust, s, m in got)
+        assert ord_witness.execute(
+            SUM_AVG.format(sum="sum"), params).fetchall()[0][1] is None
+    # Prepared once, the statement takes a NULL and then a number.
+    statement = conn.prepare(SUM_AVG.format(sum="sum"))
+    assert statement.run(params).rows == got
+
+
+@pytest.mark.parametrize("k", ["x", True, b"1"])
+def test_a_non_numeric_parameter_inside_sum_is_still_refused(orders, k):
+    with pytest.raises(SqlError, match=":k is an argument of sum"):
+        orders.connect().run(SUM_AVG.format(sum="sum"), {"k": k, "hi": 3})
