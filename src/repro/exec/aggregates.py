@@ -8,6 +8,17 @@ function from :mod:`repro.exec.values`), covering forms like
 
 Each batch is folded once: its group ordinals come from the key columns,
 and each spec folds its values into per-group state indexed by ordinal.
+A group key is a code, never a hashed row tuple: each key column gets
+small-int codes that hold for the whole execution — a heap image's
+object column brings its own dictionary
+(:class:`~repro.storage.chunk.CodedColumn`), translated once per
+payload; any other column is coded per batch through the operator's
+dictionary (``np.unique`` first, for an array).  The codes of several
+keys pack into one int64 per row, and a sorted table of the packed codes
+seen so far maps them to group ordinals in a few array operations; only
+a batch that brings new combinations walks them — one step per new
+group, in first-seen order, its key tuple read from the first row that
+has it.
 An exact array (int64, or float64) goes through the *unbuffered* ufunc
 methods (``np.add.at``, ``np.minimum.at``, ``np.maximum.at``), which apply
 element-wise in index order — bitwise identical to a Python
@@ -28,7 +39,7 @@ import numpy as _np
 from repro.context import ExecutionContext
 from repro.errors import PlanningError
 from repro.exec.iterator import Chunk, Operator, chunked
-from repro.storage.chunk import ColumnData
+from repro.storage.chunk import CodedColumn, ColumnData, encode, select
 from repro.storage.types import Column, ColumnType, Schema
 
 _SUPPORTED = ("sum", "count", "avg", "min", "max")
@@ -206,6 +217,107 @@ class _Fold:
         return self.best[g]
 
 
+class _KeyCodes:
+    """One group-key column's codes, stable for one execution.
+
+    ``index`` maps each value seen (by Python equality, the equality a
+    key tuple compares by) to its code; ``payloads`` holds, per
+    :class:`CodedColumn` met, the payload, its row codes and the map
+    from its dictionary's codes to these.
+    """
+
+    __slots__ = ("index", "payloads")
+
+    def __init__(self) -> None:
+        self.index: dict = {}
+        self.payloads: dict[int, tuple] = {}
+
+    def codes(self, chunk: Chunk, p: int) -> _np.ndarray:
+        """The codes of column ``p`` of ``chunk``, one per row (int64)."""
+        col = chunk.columns[p]
+        if isinstance(col, CodedColumn):
+            held = self.payloads.get(id(col))
+            if held is None:
+                values, codes = col.dictionary()
+                held = self.payloads[id(col)] = (
+                    col, codes, encode(values, self.index, _np.int64))
+            _col, codes, ours = held
+            return ours[select(codes, chunk.sel)]
+        data = chunk.data_column(p)
+        if not isinstance(data, _np.ndarray):
+            return encode(data, self.index, _np.int64)
+        distinct, inverse = _np.unique(data, return_inverse=True)
+        codes = encode(distinct.tolist(), self.index, _np.int64)[inverse]
+        if data.dtype == _np.float64:
+            # Each NaN is its own key: a new float object, equal to none.
+            nan = _np.flatnonzero(_np.isnan(data))
+            codes[nan] = encode(data[nan].tolist(), self.index, _np.int64)
+        return codes
+
+
+_NONE = _np.zeros(0, dtype=_np.intp)
+
+
+class _FirstSeen:
+    """Dense ids for int64 values below ``2**63 - 1``, in the order they
+    are first seen.
+
+    ``keys`` holds the values seen so far, sorted, then a sentinel above
+    them all, and ``ids`` their ids: a batch of known values is one
+    ``searchsorted`` away from its ids.
+    """
+
+    __slots__ = ("keys", "ids")
+
+    def __init__(self) -> None:
+        self.keys = _np.array([_np.iinfo(_np.int64).max], dtype=_np.int64)
+        self.ids = _np.array([-1], dtype=_np.intp)
+
+    def __call__(self, values: _np.ndarray
+                 ) -> tuple[_np.ndarray, _np.ndarray]:
+        """Each value's id, and the position of each new id's first
+        value (ascending, so in the order of the new ids)."""
+        keys = self.keys
+        at = _np.searchsorted(keys, values)
+        out = self.ids[at]
+        miss = _np.flatnonzero(keys[at] != values)
+        if not len(miss):
+            return out, _NONE
+        fresh, first, inverse = _np.unique(values[miss], return_index=True,
+                                           return_inverse=True)
+        order = _np.argsort(first)
+        seen = len(keys) - 1
+        fresh_ids = _np.empty(len(fresh), dtype=_np.intp)
+        fresh_ids[order] = _np.arange(seen, seen + len(fresh))
+        out[miss] = fresh_ids[inverse]
+        spot = _np.searchsorted(keys, fresh)
+        self.keys = _np.insert(keys, spot, fresh)
+        self.ids = _np.insert(self.ids, spot, fresh_ids)
+        return out, miss[first[order]]
+
+
+class _Groups:
+    """One execution's groups: key tuples by ordinal, and the codes that
+    find them.
+
+    A row's packed code starts as its first key's code; each further key
+    packs on as ``(packed << 32) | code``, the packed code first made a
+    dense id (``inner``) when a third key follows.  ``ordinals`` maps the
+    whole packed code to the group.  A code or id counts the distinct
+    values or combinations of one execution, far below ``2**31``, so a
+    packed code is a non-negative int64.
+    """
+
+    __slots__ = ("keys", "columns", "inner", "ordinals")
+
+    def __init__(self, width: int) -> None:
+        #: Group ``g``'s key tuple is ``keys[g]``.
+        self.keys: list[tuple] = [] if width else [()]
+        self.columns = [_KeyCodes() for _ in range(width)]
+        self.inner = [_FirstSeen() for _ in range(width - 2)]
+        self.ordinals = _FirstSeen()
+
+
 class HashAggregate(Operator):
     """Hash-based grouping; with ``group_by=[]`` it is a scalar aggregate."""
 
@@ -235,30 +347,42 @@ class HashAggregate(Operator):
         folds = [_Fold(spec, self.child.schema) for spec in self.aggs]
         # Group ordinals in first-seen order; scalar aggregates emit one
         # row even on empty input.
-        index: dict[tuple, int] = {} if self.group_by else {(): 0}
+        groups = _Groups(len(self.group_by))
         for fold in folds:
-            fold.grow(len(index))
+            fold.grow(len(groups.keys))
         for batch in self.child.batches(ctx):
             ctx.charge_hash(len(batch))
-            ords = self._ordinals(batch, index)
+            ords = self._ordinals(batch, groups)
             for fold in folds:
-                fold.add(batch, ords, len(index))
+                fold.add(batch, ords, len(groups.keys))
         rows = []
-        for key, g in index.items():
+        for g, key in enumerate(groups.keys):
             ctx.charge_emit()
             rows.append(key + tuple(fold.result(g) for fold in folds))
         yield from chunked(self.schema.column_names, rows)
 
-    def _ordinals(self, batch: Chunk, index: dict[tuple, int]) -> _np.ndarray:
-        """Each row's group ordinal, adding unseen keys to ``index``."""
-        if not self.group_by:
+    def _ordinals(self, batch: Chunk, groups: _Groups) -> _np.ndarray:
+        """Each row's group ordinal, adding unseen groups to ``groups``.
+
+        No step runs per row: each key column's codes come whole (see
+        :class:`_KeyCodes`), pack into one int64 per row, and map to
+        ordinals by :class:`_FirstSeen`.  A group the batch brings gets
+        the next ordinal in the order its first row appears, and its key
+        tuple is that row's key values — the tuple, and the order, a
+        row-by-row ``dict`` of key tuples keeps.
+        """
+        positions = self._group_positions
+        if not positions:
             return _np.zeros(len(batch), dtype=_np.intp)
-        keys = zip(*[batch.column_values(p) for p in self._group_positions],
-                   strict=True)
-        ords = []
-        for key in keys:
-            g = index.get(key)
-            if g is None:
-                g = index[key] = len(index)
-            ords.append(g)
-        return _np.asarray(ords, dtype=_np.intp)
+        codes = [key.codes(batch, p)
+                 for key, p in zip(groups.columns, positions)]
+        packed = codes[0]
+        for i, more in enumerate(codes[1:]):
+            if i:
+                packed = groups.inner[i - 1](packed)[0]
+            packed = (packed << 32) | more
+        ords, first = groups.ordinals(packed)
+        if len(first):
+            groups.keys.extend(batch.project(positions, self.group_by)
+                               .take(first).to_rows())
+        return ords

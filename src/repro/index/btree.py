@@ -67,19 +67,24 @@ class BTreeIndex:
         ``column`` is the key column of a heap image (an array or an
         object list): row ``i`` has TID ``i``.  TIDs ascend, so a stable
         sort on the key alone leaves the entries in strict ``(key, TID)``
-        order.
+        order.  A NULL key gets no entry: NULL compares with nothing, so
+        it matches no range.
         """
         if isinstance(column, _np.ndarray):
             order = _np.argsort(column, kind="stable")
             self._keys = column[order].tolist()
         else:
-            order = sorted(range(len(column)), key=column.__getitem__)
+            order = sorted([i for i, key in enumerate(column)
+                            if key is not None], key=column.__getitem__)
             self._keys = [column[i] for i in order]
         self._tids = _read_only(_np.asarray(order, dtype=_np.int64))
         self._geometry = None
 
     def insert(self, key: object, tid: int) -> None:
-        """Insert one entry, preserving strict ``(key, TID)`` order."""
+        """Insert one entry, preserving strict ``(key, TID)`` order; a
+        NULL key is not indexed (see :meth:`load_column`)."""
+        if key is None:
+            return
         lo = bisect_left(self._keys, key)
         hi = bisect_right(self._keys, key)
         pos = lo + int(self._tids[lo:hi].searchsorted(tid))

@@ -625,7 +625,8 @@ class Planner:
         """Pick the indexed column that serves the predicate best.
 
         Preference order: the tightest estimated range; an index matching
-        the requested order when no range exists.
+        the requested order when no range exists and it has an entry for
+        every row (a NULL key has none).
         """
         best: tuple[float, str, KeyRange, Predicate] | None = None
         for column in table.indexes:
@@ -639,7 +640,8 @@ class Planner:
                 best = (sel, column, rng, residual)
         if best is not None:
             return best[1], best[2], best[3]
-        if order_by is not None and table.has_index(order_by):
+        if order_by is not None and table.has_index(order_by) \
+                and len(table.index_on(order_by)) == table.row_count:
             return order_by, KeyRange.all(), predicate
         return None, None, predicate
 

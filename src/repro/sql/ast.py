@@ -15,7 +15,7 @@ the statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -221,6 +221,9 @@ class Select(Node):
     (subqueries included) in source order — only the *top-level* Select
     carries it, filled in by the parser once the statement is complete.
     ``limit`` may itself be a :class:`ParamRef` (``LIMIT ?``).
+    ``normalized`` is the top-level statement's
+    :func:`~repro.sql.lexer.normalize_statement`, taken from the tokens
+    the parser lexed (it is no part of the tree's equality).
     """
 
     items: tuple[SelectItem, ...]
@@ -233,3 +236,4 @@ class Select(Node):
     hints: tuple[Hint, ...] = ()
     explain: bool = False
     params: tuple[ParamRef, ...] = ()
+    normalized: str = field(default="", compare=False)

@@ -55,7 +55,7 @@ from repro.optimizer.params import (
 )
 from repro.optimizer.planner import FORCEABLE_PATHS, PlannerOptions
 from repro.sql import ast
-from repro.sql.lexer import error_at, normalize_statement
+from repro.sql.lexer import error_at
 from repro.storage.types import Column, ColumnType, Schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -251,7 +251,7 @@ class Binder:
             spec=spec,
             explain=select.explain,
             hint_options=self._bind_hints(select.hints),
-            normalized=normalize_statement(self.text) if self.text else "",
+            normalized=select.normalized,
             param_names=tuple(p.name for p in select.params),
             param_box=self._box,
             numeric_params=frozenset(self._numeric_params),

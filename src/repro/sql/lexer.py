@@ -261,8 +261,15 @@ def normalize_statement(text: str) -> str:
     normalize equal exactly when the parser would produce the same AST —
     the property the plan cache keys on.
     """
+    return normalize_tokens(tokenize(text))
+
+
+def normalize_tokens(tokens: list[Token]) -> str:
+    """:func:`normalize_statement` of the text ``tokens`` were lexed
+    from (hints included): the parser's way to normalize without lexing
+    again."""
     parts: list[str] = []
-    for token in tokenize(text):
+    for token in tokens:
         if token.kind == "EOF":
             break
         if token.kind == "KEYWORD":

@@ -38,7 +38,7 @@ import datetime
 
 from repro.errors import SqlError
 from repro.sql import ast
-from repro.sql.lexer import Token, error_at, tokenize
+from repro.sql.lexer import Token, error_at, normalize_tokens, tokenize
 
 _COMPARE_OPS = ("=", "!=", "<", "<=", ">", ">=")
 _AGG_FUNCS = ("sum", "count", "avg", "min", "max")
@@ -58,8 +58,9 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.hints: list[ast.Hint] = []
-        self.tokens = [t for t in tokenize(text)
-                       if not self._capture_hint(t)]
+        #: Every token, hints included: what the statement normalizes from.
+        self.lexed = tokenize(text)
+        self.tokens = [t for t in self.lexed if not self._capture_hint(t)]
         self.pos = 0
         self.params: list[ast.ParamRef] = []
         self._param_style: str | None = None  # "positional" | "named"
@@ -167,7 +168,8 @@ class _Parser:
                 f"unexpected {tail.describe()} after end of statement", tail
             )
         return dataclasses.replace(
-            select, explain=explain, params=tuple(self.params)
+            select, explain=explain, params=tuple(self.params),
+            normalized=normalize_tokens(self.lexed),
         )
 
     def _select(self, top_level: bool = False) -> ast.Select:

@@ -6,9 +6,15 @@ columns ``float64``) or a plain Python list — an *object column*.  Which
 one is decided by the data, not the platform: CHAR columns, NULL-bearing
 columns, computed values, and anything whose values do not round-trip
 through a fixed-width array (e.g. integers outside the ``int64`` range)
-are object columns.  An optional *selection vector* names the positions
-that are logically present, so a filter can narrow a chunk by a boolean
-mask without copying column data — and a scan can hand out a batch as
+are object columns.  An object column of a heap image is a
+:class:`CodedColumn`: a plain list that also carries its *dictionary* —
+its distinct values and one small-int code per row — built lazily, the
+first time a group-by asks, and kept for the life of that payload (a
+heap fold makes a new payload, so codes are never stale).
+
+An optional *selection vector* names the positions that are logically
+present, so a filter can narrow a chunk by a boolean mask without
+copying column data — and a scan can hand out a batch as
 *positions* over the heap's one table-wide chunk
 (:meth:`~repro.storage.heap.HeapFile.image`): the payload of a column
 moves once, at the first consumer that reads it, and the columns nobody
@@ -54,19 +60,25 @@ def typed_column(values: Sequence) -> ColumnData:
     — strings, ``None``, mixed types, big ints — stays an object list.
     """
     values = list(values)
+    array = _exact_array(values)
+    return values if array is None else array
+
+
+def _exact_array(values: list) -> "_np.ndarray | None":
+    """``values`` as an int64 or float64 array when that is exact."""
     if not values:
-        return values
+        return None
     first = values[0]
     if type(first) is int:
         if all(type(v) is int for v in values):
             try:
                 return _np.array(values, dtype=_np.int64)
             except OverflowError:
-                return values
+                return None
     elif type(first) is float:
         if all(type(v) is float for v in values):
             return _np.array(values, dtype=_np.float64)
-    return values
+    return None
 
 
 def _is_array(col) -> bool:
@@ -74,20 +86,76 @@ def _is_array(col) -> bool:
     return isinstance(col, _np.ndarray)
 
 
+class CodedColumn(list):
+    """An object column of a heap image: a plain list that knows its
+    dictionary.
+
+    :meth:`dictionary` gives the column's distinct values (by Python
+    equality, in first-seen order) and one code per row, the row's
+    value's position among them, in the narrowest unsigned dtype that
+    holds them.  It is built the first time somebody asks and kept: the
+    payload is never mutated (a heap fold builds a new one), so the codes
+    never go stale.  Everything else reads it as the list it is.
+    """
+
+    __slots__ = ("_dictionary",)
+
+    def dictionary(self) -> "tuple[list, _np.ndarray]":
+        """``(values, codes)``, built once."""
+        try:
+            return self._dictionary
+        except AttributeError:
+            pass
+        index: dict = {}
+        codes = encode(self, index)
+        self._dictionary = (list(index), codes)
+        return self._dictionary
+
+
+def encode(values: list, index: dict, dtype=None) -> _np.ndarray:
+    """Each value's code in ``index`` (value -> code, by Python equality);
+    values it lacks join it with the next codes, in first-seen order.
+
+    The loops over ``values`` run in C (``dict.fromkeys``, ``map``); only
+    the distinct values take a Python step.  ``dtype`` defaults to the
+    narrowest unsigned type that holds every code.
+    """
+    first = dict.fromkeys(values)
+    for value in first:
+        first[value] = index.setdefault(value, len(index))
+    return _np.fromiter(map(first.__getitem__, values), count=len(values),
+                        dtype=dtype or _np.min_scalar_type(len(index)))
+
+
 def extend_column(col: ColumnData, values: list) -> ColumnData:
-    """``col`` followed by ``values`` — what typing them together gives.
+    """``col`` followed by ``values`` (a list the caller hands over) —
+    what typing them together gives.
 
     The old part is never re-typed from its values: an array stays an
     array when the new values type to the same dtype, and otherwise both
     halves fall back to one object list, exactly as
-    :func:`typed_column` over all the values would decide.
+    :func:`typed_column` over all the values would decide.  An object
+    result is a :class:`CodedColumn`, copied once from the two halves.
     """
-    tail = typed_column(values)
-    if not len(col):
-        return tail
-    if _is_array(col) and _is_array(tail) and col.dtype == tail.dtype:
-        return _np.concatenate((col, tail))
-    return (col.tolist() if _is_array(col) else col) + values
+    tail = _exact_array(values)
+    if tail is not None:
+        if not len(col):
+            return tail
+        if _is_array(col) and col.dtype == tail.dtype:
+            return _np.concatenate((col, tail))
+    out = CodedColumn(col.tolist() if _is_array(col) else col)
+    out += values
+    return out
+
+
+def select(array: _np.ndarray, sel) -> _np.ndarray:
+    """The rows of ``array`` a selection vector names (``None``: all; a
+    ``range`` reads as a view)."""
+    if sel is None:
+        return array
+    if type(sel) is range:
+        return array[sel.start:sel.stop]
+    return array[sel if _is_array(sel) else _np.asarray(sel, dtype=_np.intp)]
 
 
 class Chunk:
@@ -236,10 +304,11 @@ class Chunk:
             if type(sel) is range:
                 cached = col[sel.start:sel.stop]
             elif _is_array(col):
-                cached = col[sel] if _is_array(sel) else col[
-                    _np.asarray(sel, dtype=_np.intp)]
+                cached = select(col, sel)
             else:
-                cached = [col[j] for j in sel]
+                # Python ints index a list faster than NumPy scalars.
+                cached = list(map(col.__getitem__, sel.tolist()
+                                  if _is_array(sel) else sel))
             self._compact[i] = cached
         return cached
 
@@ -277,7 +346,8 @@ class Chunk:
             new_sel = sel[_np.asarray(indices, dtype=_np.intp)] \
                 if not _is_array(indices) else sel[indices]
         else:
-            new_sel = [sel[j] for j in indices]
+            new_sel = list(map(sel.__getitem__, indices.tolist()
+                               if _is_array(indices) else indices))
         return Chunk(self.names, self.columns, sel=new_sel)
 
     def filter(self, mask: Mask) -> "Chunk | None":

@@ -92,7 +92,9 @@ class HeapFile:
         One column at a time (a single transient value list, not a
         transposed copy of the block).  The rows already in the image
         are copied over, never re-typed, and chunks handed out earlier
-        stay valid — rows never move.
+        stay valid — rows never move.  Each object column is a new
+        :class:`~repro.storage.chunk.CodedColumn`, so a dictionary built
+        over the old payload stays with the chunks that hold it.
         """
         block = self._pending
         image = self._image

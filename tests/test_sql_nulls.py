@@ -4,9 +4,11 @@ A base table whose ``b`` column holds NULL (an object column in the
 heap image) is queried through every forced access path: each one must
 keep exactly the rows sqlite3 keeps, which is SQL's three-valued logic —
 a comparison that reads a NULL is UNKNOWN, ``NOT`` keeps UNKNOWN, and the
-WHERE keeps only TRUE rows.  The same rules hold above a LEFT JOIN's NULL
-pads and inside a ``CASE``, after ``analyze()`` collected statistics over
-the NULL-bearing column, and for bind parameters: a NULL bound into a
+WHERE keeps only TRUE rows.  An index on the NULL-bearing column holds
+no NULL key, so a NULL matches no key range on any path.  The same rules
+hold above a LEFT JOIN's NULL pads and inside a ``CASE``, after
+``analyze()`` collected statistics over the NULL-bearing column, and for
+bind parameters: a NULL bound into a
 predicate is refused by name, while a NULL in arithmetic (inside
 ``sum()`` / ``avg()`` too) stays a value.
 """
@@ -16,7 +18,7 @@ import sqlite3
 import pytest
 
 from repro.database import Database
-from repro.errors import SqlError
+from repro.errors import PlanningError, SqlError
 from repro.optimizer.planner import FORCEABLE_PATHS
 from repro.storage.types import Schema
 
@@ -107,6 +109,62 @@ def test_left_join_pads_and_case_conditions_are_three_valued(nt, witness,
     hinted = sql.replace("SELECT", f"SELECT /*+ force_path({path}) */", 1)
     got = nt.connect().run(hinted).rows
     assert _sorted(got) == _sorted(want)
+
+
+#: Conditions with a key range on the NULL-bearing ``b``.
+B_RANGES = [
+    "b > 3",
+    "b BETWEEN 2 AND 4",
+    "b >= 2 AND b < 5",
+    "b = 3",
+    "b < 3 AND a > 10",
+    "b <= 6 AND NOT b = 4",
+]
+
+
+@pytest.fixture(scope="module")
+def nt_b():
+    """``nt`` with an index on the NULL-bearing ``b`` (and none on ``a``)."""
+    db = Database()
+    db.load_table("nt", Schema.of_ints(["a", "b"]), NT_ROWS)
+    index = db.create_index("nt", "b")
+    assert len(index) == sum(b is not None for _a, b in NT_ROWS)
+    return db
+
+
+@pytest.mark.parametrize("path", ["index", "sort", "smooth"])
+@pytest.mark.parametrize("condition", B_RANGES)
+def test_an_index_on_a_null_bearing_column_matches_no_null(nt_b, witness,
+                                                           condition, path):
+    sql = f"SELECT a, b FROM nt WHERE {condition}"
+    want = witness.execute(sql).fetchall()
+    conn = nt_b.connect()
+    full = conn.run(sql.replace("SELECT", "SELECT /*+ force_path(full) */",
+                                1)).rows
+    got = conn.run(sql.replace("SELECT", f"SELECT /*+ force_path({path}) */",
+                               1)).rows
+    assert _sorted(got) == _sorted(full) == _sorted(want)
+
+
+def test_a_null_key_after_the_build_is_not_indexed(witness):
+    db = Database()
+    db.load_table("nt", Schema.of_ints(["a", "b"]), NT_ROWS[:30])
+    index = db.create_index("nt", "b")
+    db.append_rows("nt", NT_ROWS[30:])
+    assert len(index) == sum(b is not None for _a, b in NT_ROWS)
+    sql = "SELECT a, b FROM nt WHERE b >= 2"
+    got = db.connect().run(sql.replace(
+        "SELECT", "SELECT /*+ force_path(index) */", 1)).rows
+    assert _sorted(got) == _sorted(witness.execute(sql).fetchall())
+
+
+@pytest.mark.parametrize("path", ["index", "sort", "smooth"])
+def test_an_order_only_sweep_never_uses_an_index_missing_null_rows(nt_b,
+                                                                   path):
+    """With no range on ``b``, an index on it would skip the NULL rows."""
+    with pytest.raises(PlanningError):
+        nt_b.connect().run(f"SELECT /*+ force_path({path}) */ a, b FROM nt "
+                           "WHERE a >= 0 ORDER BY b")
 
 
 def test_analyze_describes_the_non_null_values():
