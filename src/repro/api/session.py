@@ -45,10 +45,11 @@ The pieces behind the surface:
   likes.  They genuinely contend — one shared disk head, one shared
   buffer pool — while each cursor's :meth:`~Cursor.result` reads its
   own private :class:`~repro.runtime.CostLedger`, so interleaved
-  queries report correct isolated costs.  Concurrency needs a *warm*
-  connection (``db.connect(cold=False)``): a cold execution resets the
-  shared caches, which raises while another cursor still streams
-  instead of corrupting it.
+  queries report correct isolated costs; cursors of one prepared
+  statement each compute with their own parameters.  Concurrency
+  needs a *warm* connection (``db.connect(cold=False)``): a cold
+  execution resets the shared caches, which raises while another
+  cursor still streams instead of corrupting it.
 
 Execution is cooperative and deterministic — batches interleave on one
 Python thread, simulated time stands in for wall-clock — with no
@@ -277,10 +278,8 @@ class PreparedStatement:
 
     Compilation (lex → parse → bind) happens in the constructor; every
     :meth:`execute` only substitutes parameters and consults the plan
-    cache.  Interleaving *streaming* executions of the same prepared
-    statement with different parameters shares the compiled statement's
-    parameter slots — drain or close the earlier cursor before
-    re-executing with new values.
+    cache.  Streaming executions of one statement may interleave with
+    different parameters: each cursor computes with its own values.
     """
 
     def __init__(self, connection: Connection, sql: str):
@@ -388,8 +387,13 @@ class Cursor:
         planned.reset_counters()
         self.connection._note_statement(statement.sql, params, opts,
                                         self.connection.cold)
-        self._run = StreamingRun(self.connection.db, planned.root,
-                                 cold=self.connection.cold)
+        # _plan just filled the statement's value slots with this
+        # execution's values; the run keeps them for its own pulls.
+        box = bound.param_box
+        self._run = StreamingRun(
+            self.connection.db, planned.root, cold=self.connection.cold,
+            params=None if box is None else (box, box.values),
+        )
         self.description = [
             (c.name, c.ctype, None, c.byte_size, None, None, None)
             for c in planned.root.schema.columns

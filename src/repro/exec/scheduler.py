@@ -37,6 +37,13 @@ plan cache compose with scheduling::
 
 ``run(interleave=False)`` replays the same clients one after another —
 the uncontended baseline a contended run is compared against.
+
+A client is anything with a ``name``, a ``weight``, ``queries_left`` and
+``step(scheduler)`` (one batch, or one request, per call; False once
+drained).  The serving benchmark's protocol clients
+(:class:`~repro.server.inprocess.ScriptedClient`, one wire request per
+visit) are stepped by this same loop, so the concurrency and serving
+experiments interleave their clients identically.
 """
 
 from __future__ import annotations
@@ -267,7 +274,7 @@ class WorkloadClient:
         """Queued queries not yet finished (the live one included)."""
         return len(self._pending) + (1 if self._current is not None else 0)
 
-    def _step(self, scheduler: "CooperativeScheduler") -> bool:
+    def step(self, scheduler: "CooperativeScheduler") -> bool:
         """Advance by one batch; False when this client is done."""
         run = self._current
         if run is None:
@@ -293,7 +300,7 @@ class WorkloadClient:
             )
         if run.next_batch() is None:
             finish_ms = scheduler.runtime.clock.total_ms
-            scheduler._records.append(QueryRecord(
+            scheduler.records.append(QueryRecord(
                 client=self.name,
                 label=self._label,
                 rows=run.rows_produced,
@@ -326,7 +333,8 @@ class CooperativeScheduler:
         self.runtime = db.runtime
         self.quantum = quantum
         self._clients: list[WorkloadClient] = []
-        self._records: list[QueryRecord] = []
+        #: This run's finished queries, in completion order.
+        self.records: list[QueryRecord] = []
 
     def add_client(self, client: WorkloadClient) -> WorkloadClient:
         """Admit a client; round-robin order is admission order.
@@ -373,7 +381,7 @@ class CooperativeScheduler:
             )
         if cold:
             self.runtime.cold_start()
-        self._records = []
+        self.records = []
         started_ms = self.runtime.clock.total_ms
         tracer = self.runtime.tracer
         if interleave:
@@ -385,7 +393,7 @@ class CooperativeScheduler:
                                 batches=client.weight * self.quantum)
                     alive = True
                     for _ in range(client.weight * self.quantum):
-                        alive = client._step(self)
+                        alive = client.step(self)
                         if not alive:
                             break
                     if alive:
@@ -395,10 +403,10 @@ class CooperativeScheduler:
             for client in self._clients:
                 tracer.emit("sched.grant", client=client.name,
                             batches=client.weight * self.quantum)
-                while client._step(self):
+                while client.step(self):
                     pass
         return WorkloadReport(
-            records=self._records,
+            records=self.records,
             started_ms=started_ms,
             finished_ms=self.runtime.clock.total_ms,
         )

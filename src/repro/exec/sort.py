@@ -64,7 +64,9 @@ class Sort(Operator):
         Keys apply last-first, each pass a stable sort of the permutation
         so far: ``argsort`` for an ascending key over an array column, a
         stable list sort of the key's values otherwise (descending keys
-        included — ``reverse`` keeps equal keys in order).
+        included — ``reverse`` keeps equal keys in order).  NULL sorts
+        first ascending and last descending, as in sqlite3; an array
+        holds none.
         """
         perm = _np.arange(len(chunk))
         for column, ascending in reversed(self.keys):
@@ -74,9 +76,15 @@ class Sort(Operator):
                 perm = perm[_np.argsort(col[perm], kind="stable")]
             else:
                 values = chunk.column_values(pos)
-                perm = sorted(perm.tolist(), key=values.__getitem__,
-                              reverse=not ascending)
-                perm = _np.asarray(perm, dtype=_np.intp)
+                order = perm.tolist()
+                nulls = []
+                if None in values:
+                    nulls = [i for i in order if values[i] is None]
+                    order = [i for i in order if values[i] is not None]
+                order = sorted(order, key=values.__getitem__,
+                               reverse=not ascending)
+                perm = _np.asarray(nulls + order if ascending
+                                   else order + nulls, dtype=_np.intp)
         return perm
 
     def _charge_spill(self, ctx: ExecutionContext, n_rows: int) -> None:

@@ -21,13 +21,16 @@ rollups in :mod:`repro.telemetry.rollups`) instead of holding on to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.database import Database
 from repro.exec.iterator import Chunk, Operator
 from repro.runtime import CostLedger
 from repro.storage.disk import DiskStats
 from repro.storage.types import Row
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.optimizer.params import ParamBox
 
 
 @dataclass
@@ -142,11 +145,18 @@ class StreamingRun:
     ``execute(cold=True)``) while another run is live raises
     :class:`~repro.errors.ExecutionError` instead of silently resetting
     the caches under the draining cursor.
+
+    ``params`` is ``(box, values)`` when the plan's computed values read a
+    prepared statement's parameter slots: every pull refills the box
+    first, so live runs of one statement each compute with their own
+    values, whatever order they are pulled in.
     """
 
-    def __init__(self, db: Database, plan: Operator, cold: bool = True):
+    def __init__(self, db: Database, plan: Operator, cold: bool = True,
+                 params: tuple[ParamBox, Sequence[object]] | None = None):
         self.db = db
         self.plan = plan
+        self._params = params
         # cold_run() resets the substrate (and raises if any *other*
         # run is live) before this run registers itself below.
         ctx = db.cold_run() if cold else db.context()
@@ -190,6 +200,9 @@ class StreamingRun:
         """
         if self.closed or self.exhausted:
             return []
+        if self._params is not None:
+            box, values = self._params
+            box.values = values
         tracer = self._runtime.tracer
         if tracer.enabled:
             # Operators emitting mid-pull (morph events) attribute here.

@@ -11,8 +11,9 @@ simulated clock.
 
 Each closed-loop client replays a three-step script over the in-process
 transport (:mod:`repro.server.inprocess` — the same sans-IO sessions
-the asyncio server drives, minus the sockets, so the run is exactly
-reproducible):
+the asyncio server drives, minus the sockets, stepped one request per
+visit by the :class:`~repro.exec.scheduler.CooperativeScheduler`, so
+the run is exactly reproducible):
 
 1. ``prepare`` the shared parameterized statement;
 2. ``execute`` a selective probe (admitted outright);
@@ -50,7 +51,7 @@ from dataclasses import dataclass, replace
 
 from repro.bench.reporting import format_table
 from repro.database import Database
-from repro.exec.scheduler import WorkloadReport
+from repro.exec.scheduler import CooperativeScheduler, WorkloadReport
 from repro.experiments.common import MicroSetup, make_micro_db
 from repro.experiments.concurrency import (
     CLASSIC_OPTIONS,
@@ -59,7 +60,7 @@ from repro.experiments.concurrency import (
 )
 from repro.optimizer.planner import PlannerOptions
 from repro.server.admission import AdmissionController, AdmissionStats
-from repro.server.inprocess import ServingLoop
+from repro.server.inprocess import ScriptedClient
 from repro.server.session import ServerFront
 from repro.workloads.micro import VALUE_DOMAIN
 
@@ -264,17 +265,21 @@ class ServingResult:
         return "\n".join(lines)
 
 
-def _build_loop(db: Database, options: PlannerOptions, num_clients: int,
-                max_inflight: int, sla_multiple: float) -> ServingLoop:
+def _build_schedule(
+        db: Database, options: PlannerOptions, num_clients: int,
+        max_inflight: int, sla_multiple: float,
+) -> tuple[CooperativeScheduler, ServerFront, list[ScriptedClient]]:
     front = ServerFront(
         db, options=options,
         admission=AdmissionController(db, sla_multiple=sla_multiple,
                                       max_inflight=max_inflight),
     )
-    loop = ServingLoop(front)
+    sched = CooperativeScheduler(db)
+    clients = []
     mix = SERVING_MIX_PCT
     for i in range(num_clients):
-        client = loop.client(f"c{i + 1}")
+        client = sched.add_client(ScriptedClient(f"c{i + 1}", front))
+        clients.append(client)
         client.prepare("st", SERVING_SQL)
         client.execute("st", {"lo": 0, "hi": _hi(PROBE_PCT)},
                        label="probe")
@@ -285,7 +290,7 @@ def _build_loop(db: Database, options: PlannerOptions, num_clients: int,
             pct = mix[i % len(mix)]
             client.execute("st", {"lo": 0, "hi": _hi(pct)},
                            label=f"{pct:g}%")
-    return loop
+    return sched, front, clients
 
 
 def _run_series(db: Database, name: str, options: PlannerOptions,
@@ -300,17 +305,19 @@ def _run_series(db: Database, name: str, options: PlannerOptions,
                   keep_rows=False)
     runs = {}
     for label, interleave in (("serial", False), ("contended", True)):
-        loop = _build_loop(db, options, num_clients, max_inflight,
-                           sla_multiple)
-        report = loop.run(cold=True, interleave=interleave)
+        sched, front, clients = _build_schedule(
+            db, options, num_clients, max_inflight, sla_multiple)
+        report = sched.run(cold=True, interleave=interleave)
         conserved = report.total_ledger() == db.runtime.totals()
         runs[label] = ServingRun(
             report=report,
-            admission=loop.front.admission.stats,
-            rejections=loop.rejections(),
+            admission=front.admission.stats,
+            rejections=[(client.name, what, detail) for client in clients
+                        for what, detail in client.rejections],
             conservation_ok=conserved,
         )
-        loop.close()
+        for client in clients:
+            client.close()
     return ServingSeries(name=name, serial=runs["serial"],
                          contended=runs["contended"])
 

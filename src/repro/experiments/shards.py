@@ -48,7 +48,7 @@ from repro.experiments.serving import (
     DEFAULT_SERVING_SLA,
     DEFAULT_SERVING_TUPLES,
     SERVING_SQL,
-    _build_loop,
+    _build_schedule,
     _hi,
 )
 from repro.runtime import CostLedger
@@ -258,11 +258,12 @@ def _serving_point(num_shards: int, num_tuples: int,
     statement = conn.prepare(SERVING_SQL)
     statement.run({"lo": 0, "hi": _hi(SEED_PCT)}, cold=True,
                   keep_rows=False)
-    loop = _build_loop(db, options, num_clients,
-                       DEFAULT_SERVING_INFLIGHT, DEFAULT_SERVING_SLA)
-    report = loop.run(cold=True, interleave=True)
+    sched, front, clients = _build_schedule(
+        db, options, num_clients, DEFAULT_SERVING_INFLIGHT,
+        DEFAULT_SERVING_SLA)
+    report = sched.run(cold=True, interleave=True)
     conserved = report.total_ledger() == db.runtime.totals()
-    stats = loop.front.admission.stats
+    stats = front.admission.stats
     point = ServingPoint(
         num_shards=num_shards,
         makespan_ms=report.makespan_ms,
@@ -273,7 +274,8 @@ def _serving_point(num_shards: int, num_tuples: int,
         rejected=stats.rejected,
         conservation_ok=conserved,
     )
-    loop.close()
+    for client in clients:
+        client.close()
     return point
 
 

@@ -26,10 +26,11 @@ of compiled artifacts:
   at compile time, which :func:`resolve_params` fills at execute time.
   A NULL here is a value like any other: arithmetic over it is NULL.
 
-The box is per-bound-statement, so interleaving *streaming* executions of
-one prepared statement with different parameters would overwrite the
-slots mid-stream; drain or close the earlier cursor first (the session
-layer documents this).
+The box is per-bound-statement (and only exists when a computed value
+reads a parameter), so a cursor's
+:class:`~repro.exec.stats.StreamingRun` keeps its execution's values and
+refills the box before each pull: interleaved streaming executions of one
+prepared statement each compute with their own values.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ class ParamBox:
     """The mutable parameter slots compiled value callables read from.
 
     One box per bound statement; :func:`resolve_params` output is written
-    here before each execution so ``lambda chunk: box.values[i]`` nodes
-    see the current binding.
+    here before each execution, and again before each pull of its run, so
+    ``lambda chunk: box.values[i]`` nodes see that run's binding.
     """
 
     __slots__ = ("values",)

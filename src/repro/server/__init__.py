@@ -9,8 +9,9 @@ every serving decision:
 * :mod:`repro.server.session` — the sans-IO request handler
   (:class:`~repro.server.session.ServerFront` /
   :class:`~repro.server.session.ServerSession`).
-* :mod:`repro.server.inprocess` — deterministic dict-frame transport
-  (the 1,000-client benchmark's wire).
+* :mod:`repro.server.inprocess` — deterministic dict-frame clients (the
+  1,000-client benchmark's wire), stepped one request per visit by
+  :class:`~repro.exec.scheduler.CooperativeScheduler`.
 * :mod:`repro.server.server` — the asyncio TCP server
   (``python -m repro.server``).
 * :mod:`repro.server.client` — a blocking socket client and the CI

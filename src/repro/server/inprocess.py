@@ -1,30 +1,28 @@
-"""Deterministic in-process transport: the serving benchmark's wire.
+"""Deterministic in-process protocol clients: the serving benchmark's wire.
 
 The 1,000-client serving experiment must be byte-reproducible, so it
-cannot ride on real sockets or asyncio's ready-callback ordering.  This
-module drives the very same sans-IO
+cannot ride on real sockets or asyncio's ready-callback ordering.  A
+:class:`ScriptedClient` drives the very same sans-IO
 :class:`~repro.server.session.ServerSession` logic the socket server
 uses, but over dict frames in plain function calls — no JSON, no I/O,
-no event loop — with a round-robin :class:`ServingLoop` standing in for
-the network's interleaving:
+no event loop.  The network's interleaving is the
+:class:`~repro.exec.scheduler.CooperativeScheduler`'s round robin: a
+scripted client is one of its clients (weight 1) and makes at most one
+request per visit, so concurrent results interleave on the shared disk
+and buffer pool exactly like the concurrency experiment's batch
+quanta::
 
-* :class:`InProcessChannel` — one client's connection: requests go
-  straight into ``session.handle``; asynchronously-produced frames
-  (admission-queue grants) land in the channel's inbox.
-* :class:`ScriptedClient` — a closed-loop client replaying a script of
-  prepare/execute steps, fetching each started cursor one ``rows``
-  frame per scheduling visit (so concurrent results interleave on the
-  shared disk and buffer pool exactly like the cooperative scheduler's
-  batch quanta).
-* :class:`ServingLoop` — visits clients round-robin until every script
-  is drained, producing the same
-  :class:`~repro.exec.scheduler.WorkloadReport` shape the concurrency
-  experiment emits.  Latency is response time on the shared simulated
-  clock: from the moment a client *submits* an execute (queue wait
-  included) to the moment its final ``rows`` frame arrives.
+    sched = CooperativeScheduler(db)
+    client = sched.add_client(ScriptedClient("c1", front))
+    client.prepare("probe", "SELECT * FROM micro WHERE c2 < ?")
+    client.execute("probe", [100], label="probe:100")
+    report = sched.run(cold=True)
 
-Each completed query's ledger is rebuilt from the wire ``summary``
-frame (:meth:`~repro.runtime.CostLedger.from_dict`), so the benchmark's
+Latency is response time on the shared simulated clock: from the moment
+a client *submits* an execute (queue wait included) to the moment its
+final ``rows`` frame arrives.  Each completed query's ledger is rebuilt
+from the wire ``summary`` frame
+(:meth:`~repro.runtime.CostLedger.from_dict`), so the benchmark's
 conservation check — summed per-query ledgers equal the shared runtime
 totals — exercises the protocol encoding, not just the engine.
 """
@@ -35,40 +33,12 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.errors import ExecutionError
-from repro.exec.scheduler import QueryRecord, WorkloadReport
+from repro.exec.scheduler import QueryRecord
 from repro.runtime import CostLedger
-from repro.server.session import ServerFront, ServerSession
+from repro.server.session import ServerFront
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
-
-
-class InProcessChannel:
-    """One client's connection to a :class:`ServerFront`, sans wire.
-
-    Synchronous responses come back from :meth:`request` directly;
-    frames the server produces later (a parked execute's ``executing``
-    grant) accumulate in :attr:`inbox` until the client polls them.
-    """
-
-    def __init__(self, front: ServerFront):
-        self.inbox: deque[dict] = deque()
-        self.session: ServerSession = front.session(sink=self.inbox.append)
-        self.hello = self.session.hello()
-
-    def request(self, frame: dict) -> list[dict]:
-        """Send one request frame; returns the synchronous responses."""
-        return self.session.handle(frame)
-
-    def poll(self) -> list[dict]:
-        """Take every frame the server pushed since the last poll."""
-        frames = list(self.inbox)
-        self.inbox.clear()
-        return frames
-
-    def close(self) -> None:
-        """Disconnect: closes the session and its live cursors."""
-        self.session.close()
+    from repro.exec.scheduler import CooperativeScheduler
 
 
 #: Client states between scheduling visits.
@@ -90,17 +60,22 @@ class ScriptedClient:
     processing pushed frames first, then either fetching one ``rows``
     frame from the open cursor or sending the next script step.
     Completed queries append :class:`~repro.exec.scheduler.QueryRecord`
-    entries (ledger rebuilt from the wire summary) to the loop's shared
-    record list; ``rejected`` errors are collected — every other error
+    entries (ledger rebuilt from the wire summary) to the scheduler's
+    records; ``rejected`` errors are collected — every other error
     frame raises, because the deterministic harness should never see
     one.
     """
 
-    def __init__(self, name: str, loop: "ServingLoop",
-                 channel: InProcessChannel):
+    #: Scheduling weight: one request per visit.
+    weight = 1
+
+    def __init__(self, name: str, front: ServerFront):
         self.name = name
-        self._loop = loop
-        self._channel = channel
+        self.front = front
+        # Frames the server produces later (a parked execute's
+        # ``executing`` grant) wait here until the next visit.
+        self._inbox: deque[dict] = deque()
+        self.session = front.session(sink=self._inbox.append)
         self._script: deque[tuple] = deque()
         self._statements: dict[str, int] = {}
         self._state = _IDLE
@@ -126,51 +101,64 @@ class ScriptedClient:
         return self
 
     @property
-    def done(self) -> bool:
-        return not self._script and self._state == _IDLE
+    def queries_left(self) -> int:
+        """Script steps not yet answered (the one in flight included)."""
+        return len(self._script) + (self._state != _IDLE)
+
+    def close(self) -> None:
+        """Disconnect: closes the session and its live cursors."""
+        self.session.close()
 
     # -- one scheduling visit ------------------------------------------------
 
-    def step(self) -> bool:
+    def step(self, scheduler: "CooperativeScheduler") -> bool:
         """Advance by at most one request; False once fully drained."""
-        for frame in self._channel.poll():
-            self._process(frame)
+        while self._inbox:
+            self._process(self._inbox.popleft(), scheduler)
         if self._state == _FETCHING:
-            self._request({"op": "fetch", "cursor": self._cursor})
+            self._request({"op": "fetch", "cursor": self._cursor},
+                          scheduler)
             return True
         if self._state == _WAITING:
-            return True  # parked in the admission queue; no progress
+            # Parked in the admission queue.  Only a slot release starts
+            # a parked execute, so with no slot held it never starts.
+            if self.front.inflight == 0:
+                raise ExecutionError(
+                    f"client {self.name!r}: execute {self._label!r} is "
+                    "parked with no statement in flight to free a slot"
+                )
+            return True
         if not self._script:
             return False
         action = self._script.popleft()
         if action[0] == "prepare":
             _kind, key, sql = action
             self._pending_key = key
-            self._request({"op": "prepare", "sql": sql})
+            self._request({"op": "prepare", "sql": sql}, scheduler)
         else:
             _kind, target, params, label = action
             self._label = label
-            self._start_ms = self._loop.front.clock_ms
+            self._start_ms = self.front.clock_ms
             frame = {"op": "execute", "params": params}
             if target in self._statements:
                 frame["statement"] = self._statements[target]
             else:
                 frame["sql"] = target
             self._state = _WAITING  # parked unless a response says else
-            self._request(frame)
+            self._request(frame, scheduler)
         return True
 
     # -- internals -----------------------------------------------------------
 
-    def _request(self, frame: dict) -> None:
+    def _request(self, frame: dict,
+                 scheduler: "CooperativeScheduler") -> None:
         frame["id"] = self._next_id
         self._next_id += 1
-        self._loop.activity += 1
-        for response in self._channel.request(frame):
-            self._process(response)
+        for response in self.session.handle(frame):
+            self._process(response, scheduler)
 
-    def _process(self, frame: dict) -> None:
-        self._loop.activity += 1
+    def _process(self, frame: dict,
+                 scheduler: "CooperativeScheduler") -> None:
         op = frame["op"]
         if op == "prepared":
             self._statements[self._pending_key] = frame["statement"]
@@ -180,12 +168,12 @@ class ScriptedClient:
         elif op == "rows":
             if frame["done"]:
                 summary = frame["summary"]
-                self._loop.records.append(QueryRecord(
+                scheduler.records.append(QueryRecord(
                     client=self.name,
                     label=self._label,
                     rows=summary["rows"],
                     start_ms=self._start_ms,
-                    finish_ms=self._loop.front.clock_ms,
+                    finish_ms=self.front.clock_ms,
                     ledger=CostLedger.from_dict(summary["ledger"]),
                 ))
                 self._cursor = None
@@ -202,75 +190,3 @@ class ScriptedClient:
             raise ExecutionError(
                 f"client {self.name!r}: unexpected frame op {op!r}"
             )
-
-
-class ServingLoop:
-    """Round-robin driver of N scripted clients on one serving front.
-
-    The in-process stand-in for the network: each round visits every
-    live client once (admission order), letting it make one request.
-    Concurrency is bounded by the front's admission controller — the
-    loop itself imposes no limit, so with 1,000 clients and 64 slots
-    the FIFO queue and its measured waits are genuinely exercised.
-    """
-
-    def __init__(self, front: ServerFront):
-        self.front = front
-        self._clients: list[ScriptedClient] = []
-        #: Completion-ordered records across every client (shared).
-        self.records: list[QueryRecord] = []
-        #: Bumped on every request/response; stagnation of a full round
-        #: with live clients means deadlock, which raises.
-        self.activity = 0
-
-    def client(self, name: str) -> ScriptedClient:
-        """Connect one scripted client (round-robin in creation order)."""
-        client = ScriptedClient(name, self, InProcessChannel(self.front))
-        self._clients.append(client)
-        return client
-
-    def run(self, cold: bool = False,
-            interleave: bool = True) -> WorkloadReport:
-        """Drain every client's script; returns the workload report.
-
-        ``cold=True`` cold-starts the shared substrate first (sessions
-        stay open — their connections hold no cached pages).
-        ``interleave=False`` runs clients to completion one at a time:
-        the serial baseline for fair-share comparisons.
-        """
-        if cold:
-            self.front.db.runtime.cold_start()
-        self.records.clear()
-        started_ms = self.front.clock_ms
-        if interleave:
-            live = list(self._clients)
-            while live:
-                before = self.activity
-                live = [client for client in live if client.step()]
-                if live and self.activity == before:
-                    raise ExecutionError(
-                        f"serving loop stalled with {len(live)} live "
-                        "client(s) and no admission progress"
-                    )
-        else:
-            for client in self._clients:
-                while client.step():
-                    pass
-        return WorkloadReport(
-            records=list(self.records),
-            started_ms=started_ms,
-            finished_ms=self.front.clock_ms,
-        )
-
-    def rejections(self) -> list[tuple[str, str, dict]]:
-        """Every admission rejection: (client, label, decision detail)."""
-        return [
-            (client.name, label, detail)
-            for client in self._clients
-            for label, detail in client.rejections
-        ]
-
-    def close(self) -> None:
-        """Disconnect every client (closing sessions and cursors)."""
-        for client in self._clients:
-            client._channel.close()

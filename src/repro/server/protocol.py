@@ -5,9 +5,10 @@ client-chosen ``id`` (string or integer); every response echoes it, so
 clients may pipeline requests and match replies out of order.  The
 protocol is deliberately transport-agnostic: the asyncio socket server
 (:mod:`repro.server.server`) encodes frames as ``utf-8`` lines, while
-the deterministic in-process transport
-(:mod:`repro.server.inprocess`) passes the same dict frames directly —
-both drive one sans-IO :class:`~repro.server.session.ServerSession`.
+the deterministic in-process clients (:mod:`repro.server.inprocess`,
+stepped by :class:`~repro.exec.scheduler.CooperativeScheduler`) pass
+the same dict frames directly — both drive one sans-IO
+:class:`~repro.server.session.ServerSession`.
 
 Request frames (client → server)::
 

@@ -10,7 +10,8 @@ and cursor handles — with a single entry point,
 the response frames.  No sockets, no asyncio, no clocks — which is what
 makes the same serving logic drivable by the real
 :mod:`asyncio server <repro.server.server>` *and* by the deterministic
-in-process transport the 1,000-client benchmark uses
+in-process clients the 1,000-client benchmark steps with
+:class:`~repro.exec.scheduler.CooperativeScheduler`
 (:mod:`repro.server.inprocess`).
 
 Two execution routes per admitted statement:

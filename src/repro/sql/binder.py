@@ -160,8 +160,9 @@ class Binder:
         self.db = db
         self.text = text
         # Parameter slots shared by every compiled value callable of the
-        # statement being bound; bind_params() fills it per execution.
-        self._box = ParamBox()
+        # statement being bound (made by the first one that reads a
+        # parameter); bind_params() fills it per execution.
+        self._box: ParamBox | None = None
         self._numeric_params: set[int] = set()
 
     # -- error helpers ------------------------------------------------------
@@ -823,7 +824,7 @@ class Binder:
         if isinstance(expr, ast.ParamRef):
             # Late-bound: the node reads the statement's parameter slots,
             # so re-executions with new values need no recompile.
-            box = self._box
+            box = self._box = self._box or ParamBox()
             index = expr.index
             return (lambda chunk: box.values[index]), ColumnType.FLOAT
         if isinstance(expr, ast.ColumnRef):

@@ -20,6 +20,7 @@ import pytest
 from repro.database import Database
 from repro.errors import PlanningError, SqlError
 from repro.optimizer.planner import FORCEABLE_PATHS
+from repro.server.session import ServerFront
 from repro.storage.types import Schema
 
 NT_ROWS = [(i, None if i % 3 == 0 else i % 7) for i in range(60)]
@@ -251,3 +252,55 @@ def test_a_null_parameter_inside_sum_and_avg_is_a_null_value(
 def test_a_non_numeric_parameter_inside_sum_is_still_refused(orders, k):
     with pytest.raises(SqlError, match=":k is an argument of sum"):
         orders.connect().run(SUM_AVG.format(sum="sum"), {"k": k, "hi": 3})
+
+
+#: ORDER BY over NULL-bearing keys: NULL first ascending, last descending
+#: (sqlite3's rule); ``a`` breaks ties so the order is total.
+ORDERED = [
+    "SELECT a, b FROM nt WHERE a >= 0 ORDER BY b, a",
+    "SELECT a, b FROM nt WHERE a >= 0 ORDER BY b DESC, a",
+    "SELECT a, b FROM nt WHERE a >= 0 ORDER BY b DESC, a DESC LIMIT 9",
+    "SELECT a, b FROM nt WHERE a >= 0 AND a < 40 ORDER BY b, a LIMIT 12",
+    "SELECT b, count(*) AS n FROM nt WHERE a >= 0 GROUP BY b ORDER BY b",
+    "SELECT b, count(*) AS n FROM nt WHERE a >= 0 GROUP BY b "
+    "ORDER BY b DESC",
+    "SELECT a, u_c FROM nt LEFT JOIN nu ON a = u_a WHERE a >= 0 "
+    "ORDER BY u_c, a",
+    "SELECT a, u_c FROM nt LEFT JOIN nu ON a = u_a WHERE a >= 0 "
+    "ORDER BY u_c DESC, a LIMIT 20",
+]
+
+
+@pytest.mark.parametrize("path", FORCEABLE_PATHS)
+@pytest.mark.parametrize("sql", ORDERED)
+def test_order_by_sorts_null_first_ascending_and_last_descending(
+        nt, witness, sql, path):
+    want = witness.execute(sql).fetchall()
+    hinted = sql.replace("SELECT", f"SELECT /*+ force_path({path}) */", 1)
+    assert nt.connect().run(hinted).rows == want
+
+
+@pytest.mark.parametrize("direction", ["", " DESC"])
+def test_order_by_a_null_bearing_key_alone_keeps_ties_stable(nt, witness,
+                                                             direction):
+    sql = f"SELECT a, b FROM nt ORDER BY b{direction}"
+    got = nt.connect().run(sql).rows
+    want = witness.execute(sql).fetchall()
+    assert [b for _a, b in got] == [b for _a, b in want]
+    # Equal keys, NULL among them, keep the heap's order.
+    nulls = [row for row in NT_ROWS if row[1] is None]
+    keyed = sorted((row for row in NT_ROWS if row[1] is not None),
+                   key=lambda row: row[1], reverse=bool(direction))
+    assert got == (keyed + nulls if direction else nulls + keyed)
+
+
+def test_order_by_null_over_the_wire(nt, witness):
+    sql = "SELECT a, b FROM nt WHERE a >= 0 ORDER BY b DESC, a"
+    session = ServerFront(nt).session()
+    frames = session.handle({"op": "query", "id": 1, "sql": sql})
+    assert [f["op"] for f in frames][0] == "executing"
+    rows = [tuple(row) for f in frames if f["op"] == "rows"
+            for row in f["rows"]]
+    assert frames[-1]["done"]
+    assert rows == witness.execute(sql).fetchall()
+    session.close()
