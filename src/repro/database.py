@@ -43,6 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optimizer.plan_cache import PlanCache
     from repro.optimizer.planner import PlannedQuery, PlannerOptions
     from repro.optimizer.statistics import StatisticsCatalog
+    from repro.storage.chunk import Chunk
     from repro.storage.sharding import ShardSet
     from repro.telemetry.tracer import Tracer
 
@@ -124,8 +125,11 @@ class Database:
         return table
 
     def load_table(self, name: str, schema: Schema,
-                   rows: Iterable[Row]) -> Table:
+                   rows: "Iterable[Row] | Chunk") -> Table:
         """Create a table and bulk-append ``rows`` (no I/O is charged).
+
+        ``rows`` may be one :class:`~repro.storage.chunk.Chunk` whose
+        names are the schema's: its columns join the heap as they are.
 
         The buffer pool is autosized once, after the load, when the
         table's final page count is known.
@@ -221,7 +225,7 @@ class Database:
             )
             shard = Table(shard_table_name(table_name, i),
                           table.schema, heap)
-            shard.insert_many(image.take(positions).to_rows())
+            shard.insert_many(image.take(positions))
             for idx_column in sorted(table.indexes):
                 self._build_index(shard, idx_column,
                                   f"{shard.name}_{idx_column}_idx")

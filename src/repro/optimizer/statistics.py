@@ -20,6 +20,19 @@ from repro.storage.table import Table
 _DEFAULT_BUCKETS = 100
 
 
+def distinct_count(values: _np.ndarray) -> int:
+    """How many distinct values a non-empty array holds, counted as
+    ``len(np.unique(values))`` counts them — every NaN is one value and
+    ``-0.0 == 0.0`` — by one sort and a count of value changes."""
+    ordered = _np.sort(values)
+    nan = ordered.dtype.kind == "f" and bool(_np.isnan(ordered[-1]))
+    if nan:
+        # NaNs sort last, after +inf.
+        ordered = ordered[:_np.searchsorted(ordered, _np.nan)]
+    changes = int(_np.count_nonzero(ordered[1:] != ordered[:-1]))
+    return changes + (len(ordered) > 0) + nan
+
+
 @dataclass
 class Histogram:
     """Equi-width histogram over a numeric column."""
@@ -162,7 +175,9 @@ class StatisticsCatalog:
         Min, max, ndv and the histogram describe the non-NULL values (an
         array holds none); ``row_count`` counts every row.  An array
         column is bucketed with the list path's own float64 expression,
-        element-wise, so both give identical histograms.
+        element-wise, so both give identical histograms.  An array's
+        ndv comes from a sort (:func:`distinct_count`), a list's from a
+        set.
         """
         if not isinstance(values, _np.ndarray):
             values = [v for v in values if v is not None]
@@ -172,7 +187,7 @@ class StatisticsCatalog:
         counts = None
         if isinstance(values, _np.ndarray):
             lo, hi = values.min().item(), values.max().item()
-            ndv = len(_np.unique(values))
+            ndv = distinct_count(values)
             span = float(hi) - float(lo)
             if span <= 0:
                 counts = [len(values)] + [0] * (buckets - 1)

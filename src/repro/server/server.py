@@ -188,7 +188,7 @@ class ClientConnection:
             if frame is None:
                 return
             self._push(frame)
-            if frame.get("done"):
+            if frame.get("done") or frame["op"] == "error":
                 return
             await asyncio.sleep(0)             # yield one quantum
 

@@ -33,6 +33,7 @@ request (``admission.queued_ms``) and in aggregate (``stats`` frames).
 
 from __future__ import annotations
 
+import logging
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -59,6 +60,8 @@ DEFAULT_ROWS_PER_FRAME = 256
 #: drained rows): the transport decides where they go.
 FrameSink = Callable[[dict], None]
 
+_log = logging.getLogger(__name__)
+
 
 @dataclass
 class _CursorState:
@@ -82,6 +85,30 @@ class _Parked:
     submit_ms: float
     drain: bool
     cancelled: bool = False
+
+
+def _failure_frame(rid: object, exc: Exception) -> dict:
+    """The ``error`` frame a request that raised ``exc`` gets.
+
+    Session-layer misuse (closed connection/cursor, bad fetch size) gets
+    its own code on EVERY frame type — a client racing a close sees
+    "interface", never "internal".  Anything that is not a protocol,
+    SQL or interface error, an engine bug included, is "internal" and
+    names its type; the statement it ended holds no cursor and no slot
+    (:meth:`ServerSession._start_statement`,
+    :meth:`ServerSession._fetch_frame`).  An exception that is not a
+    :class:`~repro.errors.ReproError` is logged with its traceback.
+    """
+    if isinstance(exc, ProtocolError):
+        return error_frame(rid, exc.code, exc.message)
+    if isinstance(exc, SqlError):
+        return error_frame(rid, protocol.ERR_SQL, str(exc))
+    if isinstance(exc, InterfaceError):
+        return error_frame(rid, protocol.ERR_INTERFACE, str(exc))
+    if not isinstance(exc, ReproError):
+        _log.error("internal error answering request %r", rid, exc_info=exc)
+    return error_frame(rid, protocol.ERR_INTERNAL,
+                       f"{type(exc).__name__}: {exc}")
 
 
 class ServerFront:
@@ -200,11 +227,14 @@ class ServerFront:
                     continue
                 self.admission.try_acquire()
                 wait_ms = self.clock_ms - parked.submit_ms
-                frames = parked.session._start_statement(
-                    parked.rid, parked.statement, parked.params,
-                    parked.decision, wait_ms=wait_ms, was_queued=True,
-                    drain=parked.drain,
-                )
+                try:
+                    frames = parked.session._start_statement(
+                        parked.rid, parked.statement, parked.params,
+                        parked.decision, wait_ms=wait_ms, was_queued=True,
+                        drain=parked.drain,
+                    )
+                except Exception as exc:
+                    frames = [_failure_frame(parked.rid, exc)]
                 for frame in frames:
                     parked.session.emit(frame)
         finally:
@@ -304,18 +334,8 @@ class ServerSession:
             # and performs the actual drain-and-exit around it.
             self.front.begin_drain()
             return [{"op": "shutting_down", "id": rid}]
-        except ProtocolError as exc:
-            return [error_frame(rid, exc.code, exc.message)]
-        except SqlError as exc:
-            return [error_frame(rid, protocol.ERR_SQL, str(exc))]
-        except InterfaceError as exc:
-            # Session-layer misuse (closed connection/cursor, bad fetch
-            # size) gets its own code on EVERY frame type — a client
-            # racing a close sees "interface", never "internal".
-            return [error_frame(rid, protocol.ERR_INTERFACE, str(exc))]
-        except ReproError as exc:
-            return [error_frame(rid, protocol.ERR_INTERNAL,
-                                f"{type(exc).__name__}: {exc}")]
+        except Exception as exc:
+            return [_failure_frame(rid, exc)]
 
     def close(self) -> None:
         """End the session: close live cursors, release their slots.
@@ -513,10 +533,14 @@ class ServerSession:
     def drain_step(self, rid: object, cid: int) -> dict | None:
         """One drain quantum (a single ``rows`` frame), for transports
         that interleave many draining statements; None once the cursor
-        is gone (already done or closed)."""
+        is gone (already done or closed).  A failed pull is the
+        statement's ``error`` frame, and the cursor is gone after it."""
         if cid not in self._cursors:
             return None
-        return self._fetch_frame(rid, cid, self.front.rows_per_frame)
+        try:
+            return self._fetch_frame(rid, cid, self.front.rows_per_frame)
+        except Exception as exc:
+            return _failure_frame(rid, exc)
 
     def _close_cursor(self, rid: object, frame: dict) -> list[dict]:
         cid = frame["cursor"]

@@ -64,21 +64,27 @@ def typed_column(values: Sequence) -> ColumnData:
     return values if array is None else array
 
 
-def _exact_array(values: list) -> "_np.ndarray | None":
-    """``values`` as an int64 or float64 array when that is exact."""
+def _exact_array(values: Sequence) -> "_np.ndarray | None":
+    """``values`` as an int64 or float64 array when that is exact.
+
+    The type check runs in C (``set(map(type, ...))``): exactly one
+    type, ``int`` or ``float``, and ``bool`` is not ``int``.
+    """
     if not values:
         return None
-    first = values[0]
-    if type(first) is int:
-        if all(type(v) is int for v in values):
-            try:
-                return _np.array(values, dtype=_np.int64)
-            except OverflowError:
-                return None
-    elif type(first) is float:
-        if all(type(v) is float for v in values):
-            return _np.array(values, dtype=_np.float64)
-    return None
+    kind = type(values[0])
+    if kind not in (int, float) or set(map(type, values)) != {kind}:
+        return None
+    if kind is float:
+        return _np.array(values, dtype=_np.float64)
+    try:
+        return _np.array(values, dtype=_np.int64)
+    except OverflowError:
+        return None
+
+
+#: The array dtypes typing gives: an array of either joins as it comes.
+_EXACT_DTYPES = (_np.dtype(_np.int64), _np.dtype(_np.float64))
 
 
 def _is_array(col) -> bool:
@@ -127,24 +133,29 @@ def encode(values: list, index: dict, dtype=None) -> _np.ndarray:
                         dtype=dtype or _np.min_scalar_type(len(index)))
 
 
-def extend_column(col: ColumnData, values: list) -> ColumnData:
-    """``col`` followed by ``values`` (a list the caller hands over) —
-    what typing them together gives.
+def extend_column(col: ColumnData, values: "Sequence | _np.ndarray",
+                  ) -> ColumnData:
+    """``col`` followed by ``values`` (a sequence or an array the caller
+    hands over) — what typing them together gives.
 
     The old part is never re-typed from its values: an array stays an
     array when the new values type to the same dtype, and otherwise both
     halves fall back to one object list, exactly as
-    :func:`typed_column` over all the values would decide.  An object
-    result is a :class:`CodedColumn`, copied once from the two halves.
+    :func:`typed_column` over all the values would decide.  An int64 or
+    float64 array is already typed; any other array is typed from its
+    built-in values.  An object result is a :class:`CodedColumn` of
+    built-in values, copied once from the two halves.
     """
-    tail = _exact_array(values)
+    if _is_array(values) and values.dtype not in _EXACT_DTYPES:
+        values = values.tolist()
+    tail = values if _is_array(values) else _exact_array(values)
     if tail is not None:
         if not len(col):
             return tail
         if _is_array(col) and col.dtype == tail.dtype:
             return _np.concatenate((col, tail))
     out = CodedColumn(col.tolist() if _is_array(col) else col)
-    out += values
+    out += values.tolist() if _is_array(values) else values
     return out
 
 

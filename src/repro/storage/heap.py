@@ -8,16 +8,18 @@ I/O itself; all timed access flows through the
 The rows live in exactly one place: the *image*, a table-wide
 :class:`~repro.storage.chunk.Chunk` in physical order (row
 ``page * tuples_per_page + slot``, a position that is the row's TID).
-Appended rows wait as tuples in one pending block, which is typed and
-joined onto the image — never rebuilt — when it reaches
-:data:`BLOCK_PAGES` pages and whenever somebody reads, so a load never
-holds the table both as tuples and as columns.  A page is arithmetic:
-every page but the last is full, and there are
-``ceil(row_count / tuples_per_page)`` of them.  Every columnar batch a
-scan emits is a slice of the image or a selection vector over it, and
-the payload reads everybody else uses are :meth:`HeapFile.row` for one
-row and ``image().take(positions).to_rows()`` for many; there is nothing
-to cache per page or per extent and nothing to invalidate.
+A load that has its rows as columns hands the heap a ``Chunk``, and each
+column joins the image as it comes (an int64 or float64 array is kept,
+not copied).  Rows appended one by one wait as tuples in one pending
+block, which is transposed and joined onto the image the same way —
+never rebuilt — when it reaches :data:`BLOCK_PAGES` pages and whenever
+somebody reads, so a load never holds the table both as tuples and as
+columns.  A page is arithmetic: every page but the last is full, and
+there are ``ceil(row_count / tuples_per_page)`` of them.  Every columnar
+batch a scan emits is a slice of the image or a selection vector over
+it, and the payload reads everybody else uses are :meth:`HeapFile.row`
+for one row and ``image().take(positions).to_rows()`` for many; there
+is nothing to cache per page or per extent and nothing to invalidate.
 """
 
 from __future__ import annotations
@@ -66,12 +68,19 @@ class HeapFile:
         self.extend((row,))
         return self._row_count - 1
 
-    def extend(self, rows: Iterable[Row]) -> int:
+    def extend(self, rows: "Iterable[Row] | Chunk") -> int:
         """Store ``rows`` at the end of the heap; returns how many.
 
-        Each row is validated as it arrives; the rows before one that
+        A :class:`~repro.storage.chunk.Chunk` whose names are the
+        schema's joins the image column by column, after any pending
+        rows (an int64 or float64 array it holds becomes the heap's, so
+        nobody writes to it afterwards); one whose arity or names differ
+        stores nothing.  Other
+        rows are validated as they arrive; the rows before one that
         fails stay stored.
         """
+        if isinstance(rows, Chunk):
+            return self._extend_columns(rows)
         validate = self.schema.validate_row
         pending = self._pending
         block = BLOCK_PAGES * self.tuples_per_page
@@ -86,23 +95,49 @@ class HeapFile:
             self._row_count = len(self._image) + len(pending)
         return self._row_count - before
 
-    def _fold(self) -> None:
-        """Type the pending block and join it onto the image.
+    def _extend_columns(self, chunk: Chunk) -> int:
+        """The :class:`~repro.storage.chunk.Chunk` case of :meth:`extend`."""
+        names = self.schema.column_names
+        if chunk.names != names:
+            raise StorageError(
+                f"chunk columns {chunk.names} (arity {len(chunk.names)}) "
+                f"do not match schema columns {names} (arity {len(names)})"
+            )
+        columns = [chunk.data_column(i) for i in range(len(names))]
+        if any(len(col) != len(chunk) for col in columns):
+            raise StorageError("chunk columns differ in length")
+        if self._pending:
+            self._fold()
+        if len(chunk):
+            self._join(columns)
+            self._row_count = len(self._image)
+        return len(chunk)
 
-        One column at a time (a single transient value list, not a
-        transposed copy of the block).  The rows already in the image
-        are copied over, never re-typed, and chunks handed out earlier
-        stay valid — rows never move.  Each object column is a new
+    def _fold(self) -> None:
+        """Transpose the pending block and join it onto the image.
+
+        One column at a time: a single transient value list, not a
+        transposed copy of the block (``zip(*block)`` would also hold an
+        iterator per row)."""
+        block = self._pending
+        self._join([row[i] for row in block]
+                   for i in range(len(self._image.names)))
+        block.clear()
+
+    def _join(self, columns: Iterable) -> None:
+        """Join one value sequence (or array) per column onto the image.
+
+        The rows already in the image are copied over, never re-typed,
+        and chunks handed out earlier stay valid — rows never move.
+        Each object column is a new
         :class:`~repro.storage.chunk.CodedColumn`, so a dictionary built
         over the old payload stays with the chunks that hold it.
         """
-        block = self._pending
         image = self._image
         image = self._image = Chunk(image.names, [
-            extend_column(col, [row[i] for row in block])
-            for i, col in enumerate(image.columns)
+            extend_column(col, values)
+            for col, values in zip(image.columns, columns)
         ])
-        block.clear()
         # ``ndarray.item`` hands back the built-in value ``tolist`` would.
         self._readers = [col.__getitem__ if isinstance(col, list)
                          else col.item for col in image.columns]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import StorageError
-from repro.storage.chunk import ColumnData
+from repro.storage.chunk import Chunk, ColumnData
 from repro.storage.heap import HeapFile
 from repro.storage.types import Row, Schema
 
@@ -46,8 +46,9 @@ class Table:
             index.insert(row[self.schema.index_of(column)], tid)
         return tid
 
-    def insert_many(self, rows: Iterable[Row]) -> int:
-        """Append many rows; returns how many were stored.
+    def insert_many(self, rows: "Iterable[Row] | Chunk") -> int:
+        """Append many rows (or one chunk of them); returns how many were
+        stored.
 
         The heap takes them in bulk; the registered indexes then learn
         the new rows' keys from the image — also when a bad row stops

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +12,7 @@ from repro.optimizer.statistics import (
     Histogram,
     StatisticsCatalog,
     TableStats,
+    distinct_count,
 )
 from repro.storage.types import Column, ColumnType, Schema
 
@@ -252,3 +254,29 @@ def test_analyze_from_the_image_equals_the_row_walk(db, build, kwargs):
             assert type(column.max_value) is type(want.max_value), name
             if column.histogram is not None:
                 assert {type(c) for c in column.histogram.counts} <= {int}
+
+
+_I64 = np.iinfo(np.int64)
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("values", [
+    [5], [3, 3, 3], [_I64.min, _I64.max, 0, _I64.min, -1, _I64.max],
+    [_I64.max, _I64.max - 1, _I64.min + 1, _I64.min],
+    [1.0], [_NAN], [_NAN, _NAN, _NAN], [0.0, -0.0], [-0.0, -0.0, 0.0],
+    [_NAN, 1.0, _NAN, -0.0, 0.0, _INF, -_INF, _NAN, _INF, 2.5],
+    [_INF, _NAN], [-_INF, -_INF, _NAN], [2.0 ** 53, 2.0 ** 53 + 1],
+], ids=repr)
+def test_ndv_by_sort_is_numpy_unique(values):
+    array = np.array(values)
+    assert distinct_count(array) == len(np.unique(array))
+    assert type(distinct_count(array)) is int
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([_NAN, -0.0, 0.0, _INF, -_INF, 1.5, -3.0]),
+                min_size=1, max_size=40),
+       st.lists(st.integers(_I64.min, _I64.max), min_size=1, max_size=40))
+def test_ndv_by_sort_is_numpy_unique_on_any_array(floats, ints):
+    for array in (np.array(floats), np.array(ints, dtype=np.int64)):
+        assert distinct_count(array) == len(np.unique(array))

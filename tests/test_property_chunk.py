@@ -10,9 +10,10 @@ NumPy scalars.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.storage.chunk import Chunk, mask_from_bools
+from repro.storage.chunk import Chunk, _exact_array, mask_from_bools, typed_column
 
 SETTINGS = settings(
     max_examples=60,
@@ -135,3 +136,34 @@ def test_filter_and_concat_match_python(batch, data):
         left = Chunk.from_rows(names, rows[:cut])
         right = Chunk.from_rows(names, rows[cut:])
         assert Chunk.concat([left, right]).to_rows() == rows
+
+
+def _exact_by_all(values):
+    """The typing rule spelled out value by value: one int64 or float64
+    array when every value is an ``int`` in range (``bool`` is not an
+    ``int`` here) or every value is a ``float``; else no array."""
+    if values and all(type(v) is int for v in values):
+        if all(-2 ** 63 <= v < 2 ** 63 for v in values):
+            return np.array(values, dtype=np.int64)
+        return None
+    if values and all(type(v) is float for v in values):
+        return np.array(values, dtype=np.float64)
+    return None
+
+
+@pytest.mark.parametrize("values", [
+    [], [0], [1, 2, 3], [2 ** 63 - 1, -2 ** 63], [1, 2 ** 63], [-2 ** 63 - 1],
+    [True, False], [1, True], [True, 1], [0.5, 1.5], [1, 2.5], [2.5, 1],
+    [None], [1, None], [None, 1], [2.5, None], ["a", "b"], [1, "a"],
+    ["a", 1], [float("nan"), float("inf")], [np.int64(3), 4],
+], ids=repr)
+def test_exact_typing_is_the_value_by_value_rule(values):
+    want = _exact_by_all(values)
+    got = _exact_array(values)
+    if want is None:
+        assert got is None
+        column = typed_column(values)
+        assert type(column) is list and column == values
+    else:
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)

@@ -9,6 +9,7 @@ is the serving behavior everywhere.
 import pytest
 
 from repro.database import Database
+from repro.exec.misc import Project
 from repro.experiments.concurrency import CLASSIC_OPTIONS
 from repro.runtime import CostLedger
 from repro.server import protocol
@@ -463,3 +464,74 @@ def test_rejected_statement_emits_a_priced_trace_event(db):
     assert reject.attrs["action"] == "reject"
     assert reject.value == reject.attrs["estimated_cost"]
     assert reject.attrs["estimated_cost"] > reject.attrs["budget"]
+
+
+def _break_project(monkeypatch):
+    """Make every ``Project`` raise a non-engine exception on its first
+    pull: an engine bug, not a ``ReproError``."""
+    def batches(self, ctx):
+        raise RuntimeError("injected operator bug")
+        yield  # pragma: no cover - makes this a generator
+
+    monkeypatch.setattr(Project, "batches", batches)
+
+
+def test_an_engine_bug_is_an_internal_error_frame(db, monkeypatch, caplog):
+    """A ``RuntimeError`` inside an operator's ``batches`` comes back as
+    an ``internal`` error frame naming its type — on ``query`` and on
+    ``execute`` + ``fetch`` — with no slot held, no cursor left and its
+    traceback logged, and the session then answers a normal query with
+    its usual rows."""
+    front = make_front(db)
+    session = front.session()
+    params = {"lo": 0, "hi": 200}
+    expected = session.handle({"op": "query", "id": 0, "sql": SQL,
+                               "params": params})
+    _break_project(monkeypatch)
+    failed = one(session.handle({"op": "query", "id": 1, "sql": SQL,
+                                 "params": params}))
+    assert failed["op"] == "error" and failed["id"] == 1
+    assert failed["code"] == protocol.ERR_INTERNAL
+    assert "RuntimeError" in failed["message"]
+    assert front.inflight == 0 and session.conn.open_cursors == ()
+    assert [r.exc_info[0] for r in caplog.records] == [RuntimeError]
+    executing = one(session.handle({"op": "execute", "id": 2, "sql": SQL,
+                                    "params": params}))
+    assert front.inflight == 1
+    failed = one(session.handle({"op": "fetch", "id": 3,
+                                 "cursor": executing["cursor"]}))
+    assert failed["code"] == protocol.ERR_INTERNAL
+    assert "RuntimeError" in failed["message"]
+    assert front.inflight == 0 and session.conn.open_cursors == ()
+    monkeypatch.undo()
+    again = session.handle({"op": "query", "id": 4, "sql": SQL,
+                            "params": params})
+    assert [f["rows"] for f in again[1:]] == \
+        [f["rows"] for f in expected[1:]]
+    assert again[-1]["done"] and again[-1]["summary"]["rows"] > 0
+    assert front.inflight == 0
+
+
+def test_an_engine_bug_in_a_parked_statement_reaches_its_own_client(
+        db, monkeypatch):
+    """A parked query that fails when the pump starts it gets its error
+    frame through its own sink; the session whose close freed the slot
+    sees only its own ``closed`` frame."""
+    front = make_front(db, max_inflight=1)
+    inbox = []
+    holder = front.session()
+    waiter = front.session(sink=inbox.append)
+    params = {"lo": 0, "hi": 200}
+    executing = one(holder.handle({"op": "execute", "id": 1, "sql": SQL,
+                                   "params": params}))
+    assert waiter.handle({"op": "query", "id": 2, "sql": SQL,
+                          "params": params}) == []
+    _break_project(monkeypatch)
+    closed = one(holder.handle({"op": "close", "id": 3,
+                                "cursor": executing["cursor"]}))
+    assert closed["op"] == "closed"
+    failed = one(inbox)
+    assert failed["id"] == 2 and failed["code"] == protocol.ERR_INTERNAL
+    assert "RuntimeError" in failed["message"]
+    assert front.inflight == 0 and front.queued == 0
+    assert waiter.conn.open_cursors == ()

@@ -12,6 +12,7 @@ import asyncio
 import pytest
 
 from repro.database import Database
+from repro.exec.misc import Project
 from repro.experiments.concurrency import CLASSIC_OPTIONS
 from repro.server import protocol
 from repro.server.server import ReproServer
@@ -192,6 +193,50 @@ def test_malformed_line_gets_error_then_disconnect(micro_db):
         line = await asyncio.wait_for(client.reader.readline(),
                                       timeout=30)
         assert line == b""  # unparseable lines desync: connection ends
+        await client.close()
+        await server.shutdown()
+
+    run(scenario())
+
+
+def test_an_engine_bug_is_an_internal_error_over_sockets(micro_db,
+                                                         monkeypatch):
+    """A ``RuntimeError`` inside an operator's ``batches`` reaches the
+    client as an ``internal`` error frame — from a streamed ``query`` and
+    from ``execute`` + ``fetch`` — with no slot held and no cursor left,
+    and the same connection then answers a normal query."""
+    def batches(self, ctx):
+        raise RuntimeError("injected operator bug")
+        yield  # pragma: no cover - makes this a generator
+
+    async def scenario():
+        server = await start_server(micro_db)
+        client = await AsyncClient.connect(server.port)
+        params = {"lo": 0, "hi": 200}
+        await client.send({"op": "query", "id": "ok1", "sql": SQL,
+                           "params": params})
+        expected, _done = await client.drain_rows("ok1")
+        monkeypatch.setattr(Project, "batches", batches)
+        await client.send({"op": "query", "id": "bad", "sql": SQL,
+                           "params": params})
+        _rows, error = await client.drain_rows("bad")
+        assert error["op"] == "error"
+        assert error["code"] == protocol.ERR_INTERNAL
+        assert "RuntimeError" in error["message"]
+        executing = await client.roundtrip(
+            {"op": "execute", "id": "ex", "sql": SQL, "params": params})
+        error = await client.roundtrip(
+            {"op": "fetch", "id": "fe", "cursor": executing["cursor"]})
+        assert error["op"] == "error"
+        assert error["code"] == protocol.ERR_INTERNAL
+        (conn,) = server._conns
+        assert server.front.inflight == 0
+        assert conn.session.conn.open_cursors == ()
+        monkeypatch.undo()
+        await client.send({"op": "query", "id": "ok2", "sql": SQL,
+                           "params": params})
+        rows, done = await client.drain_rows("ok2")
+        assert done["op"] == "rows" and rows == expected
         await client.close()
         await server.shutdown()
 

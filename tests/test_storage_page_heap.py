@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.storage import heap as heap_module
-from repro.storage.chunk import Chunk
+from repro.storage.chunk import Chunk, CodedColumn
 from repro.storage.heap import HeapFile
 from repro.storage.types import Column, ColumnType, Schema
 
@@ -165,6 +165,72 @@ def test_run_chunk_is_a_zero_copy_slice_of_the_image():
     assert len(heap.run_chunk(2, 1)) == 2  # the short last page
 
 
+
+# -- a chunk joins the image column by column --------------------------------
+
+
+@pytest.mark.parametrize("names", [("k", "f", "tag"),
+                                   ("k", "f", "tag", "n", "extra"),
+                                   ("k", "f", "n", "tag")])
+def test_a_chunk_whose_names_are_not_the_schema_stores_nothing(names):
+    rows = [_mixed_row(i) for i in range(6)]
+    heap = _fresh(_MIXED, rows)
+    before = heap.image()
+    chunk = Chunk.from_columns(names, [[1, 2]] * len(names))
+    with pytest.raises(StorageError):
+        heap.extend(chunk)
+    assert heap.row_count == 6 and heap.image() is before
+    assert heap.image().to_rows() == rows
+
+
+def test_a_chunk_of_ragged_columns_stores_nothing():
+    heap = _fresh(Schema.of_ints(["a", "b"]), [(0, 0)])
+    ragged = Chunk.from_columns(("a", "b"), [np.arange(3), np.arange(2)])
+    with pytest.raises(StorageError):
+        heap.extend(ragged)
+    assert heap.image().to_rows() == [(0, 0)]
+
+
+def test_append_then_a_chunk_then_append_is_the_all_rows_image():
+    rows = [_mixed_row(i) for i in range(23)]
+    heap = _fresh(_MIXED, rows[:5])             # still pending: folded first
+    middle = Chunk.from_rows(_MIXED, rows[5:17])
+    assert heap.extend(middle[2:]) == 10        # a selection of a chunk too
+    heap.extend(Chunk.from_rows(_MIXED, []))    # nothing to join
+    for row in rows[17:]:
+        heap.append(row)
+    want = rows[:5] + rows[7:]
+    fresh = _fresh(_MIXED, want).image()
+    image = heap.image()
+    assert _kinds(image) == _kinds(fresh) == ["<i8", "<f8", "list", "list"]
+    assert image.to_rows() == fresh.to_rows() == want
+    assert heap.row_count == len(want) and heap.num_pages == 6
+
+
+def test_an_array_joins_an_object_column_as_built_in_values():
+    heap = _fresh(Schema.of_ints(["a", "b"]), [(1, None), (2, 2 ** 70)])
+    ints = np.array([3, 4], dtype=np.int64)
+    heap.extend(Chunk.from_columns(("a", "b"), [ints, ints.copy()]))
+    heap.extend(Chunk.from_columns(("a", "b"), [
+        np.array([5], dtype=np.int32), np.array([6.5])]))
+    image = heap.image()
+    assert _kinds(image) == ["<i8", "list"]
+    assert isinstance(image.columns[1], CodedColumn)
+    assert image.columns[1] == [None, 2 ** 70, 3, 4, 6.5]
+    assert [type(v) for v in image.columns[1]] == [
+        type(None), int, int, int, float]
+    assert image.columns[0].tolist() == [1, 2, 3, 4, 5]
+
+
+def test_an_int64_column_of_a_chunk_is_kept_not_copied():
+    heap = HeapFile(file_id=0, schema=Schema.of_ints(["a"]),
+                    tuples_per_page=4)
+    column = np.arange(10, dtype=np.int64)
+    heap.extend(Chunk.from_columns(("a",), [column]))
+    assert heap.image().columns[0] is column
+    assert heap.row(9) == (9,) and type(heap.row(9)[0]) is int
+
+
 # -- rows live once, as columns: every read gives back what was appended ------
 
 _WIDE = Schema([Column("k"), Column("f", ColumnType.FLOAT),
@@ -183,6 +249,7 @@ _wide_rows = st.tuples(
 _heap_ops = st.lists(st.one_of(
     st.tuples(st.just("append"), _wide_rows),
     st.tuples(st.just("extend"), st.lists(_wide_rows, max_size=9)),
+    st.tuples(st.just("chunk"), st.lists(_wide_rows, max_size=9)),
     st.tuples(st.sampled_from(
         ["image", "get", "all_rows", "row", "whole"])),
 ), max_size=25)
@@ -212,6 +279,10 @@ def test_property_any_interleaving_of_appends_and_reads_returns_the_rows(ops):
                 model.append(args[0])
             elif op == "extend":
                 assert heap.extend(iter(args[0])) == len(args[0])
+                model.extend(args[0])
+            elif op == "chunk":
+                chunk = Chunk.from_rows(_WIDE, args[0])
+                assert heap.extend(chunk) == len(args[0])
                 model.extend(args[0])
             elif op == "image":
                 cut = len(model) // 2
