@@ -37,7 +37,6 @@ from repro.api import (
 from repro.config import CpuCosts, EngineConfig
 from repro.context import ExecutionContext
 from repro.core import (
-    BufferPressureTrigger,
     EagerTrigger,
     ElasticPolicy,
     GreedyPolicy,
@@ -78,7 +77,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Between",
-    "BufferPressureTrigger",
     "Column",
     "ColumnType",
     "CompareOp",

@@ -53,10 +53,6 @@ class QueryResult:
     def disk(self) -> DiskStats:
         return self.run.disk
 
-    @property
-    def read_gb(self) -> float:
-        return self.run.read_gb
-
     # -- the decision trail --------------------------------------------------
 
     @property

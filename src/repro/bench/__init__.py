@@ -1,22 +1,18 @@
 """Benchmark harness utilities: runners and paper-style reporting."""
 
 from repro.bench.reporting import (
-    format_series,
     format_table,
     format_value,
     results_dir,
     save_report,
 )
-from repro.bench.runner import Measurement, normalized, run_cold, sweep
+from repro.bench.runner import Measurement, run_cold
 
 __all__ = [
     "Measurement",
-    "format_series",
     "format_table",
     "format_value",
-    "normalized",
     "results_dir",
     "run_cold",
     "save_report",
-    "sweep",
 ]

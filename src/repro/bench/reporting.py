@@ -46,15 +46,6 @@ def format_table(headers: Sequence[str],
     return "\n".join(lines)
 
 
-def format_series(name: str, xs: Sequence[object],
-                  ys: Sequence[object]) -> str:
-    """Render one figure series as ``name: (x, y) ...`` pairs."""
-    pairs = ", ".join(
-        f"({format_value(x)}, {format_value(y)})" for x, y in zip(xs, ys, strict=False)
-    )
-    return f"{name}: {pairs}"
-
-
 def results_dir(root: str | None = None) -> str:
     """The directory where benchmarks tee their printed output."""
     base = root or os.environ.get("REPRO_RESULTS_DIR", "bench_results")

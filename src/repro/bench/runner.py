@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.database import Database
 from repro.exec.iterator import Operator
@@ -29,22 +28,3 @@ def run_cold(db: Database, label: str, plan: Operator,
     """Measure one cold execution of ``plan``."""
     result = measure(db, plan, cold=True, keep_rows=keep_rows)
     return Measurement(label=label, result=result, extras=dict(extras))
-
-
-def normalized(value: float, baseline: float) -> float:
-    """``value / baseline`` guarding the divide-by-zero edge."""
-    if baseline <= 0:
-        return 1.0 if value <= 0 else float("inf")
-    return value / baseline
-
-
-PlanFactory = Callable[[], Operator]
-
-
-def sweep(db: Database, factories: dict[str, PlanFactory],
-          keep_rows: bool = False) -> dict[str, Measurement]:
-    """Measure each labeled plan factory once, cold."""
-    out = {}
-    for label, factory in factories.items():
-        out[label] = run_cold(db, label, factory(), keep_rows=keep_rows)
-    return out

@@ -14,8 +14,7 @@ simulated time than one random page read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 
@@ -108,10 +107,6 @@ class EngineConfig:
                 f"{self.usable_page_bytes}-byte page body"
             )
         return capacity
-
-    def with_overrides(self, **changes: Any) -> "EngineConfig":
-        """Return a copy of this config with ``changes`` applied."""
-        return replace(self, **changes)
 
 
 DEFAULT_CONFIG = EngineConfig()

@@ -13,12 +13,10 @@ from repro.core.policy import (
     GreedyPolicy,
     MorphPolicy,
     SelectivityIncreasePolicy,
-    policy_by_name,
 )
 from repro.core.smooth_scan import SmoothScan
 from repro.core.switch_scan import SwitchScan
 from repro.core.trigger import (
-    BufferPressureTrigger,
     EagerTrigger,
     OptimizerDrivenTrigger,
     SLADrivenTrigger,
@@ -26,7 +24,6 @@ from repro.core.trigger import (
 )
 
 __all__ = [
-    "BufferPressureTrigger",
     "EagerTrigger",
     "ElasticPolicy",
     "GreedyPolicy",
@@ -44,5 +41,4 @@ __all__ = [
     "SwitchScan",
     "Trigger",
     "TupleIdCache",
-    "policy_by_name",
 ]

@@ -94,23 +94,3 @@ class ElasticPolicy(MorphPolicy):
         if self._increased(local_selectivity, global_selectivity):
             return region * 2
         return max(1, region // 2)
-
-
-def policy_by_name(name: str, strict: bool = False) -> MorphPolicy:
-    """Look up a policy by its display name.
-
-    ``strict`` is passed through to the policy, selecting the literal
-    ``>`` reading of the Eq. (1)/(2) comparison instead of the default
-    ``>=`` (see the module docstring for why ``>=`` is the default).
-    """
-    policies: dict[str, type[MorphPolicy]] = {
-        GreedyPolicy.name: GreedyPolicy,
-        SelectivityIncreasePolicy.name: SelectivityIncreasePolicy,
-        ElasticPolicy.name: ElasticPolicy,
-    }
-    try:
-        return policies[name](strict=strict)
-    except KeyError:
-        raise ValueError(
-            f"unknown policy {name!r}; pick from {sorted(policies)}"
-        ) from None

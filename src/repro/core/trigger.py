@@ -9,9 +9,6 @@
   bound would otherwise be violated; the trigger cardinality is derived
   from Eq. (23) for the worst case (see :mod:`repro.costmodel.sla`), and
   after triggering the scan switches to the Greedy policy, as in Fig. 7b.
-* **Buffer-pressure** (an extension beyond the paper, for concurrent
-  workloads): the optimizer-driven rule, tightened by how full the
-  *shared* buffer pool is — a contention-aware morph signal.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from repro.core.policy import GreedyPolicy, MorphPolicy
-from repro.storage.buffer import BufferPool
 
 
 class Trigger(ABC):
@@ -90,44 +86,3 @@ class SLADrivenTrigger(Trigger):
     def post_morph_policy(self) -> MorphPolicy | None:
         # Fig. 7b: "with this strategy we switch immediately to Greedy".
         return GreedyPolicy()
-
-
-class BufferPressureTrigger(Trigger):
-    """Morph earlier as the shared buffer pool fills up.
-
-    Under concurrent traffic the optimizer-driven rule is too patient:
-    by the time the cardinality estimate is violated, a full shared
-    pool means every further random probe is a miss that evicts some
-    *other* query's resident page (and gets evicted right back).  This
-    trigger keeps the optimizer-driven shape — morph once ``produced``
-    exceeds a threshold — but shrinks the threshold in proportion to
-    pool occupancy: at an empty pool it behaves exactly like
-    :class:`OptimizerDrivenTrigger`; at a full pool the threshold drops
-    by ``sensitivity`` (a fraction of the estimate), so contended scans
-    switch to sequential, amortizable I/O sooner.
-
-    Occupancy is read live from the shared pool at every check, so the
-    same plan morphs at different points depending on what the rest of
-    the workload is doing to the engine — a contention-aware signal,
-    still fully deterministic for a deterministic schedule.
-    """
-
-    name = "buffer-pressure"
-
-    def __init__(self, estimated_cardinality: int, buffer: BufferPool,
-                 sensitivity: float = 0.5):
-        if estimated_cardinality < 0:
-            raise ValueError("estimated cardinality must be >= 0")
-        if not 0.0 <= sensitivity <= 1.0:
-            raise ValueError("sensitivity must be within [0, 1]")
-        self.estimated_cardinality = estimated_cardinality
-        self.buffer = buffer
-        self.sensitivity = sensitivity
-
-    def effective_cardinality(self) -> int:
-        """The morph threshold under the pool's *current* occupancy."""
-        pressure = self.sensitivity * self.buffer.occupancy
-        return int(self.estimated_cardinality * (1.0 - pressure))
-
-    def should_morph(self, produced: int) -> bool:
-        return produced > self.effective_cardinality()

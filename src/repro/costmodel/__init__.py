@@ -7,7 +7,6 @@ from repro.costmodel.competitive import (
     elastic_cr_adversarial,
     elastic_cr_bound,
     greedy_cost,
-    greedy_cr,
     greedy_cr_curve,
     max_cr,
     smooth_model_cr_curve,
@@ -38,7 +37,6 @@ __all__ = [
     "elastic_cr_bound",
     "full_scan_cost",
     "greedy_cost",
-    "greedy_cr",
     "greedy_cr_curve",
     "index_scan_cost",
     "max_cr",

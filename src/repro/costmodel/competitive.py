@@ -97,11 +97,6 @@ def greedy_cost(p: CostParams) -> float:
     )
 
 
-def greedy_cr(p: CostParams) -> float:
-    """Greedy CR at one selectivity point."""
-    return greedy_cost(p) / formulas.optimal_cost(p)
-
-
 def greedy_cr_curve(p: CostParams,
                     selectivities: list[float]) -> list[CRPoint]:
     """Greedy CR over a selectivity grid (sublinear in table size)."""

@@ -28,7 +28,6 @@ from repro.exec.misc import (
     Filter,
     Limit,
     MapProject,
-    Materialize,
     Project,
     Rename,
     RowCounter,
@@ -61,7 +60,6 @@ __all__ = [
     "KeyRange",
     "Limit",
     "MapProject",
-    "Materialize",
     "Not",
     "Operator",
     "Or",

@@ -1,4 +1,4 @@
-"""Shard-parallel execution: Exchange, UnionAll and ShardedScan.
+"""Shard-parallel execution: Exchange and ShardedScan.
 
 One logical scan over a partitioned table becomes N physical scans —
 one per shard, each a :class:`ShardedScan` wrapping whichever access
@@ -31,9 +31,8 @@ The exchange is the intra-query parallelism model of this engine:
   the per-shard ledgers therefore reproduces the parent ledger — and
   the runtime totals — exactly: every counter is an integer.
 
-:class:`UnionAll` is the serial baseline: same children, concatenated
-one after another at full cost, no overlap.  The gap between the two is
-the measured speedup of ``experiments/shards.py``.
+The serial baseline of ``experiments/shards.py`` is the same query over
+one shard.
 """
 
 from __future__ import annotations
@@ -43,19 +42,8 @@ from typing import Iterator, Sequence
 from repro.context import ExecutionContext
 from repro.errors import ExecutionError
 from repro.exec.iterator import Chunk, Operator
+from repro.exec.misc import RowCounter
 from repro.runtime import CostLedger
-
-
-def _check_children(children: Sequence[Operator], who: str) -> None:
-    if not children:
-        raise ExecutionError(f"{who} requires at least one child")
-    schema = children[0].schema
-    for child in children[1:]:
-        if child.schema.column_names != schema.column_names:
-            raise ExecutionError(
-                f"{who} children must share one schema; "
-                f"{children[0].name()} and {child.name()} differ"
-            )
 
 
 class ShardedScan(Operator):
@@ -85,33 +73,11 @@ class ShardedScan(Operator):
         return self.child.batches(ctx)
 
 
-class UnionAll(Operator):
-    """Concatenate children's streams, in order, at serial cost.
-
-    The unsharded semantics of an exchange without its parallelism:
-    child *i+1* starts only after child *i* is exhausted, every charge
-    lands at divisor 1.  Correctness baseline (multiset-equal output) and
-    cost baseline (the exchange's speedup denominator) in one.
-    """
-
-    def __init__(self, children: Sequence[Operator]):
-        _check_children(children, "UnionAll")
-        self._children = tuple(children)
-        self.schema = self._children[0].schema
-
-    def name(self) -> str:
-        return f"UnionAll({len(self._children)})"
-
-    def children(self) -> tuple[Operator, ...]:
-        return self._children
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
-        for child in self._children:
-            yield from child.batches(ctx)
-
-
 class Exchange(Operator):
     """Merge N shard scans, interleaved round-robin, overlapped in time.
+
+    Each child is a :class:`ShardedScan` (counted or not), which names
+    the shard in the ``shard.start`` / ``shard.finish`` trace events.
 
     After a run, :attr:`shard_ledgers` holds one
     :class:`~repro.runtime.CostLedger` per child with that shard's
@@ -123,7 +89,13 @@ class Exchange(Operator):
     def __init__(self, children: Sequence[Operator],
                  table_name: str | None = None,
                  scheme: str | None = None):
-        _check_children(children, "Exchange")
+        if not children:
+            raise ExecutionError("Exchange requires at least one child")
+        for child in children[1:]:
+            if child.schema.column_names != children[0].schema.column_names:
+                raise ExecutionError(
+                    "Exchange children must share one schema; "
+                    f"{children[0].name()} and {child.name()} differ")
         self._children = tuple(children)
         self.table_name = table_name
         self.scheme = scheme
@@ -141,9 +113,9 @@ class Exchange(Operator):
 
     def _shard_label(self, index: int) -> str:
         child = self._children[index]
-        if isinstance(child, ShardedScan):
-            return child.shard_name
-        return f"shard{index}"
+        if isinstance(child, RowCounter):  # the planner counts every node
+            child = child.child
+        return child.shard_name
 
     def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         runtime = ctx.runtime

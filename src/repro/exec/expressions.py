@@ -164,12 +164,6 @@ class Predicate(ABC):
     def columns(self) -> set[str]:
         """Names of all columns the predicate references."""
 
-    def __and__(self, other: "Predicate") -> "Predicate":
-        return And([self, other])
-
-    def __or__(self, other: "Predicate") -> "Predicate":
-        return Or([self, other])
-
 
 @dataclass(frozen=True)
 class TruePredicate(Predicate):

@@ -103,13 +103,6 @@ class Operator(ABC):
         """Short display name used by :func:`explain`."""
         return type(self).__name__
 
-    def collect(self, ctx: ExecutionContext) -> list[Row]:
-        """Run to completion and materialize all output rows."""
-        out: list[Row] = []
-        for batch in self.batches(ctx):
-            out.extend(batch.to_rows())
-        return out
-
 
 def chunked(names: Sequence[str], rows: Iterable[Row]) -> Iterator[Chunk]:
     """Cut a per-tuple row stream into :data:`DEFAULT_BATCH_SIZE` chunks.

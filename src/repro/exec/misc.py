@@ -1,4 +1,4 @@
-"""Small plumbing operators: Filter, Project, MapProject, Limit, Materialize.
+"""Small plumbing operators: Filter, Project, MapProject, Rename, Limit.
 
 Each consumes child chunks whole — filters narrow by selection vector,
 projections share column payloads, and maps compute whole columns.
@@ -180,34 +180,3 @@ class RowCounter(Operator):
         for batch in self.child.batches(ctx):
             self.rows_seen += len(batch)
             yield batch
-
-
-class Materialize(Operator):
-    """Run the child once, cache its output, replay it on re-execution.
-
-    Used for join inputs that are consumed multiple times; replays charge
-    only emission CPU, modeling an in-memory temp table.  The cache is
-    the child's chunks, which a replay hands out again.
-    """
-
-    def __init__(self, child: Operator):
-        self.child = child
-        self.schema = child.schema
-        self._chunks: list[Chunk] | None = None
-
-    def children(self) -> tuple[Operator, ...]:
-        return (self.child,)
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
-        if self._chunks is None:
-            # Materialize fully before yielding so a partially drained
-            # first run — e.g. under a Limit — still leaves a complete
-            # cache for re-execution.
-            self._chunks = list(self.child.batches(ctx))
-        else:
-            ctx.charge_emit(sum(map(len, self._chunks)))
-        yield from self._chunks
-
-    def invalidate(self) -> None:
-        """Drop the cache (e.g. between measured runs)."""
-        self._chunks = None

@@ -93,10 +93,6 @@ class TelemetryResult:
     metrics_text: str
 
     @property
-    def rollups_ok(self) -> bool:
-        return all(not s.rollup_problems for s in self.series)
-
-    @property
     def conservation_ok(self) -> bool:
         return all(s.conservation_ok for s in self.series)
 
@@ -265,25 +261,3 @@ def run_telemetry_workload(
         overhead_identical=overhead_identical,
         metrics_text=metrics_text,
     )
-
-
-def main() -> int:  # pragma: no cover - exercised via the benchmark
-    import os
-
-    from repro.bench.reporting import save_report
-    result = run_telemetry_workload()
-    text = result.report()
-    print(text)
-    path = save_report("telemetry_workload", text)
-    trace_path = os.path.join(os.path.dirname(path),
-                              "telemetry_trace.json")
-    result.trace.save(trace_path)
-    print(f"[saved to {path} and {trace_path}]")
-    ok = (result.rollups_ok and result.conservation_ok
-          and result.replay.ok and result.overhead_identical)
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    import sys
-    sys.exit(main())

@@ -28,7 +28,6 @@ from typing import Iterator
 
 import numpy as _np
 
-from repro.errors import BTreeError
 from repro.index import layout
 
 
@@ -150,23 +149,6 @@ class BTreeIndex:
             bisect_right if hi_inclusive else bisect_left)(keys, hi)
         return start, max(start, end)
 
-    def scan(self, ctx, lo: object | None = None, hi: object | None = None,
-             lo_inclusive: bool = True,
-             hi_inclusive: bool = False) -> Iterator[tuple[object, int]]:
-        """Yield ``(key, TID)`` over a key range, charging index I/O.
-
-        Charges one page read per level for the initial root-to-leaf
-        descent, then one (stream-sequential) leaf page read each time the
-        scan crosses into a new leaf, plus per-entry CPU.  This reproduces
-        Eq. (11)'s index-side terms.
-        """
-        for pos, leaf_end in self._leaf_spans(ctx, lo, hi, lo_inclusive,
-                                              hi_inclusive):
-            for entry in zip(self._keys[pos:leaf_end],
-                             self._tids[pos:leaf_end].tolist()):
-                ctx.charge_index_entry()
-                yield entry
-
     def _leaf_spans(self, ctx, lo: object | None, hi: object | None,
                     lo_inclusive: bool,
                     hi_inclusive: bool) -> Iterator[tuple[int, int]]:
@@ -199,10 +181,10 @@ class BTreeIndex:
                      ) -> Iterator[tuple[list, list[int]]]:
         """Yield ``(keys, tids)`` list pairs over a key range, per leaf.
 
-        The batch counterpart of :meth:`scan`: the same descent, leaf-read
-        and per-entry CPU costs are charged, but entries are handed back
-        one leaf page at a time as parallel key/TID lists, so consumers
-        pay no per-entry generator resumption.
+        Charges one page read per level for the initial root-to-leaf
+        descent, then one (stream-sequential) leaf page read each time the
+        scan crosses into a new leaf, plus per-entry CPU: Eq. (11)'s
+        index-side terms.
         """
         for pos, leaf_end in self._leaf_spans(ctx, lo, hi, lo_inclusive,
                                               hi_inclusive):
@@ -253,7 +235,7 @@ class BTreeIndex:
 
         A NULL key equals no entry: it yields nothing and charges nothing
         (it is not the unbounded range a ``None`` bound means to
-        :meth:`scan`)."""
+        :meth:`scan_batches`)."""
         if key is None:
             return
         for pos, leaf_end in self._leaf_spans(ctx, key, key, True, True):
@@ -272,18 +254,6 @@ class BTreeIndex:
         """
         start, end = self.range_positions(lo, hi, lo_inclusive, hi_inclusive)
         return self._tids[start:end]
-
-    def min_key(self) -> object:
-        """Smallest key; raises BTreeError when empty."""
-        if not self._keys:
-            raise BTreeError("index is empty")
-        return self._keys[0]
-
-    def max_key(self) -> object:
-        """Largest key; raises BTreeError when empty."""
-        if not self._keys:
-            raise BTreeError("index is empty")
-        return self._keys[-1]
 
     def root_key_separators(self, partitions: int) -> list:
         """Approximate key-range boundaries as seen from the root page.

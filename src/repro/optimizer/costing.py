@@ -133,14 +133,6 @@ def exchange_cost(shard_costs: list[float], merge_cost: float) -> float:
     return max(shard_costs) + merge_cost
 
 
-def inlj_cost(outer_card: int, inner: CostParams,
-              matches_per_key: float = 1.0) -> float:
-    """Index-nested-loop cost: a descent + match fetches per outer row."""
-    per_probe = inner.height * inner.rand_cost \
-        + matches_per_key * inner.rand_cost
-    return outer_card * per_probe
-
-
 def hash_join_cost(build_card: int, probe_card: int,
                    profile: DiskProfile, hash_ms: float) -> float:
     """Hash-join CPU converted into I/O units (both sides hashed once)."""

@@ -140,10 +140,6 @@ class PlanCache:
             self.stats.evictions += 1
             self._notify("eviction")
 
-    def clear(self) -> None:
-        """Drop every entry (stats are cumulative and survive)."""
-        self._entries.clear()
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -380,10 +380,10 @@ class Planner:
             "inlj": float("inf"),
         }
         if inner.has_index(inner_key):
-            # Per-probe descent + matching fetches, all random — the
-            # shape of costing.inlj_cost, but computed from the *actual*
-            # B+-tree geometry (height, entry count) rather than the
-            # analytic Eq. (7) estimate, since the index exists here.
+            # Per probe, a descent plus the matching fetches, all random,
+            # from the *actual* B+-tree geometry (height, entry count)
+            # rather than the analytic Eq. (7) estimate, since the index
+            # exists here.
             index = inner.index_on(inner_key)
             matches = max(1.0, inner.row_count / max(1, len(index)))
             costs["inlj"] = (

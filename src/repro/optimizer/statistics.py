@@ -2,9 +2,10 @@
 
 The optimizer's whole world view lives here.  Statistics are collected by
 ``analyze`` (optionally on a sample), stored in a catalog, and — crucially
-for this paper — can be *stale*: collected before further loads, scaled,
-or simply absent.  Every way real systems end up with a wrong estimate is
-reproducible through this module, which is what Figures 1 and 11 need.
+for this paper — can be *stale*: collected before further loads, from a
+sample, or simply absent.  Every way real systems end up with a wrong
+estimate is reproducible through this module, which is what Figures 1
+and 11 need.
 """
 
 from __future__ import annotations
@@ -114,8 +115,7 @@ class StatisticsCatalog:
     Staleness injection:
 
     * collect, then load more data — the catalog keeps the old counts;
-    * :meth:`scale_row_count` — pretend the table is smaller/larger;
-    * :meth:`override_column` — replace one column's stats outright;
+    * collect from a sample (``analyze(..., sample_rate=...)``);
     * never analyze — estimation falls back to PostgreSQL-style defaults.
     """
 
@@ -236,19 +236,3 @@ class StatisticsCatalog:
         if table_name not in self._stats:
             return None
         return self._stats[table_name].columns.get(column)
-
-    # -- staleness injection -------------------------------------------------
-
-    def scale_row_count(self, table_name: str, factor: float) -> None:
-        """Make the catalog believe the table has ``factor``× the rows."""
-        stats = self.table_stats(table_name)
-        stats.row_count = max(0, int(stats.row_count * factor))
-
-    def override_column(self, table_name: str, column: str,
-                        stats: ColumnStats) -> None:
-        """Replace one column's statistics outright."""
-        self.table_stats(table_name).columns[column] = stats
-
-    def forget(self, table_name: str) -> None:
-        """Drop all statistics for a table (simulate missing stats)."""
-        self._stats.pop(table_name, None)

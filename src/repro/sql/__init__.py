@@ -1,4 +1,4 @@
-"""SQL front end: lexer → parser → binder → :class:`QuerySpec`.
+"""SQL front end: lexer → parser → binder → a logical ``QuerySpec``.
 
 The paper's contract is declarative: users state *what* they want and the
 engine picks access paths safely at runtime (§IV-B).  PR 2 built the

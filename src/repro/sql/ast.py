@@ -64,10 +64,6 @@ class ParamRef(Node):
     index: int
     name: str | None = None
 
-    @property
-    def display(self) -> str:
-        return f":{self.name}" if self.name else "?"
-
 
 @dataclass(frozen=True)
 class Star(Node):

@@ -1,9 +1,10 @@
 """Name resolution and lowering: AST → :class:`QuerySpec` + planner hints.
 
 The binder is where SQL meets the engine's catalog.  It resolves every
-table and column reference against :attr:`Database.tables` (unknown names
-raise position-annotated errors that *list the known names*), lowers the
-WHERE tree onto the existing :mod:`~repro.exec.expressions` predicate
+table and column reference against :attr:`~repro.database.Database.tables`
+(unknown names raise position-annotated errors that *list the known
+names*), lowers the WHERE tree onto the existing
+:mod:`~repro.exec.expressions` predicate
 classes, turns ``EXISTS`` / ``NOT EXISTS`` subqueries into semi/anti
 :class:`~repro.optimizer.logical.JoinSpec` entries, compiles each
 computed value once into a chunk function (:mod:`repro.exec.values`) —
@@ -978,7 +979,8 @@ def _merge_ranges(conjuncts: list[Predicate]) -> list[Predicate]:
     estimate differently (AVI product of two half-ranges vs. one
     histogram range), which would make SQL plans diverge from fluent
     ones.  Merging is skipped when a column has several bounds on the
-    same side — intersecting those is :func:`extract_range`'s job.
+    same side — intersecting those is
+    :func:`~repro.exec.expressions.extract_range`'s job.
     """
     lows: dict[str, list[int]] = {}
     highs: dict[str, list[int]] = {}

@@ -69,16 +69,6 @@ class BufferPool:
     def __len__(self) -> int:
         return len(self._pages)
 
-    @property
-    def occupancy(self) -> float:
-        """Fraction of the pool currently holding pages (0.0 – 1.0).
-
-        The contention signal consumed by
-        :class:`~repro.core.trigger.BufferPressureTrigger`: a full
-        shared pool means the next miss evicts someone's resident page.
-        """
-        return len(self._pages) / self.capacity_pages
-
     def contains(self, file: PagedFile, page_id: int) -> bool:
         """True if the page is resident (does not touch LRU order)."""
         return (file.file_id, page_id) in self._pages

@@ -35,7 +35,7 @@ execution invisible to the cost model.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as _np
 
@@ -433,8 +433,3 @@ def mask_all(m: Mask | None) -> bool:
 def mask_nonzero(m: Mask) -> _np.ndarray:
     """Ascending positions a mask passes."""
     return _np.nonzero(m)[0]
-
-
-def mask_from_bools(values: Iterable[bool], n: int) -> Mask:
-    """Materialize an iterable of booleans as a mask of length ``n``."""
-    return _np.fromiter(values, dtype=bool, count=n)

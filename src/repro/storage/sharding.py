@@ -78,7 +78,7 @@ class ShardSet:
         return len(self.shards)
 
     def describe(self) -> str:
-        """One-line summary for plan rendering and the REPL."""
+        """One-line summary of the partitioning."""
         on = f" on {self.column}" if self.column else ""
         return (f"{self.table_name}: {self.num_shards} shards, "
                 f"{self.scheme}{on}")

@@ -38,14 +38,6 @@ class Table:
         """Number of heap pages (``#P``)."""
         return self.heap.num_pages
 
-    def insert(self, row: Row) -> int:
-        """Append one row, maintaining all registered indexes; returns
-        its position (its TID)."""
-        tid = self.heap.append(row)
-        for column, index in self.indexes.items():
-            index.insert(row[self.schema.index_of(column)], tid)
-        return tid
-
     def insert_many(self, rows: "Iterable[Row] | Chunk") -> int:
         """Append many rows (or one chunk of them); returns how many were
         stored.

@@ -7,8 +7,8 @@ pool, perturbing the very costs being recorded; the warehouse instead
 runs with a small fixed buffer pool and its own simulated clock, whose
 time is analysis time, not workload time.
 
-Events arrive via :meth:`HistoryStore.sync`, which drains a tracer's
-buffer incrementally: raw events land in ``telemetry_events``, and every
+Events arrive incrementally via :meth:`HistoryStore.ingest` (usually
+of ``tracer.drain()``): raw events land in ``telemetry_events``, and every
 closed query span (a ``query.start`` joined to its ``query.finish``,
 enriched with the scheduler's client/label) flattens into one
 ``telemetry_queries`` row.  Both tables carry a ``bin`` column —
@@ -35,7 +35,7 @@ from repro.telemetry.schema import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import Connection
     from repro.database import Database
-    from repro.telemetry.tracer import TraceEvent, Tracer
+    from repro.telemetry.tracer import TraceEvent
 
 #: Buffer pool of the warehouse database, in pages.  Fixed (not
 #: auto-sized) so growing history never changes its own access costs.
@@ -76,16 +76,6 @@ class HistoryStore:
 
     def _bin(self, ts_ms: float) -> int:
         return int(ts_ms // self.bin_ms)
-
-    def sync(self, tracer: "Tracer", run_id: int = 0) -> int:
-        """Drain the tracer's buffered events into the warehouse.
-
-        Incremental: call as often as you like; spans still open (a
-        ``query.start`` whose finish has not been emitted yet) are held
-        back and completed by a later sync.  Returns the number of raw
-        events ingested.
-        """
-        return self.ingest(tracer.drain(), run_id=run_id)
 
     def ingest(self, events: "Iterable[TraceEvent]", run_id: int = 0) -> int:
         """Append raw events and any query spans they close."""

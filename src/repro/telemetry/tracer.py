@@ -72,17 +72,6 @@ class TraceEvent:
     value: float = 0.0
     attrs: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        """JSON-ready shape (history-store sync, trace files)."""
-        return {
-            "seq": self.seq,
-            "ts_ms": self.ts_ms,
-            "kind": self.kind,
-            "query_id": self.query_id,
-            "value": self.value,
-            "attrs": self.attrs,
-        }
-
 
 class Tracer:
     """Process-local event buffer + metrics, zero simulated cost.

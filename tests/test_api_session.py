@@ -238,6 +238,35 @@ def test_prepared_statement_rejects_foreign_database(micro_db):
     ).row_count == 1
 
 
+def test_prepared_explain_plans_through_the_cache_and_runs_nothing(micro_db):
+    """``PreparedStatement.explain(params)`` renders the tree ``execute``
+    then runs for the same parameters, charges nothing and opens no query
+    span; it is a plan-cache lookup like any other."""
+    conn = micro_db.connect()
+    st = conn.prepare("SELECT c1 FROM micro WHERE c2 >= :lo AND c2 < :hi "
+                      "AND c3 >= 0")
+    stats = micro_db.plan_cache.stats
+    hits, misses = stats.hits, stats.misses
+    totals = micro_db.runtime.totals()
+    tracer = micro_db.tracer
+    tracer.enable()
+    try:
+        tracer.drain()
+        text = st.explain({"lo": 0, "hi": 300})
+        assert [e.kind for e in tracer.drain()] == ["plan_cache.miss"]
+        assert tracer.current_query_id == -1
+    finally:
+        tracer.disable()
+    assert micro_db.runtime.totals() == totals
+    assert (stats.hits, stats.misses) == (hits, misses + 1)
+    assert st.explain({"lo": 0, "hi": 300}) == text
+    assert (stats.hits, stats.misses) == (hits + 1, misses + 1)
+    cur = st.execute({"lo": 0, "hi": 300})
+    assert (stats.hits, stats.misses) == (hits + 2, misses + 1)
+    assert cur.plan.render() == text
+    cur.close()
+
+
 # -- executemany --------------------------------------------------------------
 
 def test_executemany_counts_all_rows(micro_db, conn):

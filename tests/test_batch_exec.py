@@ -49,7 +49,7 @@ from repro.exec.expressions import (
 )
 from repro.exec.iterator import DEFAULT_BATCH_SIZE, Operator, chunked
 from repro.exec.joins import HashJoin
-from repro.exec.misc import Filter, Limit, Materialize, Project, Rename
+from repro.exec.misc import Filter, Limit, Project, Rename
 from repro.exec.scans import FullTableScan, IndexScan, SortScan
 from repro.exec.sort import Sort
 from repro.exec import values
@@ -240,7 +240,7 @@ def test_every_operator_yields_only_nonempty_chunks(small_table, case):
 
     for op in _plan_tree(plan):
         op.batches = checked(op)
-    rows = plan.collect(db.cold_run())
+    rows = list(plan.rows(db.cold_run()))
     assert bool(rows) == (plan in seen)
 
 
@@ -624,16 +624,18 @@ class _PerTidIndexScan(IndexScan):
     def _fetch_by_tid(self, ctx):
         heap = self.table.heap
         rng = self.key_range
-        for _key, tid in self.index.scan(
+        for leaf in self.index.scan_leaf_tids(
             ctx, lo=rng.lo, hi=rng.hi,
             lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
         ):
-            ctx.get_page(heap, tid // heap.tuples_per_page)
-            ctx.charge_inspect()
-            row = heap.row(tid)
-            if truth(self.residual, self.schema, row) is True:
-                ctx.charge_emit()
-                yield row
+            for tid in leaf.tolist():
+                ctx.charge_index_entry()
+                ctx.get_page(heap, tid // heap.tuples_per_page)
+                ctx.charge_inspect()
+                row = heap.row(tid)
+                if truth(self.residual, self.schema, row) is True:
+                    ctx.charge_emit()
+                    yield row
 
 
 def test_index_scan_charges_once_per_tid(observe_plan):
@@ -683,36 +685,7 @@ def test_limit_over_index_scan_charges_frozen_shim_numbers(small_table):
         assert len(rows) == n
 
 
-# -- Materialize and the buffer pool ---------------------------------------
-
-
-def test_materialize_batch_replay(small_table):
-    db, table = small_table
-    op = Materialize(FullTableScan(table, Between("c2", 0, 300)))
-    ctx = db.cold_run()
-    first = [r for b in op.batches(ctx) for r in b]
-    replay = [r for b in op.batches(ctx) for r in b]
-    assert replay == first
-    assert list(op.rows(ctx)) == first
-
-
-def test_materialize_caches_fully_under_partial_batch_drain(small_table):
-    """A Limit above a Materialize must not poison the cache.
-
-    The first (partial) drain materializes the child completely, so the
-    second execution replays instead of re-running the child and
-    re-paying its simulated I/O.
-    """
-    db, table = small_table
-    mat = Materialize(FullTableScan(table, Between("c2", 0, 300)))
-    plan = Limit(mat, 10)
-    ctx = db.cold_run()
-    first = [r for b in plan.batches(ctx) for r in b]
-    assert len(first) == 10
-    io_after_first = db.clock.io_ms
-    again = [r for b in plan.batches(ctx) for r in b]
-    assert again == first
-    assert db.clock.io_ms == io_after_first  # replay: no new disk I/O
+# -- The buffer pool -------------------------------------------------------
 
 
 def test_buffer_get_run_keeps_strict_lru_capacity(db):

@@ -3,12 +3,11 @@
 import os
 
 from repro.bench.reporting import (
-    format_series,
     format_table,
     format_value,
     save_report,
 )
-from repro.bench.runner import normalized, run_cold, sweep
+from repro.bench.runner import run_cold
 from repro.exec.scans import FullTableScan
 
 
@@ -32,10 +31,6 @@ def test_format_table_alignment():
     assert len(lines) == 5
 
 
-def test_format_series():
-    assert format_series("s", [1, 2], [3.0, 4.0]) == "s: (1, 3), (2, 4)"
-
-
 def test_save_report(tmp_path):
     path = save_report("unit", "hello", root=str(tmp_path))
     assert os.path.exists(path)
@@ -43,19 +38,11 @@ def test_save_report(tmp_path):
         assert fh.read() == "hello\n"
 
 
-def test_normalized():
-    assert normalized(10.0, 5.0) == 2.0
-    assert normalized(0.0, 0.0) == 1.0
-    assert normalized(5.0, 0.0) == float("inf")
-
-
-def test_run_cold_and_sweep(small_table):
+def test_run_cold(small_table):
     db, table = small_table
     m = run_cold(db, "fs", FullTableScan(table), note="x")
     assert m.label == "fs"
     assert m.seconds > 0
     assert m.extras == {"note": "x"}
-    results = sweep(db, {"a": lambda: FullTableScan(table),
-                         "b": lambda: FullTableScan(table)})
-    assert set(results) == {"a", "b"}
-    assert results["a"].seconds == results["b"].seconds
+    again = run_cold(db, "fs", FullTableScan(table))
+    assert again.seconds == m.seconds

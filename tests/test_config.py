@@ -42,13 +42,6 @@ def test_invalid_knobs_rejected(field, value):
         EngineConfig(**{field: value})
 
 
-def test_with_overrides_returns_new_config():
-    cfg = DEFAULT_CONFIG.with_overrides(extent_pages=32)
-    assert cfg.extent_pages == 32
-    assert DEFAULT_CONFIG.extent_pages == 16
-    assert cfg.page_size == DEFAULT_CONFIG.page_size
-
-
 def test_cpu_costs_are_small_relative_to_io():
     # The guiding ratio: one random I/O >> one tuple inspection.
     cpu = CpuCosts()

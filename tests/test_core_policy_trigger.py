@@ -6,7 +6,6 @@ from repro.core.policy import (
     ElasticPolicy,
     GreedyPolicy,
     SelectivityIncreasePolicy,
-    policy_by_name,
 )
 from repro.core.trigger import (
     EagerTrigger,
@@ -48,28 +47,6 @@ def test_initial_region_is_entire_page_probe():
         assert policy.initial_region() == 1
 
 
-def test_policy_by_name():
-    assert isinstance(policy_by_name("greedy"), GreedyPolicy)
-    assert isinstance(policy_by_name("elastic"), ElasticPolicy)
-    assert isinstance(policy_by_name("selectivity-increase"),
-                      SelectivityIncreasePolicy)
-    with pytest.raises(ValueError):
-        policy_by_name("nope")
-
-
-def test_policy_by_name_defaults_to_non_strict():
-    for name in ("greedy", "elastic", "selectivity-increase"):
-        assert policy_by_name(name).strict is False
-
-
-@pytest.mark.parametrize("name", ["elastic", "selectivity-increase", "greedy"])
-def test_policy_by_name_passes_strict_through(name):
-    # Regression: the strict flag was silently discarded — lookup always
-    # constructed with defaults.
-    policy = policy_by_name(name, strict=True)
-    assert policy.strict is True
-
-
 @pytest.mark.parametrize("strict,expected_elastic,expected_si", [
     # Eq. (1) == Eq. (2): the >= default reads "not lower" and doubles;
     # the strict > literal reading treats equality as no increase.
@@ -79,8 +56,8 @@ def test_policy_by_name_passes_strict_through(name):
 def test_both_readings_of_eq1_eq2_comparison(strict, expected_elastic,
                                              expected_si):
     local = global_ = 0.75
-    elastic = policy_by_name("elastic", strict=strict)
-    si = policy_by_name("selectivity-increase", strict=strict)
+    elastic = ElasticPolicy(strict=strict)
+    si = SelectivityIncreasePolicy(strict=strict)
     assert elastic.next_region(4, local, global_) == expected_elastic
     assert si.next_region(4, local, global_) == expected_si
 

@@ -69,9 +69,9 @@ def test_drop_then_recreate_index(db):
 def test_insert_maintains_indexes(db):
     table = db.load_table("t", Schema.of_ints(["a", "b"]), [])
     db.create_index("t", "b")
-    tid = table.insert((1, 42))
+    assert table.insert_many([(1, 42)]) == 1
     ctx = db.context()
-    assert list(table.index_on("b").lookup(ctx, 42)) == [tid]
+    assert list(table.index_on("b").lookup(ctx, 42)) == [0]
 
 
 def test_cold_run_resets_everything(db):

@@ -68,12 +68,12 @@ def test_in_list():
 
 
 def test_and_or_not_composition():
-    pred = (Comparison("a", CompareOp.GT, 0)
-            & Comparison("b", CompareOp.LT, 10))
+    pred = And([Comparison("a", CompareOp.GT, 0),
+                Comparison("b", CompareOp.LT, 10)])
     assert bind(pred)((1, 5, 0))
     assert not bind(pred)((0, 5, 0))
-    disj = (Comparison("a", CompareOp.EQ, 1)
-            | Comparison("a", CompareOp.EQ, 2))
+    disj = Or([Comparison("a", CompareOp.EQ, 1),
+               Comparison("a", CompareOp.EQ, 2)])
     assert bind(disj)((2, 0, 0))
     assert bind(Not(Comparison("a", CompareOp.EQ, 1)))((2, 0, 0))
 

@@ -97,7 +97,7 @@ def reference_rows(agg: HashAggregate, batches) -> list[tuple]:
 
 
 def run(agg: HashAggregate) -> list[tuple]:
-    return agg.collect(Database().context())
+    return list(agg.rows(Database().context()))
 
 
 @st.composite

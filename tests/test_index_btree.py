@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.database import Database
-from repro.errors import BTreeError, UnknownPageError
+from repro.errors import UnknownPageError
 from repro.index import layout
 from repro.index.btree import BTreeIndex
 from repro.storage.buffer import BufferPool
@@ -24,9 +24,12 @@ def make_index(keys, key_size=4):
     return index
 
 
-def entries(index):
-    """Every ``(key, TID)`` entry of ``index``, in index order."""
-    return list(index.scan(Database().context()))
+def entries(index, ctx=None, *bounds, **inclusive):
+    """The ``(key, TID)`` entries of a range of ``index``, in index order."""
+    ctx = ctx or Database().context()
+    return [entry for keys, tids in index.scan_batches(ctx, *bounds,
+                                                        **inclusive)
+            for entry in zip(keys, tids, strict=True)]
 
 
 @pytest.fixture()
@@ -41,32 +44,32 @@ def ctx_and_index(db):
 
 def test_bulk_load_sorts(ctx_and_index):
     _db, ctx, _table, index = ctx_and_index
-    keys = [k for k, _t in index.scan(ctx)]
+    keys = [k for k, _t in entries(index, ctx)]
     assert keys == sorted(keys)
     assert len(keys) == 2_000
 
 
 def test_strict_key_tid_order(ctx_and_index):
     _db, ctx, _table, index = ctx_and_index
-    entries = list(index.scan(ctx))
-    assert entries == sorted(entries, key=lambda e: (e[0], e[1]))
+    pairs = entries(index, ctx)
+    assert pairs == sorted(pairs, key=lambda e: (e[0], e[1]))
 
 
 def test_range_scan_bounds(ctx_and_index):
     _db, ctx, _table, index = ctx_and_index
-    keys = [k for k, _t in index.scan(ctx, lo=10, hi=20)]
+    keys = [k for k, _t in entries(index, ctx, 10, 20)]
     assert keys and all(10 <= k < 20 for k in keys)
-    keys_inc = [k for k, _t in index.scan(ctx, lo=10, hi=20,
-                                          hi_inclusive=True)]
+    keys_inc = [k for k, _t in entries(index, ctx, 10, 20,
+                                       hi_inclusive=True)]
     assert max(keys_inc) == 20
-    keys_exc = [k for k, _t in index.scan(ctx, lo=10, hi=20,
-                                          lo_inclusive=False)]
+    keys_exc = [k for k, _t in entries(index, ctx, 10, 20,
+                                       lo_inclusive=False)]
     assert min(keys_exc) > 10
 
 
 def test_empty_range_yields_nothing(ctx_and_index):
     _db, ctx, _table, index = ctx_and_index
-    assert list(index.scan(ctx, lo=500, hi=600)) == []
+    assert entries(index, ctx, 500, 600) == []
 
 
 def test_lookup_point(ctx_and_index):
@@ -93,7 +96,7 @@ def test_tid_views_are_read_only(ctx_and_index):
                 view.sort()
 
     assert_read_only()
-    assert table.insert((2_000, 15)) == 2_000
+    assert table.insert_many([(2_000, 15)]) == 1
     assert_read_only()
     assert index.peek_range_tids(15, 15, True, True).tolist()[-1] == 2_000
 
@@ -102,7 +105,7 @@ def test_scan_charges_descent_and_leaf_io(ctx_and_index):
     db, ctx, _table, index = ctx_and_index
     db.cold_run()
     ctx = db.context()
-    list(index.scan(ctx))
+    entries(index, ctx)
     # At least the root-to-leaf path plus every leaf page was read.
     assert db.disk.stats.pages_read >= index.num_leaves
 
@@ -124,15 +127,6 @@ def test_insert_equal_keys_ordered_by_tid():
     index.insert(5, 10)
     index.insert(5, 20)
     assert entries(index) == [(5, 10), (5, 20), (5, 30)]
-
-
-def test_min_max_key():
-    index = make_index([5, 2, 9])
-    assert index.min_key() == 2
-    assert index.max_key() == 9
-    empty = make_index([])
-    with pytest.raises(BTreeError):
-        empty.min_key()
 
 
 def test_geometry_consistency():
@@ -234,7 +228,7 @@ KEY_KINDS = {
     "char": (Column("k", ColumnType.CHAR, 12), lambda k: f"key{k:03d}"),
 }
 
-READS = ("scan", "scan_batches", "scan_codes", "scan_leaf_codes")
+READS = ("scan_batches", "scan_codes", "scan_leaf_codes")
 
 
 def frozen_code(tid, per_page):
@@ -245,9 +239,6 @@ def frozen_code(tid, per_page):
 
 def read_entries(index, ctx, read, bounds, per_page):
     """One range read, flattened: ``(key, code)`` pairs or bare codes."""
-    if read == "scan":
-        return [(k, frozen_code(t, per_page))
-                for k, t in index.scan(ctx, *bounds)]
     if read == "scan_batches":
         return [(k, frozen_code(t, per_page))
                 for keys, tids in index.scan_batches(ctx, *bounds)
@@ -291,15 +282,12 @@ def observe_reads(observe_charges, db, index, read, ranges, per_page):
 
 
 BTREE_GOLDEN = {
-    "char/scan": {"entries": [12, "d196533faec5cc5d"]},
     "char/scan_batches": {"entries": [12, "d196533faec5cc5d"]},
     "char/scan_codes": {"entries": [12, "de65bc8bd92331b3"]},
     "char/scan_leaf_codes": {"entries": [12, "de65bc8bd92331b3"]},
-    "float/scan": {"entries": [12, "cf23b1abb4bcb496"]},
     "float/scan_batches": {"entries": [12, "cf23b1abb4bcb496"]},
     "float/scan_codes": {"entries": [12, "7073c01987329f29"]},
     "float/scan_leaf_codes": {"entries": [12, "7073c01987329f29"]},
-    "int/scan": {"entries": [12, "cdf314391c0e257e"]},
     "int/scan_batches": {"entries": [12, "cdf314391c0e257e"]},
     "int/scan_codes": {"entries": [12, "621a00cecdebb8d0"]},
     "int/scan_leaf_codes": {"entries": [12, "621a00cecdebb8d0"]},
@@ -356,7 +344,7 @@ _BUILD_STEPS = st.lists(
 @given(st.sampled_from(sorted(KEY_KINDS)), _BUILD_STEPS)
 def test_property_every_build_route_leaves_sorted_pairs(
         observe_charges, kind, steps):
-    """Column build, ``Table.insert_many`` and ``Table.insert``, in any
+    """Column build, ``Table.insert_many`` in bulk and row by row, in any
     interleaving.
 
     128-byte index pages (8-26 entries a leaf) put leaf crossings and a
@@ -378,14 +366,16 @@ def test_property_every_build_route_leaves_sorted_pairs(
     pairs = []
     for route, numbers in steps:
         rows = [(len(pairs) + i, key(k)) for i, k in enumerate(numbers)]
-        if route == "insert":
-            pairs += [(row[1], table.insert(row)) for row in rows]
-        elif route == "insert_many":
-            assert table.insert_many(iter(rows)) == len(rows)
-            pairs += [(row[1], tid) for tid, row in enumerate(rows, len(pairs))]
-        else:
+        if route == "column":
             pairs += [(row[1], heap.append(row)) for row in rows]
             index.load_column(heap.image().columns[1])
+            continue
+        if route == "insert":
+            for row in rows:
+                assert table.insert_many([row]) == 1
+        else:
+            assert table.insert_many(iter(rows)) == len(rows)
+        pairs += [(row[1], tid) for tid, row in enumerate(rows, len(pairs))]
     assert len(index) == len(pairs)
 
     per_page = heap.tuples_per_page
@@ -405,7 +395,7 @@ def test_property_every_build_route_leaves_sorted_pairs(
                and (hi_ is None or k < hi_ or (ui and k == hi_))]
         for read in READS:
             got = read_entries(index, db.cold_run(), read, bounds, per_page)
-            assert got == (cut if read in ("scan", "scan_batches")
+            assert got == (cut if read == "scan_batches"
                            else [c for _, c in cut]), (read, bounds)
     for read in READS:
         assert (observe_reads(observe_charges, db, index, read, ranges,

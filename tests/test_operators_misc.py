@@ -1,4 +1,4 @@
-"""Filter, Project, MapProject, Rename, Limit, Materialize, Sort."""
+"""Filter, Project, MapProject, Rename, Limit, Sort."""
 
 import random
 
@@ -15,7 +15,7 @@ from repro.exec.expressions import (
     Or,
 )
 from repro.exec.joins import HashJoin, IndexNestedLoopJoin
-from repro.exec.misc import Filter, Limit, MapProject, Materialize, Project, Rename
+from repro.exec.misc import Filter, Limit, MapProject, Project, Rename
 from repro.exec.scans import FullTableScan
 from repro.exec.sort import Sort
 from repro.exec.stats import measure
@@ -123,20 +123,6 @@ def test_limit(base):
 def test_limit_larger_than_input(base):
     db, scan = base
     assert len(measure(db, Limit(scan, 1000)).rows) == 100
-
-
-def test_materialize_replays_without_io(base):
-    db, scan = base
-    mat = Materialize(scan)
-    ctx = db.cold_run()
-    first = list(mat.rows(ctx))
-    io_after_first = db.clock.io_ms
-    second = list(mat.rows(ctx))
-    assert first == second
-    assert db.clock.io_ms == io_after_first  # replay is I/O-free
-    mat.invalidate()
-    third = list(mat.rows(ctx))
-    assert third == first
 
 
 def test_sort_single_key(base):

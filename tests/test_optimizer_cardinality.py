@@ -145,6 +145,6 @@ def test_estimate_cardinality_fallback_rows():
 
 def test_stale_rowcount_underestimates(cat):
     _db, _t, catalog = cat
-    catalog.scale_row_count("t", 0.1)
+    catalog.table_stats("t").row_count //= 10  # stale statistics
     card = estimate_cardinality(catalog, "t", TruePredicate())
     assert card == 1_000  # believes the table is 10x smaller

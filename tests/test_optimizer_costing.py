@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.costmodel.params import CostParams
 from repro.database import Database
 from repro.optimizer import costing
 from repro.storage.disk import DiskProfile
@@ -92,14 +91,6 @@ def test_sort_cpu_cost_scaling():
     big = costing.sort_cpu_cost(100_000, profile, 1e-4)
     assert big > 100 * small  # superlinear (n log n)
     assert costing.sort_cpu_cost(1, profile, 1e-4) == 0.0
-
-
-def test_inlj_cost_linear_in_outer():
-    inner = CostParams(tuple_size=100, num_tuples=100_000)
-    assert costing.inlj_cost(2_000, inner) == \
-        pytest.approx(2 * costing.inlj_cost(1_000, inner))
-    assert costing.inlj_cost(1_000, inner, matches_per_key=3.0) > \
-        costing.inlj_cost(1_000, inner, matches_per_key=1.0)
 
 
 def test_hash_join_cost_counts_both_sides():

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.smooth_scan import SmoothScan
 from repro.database import Database
-from repro.exec.expressions import Between, Comparison, CompareOp, KeyRange
+from repro.exec.expressions import (And, Between, Comparison, CompareOp,
+                                   KeyRange)
 from repro.exec.scans import FullTableScan, IndexScan, SortScan
 from repro.exec.sort import Sort
 from repro.exec.stats import measure
@@ -115,7 +116,7 @@ def test_misestimated_plan_is_the_papers_trap(planned):
     """A wrongly tiny estimate makes the planner pick the index path even
     when the true selectivity would melt it — Section I's motivation."""
     db, _t, catalog = planned
-    catalog.scale_row_count("t", 0.001)
+    catalog.table_stats("t").row_count //= 1_000  # stale statistics
     planner = Planner(db, catalog)
     _op, decision = planner.plan_scan("t", Between("c2", 0, 2_000))
     assert decision.estimated_cardinality < 200  # wildly wrong
@@ -144,7 +145,7 @@ def test_index_opportunity_prefers_tighter_range(two_indexed):
     catalog = StatisticsCatalog()
     catalog.analyze(table, columns=["c2", "c3"])
     planner = Planner(db, catalog)
-    pred = Between("c2", 0, 50_000) & Between("c3", 0, 5)
+    pred = And([Between("c2", 0, 50_000), Between("c3", 0, 5)])
     op, decision = planner.plan_scan("t", pred)
     # ~5% on c3 beats ~50% on c2: the tighter estimated range drives.
     assert decision.column == "c3"
@@ -159,7 +160,7 @@ def test_index_opportunity_tie_breaks_by_index_order(two_indexed):
     # No statistics: both ranges estimate to the same magic default, so
     # the tie resolves to the first index registered (c2).
     planner = Planner(db, StatisticsCatalog())
-    pred = Between("c2", 0, 10) & Between("c3", 0, 10)
+    pred = And([Between("c2", 0, 10), Between("c3", 0, 10)])
     _op, decision = planner.plan_scan("t", pred)
     assert decision.column == "c2"
 
@@ -170,7 +171,8 @@ def test_residual_preserved_on_forced_index(two_indexed):
     catalog.analyze(table, columns=["c2", "c3"])
     planner = Planner(db, catalog, PlannerOptions(force_path="index"))
     residual = Comparison("c4", CompareOp.EQ, 3)
-    op, decision = planner.plan_scan("t", Between("c3", 0, 5) & residual)
+    op, decision = planner.plan_scan("t", And([Between("c3", 0, 5),
+                                                 residual]))
     assert isinstance(op, IndexScan) and decision.column == "c3"
     assert op.residual == residual
     assert op.key_range == KeyRange(0, 5)

@@ -151,21 +151,6 @@ def test_prefix_analysis_misses_recent_values(db):
     assert hist.range_fraction(150, 200) == 0.0  # invisible future
 
 
-def test_scale_row_count(analyzed):
-    _db, _table, catalog = analyzed
-    catalog.scale_row_count("t", 0.1)
-    assert catalog.table_stats("t").row_count == 1_000
-
-
-def test_override_and_forget(analyzed):
-    _db, _table, catalog = analyzed
-    catalog.override_column("t", "b", ColumnStats(
-        column="b", row_count=10, min_value=0, max_value=1, ndv=2))
-    assert catalog.column_stats("t", "b").ndv == 2
-    catalog.forget("t")
-    assert not catalog.has_table("t")
-
-
 # -- ANALYZE reads the heap image: the statistics may not move ---------------
 
 

@@ -161,15 +161,6 @@ def test_version_mismatch_counts_invalidation_and_miss():
     assert len(cache) == 0
 
 
-def test_clear_keeps_cumulative_stats():
-    cache = PlanCache()
-    cache.store(("k", ()), PlanRecipe(base=AccessPin("full", None)), 0)
-    cache.lookup(("k", ()), 0)
-    cache.clear()
-    assert len(cache) == 0
-    assert cache.stats.hits == 1
-
-
 def test_options_fingerprint_distinguishes_and_normalizes():
     default = options_fingerprint(None)
     assert default == options_fingerprint(PlannerOptions())

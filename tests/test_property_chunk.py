@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.storage.chunk import Chunk, _exact_array, mask_from_bools, typed_column
+from repro.storage.chunk import Chunk, _exact_array, typed_column
 
 SETTINGS = settings(
     max_examples=60,
@@ -106,8 +106,7 @@ def test_take_and_slice_match_row_indexing(batch, data):
     assert window.take(picks).to_rows() == [part[i] for i in picks]
     assert window.take(np.array(picks, dtype=np.intp)).to_rows() == \
         [part[i] for i in picks]
-    odd = window.filter(mask_from_bools((i % 2 for i in range(len(part))),
-                                        len(part)))
+    odd = window.filter(np.arange(len(part)) % 2 == 1)
     assert (odd.to_rows() if odd is not None else []) == part[1::2]
     _assert_plain_python(window.to_rows())
 
@@ -127,7 +126,7 @@ def test_filter_and_concat_match_python(batch, data):
     chunk = Chunk.from_columns(names, Chunk.from_rows(names, rows).columns)
 
     bools = [data.draw(st.booleans()) for _ in rows]
-    kept = chunk.filter(mask_from_bools(iter(bools), len(rows)))
+    kept = chunk.filter(np.array(bools, dtype=bool))
     expected = [r for r, b in zip(rows, bools, strict=False) if b]
     assert (kept.to_rows() if kept is not None else []) == expected
 

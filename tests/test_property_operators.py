@@ -1,6 +1,5 @@
 """Property-based tests of executor operators against Python ground truth."""
 
-import operator
 from collections import defaultdict
 
 from hypothesis import HealthCheck, given, settings, strategies as st

@@ -11,8 +11,6 @@ scheduler interleaves N clients with round-robin / weighted policies.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.smooth_scan import SmoothScan
-from repro.core.trigger import BufferPressureTrigger, OptimizerDrivenTrigger
 from repro.database import Database
 from repro.errors import ExecutionError
 from repro.exec.expressions import Between, KeyRange
@@ -346,64 +344,6 @@ def test_scheduler_latencies_show_contention(prepared):
     # much and the makespans stay in the same regime (same total work).
     assert contended.makespan_ms == pytest.approx(serial.makespan_ms,
                                                   rel=0.5)
-
-
-# -- the contention-aware trigger ---------------------------------------------
-
-
-def test_buffer_pressure_trigger_matches_optimizer_when_pool_empty(micro_db):
-    micro_db.runtime.cold_start()
-    trigger = BufferPressureTrigger(1_000, micro_db.buffer)
-    baseline = OptimizerDrivenTrigger(1_000)
-    assert micro_db.buffer.occupancy == 0.0
-    for produced in (0, 999, 1_000, 1_001):
-        assert trigger.should_morph(produced) == \
-            baseline.should_morph(produced)
-
-
-def test_buffer_pressure_trigger_morphs_earlier_under_pressure(micro_db):
-    micro_db.runtime.cold_start()
-    trigger = BufferPressureTrigger(1_000, micro_db.buffer,
-                                    sensitivity=0.5)
-    assert not trigger.should_morph(900)
-    # Fill the shared pool: some other query's pages are resident.
-    heap = micro_db.table("micro").heap
-    ctx = micro_db.context()
-    ctx.get_run(heap, 0, heap.num_pages)
-    occupancy = micro_db.buffer.occupancy
-    assert occupancy > 0.5
-    assert trigger.effective_cardinality() == \
-        int(1_000 * (1.0 - 0.5 * occupancy))
-    assert trigger.should_morph(900)  # the same count now morphs
-    with pytest.raises(ValueError):
-        BufferPressureTrigger(-1, micro_db.buffer)
-    with pytest.raises(ValueError):
-        BufferPressureTrigger(10, micro_db.buffer, sensitivity=1.5)
-
-
-# Pre-pressurizing the pool is a deliberate bare out-of-window read.
-@pytest.mark.no_suite_sanitizer
-def test_buffer_pressure_trigger_drives_smooth_scan(micro_db):
-    # Same plan, same data: a full pool makes the scan morph earlier,
-    # which changes its I/O pattern (a genuinely contention-dependent
-    # execution), while rows stay identical.
-    table = micro_db.table("micro")
-    key_range = KeyRange(0, 60_000, True, False)
-
-    def scan():
-        return SmoothScan(
-            table, "c2", key_range,
-            trigger=BufferPressureTrigger(3_000, micro_db.buffer,
-                                          sensitivity=1.0),
-        )
-
-    cold = measure(micro_db, scan(), cold=True, keep_rows=False)
-    # Pre-pressurize the pool, then run warm under pressure.
-    micro_db.runtime.cold_start()
-    ctx = micro_db.context()
-    ctx.get_run(table.heap, 0, micro_db.buffer.capacity_pages)
-    pressured = measure(micro_db, scan(), cold=False, keep_rows=False)
-    assert pressured.row_count == cold.row_count
 
 
 # -- ledger algebra -----------------------------------------------------------

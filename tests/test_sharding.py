@@ -8,11 +8,14 @@ admission controller's ``split`` verdict — over-budget statements
 re-priced at N shards and admitted as parallel plans.
 """
 
+import math
+
 import pytest
 
 from repro.database import Database
 from repro.errors import ExecutionError, StorageError
-from repro.exec.exchange import Exchange, ShardedScan, UnionAll
+from repro.exec.exchange import Exchange, ShardedScan
+from repro.optimizer import costing
 from repro.optimizer.planner import PlannerOptions
 from repro.server.admission import ADMIT, SPLIT, AdmissionController
 from repro.storage.sharding import (
@@ -140,11 +143,65 @@ def test_planner_keeps_serial_plan_when_model_prefers_it(micro_db):
                        for op in res.plan.operators())
 
 
-def test_exchange_and_union_require_children():
+SMOOTH_RANGE_SQL = "SELECT c1, c2 FROM micro WHERE c2 >= 1000 AND c2 < 30000"
+
+
+def test_smooth_shards_are_priced_by_the_smooth_bound(micro_db):
+    """A smooth decision carries NaN cost; the exchange model prices each
+    shard by ``smooth_scan_estimate`` over that shard instead."""
+    options = PlannerOptions(enable_smooth=True, shard_parallel=True)
+    serial = micro_db.connect(options=options).run(SMOOTH_RANGE_SQL)
+    shard_set = micro_db.shard_table("micro", 4)
+    micro_db.analyze()
+    result = micro_db.connect(options=options).run(SMOOTH_RANGE_SQL)
+    assert "Exchange(micro, 4 shards" in result.explain()
+    decisions = result.plan.decisions()
+    root = next(d for d in decisions if d.path == "exchange")
+    shard_decisions = {d.shard: d for d in decisions if d.shard is not None}
+    assert {d.path for d in shard_decisions.values()} == {"smooth"}
+    modeled = []
+    for shard in shard_set.shards:
+        decision = shard_decisions[shard.name]
+        modeled.append(costing.smooth_scan_estimate(
+            shard, micro_db.config, micro_db.profile, decision.column,
+            decision.estimated_selectivity))
+    assert all(math.isfinite(cost) and cost > 0 for cost in modeled)
+    merge = costing.exchange_merge_cost(
+        root.estimated_cardinality, micro_db.profile,
+        micro_db.config.cpu.exchange_row)
+    assert root.alternatives["exchange"] == max(modeled) + merge
+    assert root.alternatives["serial-union"] == sum(modeled) + merge
+    assert sorted(result.rows) == sorted(serial.rows)
+
+
+def test_traced_exchange_reports_each_shard_ledger(micro_db):
+    shard_set = micro_db.shard_table("micro", 4)
+    micro_db.analyze()
+    conn = micro_db.connect()
+    untraced = conn.run(SMOOTH_RANGE_SQL, keep_rows=False)
+    micro_db.tracer.enable()
+    micro_db.tracer.drain()
+    traced = conn.run(SMOOTH_RANGE_SQL, keep_rows=False)
+    events = micro_db.tracer.drain()
+    micro_db.tracer.disable()
+    assert traced.run.ledger == untraced.run.ledger
+    exchange = next(op for op in traced.plan.operators()
+                    if isinstance(op, Exchange))
+    names = [shard.name for shard in shard_set.shards]
+    starts = [e for e in events if e.kind == "shard.start"]
+    finishes = [e for e in events if e.kind == "shard.finish"]
+    assert sorted(e.attrs["shard"] for e in starts) == names
+    assert sorted(e.attrs["shard"] for e in finishes) == names
+    for event in finishes:
+        ledger = exchange.shard_ledgers[names.index(event.attrs["shard"])]
+        assert (event.attrs["io_ms"], event.attrs["cpu_ms"],
+                event.attrs["pages_read"]) == (
+            ledger.io_ms, ledger.cpu_ms, ledger.disk.pages_read)
+
+
+def test_exchange_requires_children():
     with pytest.raises(ExecutionError, match="at least one"):
         Exchange([])
-    with pytest.raises(ExecutionError, match="at least one"):
-        UnionAll([])
 
 
 # -- the split admission verdict ---------------------------------------------

@@ -18,7 +18,7 @@ from repro.core.trigger import (
     SLADrivenTrigger,
 )
 from repro.errors import PlanningError
-from repro.exec.expressions import Between, KeyRange
+from repro.exec.expressions import And, Between, KeyRange
 from repro.exec.misc import Limit
 from repro.exec.scans import FullTableScan
 from repro.exec.stats import measure
@@ -90,7 +90,7 @@ def test_residual_predicate(small_table):
     rows = measure(db, scan).rows
     assert rows and all(0 <= r[2] < 3 and 0 <= r[1] < 600 for r in rows)
     full = measure(
-        db, FullTableScan(table, Between("c2", 0, 600) & residual)
+        db, FullTableScan(table, And([Between("c2", 0, 600), residual]))
     ).rows
     assert sorted(rows) == sorted(full)
 

@@ -50,17 +50,17 @@ def run_scheduled(db, clients=2, queries=3):
 def test_sync_persists_events_and_spans(traced_db):
     report = run_scheduled(traced_db)
     store = HistoryStore()
-    ingested = store.sync(traced_db.tracer)
+    ingested = store.ingest(traced_db.tracer.drain())
     assert ingested > 0
     assert store.event_count == ingested
     assert store.query_count == len(report.records)
     # Draining means a second sync ingests nothing new.
-    assert store.sync(traced_db.tracer) == 0
+    assert store.ingest(traced_db.tracer.drain()) == 0
 
 
 def test_store_uses_its_own_warehouse_database(traced_db):
     store = HistoryStore()
-    store.sync(traced_db.tracer)
+    store.ingest(traced_db.tracer.drain())
     assert store.db is not traced_db
     assert store.db.config.buffer_pool_pages == WAREHOUSE_BUFFER_PAGES
     # The measured database never grew telemetry tables.
@@ -72,7 +72,7 @@ def test_store_uses_its_own_warehouse_database(traced_db):
 def test_query_id_is_btree_indexed_and_joinable(traced_db):
     run_scheduled(traced_db)
     store = HistoryStore()
-    store.sync(traced_db.tracer)
+    store.ingest(traced_db.tracer.drain())
     assert "query_id" in store.db.table(QUERIES_TABLE).indexes
     assert "query_id" in store.db.table(EVENTS_TABLE).indexes
     with store.connect() as conn:
@@ -90,7 +90,7 @@ def test_query_id_is_btree_indexed_and_joinable(traced_db):
 def test_rollups_agree_with_workload_report(traced_db):
     report = run_scheduled(traced_db)
     store = HistoryStore()
-    store.sync(traced_db.tracer)
+    store.ingest(traced_db.tracer.drain())
     assert verify_against_report(store, report, run_id=0) == []
     t = totals(store, run_id=0)
     assert t["queries"] == len(report.records)
@@ -110,10 +110,10 @@ def test_incremental_sync_completes_open_spans(traced_db):
     cursor = conn.cursor().execute(SQL, {"lo": 0, "hi": 50_000})
     cursor.fetchmany(10)  # span open: started, not finished
     store = HistoryStore()
-    store.sync(traced_db.tracer)
+    store.ingest(traced_db.tracer.drain())
     assert store.query_count == 0  # start held back, no finish yet
     cursor.fetchall()
-    store.sync(traced_db.tracer)
+    store.ingest(traced_db.tracer.drain())
     assert store.query_count == 1  # the later sync closed the span
     row = totals(store, run_id=0)
     assert row["queries"] == 1
