@@ -12,6 +12,7 @@ from repro.core.trigger import (
     OptimizerDrivenTrigger,
     SLADrivenTrigger,
 )
+from repro.experiments.common import policy_for
 
 
 def test_greedy_always_doubles():
@@ -45,6 +46,25 @@ def test_initial_region_is_entire_page_probe():
     for policy in (GreedyPolicy(), SelectivityIncreasePolicy(),
                    ElasticPolicy()):
         assert policy.initial_region() == 1
+
+
+@pytest.mark.parametrize("name,cls", [
+    ("greedy", GreedyPolicy),
+    ("si", SelectivityIncreasePolicy),
+    ("elastic", ElasticPolicy),
+])
+def test_policy_for_names_the_paper_policies(name, cls):
+    # The one name-to-policy table (fig7 / fig8): a fresh policy with the
+    # default non-strict comparison on every call.
+    policy = policy_for(name)
+    assert type(policy) is cls
+    assert policy.strict is False
+    assert policy_for(name) is not policy
+
+
+def test_policy_for_rejects_an_unknown_name():
+    with pytest.raises(KeyError):
+        policy_for("selectivity-increase")
 
 
 @pytest.mark.parametrize("strict,expected_elastic,expected_si", [
